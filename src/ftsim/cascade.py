@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pattern import CommGraph, CommOp, CommPattern, Direction
+from .pattern import CommOp, CommPattern, Direction
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,7 @@ def _candidate_ops(
     and are dropped outright. Buffered send-side waits never block.
     """
     out = []
-    for op in pattern.processes[child]:
-        if op.peer != parent:
-            continue
+    for op in pattern.ops_with(child, parent):
         if pattern.buffered and op.direction is Direction.SEND:
             continue
         block_point = schedule.block_point(op)
@@ -111,7 +109,6 @@ def estimate_block_times(
     (process, op index); without it the pattern offsets are used directly.
     """
     sched = _Schedule(schedule)
-    graph = CommGraph(pattern)
     analyzed: set[int] = {failed}
     level_procs: list[tuple[int, float]] = [(failed, fail_time)]
     estimates: dict[int, BlockEstimate] = {}
@@ -121,7 +118,7 @@ def estimate_block_times(
         level += 1
         current: dict[int, BlockEstimate] = {}
         for parent, parent_block in level_procs:
-            for child in graph.neighbors(parent):
+            for child in pattern.peers(parent):
                 if child in analyzed:
                     continue
                 found = _first_block(pattern, child, parent, fail_time, parent_block, depth.depth, sched)

@@ -255,8 +255,3 @@ def node_best_plan(
         t_wait=t_wait,
         tt=phase + t_wait,
     )
-
-
-def total_saving(plans: list[NodePlan]) -> float:
-    """Total saving across nodes."""
-    return sum(p.saving_j for p in plans)

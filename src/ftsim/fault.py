@@ -46,18 +46,6 @@ class FailureSpec:
             raise ValueError("restart duration must be non-negative")
 
 
-def checkpoint_times(policy: CheckpointPolicy, process: int, horizon: float) -> list[float]:
-    """Scheduled checkpoint start times for a process up to the horizon."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    times = []
-    t = policy.offset(process)
-    while t <= horizon:
-        times.append(t)
-        t += policy.interval
-    return times
-
-
 def should_anticipate(policy: CheckpointPolicy, block_time: float, last_ckpt: float) -> bool:
     """Whether a process blocking now should checkpoint first."""
     if block_time < last_ckpt:
@@ -65,15 +53,3 @@ def should_anticipate(policy: CheckpointPolicy, block_time: float, last_ckpt: fl
     if not policy.anticipation_enabled:
         return False
     return (block_time - last_ckpt) >= policy.anticipation_fraction * policy.interval
-
-
-def recovery_end(spec: FailureSpec, last_ckpt: float) -> float:
-    """When the failed node has restarted and replayed the lost work.
-
-    Lost work re-executes at full speed in the same wall time it originally
-    took, so recovery ends a restart plus one re-execution span after the
-    failure.
-    """
-    if last_ckpt > spec.time:
-        raise ValueError("checkpoint after failure")
-    return spec.time + spec.restart_duration + (spec.time - last_ckpt)

@@ -22,10 +22,7 @@ class EventKind(enum.Enum):
     FAILURE = "FAILURE"
     RESTART_END = "RESTART_END"
     REEXEC_END = "REEXEC_END"
-    GO_SLEEP_END = "GO_SLEEP_END"
     WAKEUP_END = "WAKEUP_END"
-    STRATEGY_FLAG = "STRATEGY_FLAG"
-    SIM_END = "SIM_END"
 
 
 class PastTime(ValueError):

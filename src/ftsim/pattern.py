@@ -4,9 +4,9 @@ semantics (blocking/non-blocking, with or without system buffering)."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .energy import FrequencyLevel, SystemProfile, WaitMode, UnknownFrequency
+from .energy import WaitMode
 
 
 class Direction(enum.Enum):
@@ -48,6 +48,15 @@ class CommOp:
 
 @dataclass
 class CommPattern:
+    """Per-process programs plus the MPI semantics they run under.
+
+    Construction builds the FIFO channel index in one pass over the ops: each
+    op's sequence number on its directed channel, the per-direction op
+    stream of every (process, peer) pair, and each pair's ops in program
+    order. The index is not refreshed, so ``processes`` must not be mutated
+    after construction; ``dataclasses.replace`` builds a new, indexed pattern.
+    """
+
     processes: list[list[CommOp]]
     interval: float = 0.0
     buffered: bool = False
@@ -55,19 +64,51 @@ class CommPattern:
     message_size: int = 0
     repetition: float = 0.0  # one pattern repetition, seconds; 0 = whole program
 
+    def __post_init__(self) -> None:
+        self._streams: dict[tuple[int, int, Direction], list[CommOp]] = {}
+        self._seq: dict[CommOp, int] = {}
+        self._pairs: list[dict[int, list[CommOp]]] = []
+        for proc, ops in enumerate(self.processes):
+            pairs: dict[int, list[CommOp]] = {}
+            for op in ops:
+                stream = self._streams.setdefault((proc, op.peer, op.direction), [])
+                if op.proc == proc:
+                    # ops are looked up in their own process's program; an
+                    # equal op earlier in the stream keeps its number
+                    self._seq.setdefault(op, len(stream))
+                stream.append(op)
+                pairs.setdefault(op.peer, []).append(op)
+            self._pairs.append(dict(sorted(pairs.items())))
+
     @property
     def nodes(self) -> int:
         return len(self.processes)
 
+    def peers(self, proc: int) -> list[int]:
+        """Processes ``proc`` communicates with, ascending."""
+        return list(self._pairs[proc])
+
     def ops_with(self, proc: int, peer: int) -> list[CommOp]:
-        return [op for op in self.processes[proc] if op.peer == peer]
+        """The ops of ``proc`` with ``peer``, in program order."""
+        return self._pairs[proc].get(peer, [])
+
+    def _sequence(self, op: CommOp) -> int:
+        k = self._seq.get(op)
+        if k is None:
+            raise ValueError(f"op {op.index} of process {op.proc} is not in the pattern")
+        return k
+
+    def message_key(self, op: CommOp) -> tuple[tuple[int, int], int]:
+        """((sender, receiver), k): ``op`` is a side of the k-th message on
+        that directed channel."""
+        channel = (op.proc, op.peer) if op.direction is Direction.SEND else (op.peer, op.proc)
+        return channel, self._sequence(op)
 
     def matching_op(self, op: CommOp) -> CommOp:
         """Peer op paired with ``op`` by FIFO order on the directed channel."""
-        mine = [o for o in self.processes[op.proc] if o.peer == op.peer and o.direction == op.direction]
-        k = mine.index(op)
+        k = self._sequence(op)
         want = Direction.RECV if op.direction is Direction.SEND else Direction.SEND
-        theirs = [o for o in self.processes[op.peer] if o.peer == op.proc and o.direction == want]
+        theirs = self._streams.get((op.peer, op.proc, want), [])
         if k >= len(theirs):
             raise UnmatchedOp(
                 f"op {op.index} of process {op.proc} ({op.direction.value} peer {op.peer}) has no match"
@@ -94,58 +135,6 @@ class CommPattern:
                 self.matching_op(op)
 
 
-def completion_time(
-    op: CommOp, pattern: CommPattern, sender_ready: float, receiver_ready: float
-) -> tuple[float, float]:
-    """When each side of a message exchange may proceed.
-
-    Blocking buffered sends return as soon as the message is copied out;
-    unbuffered ones synchronize both sides. Non-blocking posts return
-    immediately, so the times here are those of the matching waits: the
-    sender's wait returns at the local copy when buffering is available,
-    otherwise both waits return once the data reaches the receiver.
-    Transmission latency is zero.
-    """
-    pattern.matching_op(op)
-    synced = max(sender_ready, receiver_ready)
-    if pattern.buffered:
-        return sender_ready, synced
-    return synced, synced
-
-
-def next_comm(pattern: CommPattern, child: int, parent: int, after: float) -> float:
-    """Earliest time strictly after ``after`` at which ``child`` reaches an
-    operation matching ``parent``, at the maximum frequency. Infinity when
-    none remain."""
-    for op in pattern.processes[child]:
-        if op.peer == parent and op.block_point > after:
-            return op.block_point
-    return float("inf")
-
-
-def wait_power(mode: WaitMode, f: FrequencyLevel, profile: SystemProfile) -> float:
-    """Power drawn while waiting for a message: polling power at f for active
-    waits, near-base power for idle waits."""
-    if f.ghz not in {lvl.ghz for lvl in profile.freqs}:
-        raise UnknownFrequency(f"{f.ghz} GHz not in profile")
-    if mode is WaitMode.ACTIVE:
-        return profile.level(f.ghz).active_wait_power
-    return profile.p_idle_wait
-
-
-class CommGraph:
-    """Who communicates with whom, derived from a pattern."""
-
-    def __init__(self, pattern: CommPattern):
-        self._peers: dict[int, list[int]] = {}
-        for proc, ops in enumerate(pattern.processes):
-            seen = sorted({op.peer for op in ops})
-            self._peers[proc] = seen
-
-    def neighbors(self, proc: int) -> list[int]:
-        return self._peers.get(proc, [])
-
-
 class ProcStatus(enum.Enum):
     COMPUTING = "COMPUTING"
     BLOCKED_WAIT = "BLOCKED_WAIT"
@@ -163,9 +152,4 @@ class ProcessState:
     node: int
     status: ProcStatus = ProcStatus.COMPUTING
     pc: int = 0
-    freq: FrequencyLevel | None = None
     last_ckpt_time: float = 0.0
-    position: float = 0.0  # compute seconds completed
-    resume_wall: float = 0.0  # wall time when the current compute stretch began
-    beta: float = 1.0
-    history: list[int] = field(default_factory=list)

@@ -2,8 +2,8 @@
 ``[system] [pattern] [checkpoint] [failure] [run]``.
 
 Durations accept ``s`` and ``min`` suffixes; powers take ``w``; frequencies
-``ghz``. ``freq``, ``op``, ``offset`` and ``exchange`` keys may repeat, all
-others may not. Everything is converted to seconds at ingestion.
+``ghz``. ``freq``, ``op`` and ``offset`` keys may repeat, all others may
+not. Everything is converted to seconds at ingestion.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class Scenario:
 
 
 _UNITS = {"s": 1.0, "min": 60.0, "ghz": 1.0, "w": 1.0}
-_REPEATABLE = {"freq", "op", "offset", "exchange"}
+_REPEATABLE = {"freq", "op", "offset"}
 
 
 def _number(text: str, line: int) -> float:

@@ -19,10 +19,11 @@ reference run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cascade import BlockEstimate, estimate_block_times
 from .energy import (
+    FrequencyLevel,
     NodePlan,
     PhaseEstimate,
     WaitAction,
@@ -31,9 +32,12 @@ from .energy import (
 )
 from .fault import should_anticipate
 from .kernel import EventKind, EventQueue
-from .pattern import CommOp, Direction, OpMode, ProcStatus, ProcessState
+from .pattern import CommOp, CommPattern, Direction, OpMode, ProcStatus, ProcessState
 from .report import CommRecord, FlagRecord, SavingsReport, StateRecord, TraceRecord
 from .scenario import Scenario
+
+
+_Key = tuple[tuple[int, int], int]  # ((sender, receiver), k): the k-th message on a channel
 
 
 @dataclass(frozen=True)
@@ -42,8 +46,31 @@ class _Item:
 
     offset: float
     op: CommOp
+    key: _Key
     is_wait: bool
     replay: bool = False
+
+
+_Programs = tuple[list[list[_Item]], dict[_Key, OpMode]]
+
+
+def _programs(pattern: CommPattern) -> _Programs:
+    """Each process's milestones in execution order, and each message's mode:
+    that of its op on the lower-numbered process. Built once per scenario and
+    shared by all passes."""
+    programs: list[list[_Item]] = []
+    modes: dict[_Key, OpMode] = {}
+    for ops in pattern.processes:
+        items = []
+        for op in ops:
+            key = pattern.message_key(op)
+            modes.setdefault(key, op.mode)
+            items.append(_Item(op.post_time_offset, op, key, is_wait=False))
+            if op.mode is OpMode.NONBLOCKING:
+                items.append(_Item(op.wait_offset, op, key, is_wait=True))
+        items.sort(key=lambda it: (it.offset, it.op.index, it.is_wait))
+        programs.append(items)
+    return programs, modes
 
 
 @dataclass
@@ -68,10 +95,10 @@ class _WaitLog:
 class _Proc:
     node: int
     items: list[_Item]
+    freq: FrequencyLevel
     cursor: int = 0
     position: float = 0.0
     resume_wall: float = 0.0
-    beta: float = 1.0
     status: ProcStatus = ProcStatus.COMPUTING
     milestone_id: int | None = None
     last_ckpt: float = 0.0
@@ -96,6 +123,7 @@ class _Engine:
     def __init__(
         self,
         s: Scenario,
+        programs: _Programs,
         inject_failure: bool,
         baseline: dict | None = None,
         plans: dict[int, tuple[NodePlan, _WaitLog]] | None = None,
@@ -105,10 +133,11 @@ class _Engine:
         self.baseline = baseline
         self.plans = plans or {}
         self.q = EventQueue()
-        self.channel_ops: dict[tuple[int, int], tuple[tuple[int, int], int]] = {}
-        self.messages: dict[tuple[tuple[int, int], int], _Message] = {}
-        self.procs = [self._make_proc(i) for i in range(s.nodes)]
-        self._index_channels()
+        items, modes = programs
+        self.messages = {key: _Message(mode=mode) for key, mode in modes.items()}
+        self.procs = [_Proc(node, program, s.profile.f_max) for node, program in enumerate(items)]
+        for proc in self.procs:
+            proc.mark(0.0, "COMPUTE")
         self.completions: dict[tuple[int, int, bool], float] = {}
         self.posts: dict[tuple[int, int], tuple[float, float]] = {}
         self.wait_logs: dict[int, list[_WaitLog]] = {i: [] for i in range(s.nodes)}
@@ -118,32 +147,6 @@ class _Engine:
         self.wait_label = (
             "WAIT_ACTIVE" if s.pattern.wait_mode is WaitMode.ACTIVE else "WAIT_IDLE"
         )
-
-    def _make_proc(self, node: int) -> _Proc:
-        items = []
-        for op in self.s.pattern.processes[node]:
-            items.append(_Item(op.post_time_offset, op, is_wait=False))
-            if op.mode is OpMode.NONBLOCKING:
-                items.append(_Item(op.wait_offset, op, is_wait=True))
-        items.sort(key=lambda it: (it.offset, it.op.index, it.is_wait))
-        proc = _Proc(node=node, items=items)
-        proc.mark(0.0, "COMPUTE")
-        return proc
-
-    def _index_channels(self) -> None:
-        counters: dict[tuple[int, int, Direction], int] = {}
-        for node in range(self.s.nodes):
-            for op in self.s.pattern.processes[node]:
-                channel = (node, op.peer) if op.direction is Direction.SEND else (op.peer, node)
-                key = (node, op.peer, op.direction)
-                k = counters.get(key, 0)
-                counters[key] = k + 1
-                self.channel_ops[(node, op.index)] = (channel, k)
-                self.messages.setdefault((channel, k), _Message(mode=op.mode))
-
-    def _msg(self, node: int, op: CommOp) -> _Message:
-        channel, k = self.channel_ops[(node, op.index)]
-        return self.messages[(channel, k)]
 
     # -- scheduling helpers --------------------------------------------------
 
@@ -155,7 +158,7 @@ class _Engine:
                 proc.mark(self.q.clock, "WAIT_IDLE")
             return
         item = proc.items[proc.cursor]
-        t = proc.resume_wall + (item.offset - proc.position) * proc.beta
+        t = proc.resume_wall + (item.offset - proc.position) * proc.freq.beta
         kind = EventKind.WAIT_ENTER if item.is_wait else (
             EventKind.POST_SEND if item.op.direction is Direction.SEND else EventKind.POST_RECV
         )
@@ -168,7 +171,7 @@ class _Engine:
 
     def _sync_position(self, proc: _Proc, now: float) -> None:
         if proc.status is ProcStatus.COMPUTING:
-            proc.position += (now - proc.resume_wall) / proc.beta
+            proc.position += (now - proc.resume_wall) / proc.freq.beta
             proc.resume_wall = now
 
     # -- main loop -----------------------------------------------------------
@@ -207,15 +210,15 @@ class _Engine:
 
     # -- op handling -----------------------------------------------------------
 
-    def _register_post(self, node: int, op: CommOp, now: float) -> _Message:
-        msg = self._msg(node, op)
-        if op.direction is Direction.SEND:
+    def _register_post(self, item: _Item, now: float) -> _Message:
+        msg = self.messages[item.key]
+        if item.op.direction is Direction.SEND:
             msg.send_post = now
         else:
             msg.recv_post = now
         if msg.send_post is not None and msg.recv_post is not None and msg.transfer is None:
             msg.transfer = max(msg.send_post, msg.recv_post)
-            channel, _ = self.channel_ops[(node, op.index)]
+            channel, _ = item.key
             self.comm_records.append(
                 CommRecord(
                     src=channel[0],
@@ -243,16 +246,16 @@ class _Engine:
         proc = self.procs[ev.node]
         item: _Item = ev.payload
         if item.replay:
-            self._register_post(proc.node, item.op, ev.time)
+            self._register_post(item, ev.time)
             return
         now = ev.time
         proc.milestone_id = None
         proc.position = item.offset
         proc.resume_wall = now
         if item.is_wait:
-            msg = self._msg(proc.node, item.op)
+            msg = self.messages[item.key]
         else:
-            msg = self._register_post(proc.node, item.op, now)
+            msg = self._register_post(item, now)
             self.posts[(proc.node, item.op.index)] = (now, now)
         self._finish_item(proc, item, msg, now)
 
@@ -285,7 +288,7 @@ class _Engine:
         anticipated = self._wants_anticipation(proc, item, now)
         strategy = self._strategy_here(proc, item)
         if anticipated:
-            duration = self.s.ckpt.duration * self._gamma(proc.beta)
+            duration = self.s.ckpt.duration * proc.freq.gamma
             proc.status = ProcStatus.CHECKPOINTING
             proc.blocked_item = item
             proc.mark(now, "CKPT")
@@ -313,12 +316,6 @@ class _Engine:
         base = self.baseline.get((proc.node, item.op.index, item.is_wait))
         return base is not None and base <= now
 
-    def _gamma(self, beta: float) -> float:
-        for f in self.s.profile.freqs:
-            if f.beta == beta:
-                return f.gamma
-        return 1.0
-
     def _on_complete(self, ev) -> None:
         proc = self.procs[ev.node]
         msg: _Message = ev.payload
@@ -327,7 +324,7 @@ class _Engine:
             return  # the wakeup event resumes the process
         if proc.status is not ProcStatus.BLOCKED_WAIT or proc.blocked_item is None:
             return
-        if self._msg(proc.node, proc.blocked_item.op) is not msg:
+        if self.messages[proc.blocked_item.key] is not msg:
             return
         item = proc.blocked_item
         self._resume_from_wait(proc, item, msg, now)
@@ -358,7 +355,7 @@ class _Engine:
         self._cancel_milestone(proc)
         proc.status = ProcStatus.CHECKPOINTING
         proc.mark(now, "CKPT")
-        duration = self.s.ckpt.duration * self._gamma(proc.beta)
+        duration = self.s.ckpt.duration * proc.freq.gamma
         self.q.schedule(now + duration, EventKind.CKPT_END, proc.node)
 
     def _on_ckpt_end(self, ev) -> None:
@@ -370,7 +367,7 @@ class _Engine:
         proc.pos_at_ckpt = proc.position
         item: _Item | None = ev.payload
         if item is None:
-            proc.ckpt_spans.append((now - self.s.ckpt.duration * self._gamma(proc.beta), now))
+            proc.ckpt_spans.append((now - self.s.ckpt.duration * proc.freq.gamma, now))
             proc.status = ProcStatus.COMPUTING
             proc.resume_wall = now
             proc.mark(now, "COMPUTE")
@@ -378,7 +375,7 @@ class _Engine:
             return
         # anticipated checkpoint taken at the head of a wait
         proc.ckpt_spans.append((self.wait_logs[proc.node][-1].begin, now))
-        msg = self._msg(proc.node, item.op)
+        msg = self.messages[item.key]
         strategy = self._strategy_here(proc, item)
         if msg.transfer is not None:
             self._resume_from_wait(proc, item, msg, max(now, msg.transfer))
@@ -395,7 +392,7 @@ class _Engine:
         self._sync_position(proc, now)
         self._cancel_milestone(proc)
         if proc.blocked_item is not None:
-            self._msg(proc.node, proc.blocked_item.op).blocked[proc.node] = False
+            self.messages[proc.blocked_item.key].blocked[proc.node] = False
             if self.wait_logs[proc.node] and self.wait_logs[proc.node][-1].end is None:
                 self.wait_logs[proc.node][-1].end = now
         proc.pos_at_failure = proc.position
@@ -417,17 +414,14 @@ class _Engine:
             if item.is_wait:
                 continue
             if proc.pos_at_ckpt < item.offset <= proc.pos_at_failure:
-                if self._msg(proc.node, item.op).transfer is None:
+                if self.messages[item.key].transfer is None:
                     t = now + (item.offset - proc.pos_at_ckpt)
                     kind = (
                         EventKind.POST_SEND
                         if item.op.direction is Direction.SEND
                         else EventKind.POST_RECV
                     )
-                    self.q.schedule(
-                        t, kind, proc.node,
-                        payload=_Item(item.offset, item.op, False, replay=True),
-                    )
+                    self.q.schedule(t, kind, proc.node, payload=replace(item, replay=True))
         self.q.schedule(now + replay, EventKind.REEXEC_END, proc.node)
 
     def _on_reexec_end(self, ev) -> None:
@@ -444,7 +438,7 @@ class _Engine:
                 break
             # the process was suspended at this op when it failed; the post
             # (if any) was already registered or replayed
-            msg = self._msg(proc.node, item.op)
+            msg = self.messages[item.key]
             if self._must_block(item, msg):
                 self.wait_logs[proc.node].append(
                     _WaitLog(proc.node, item.op.index, item.is_wait, begin=now)
@@ -464,7 +458,7 @@ class _Engine:
             f = plan.compute_action
             if f.beta != 1.0:
                 self._sync_position(proc, now)
-                proc.beta = f.beta
+                proc.freq = f
                 self.flags.append(FlagRecord(node, now, "BEGIN", f"FREQ_{f.ghz:g}"))
                 if proc.status is ProcStatus.COMPUTING:
                     self._cancel_milestone(proc)
@@ -473,8 +467,8 @@ class _Engine:
     def _end_compute_strategy(self, proc: _Proc, now: float) -> None:
         plan, _ = self.plans[proc.node]
         f = plan.compute_action
-        if f.beta != 1.0 and proc.beta == f.beta:
-            proc.beta = 1.0
+        if f.beta != 1.0 and proc.freq == f:
+            proc.freq = self.s.profile.f_max
             self.flags.append(FlagRecord(proc.node, now, "END", f"FREQ_{f.ghz:g}"))
 
     def _apply_wait_action(self, proc: _Proc, plan: NodePlan, ref: _WaitLog, now: float) -> None:
@@ -500,7 +494,7 @@ class _Engine:
         now = ev.time
         assert proc.status is ProcStatus.SLEEPING and proc.blocked_item is not None
         item = proc.blocked_item
-        msg = self._msg(proc.node, item.op)
+        msg = self.messages[item.key]
         proc.status = ProcStatus.BLOCKED_WAIT
         self.flags.append(FlagRecord(proc.node, now, "END", "SLEEP"))
         if msg.transfer is not None and msg.transfer <= now:
@@ -524,7 +518,6 @@ class _Engine:
                 node=p.node,
                 status=p.status,
                 pc=p.cursor,
-                freq=None,
                 last_ckpt_time=p.last_ckpt,
             )
             for p in self.procs
@@ -627,7 +620,7 @@ def _allowed_freqs(s: Scenario, ref: _Engine, log: _WaitLog) -> set[float]:
             continue
         if op.direction is Direction.RECV and s.pattern.buffered:
             continue
-        msg = ref._msg(node, op)
+        msg = ref.messages[s.pattern.message_key(op)]
         if msg.transfer is None:
             continue
         impactful.append((wall, msg.transfer))
@@ -652,11 +645,12 @@ class SimulationResult:
 
 
 def simulate_detailed(s: Scenario) -> SimulationResult:
-    base = _Engine(s, inject_failure=False)
+    programs = _programs(s.pattern)
+    base = _Engine(s, programs, inject_failure=False)
     base.run()
     baseline = dict(base.completions)
 
-    ref = _Engine(s, inject_failure=True, baseline=baseline)
+    ref = _Engine(s, programs, inject_failure=True, baseline=baseline)
     ref.run()
     ref_makespan = ref.makespan()
 
@@ -679,7 +673,7 @@ def simulate_detailed(s: Scenario) -> SimulationResult:
         plan_map[est.process] = (plan, log)
 
     if s.strategies_enabled and plan_map:
-        final = _Engine(s, inject_failure=True, baseline=baseline, plans=plan_map)
+        final = _Engine(s, programs, inject_failure=True, baseline=baseline, plans=plan_map)
         final.run()
     else:
         final = ref

@@ -15,7 +15,6 @@ from ftsim.energy import (
     sleep_feasible,
     sleep_wait_energy,
     t_comp,
-    total_saving,
 )
 
 # Measured levels of the reference node: 2.8 down to 1.2 GHz.
@@ -76,13 +75,6 @@ def test_sleep_feasible():
     assert sleep_feasible(PROFILE.f_max, 300.0, WaitMode.ACTIVE, PROFILE) is True
     assert sleep_feasible(PROFILE.f_max, 50.0, WaitMode.ACTIVE, PROFILE) is False
     assert sleep_feasible(PROFILE.f_max, 0.0, WaitMode.ACTIVE, PROFILE) is False
-
-
-def test_total_saving():
-    assert total_saving([]) == 0.0
-    est = default_estimate(100.0, 100.0)
-    plan = node_best_plan(est, PROFILE, WaitMode.ACTIVE)
-    assert total_saving([plan]) == plan.saving_j
 
 
 def test_zero_wait_means_no_action():

@@ -1,6 +1,12 @@
 import pytest
 
-from ftsim.fault import CheckpointPolicy, FailureSpec, checkpoint_times, recovery_end, should_anticipate
+from ftsim.cascade import DepthConfig
+from ftsim.fault import CheckpointPolicy, FailureSpec, should_anticipate
+from ftsim.pattern import CommOp, CommPattern, Direction, OpMode
+from ftsim.scenario import Scenario
+from ftsim.simulate import _Engine, _programs
+
+from test_energy import PROFILE
 
 
 def policy(**kw):
@@ -9,18 +15,60 @@ def policy(**kw):
     return CheckpointPolicy(**defaults)
 
 
+def node0_marks(ckpt, horizon, failure=None):
+    """State marks of node 0, which computes through the whole horizon (its
+    one message lies beyond it), from one engine pass; the failure is
+    injected when given."""
+    far = 10.0 * horizon
+    pattern = CommPattern(
+        processes=[
+            [CommOp(0, 0, 1, Direction.SEND, OpMode.BLOCKING, far, far)],
+            [CommOp(0, 1, 0, Direction.RECV, OpMode.BLOCKING, far, far)],
+        ]
+    )
+    s = Scenario(
+        name="node0",
+        nodes=2,
+        profile=PROFILE,
+        pattern=pattern,
+        ckpt=ckpt,
+        failure=failure or FailureSpec(node=0, time=horizon / 2, restart_duration=0.0),
+        depth=DepthConfig(1),
+        horizon=horizon,
+    )
+    s.validate()
+    engine = _Engine(s, _programs(pattern), inject_failure=failure is not None)
+    engine.run()
+    return engine.procs[0].segments
+
+
+def checkpoint_times(p, horizon):
+    """Wall times at which node 0 begins a checkpoint up to the horizon."""
+    return [t for t, label in node0_marks(p, horizon) if label == "CKPT"]
+
+
+def recovery_end(spec, ckpt_end, interval=10000.0):
+    """When the failed node 0 computes again: it restarts, then re-executes
+    the work done since its one checkpoint, which ends at ``ckpt_end``."""
+    duration = 10.0 if ckpt_end > 10.0 else ckpt_end / 2
+    p = policy(interval=interval, duration=duration, phase_offsets={0: ckpt_end - duration, 1: 1e9})
+    marks = node0_marks(p, spec.time * 10.0, failure=spec)
+    return next(t for t, label in marks if label == "COMPUTE" and t >= spec.time)
+
+
 def test_checkpoint_times_progression():
-    assert checkpoint_times(policy(), 0, 4000.0) == [0.0, 1296.0, 2592.0, 3888.0]
+    # the trigger at t = 0 never fires: a run starts from its initial state
+    assert checkpoint_times(policy(), 4000.0) == [1296.0, 2592.0, 3888.0]
 
 
 def test_checkpoint_times_empty_before_offset():
     p = policy(phase_offsets={0: 500.0})
-    assert checkpoint_times(p, 0, 400.0) == []
+    assert checkpoint_times(p, 400.0) == []
 
 
 def test_checkpoint_times_single():
-    p = policy(interval=100.0, duration=10.0, phase_offsets={3: 10.0})
-    assert checkpoint_times(p, 3, 100.0) == [10.0]
+    p = policy(interval=100.0, duration=10.0, phase_offsets={0: 10.0})
+    assert checkpoint_times(p, 100.0) == [10.0]
 
 
 def test_policy_invariants():
@@ -47,24 +95,26 @@ def test_should_anticipate_zero_elapsed():
 
 
 def test_recovery_end_immediately_after_checkpoint():
+    # a failure at the very instant a checkpoint ends still loses it; half a
+    # second later only that half second is re-executed
     spec = FailureSpec(node=0, time=100.0, restart_duration=30.0)
-    assert recovery_end(spec, last_ckpt=100.0) == 130.0
+    assert recovery_end(spec, ckpt_end=99.5) == 130.5
 
 
 def test_recovery_end_long_reexecution():
     spec = FailureSpec(node=0, time=3456.0, restart_duration=30.0)
-    assert recovery_end(spec, last_ckpt=96.0) == 6846.0
+    assert recovery_end(spec, ckpt_end=96.0) == 6846.0
 
 
 def test_recovery_end_zero_restart():
     spec = FailureSpec(node=0, time=50.0, restart_duration=0.0)
-    assert recovery_end(spec, last_ckpt=50.0) == 50.0
+    assert recovery_end(spec, ckpt_end=40.0) == 60.0
 
 
 def test_recovery_end_monotone_in_lost_work():
     spec = FailureSpec(node=0, time=1000.0, restart_duration=25.0)
-    ends = [recovery_end(spec, last_ckpt=c) for c in (1000.0, 800.0, 400.0, 0.0)]
-    assert ends == sorted(ends)
+    ends = [recovery_end(spec, ckpt_end=c) for c in (990.0, 800.0, 400.0, 1.0)]
+    assert ends == sorted(ends) == [1035.0, 1225.0, 1625.0, 2024.0]
 
 
 def test_failure_spec_invariants():

@@ -7,7 +7,7 @@ from ftsim.kernel import EmptyQueue, EventKind, EventQueue, PastTime
 
 def test_schedule_keeps_clock():
     q = EventQueue()
-    q.schedule(5.0, EventKind.SIM_END, 0)
+    q.schedule(5.0, EventKind.CKPT_BEGIN, 0)
     assert len(q) == 1
     assert q.clock == 0.0
 
@@ -23,17 +23,17 @@ def test_tie_break_by_insertion_order():
 
 def test_past_time_rejected():
     q = EventQueue()
-    q.schedule(10.0, EventKind.SIM_END, 0)
+    q.schedule(10.0, EventKind.CKPT_BEGIN, 0)
     q.advance()
     assert q.clock == 10.0
     with pytest.raises(PastTime):
-        q.schedule(3.0, EventKind.SIM_END, 0)
+        q.schedule(3.0, EventKind.CKPT_BEGIN, 0)
 
 
 def test_min_extraction_sets_clock():
     q = EventQueue()
-    q.schedule(2.0, EventKind.SIM_END, 0)
-    q.schedule(1.0, EventKind.SIM_END, 1)
+    q.schedule(2.0, EventKind.CKPT_BEGIN, 0)
+    q.schedule(1.0, EventKind.CKPT_BEGIN, 1)
     ev = q.advance()
     assert ev.time == 1.0 and ev.node == 1
     assert q.clock == 1.0
@@ -46,11 +46,11 @@ def test_advance_empty_raises():
 
 def test_cancel_semantics():
     q = EventQueue()
-    eid = q.schedule(4.0, EventKind.SIM_END, 0)
+    eid = q.schedule(4.0, EventKind.CKPT_BEGIN, 0)
     assert q.cancel(eid) is True
     assert len(q) == 0
     assert q.cancel(eid) is False
-    fired = q.schedule(1.0, EventKind.SIM_END, 0)
+    fired = q.schedule(1.0, EventKind.CKPT_BEGIN, 0)
     q.advance()
     assert q.cancel(fired) is False
 
@@ -61,7 +61,7 @@ def test_deterministic_pop_sequence_and_conservation():
 
     def run():
         q = EventQueue()
-        ids = [q.schedule(t, EventKind.SIM_END, i) for i, t in enumerate(times)]
+        ids = [q.schedule(t, EventKind.CKPT_BEGIN, i) for i, t in enumerate(times)]
         cancelled = set()
         for i in ids[::7]:
             if q.cancel(i):

@@ -7,7 +7,7 @@ from ftsim.cascade import DepthConfig
 from ftsim.energy import WaitMode
 from ftsim.report import StateRecord, render_report, write_trace
 from ftsim.scenario import load_scenario
-from ftsim.simulate import _Engine, simulate_detailed
+from ftsim.simulate import _Engine, _programs, simulate_detailed
 
 from scengen import random_scenario
 
@@ -71,7 +71,7 @@ def test_no_failure_makespan_insensitive_to_wait_mode_and_buffering():
         for mode in (WaitMode.ACTIVE, WaitMode.IDLE):
             pattern = replace(s.pattern, buffered=buffered, wait_mode=mode)
             variant = replace(s, pattern=pattern)
-            engine = _Engine(variant, inject_failure=False)
+            engine = _Engine(variant, _programs(variant.pattern), inject_failure=False)
             engine.run()
             makespans.append(engine.makespan())
     assert len(set(makespans)) == 1
@@ -177,3 +177,72 @@ def test_deterministic_trace_bytes(tmp_path):
             )
         assert payloads[0] == payloads[2]
         assert payloads[1] == payloads[3]
+
+
+MIXED_MODES = """
+[system]
+freq = 2.8 ghz, 166 w, 1.0, 150 w, 1.0
+freq = 1.2 ghz, 126 w, 2.1, 125 w, 1.4
+
+[pattern]
+nodes = 2
+wait_mode = active
+mpi_mode = blocking
+op = 0 send 1 @ 10 s {send0}
+op = 1 recv 0 @ 20 s {recv1}
+op = 1 send 0 @ 30 s {send1}
+op = 0 recv 1 @ 40 s {recv0}
+
+[checkpoint]
+interval = 1000 s
+duration = 10 s
+offset = 500 s
+
+[failure]
+node = 0
+time = 100 s
+restart = 5 s
+
+[run]
+horizon = 400 s
+depth = 1
+"""
+
+
+@pytest.mark.parametrize(
+    "waits, modes",
+    [
+        # node 0 blocks, node 1 does not: both messages are blocking
+        (dict(send0="", recv1="wait @ 25 s", send1="wait @ 35 s", recv0=""), ("B", "B")),
+        # node 0 does not block, node 1 does: both are non-blocking
+        (dict(send0="wait @ 15 s", recv1="", send1="", recv0="wait @ 45 s"), ("NB", "NB")),
+    ],
+)
+def test_mixed_mode_message_takes_the_lower_nodes_mode(waits, modes):
+    from ftsim.report import CommRecord
+    from ftsim.scenario import loads_scenario
+
+    r = simulate_detailed(loads_scenario(MIXED_MODES.format(**waits)))
+    comms = {(c.src, c.dst): c.mode for c in r.trace if isinstance(c, CommRecord)}
+    assert (comms[(0, 1)], comms[(1, 0)]) == modes
+
+
+def test_checkpoint_duration_uses_the_running_frequency_row():
+    # 1.9 GHz shares beta 1.2 with 2.1 GHz but has the larger gamma 1.2; a
+    # checkpoint taken while node 2 runs at 1.9 GHz lasts 120 s x 1.2
+    from ftsim.scenario import loads_scenario
+
+    text = (FIXTURES / "scenario3_active.scn").read_text()
+    text = text.replace(
+        "freq = 2.1 ghz, 148 w, 1.2, 142 w, 1.1\n",
+        "freq = 2.1 ghz, 148 w, 1.2, 142 w, 1.1\nfreq = 1.9 ghz, 143 w, 1.2, 137 w, 1.2\n",
+    )
+    text = text.replace("offset = 2: 2200 s", "offset = 2: 618 s")
+    r = simulate_detailed(loads_scenario(text))
+    plan = next(p for p in r.plans if p.node == 2)
+    assert plan.compute_action.ghz == 1.9
+    ckpt = next(
+        t for t in r.trace if isinstance(t, StateRecord) and t.node == 2 and t.state == "CKPT"
+    )
+    assert ckpt.t0 == 618.0
+    assert ckpt.t1 - ckpt.t0 == pytest.approx(144.0)
