@@ -33,10 +33,12 @@ class DepthConfig:
 
 
 def pattern_depth(pattern: CommPattern) -> int:
-    """Depth sufficient to find every cascade block: the maximum number of
-    communications between any process pair within one pattern repetition."""
-    if not any(pattern.processes):
-        raise ValueError("empty pattern")
+    """The depth ``auto`` resolves to: the most messages any process pair
+    exchanges within one pattern repetition, or 1 when no process sends.
+
+    This does not guarantee that every cascade block is found: a child whose
+    exchanges with its parent keep succeeding for more than this many
+    communications after the failure (as down a long chain) gets no estimate."""
     limit = pattern.repetition if pattern.repetition > 0 else float("inf")
     counts: dict[tuple[int, int], int] = {}
     for ops in pattern.processes:

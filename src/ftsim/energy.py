@@ -69,7 +69,6 @@ class SystemProfile:
     p_idle_wait: float = 60.0
     mu1: float = 2.0
     mu2: float = 0.9
-    t_ckpt: float = 120.0
 
     def __post_init__(self) -> None:
         if not self.freqs:
@@ -95,29 +94,25 @@ class SystemProfile:
 
 @dataclass(frozen=True)
 class PhaseEstimate:
-    """Phases of one surviving node's intervention interval.
-
-    ``t_comp_fmax`` is the pure compute time at the maximum frequency;
-    ``wait_at`` maps each frequency to the wait remaining when the compute
-    phase runs at that frequency; ``reference_end`` is the absolute end of
-    the waiting phase in the no-intervention case.
-    """
+    """One surviving node's intervention interval: ``window`` seconds from the
+    failure to the reference block release, split into a compute phase
+    (``t_comp_fmax`` of pure compute at the maximum frequency plus ``n_ckpt``
+    checkpoints of ``t_ckpt``, both scaled by the running frequency's
+    slowdowns) and a waiting phase that fills the rest."""
 
     node: int
     t_comp_fmax: float
-    wait_at: dict[float, float]
+    window: float
     n_ckpt: int = 0
-    reference_end: float = 0.0
-    phase_start: float = 0.0
+    t_ckpt: float = 0.0
 
-    def window(self, profile: SystemProfile) -> float:
-        """Duration of the whole intervention interval."""
-        fmax = profile.f_max
-        return (
-            self.t_comp_fmax
-            + self.n_ckpt * profile.t_ckpt * fmax.gamma
-            + self.wait_at[fmax.ghz]
-        )
+    def phase(self, f: FrequencyLevel) -> float:
+        """Compute-phase duration at frequency f: slowed compute plus checkpoints."""
+        return self.t_comp_fmax * f.beta + self.n_ckpt * self.t_ckpt * f.gamma
+
+    def wait(self, f: FrequencyLevel) -> float:
+        """Wait left in the window after the compute phase at frequency f."""
+        return max(0.0, self.window - self.phase(f))
 
 
 @dataclass(frozen=True)
@@ -146,9 +141,9 @@ def t_comp(f: FrequencyLevel, est: PhaseEstimate) -> float:
     return est.t_comp_fmax * f.beta
 
 
-def compute_phase_energy(f: FrequencyLevel, est: PhaseEstimate, profile: SystemProfile) -> float:
+def compute_phase_energy(f: FrequencyLevel, est: PhaseEstimate) -> float:
     """Compute-phase energy: slowed compute plus any checkpoints in the phase."""
-    return t_comp(f, est) * f.p_comp + est.n_ckpt * (profile.t_ckpt * f.gamma) * f.p_ckpt
+    return t_comp(f, est) * f.p_comp + est.n_ckpt * (est.t_ckpt * f.gamma) * f.p_ckpt
 
 
 def awake_wait_energy(
@@ -219,23 +214,19 @@ def node_best_plan(
     maximum frequency is always admissible.
     """
     fmax = profile.f_max
-    window = est.window(profile)
-
-    eni = compute_phase_energy(fmax, est, profile) + awake_wait_energy(
-        fmax, est.wait_at[fmax.ghz], mode, profile
-    )
+    eni = compute_phase_energy(fmax, est) + awake_wait_energy(fmax, est.wait(fmax), mode, profile)
 
     best_key: tuple[float, float, int] | None = None
     best: tuple[float, float, WaitAction, FrequencyLevel, float] | None = None
     for f in profile.freqs:
-        phase = t_comp(f, est) + est.n_ckpt * profile.t_ckpt * f.gamma
-        if phase > window and f is not fmax:
+        phase = est.phase(f)
+        if phase > est.window and f is not fmax:
             continue
         if allowed is not None and f is not fmax and f.ghz not in allowed:
             continue
-        t_wait = est.wait_at[f.ghz]
+        t_wait = est.wait(f)
         for wait_energy, action in _wait_options(f, t_wait, mode, profile):
-            ei = compute_phase_energy(f, est, profile) + wait_energy
+            ei = compute_phase_energy(f, est) + wait_energy
             key = (ei, -f.ghz, _ACTION_RANK[action])
             if best_key is None or key < best_key:
                 best_key = key

@@ -229,7 +229,7 @@ class _Section:
         return [(lineno, value) for lineno, k, value in self.entries if k == key]
 
 
-def _parse_profile(sec: _Section, t_ckpt: float) -> SystemProfile:
+def _parse_profile(sec: _Section) -> SystemProfile:
     freqs = []
     for lineno, value in sec.repeated("freq"):
         fields = [f.strip() for f in value.split(",")]
@@ -259,7 +259,6 @@ def _parse_profile(sec: _Section, t_ckpt: float) -> SystemProfile:
         p_idle_wait=_number(*reversed(sec.get("p_idle_wait", "60 w"))),
         mu1=_number(*reversed(sec.get("mu1", "2.0"))),
         mu2=_number(*reversed(sec.get("mu2", "0.9"))),
-        t_ckpt=t_ckpt,
     )
 
 
@@ -322,11 +321,11 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
-    profile = _parse_profile(sys_sec, t_ckpt=ckpt.duration)
+    profile = _parse_profile(sys_sec)
 
     depth_line, depth_text = run_sec.get("depth", "auto")
     if depth_text.strip().lower() == "auto":
-        depth = DepthConfig(pattern_depth(pattern)) if any(pattern.processes) else DepthConfig(1)
+        depth = DepthConfig(pattern_depth(pattern))
     else:
         try:
             depth = DepthConfig(int(_number(depth_text, depth_line)))

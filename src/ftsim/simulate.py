@@ -107,6 +107,7 @@ class _Proc:
     blocked_item: _Item | None = None
     pc_at_failure: int = 0
     pos_at_failure: float = 0.0
+    ckpt_span: tuple[float, float] = (0.0, 0.0)
     ckpt_spans: list[tuple[float, float]] = field(default_factory=list)
     segments: list[tuple[float, str]] = field(default_factory=list)
 
@@ -115,6 +116,12 @@ class _Proc:
             self.segments[-1] = (t, label)
             return
         self.segments.append((t, label))
+
+    def checkpoint_taken(self) -> None:
+        """Commit the current checkpoint: a restart resumes from here."""
+        self.last_ckpt = self.ckpt_span[1]
+        self.pos_at_ckpt = self.position
+        self.ckpt_spans.append(self.ckpt_span)
 
 
 class _Engine:
@@ -139,7 +146,7 @@ class _Engine:
         for proc in self.procs:
             proc.mark(0.0, "COMPUTE")
         self.completions: dict[tuple[int, int, bool], float] = {}
-        self.posts: dict[tuple[int, int], tuple[float, float]] = {}
+        self.posts: dict[tuple[int, int], float] = {}
         self.wait_logs: dict[int, list[_WaitLog]] = {i: [] for i in range(s.nodes)}
         self.comm_records: list[CommRecord] = []
         self.flags: list[FlagRecord] = []
@@ -256,7 +263,7 @@ class _Engine:
             msg = self.messages[item.key]
         else:
             msg = self._register_post(item, now)
-            self.posts[(proc.node, item.op.index)] = (now, now)
+            self.posts[(proc.node, item.op.index)] = now
         self._finish_item(proc, item, msg, now)
 
     def _finish_item(self, proc: _Proc, item: _Item, msg: _Message, now: float) -> None:
@@ -288,11 +295,8 @@ class _Engine:
         anticipated = self._wants_anticipation(proc, item, now)
         strategy = self._strategy_here(proc, item)
         if anticipated:
-            duration = self.s.ckpt.duration * proc.freq.gamma
-            proc.status = ProcStatus.CHECKPOINTING
             proc.blocked_item = item
-            proc.mark(now, "CKPT")
-            self.q.schedule(now + duration, EventKind.CKPT_END, proc.node, payload=item)
+            self._start_checkpoint(proc, now, item)
             if strategy is not None:
                 self._end_compute_strategy(proc, now)
             return
@@ -346,6 +350,15 @@ class _Engine:
 
     # -- checkpoints -------------------------------------------------------------
 
+    def _start_checkpoint(self, proc: _Proc, now: float, item: _Item | None = None) -> None:
+        """Begin a checkpoint lasting the policy duration times the running
+        frequency's gamma; ``item`` is the wait it was anticipated at, if any."""
+        end = now + self.s.ckpt.duration * proc.freq.gamma
+        proc.status = ProcStatus.CHECKPOINTING
+        proc.ckpt_span = (now, end)
+        proc.mark(now, "CKPT")
+        self.q.schedule(end, EventKind.CKPT_END, proc.node, payload=item)
+
     def _on_ckpt_begin(self, ev) -> None:
         proc = self.procs[ev.node]
         if proc.status is not ProcStatus.COMPUTING or proc.done_at is not None:
@@ -353,28 +366,22 @@ class _Engine:
         now = ev.time
         self._sync_position(proc, now)
         self._cancel_milestone(proc)
-        proc.status = ProcStatus.CHECKPOINTING
-        proc.mark(now, "CKPT")
-        duration = self.s.ckpt.duration * proc.freq.gamma
-        self.q.schedule(now + duration, EventKind.CKPT_END, proc.node)
+        self._start_checkpoint(proc, now)
 
     def _on_ckpt_end(self, ev) -> None:
         proc = self.procs[ev.node]
         if proc.status is not ProcStatus.CHECKPOINTING:
             return
         now = ev.time
-        proc.last_ckpt = now
-        proc.pos_at_ckpt = proc.position
+        proc.checkpoint_taken()
         item: _Item | None = ev.payload
         if item is None:
-            proc.ckpt_spans.append((now - self.s.ckpt.duration * proc.freq.gamma, now))
             proc.status = ProcStatus.COMPUTING
             proc.resume_wall = now
             proc.mark(now, "COMPUTE")
             self._schedule_milestone(proc)
             return
         # anticipated checkpoint taken at the head of a wait
-        proc.ckpt_spans.append((self.wait_logs[proc.node][-1].begin, now))
         msg = self.messages[item.key]
         strategy = self._strategy_here(proc, item)
         if msg.transfer is not None:
@@ -389,6 +396,8 @@ class _Engine:
     def _on_failure(self, ev) -> None:
         proc = self.procs[ev.node]
         now = ev.time
+        if proc.status is ProcStatus.CHECKPOINTING and proc.ckpt_span[1] == now:
+            proc.checkpoint_taken()  # it ends at this very instant: nothing is lost
         self._sync_position(proc, now)
         self._cancel_milestone(proc)
         if proc.blocked_item is not None:
@@ -548,19 +557,22 @@ class _Engine:
 
 def _op_schedule(engine: _Engine) -> dict[tuple[int, int], tuple[float, float]]:
     """Projected (post, block-point) wall times per op from a failure-free run."""
+    # where each non-blocking op's wait began; a failure-free run logs each once
+    wait_begin = {
+        (log.node, log.op_index): log.begin
+        for logs in engine.wait_logs.values()
+        for log in logs
+        if log.is_wait
+    }
     sched: dict[tuple[int, int], tuple[float, float]] = {}
-    for (node, op_index), (post, _) in engine.posts.items():
+    for (node, op_index), post in engine.posts.items():
         op = engine.s.pattern.processes[node][op_index]
         block_point = post
         if op.mode is OpMode.NONBLOCKING:
             wall = engine.completions.get((node, op_index, True))
             if wall is None:
                 continue
-            log = next(
-                (w for w in engine.wait_logs[node] if w.op_index == op_index and w.is_wait),
-                None,
-            )
-            block_point = log.begin if log is not None else wall
+            block_point = wait_begin.get((node, op_index), wall)
         sched[(node, op_index)] = (post, block_point)
     return sched
 
@@ -587,19 +599,12 @@ def _phase_estimate(s: Scenario, ref: _Engine, log: _WaitLog) -> PhaseEstimate:
         max(0.0, min(end, block) - max(start, fail)) for start, end in proc.ckpt_spans
     )
     n_ckpt = sum(1 for start, _ in proc.ckpt_spans if fail <= start < release)
-    t_comp_pure = (block - fail) - mid_ckpt
-    window = release - fail
-    wait_at = {}
-    for f in s.profile.freqs:
-        col = t_comp_pure * f.beta + n_ckpt * s.ckpt.duration * f.gamma
-        wait_at[f.ghz] = max(0.0, window - col)
     return PhaseEstimate(
         node=log.node,
-        t_comp_fmax=t_comp_pure,
-        wait_at=wait_at,
+        t_comp_fmax=(block - fail) - mid_ckpt,
+        window=release - fail,
         n_ckpt=n_ckpt,
-        reference_end=release,
-        phase_start=fail,
+        t_ckpt=s.ckpt.duration,
     )
 
 
@@ -610,10 +615,9 @@ def _allowed_freqs(s: Scenario, ref: _Engine, log: _WaitLog) -> set[float]:
     allowed = set()
     impactful: list[tuple[float, float]] = []
     for op in s.pattern.processes[node]:
-        posted = ref.posts.get((node, op.index))
-        if posted is None:
+        wall = ref.posts.get((node, op.index))
+        if wall is None:
             continue
-        wall = posted[0]
         if not (fail < wall < log.begin):
             continue
         if op.peer == s.failure.node:

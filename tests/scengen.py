@@ -6,7 +6,6 @@ analysis, the reference run and the strategy run all see the same timeline.
 """
 
 import random
-from dataclasses import replace
 
 from ftsim.cascade import DepthConfig
 from ftsim.energy import WaitMode
@@ -84,7 +83,7 @@ def random_scenario(seed: int) -> Scenario:
         repetition=interval,
     )
 
-    profile = replace(random_profile(rng), t_ckpt=duration)
+    profile, _ = random_profile(rng)
     offsets = {0: ckpt_end - duration}
     for i in range(1, nodes):
         offsets[i] = horizon + 500.0

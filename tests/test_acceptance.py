@@ -167,12 +167,12 @@ def test_criterion_8_oracle_equivalence():
     mismatches = 0
     cases = 0
     for _ in range(1000):
-        profile = random_profile(rng)
+        profile, t_ckpt = random_profile(rng)
         t_fmax = rng.uniform(0, 2000)
         n_ckpt = rng.choice([0, 0, 1])
-        window = t_fmax + n_ckpt * profile.t_ckpt + rng.uniform(0, 4000)
+        window = t_fmax + n_ckpt * t_ckpt + rng.uniform(0, 4000)
         mode = rng.choice([WaitMode.ACTIVE, WaitMode.IDLE])
-        est = default_estimate(t_fmax, window, n_ckpt=n_ckpt, profile=profile)
+        est = default_estimate(t_fmax, window, n_ckpt=n_ckpt, t_ckpt=t_ckpt)
         plan = node_best_plan(est, profile, mode)
         _, _, _, f, action = brute_force_plan(est, profile, mode)
         cases += 1

@@ -28,12 +28,10 @@ LEVELS = (
 PROFILE = SystemProfile(freqs=LEVELS)
 
 
-def default_estimate(t_comp_fmax, window, n_ckpt=0, profile=PROFILE):
-    wait_at = {}
-    for f in profile.freqs:
-        col = t_comp_fmax * f.beta + n_ckpt * profile.t_ckpt * f.gamma
-        wait_at[f.ghz] = max(0.0, window - col)
-    return PhaseEstimate(node=1, t_comp_fmax=t_comp_fmax, wait_at=wait_at, n_ckpt=n_ckpt)
+def default_estimate(t_comp_fmax, window, n_ckpt=0, t_ckpt=120.0):
+    return PhaseEstimate(
+        node=1, t_comp_fmax=t_comp_fmax, window=window, n_ckpt=n_ckpt, t_ckpt=t_ckpt
+    )
 
 
 def test_t_comp_scaling():
@@ -46,10 +44,10 @@ def test_t_comp_scaling():
 
 
 def test_compute_phase_energy():
-    assert compute_phase_energy(PROFILE.f_max, default_estimate(60.0, 100.0), PROFILE) == 9960.0
+    assert compute_phase_energy(PROFILE.f_max, default_estimate(60.0, 100.0)) == 9960.0
     est = default_estimate(0.0, 400.0, n_ckpt=1)
-    assert compute_phase_energy(PROFILE.level(1.2), est, PROFILE) == pytest.approx(21000.0)
-    assert compute_phase_energy(PROFILE.level(1.7), default_estimate(0.0, 10.0), PROFILE) == 0.0
+    assert compute_phase_energy(PROFILE.level(1.2), est) == pytest.approx(21000.0)
+    assert compute_phase_energy(PROFILE.level(1.7), default_estimate(0.0, 10.0)) == 0.0
 
 
 def test_awake_wait_energy():
@@ -87,21 +85,16 @@ def test_zero_wait_means_no_action():
 
 def brute_force_plan(est, profile, mode):
     """Exhaustive enumeration over (frequency, wait action), kept independent
-    of the selector's helper functions."""
-    window = (
-        est.t_comp_fmax * profile.freqs[0].beta
-        + est.n_ckpt * profile.t_ckpt * profile.freqs[0].gamma
-        + est.wait_at[profile.freqs[0].ghz]
-    )
+    of the selector's helper functions and of the estimate's methods."""
     fmin = profile.freqs[-1]
     candidates = []
     for f in profile.freqs:
-        phase = est.t_comp_fmax * f.beta + est.n_ckpt * profile.t_ckpt * f.gamma
-        if phase > window and f is not profile.freqs[0]:
+        phase = est.t_comp_fmax * f.beta + est.n_ckpt * est.t_ckpt * f.gamma
+        if phase > est.window and f is not profile.freqs[0]:
             continue
-        wait = est.wait_at[f.ghz]
+        wait = max(0.0, est.window - phase)
         comp_e = est.t_comp_fmax * f.beta * f.p_comp + est.n_ckpt * (
-            profile.t_ckpt * f.gamma
+            est.t_ckpt * f.gamma
         ) * f.p_ckpt
         options = {}
         if mode is WaitMode.ACTIVE:
@@ -130,6 +123,7 @@ def brute_force_plan(est, profile, mode):
 
 
 def random_profile(rng):
+    """A random profile and a random checkpoint duration, drawn last."""
     n = rng.randint(2, 5)
     ghz = sorted((rng.uniform(0.8, 3.5) for _ in range(n)), reverse=True)
     betas = sorted(rng.uniform(1.0, 3.0) for _ in range(n))
@@ -146,7 +140,7 @@ def random_profile(rng):
         )
         for g, b, c in zip(ghz, betas, gammas)
     )
-    return SystemProfile(
+    profile = SystemProfile(
         freqs=levels,
         t_go_sleep=rng.uniform(5, 60),
         t_wakeup=rng.uniform(2, 20),
@@ -156,21 +150,21 @@ def random_profile(rng):
         p_idle_wait=rng.uniform(40, 80),
         mu1=rng.uniform(1.0, 8.0),
         mu2=rng.uniform(0.3, 1.0),
-        t_ckpt=rng.uniform(30, 300),
     )
+    return profile, rng.uniform(30, 300)
 
 
 def test_oracle_equivalence_randomized():
     rng = random.Random(20240811)
     mismatches = 0
     for _ in range(1200):
-        profile = random_profile(rng)
+        profile, t_ckpt = random_profile(rng)
         t_fmax = rng.uniform(0, 2000)
         n_ckpt = rng.choice([0, 0, 0, 1, 1, 2])
-        base = t_fmax + n_ckpt * profile.t_ckpt
+        base = t_fmax + n_ckpt * t_ckpt
         window = base + rng.uniform(0, 4000)
         mode = rng.choice([WaitMode.ACTIVE, WaitMode.IDLE])
-        est = default_estimate(t_fmax, window, n_ckpt=n_ckpt, profile=profile)
+        est = default_estimate(t_fmax, window, n_ckpt=n_ckpt, t_ckpt=t_ckpt)
         plan = node_best_plan(est, profile, mode)
         ei, _, _, f, action = brute_force_plan(est, profile, mode)
         if (plan.compute_action.ghz, plan.wait_action) != (f.ghz, action):
@@ -183,8 +177,8 @@ def test_oracle_equivalence_randomized():
 def test_sleep_dominates_when_feasible():
     rng = random.Random(99)
     for _ in range(500):
-        profile = random_profile(rng)
-        est = default_estimate(rng.uniform(0, 500), rng.uniform(500, 5000), profile=profile)
+        profile, _ = random_profile(rng)
+        est = default_estimate(rng.uniform(0, 500), rng.uniform(500, 5000))
         mode = rng.choice([WaitMode.ACTIVE, WaitMode.IDLE])
         plan = node_best_plan(est, profile, mode)
         if sleep_feasible(plan.compute_action, plan.t_wait, mode, profile):
@@ -192,9 +186,16 @@ def test_sleep_dominates_when_feasible():
 
 
 def test_compute_wait_trade_identity():
-    est = default_estimate(603.5, 803.4)
-    window = est.window(PROFILE)
-    for f in PROFILE.freqs:
-        col = est.t_comp_fmax * f.beta
-        if col <= window:
-            assert col + est.wait_at[f.ghz] == pytest.approx(window, rel=1e-9)
+    fitting = 0
+    for n_ckpt in (0, 1, 2):
+        for window in (803.4, 1203.4):
+            est = default_estimate(603.5, window, n_ckpt=n_ckpt)
+            for f in PROFILE.freqs:
+                phase = est.t_comp_fmax * f.beta + n_ckpt * 120.0 * f.gamma
+                assert est.phase(f) == phase
+                if phase <= window:
+                    fitting += 1
+                    assert est.phase(f) + est.wait(f) == pytest.approx(window, rel=1e-9)
+                else:
+                    assert est.wait(f) == 0.0
+    assert fitting == 12

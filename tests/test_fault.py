@@ -95,9 +95,10 @@ def test_should_anticipate_zero_elapsed():
 
 
 def test_recovery_end_immediately_after_checkpoint():
-    # a failure at the very instant a checkpoint ends still loses it; half a
-    # second later only that half second is re-executed
+    # a checkpoint ending at the very instant of the failure is taken, so
+    # nothing is re-executed; half a second earlier only that half second is
     spec = FailureSpec(node=0, time=100.0, restart_duration=30.0)
+    assert recovery_end(spec, ckpt_end=100.0) == 130.0
     assert recovery_end(spec, ckpt_end=99.5) == 130.5
 
 

@@ -134,6 +134,21 @@ def test_cli_depth_override(tmp_path):
     assert len(rows) == 1
 
 
+def test_cli_auto_depth_without_ops(tmp_path):
+    # `auto` resolves the same way from the file and from the command line,
+    # also when no process sends anything
+    from test_scenario import MINIMAL
+
+    lines = [l for l in MINIMAL.splitlines(keepends=True) if not l.startswith("op = ")]
+    empty = tmp_path / "empty.scn"
+    empty.write_text("".join(lines).replace("depth = 1", "depth = auto"))
+    from_file = run_cli("run", str(empty))
+    from_flag = run_cli("run", str(empty), "--depth", "auto")
+    assert from_file.returncode == 0, from_file.stderr
+    assert from_flag.returncode == 0, from_flag.stderr
+    assert from_flag.stdout == from_file.stdout
+
+
 def test_cli_no_strategies(tmp_path):
     report = tmp_path / "r.csv"
     proc = run_cli("run", str(FIXTURES / "scenario1_long.scn"), "--no-strategies", "--report", str(report))

@@ -41,7 +41,7 @@ def test_load_scenario1_fixture():
     assert s.pattern.interval == pytest.approx(1296.0)
     assert s.pattern.wait_mode is WaitMode.ACTIVE
     assert s.profile.level(1.2).p_active_wait == pytest.approx(94.5)
-    assert s.profile.t_ckpt == pytest.approx(120.0)
+    assert s.ckpt.duration == pytest.approx(120.0)
     assert s.failure.node == 0
     assert len(s.pattern.processes[0]) == 15
     assert len(s.pattern.processes[1]) == 5
@@ -84,8 +84,10 @@ def test_auto_depth_resolves():
 
 
 def test_roundtrip_canonical_form():
-    for name in ("scenario1_short", "scenario2_nonblocking", "scenario5"):
-        s = load_scenario(FIXTURES / f"{name}.scn")
+    paths = sorted(FIXTURES.glob("*.scn"))
+    assert len(paths) == 14
+    for path in paths:
+        s = load_scenario(path)
         again = loads_scenario(dump_scenario(s), name=s.name)
         assert again == s
 

@@ -246,3 +246,18 @@ def test_checkpoint_duration_uses_the_running_frequency_row():
     )
     assert ckpt.t0 == 618.0
     assert ckpt.t1 - ckpt.t0 == pytest.approx(144.0)
+
+
+def test_plans_charge_the_policy_checkpoint_duration():
+    # each survivor takes one anticipated checkpoint at its block; with the
+    # policy duration set to 60 s by hand, the selector must charge 60 s too
+    s = load_scenario(FIXTURES / "scenario6_anticipated.scn")
+    s = replace(s, ckpt=replace(s.ckpt, duration=60.0))
+    r = simulate_detailed(s)
+    fail = s.failure.time
+    assert len(r.plans) == 3
+    for plan in r.plans:
+        log = r.reference_waits[plan.node]
+        f = plan.compute_action
+        assert plan.tt == pytest.approx(log.end - fail, abs=1e-9)
+        assert plan.t_comp == pytest.approx((log.begin - fail) * f.beta + 60.0 * f.gamma)
