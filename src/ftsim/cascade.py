@@ -173,19 +173,28 @@ def _converge_level(
     sched: _Schedule,
 ) -> None:
     """Lower a sibling's block time when another same-level process
-    communicates with it after blocking but before the sibling's estimate."""
+    communicates with it after blocking but before the sibling's estimate.
+
+    Only communicating sibling pairs are visited, and each pair's candidate
+    block points are found once for the whole level."""
+    pairs: dict[int, list[tuple[int, list[float]]]] = {}
+    for pid in sorted(current):
+        pairs[pid] = []
+        for other_id in pattern.peers(pid):
+            if other_id == pid or other_id not in current:
+                continue
+            ops = _candidate_ops(pattern, pid, other_id, fail_time, sched)
+            if ops:
+                pairs[pid].append((other_id, [t for t, _ in ops]))
     changed = True
     while changed:
         changed = False
-        for pid in sorted(current):
+        for pid, siblings in pairs.items():
             est = current[pid]
-            for other_id in sorted(current):
-                if other_id == pid:
-                    continue
+            for other_id, times in siblings:
                 other = current[other_id]
-                for t, _ in _candidate_ops(pattern, pid, other_id, fail_time, sched):
+                for t in times:
                     if other.block_time < t < est.block_time:
-                        current[pid] = BlockEstimate(pid, t, est.level, other_id)
-                        est = current[pid]
+                        est = current[pid] = BlockEstimate(pid, t, est.level, other_id)
                         changed = True
                         break

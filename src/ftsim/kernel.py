@@ -7,9 +7,9 @@ by insertion order, which makes every run of the same schedule reproducible.
 from __future__ import annotations
 
 import enum
-import heapq
 from dataclasses import dataclass, field
-from typing import Any
+from heapq import heappop, heappush
+from typing import Any, NamedTuple
 
 
 class EventKind(enum.Enum):
@@ -24,6 +24,9 @@ class EventKind(enum.Enum):
     REEXEC_END = "REEXEC_END"
     WAKEUP_END = "WAKEUP_END"
 
+    # members are singletons: hash them in C, not through Enum's Python __hash__
+    __hash__ = object.__hash__
+
 
 class PastTime(ValueError):
     """Raised when an event is scheduled before the current clock."""
@@ -33,8 +36,10 @@ class EmptyQueue(LookupError):
     """Raised when advancing an empty queue."""
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
+    """An event, and also its heap entry: tuples order by (time, seq), and
+    seq is unique, so kinds and payloads are never compared."""
+
     time: float
     seq: int
     kind: EventKind
@@ -42,51 +47,43 @@ class SimEvent:
     payload: Any = None
 
 
+_new_event = tuple.__new__  # skips the NamedTuple's generated Python __new__
+
+
 @dataclass
 class EventQueue:
     """Time-ordered event queue; (time, seq) is a strict total order."""
 
     clock: float = 0.0
-    _heap: list[tuple[float, int, SimEvent]] = field(default_factory=list)
+    _heap: list[SimEvent] = field(default_factory=list)
     _counter: int = 0
-    _cancelled: set[int] = field(default_factory=set)
     _pending: set[int] = field(default_factory=set)
 
     def schedule(self, time: float, kind: EventKind, node: int, payload: Any = None) -> int:
         if time < self.clock:
             raise PastTime(f"cannot schedule at t={time} before clock {self.clock}")
         seq = self._counter
-        self._counter += 1
-        event = SimEvent(time=time, seq=seq, kind=kind, node=node, payload=payload)
-        heapq.heappush(self._heap, (time, seq, event))
+        self._counter = seq + 1
+        heappush(self._heap, _new_event(SimEvent, (time, seq, kind, node, payload)))
         self._pending.add(seq)
         return seq
 
     def advance(self) -> SimEvent:
-        while self._heap:
-            time, seq, event = heapq.heappop(self._heap)
-            if seq in self._cancelled:
-                self._cancelled.discard(seq)
-                continue
-            self._pending.discard(seq)
-            self.clock = time
-            return event
+        heap, pending = self._heap, self._pending
+        while heap:
+            event = heappop(heap)
+            seq = event[1]
+            if seq in pending:  # a cancelled event is no longer pending
+                pending.discard(seq)
+                self.clock = event[0]
+                return event
         raise EmptyQueue("no pending events")
 
     def cancel(self, event_id: int) -> bool:
         if event_id in self._pending:
             self._pending.discard(event_id)
-            self._cancelled.add(event_id)
             return True
         return False
 
     def __len__(self) -> int:
         return len(self._pending)
-
-    def peek_time(self) -> float | None:
-        while self._heap and self._heap[0][1] in self._cancelled:
-            _, seq, _ = heapq.heappop(self._heap)
-            self._cancelled.discard(seq)
-        if not self._heap:
-            return None
-        return self._heap[0][0]

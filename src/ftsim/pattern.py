@@ -13,10 +13,15 @@ class Direction(enum.Enum):
     SEND = "send"
     RECV = "recv"
 
+    # hashed in every channel key and CommOp hash: keep it in C
+    __hash__ = object.__hash__
+
 
 class OpMode(enum.Enum):
     BLOCKING = "blocking"
     NONBLOCKING = "nonblocking"
+
+    __hash__ = object.__hash__  # as Direction's
 
 
 class UnmatchedOp(ValueError):

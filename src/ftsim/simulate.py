@@ -19,7 +19,8 @@ reference run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .cascade import BlockEstimate, estimate_block_times
 from .energy import (
@@ -40,14 +41,17 @@ from .scenario import Scenario
 _Key = tuple[tuple[int, int], int]  # ((sender, receiver), k): the k-th message on a channel
 
 
-@dataclass(frozen=True)
-class _Item:
-    """One milestone in a process's program: an op post or its wait."""
+class _Item(NamedTuple):
+    """One milestone in a process's program: an op post or its wait, the
+    event kind that reaches it (POST_SEND, POST_RECV or WAIT_ENTER), and
+    whether it suspends the process until its message is transferred."""
 
     offset: float
     op: CommOp
     key: _Key
     is_wait: bool
+    kind: EventKind
+    blocks: bool
     replay: bool = False
 
 
@@ -57,7 +61,10 @@ _Programs = tuple[list[list[_Item]], dict[_Key, OpMode]]
 def _programs(pattern: CommPattern) -> _Programs:
     """Each process's milestones in execution order, and each message's mode:
     that of its op on the lower-numbered process. Built once per scenario and
-    shared by all passes."""
+    shared by all passes.
+
+    A buffered send never blocks; otherwise a blocking op blocks at its post
+    and a non-blocking one at its wait."""
     programs: list[list[_Item]] = []
     modes: dict[_Key, OpMode] = {}
     for ops in pattern.processes:
@@ -65,15 +72,20 @@ def _programs(pattern: CommPattern) -> _Programs:
         for op in ops:
             key = pattern.message_key(op)
             modes.setdefault(key, op.mode)
-            items.append(_Item(op.post_time_offset, op, key, is_wait=False))
+            sends = op.direction is Direction.SEND
+            can_block = not (pattern.buffered and sends)
+            post = EventKind.POST_SEND if sends else EventKind.POST_RECV
             if op.mode is OpMode.NONBLOCKING:
-                items.append(_Item(op.wait_offset, op, key, is_wait=True))
+                items.append(_Item(op.post_time_offset, op, key, False, post, False))
+                items.append(_Item(op.wait_offset, op, key, True, EventKind.WAIT_ENTER, can_block))
+            else:
+                items.append(_Item(op.post_time_offset, op, key, False, post, can_block))
         items.sort(key=lambda it: (it.offset, it.op.index, it.is_wait))
         programs.append(items)
     return programs, modes
 
 
-@dataclass
+@dataclass(slots=True)
 class _Message:
     send_post: float | None = None
     recv_post: float | None = None
@@ -82,7 +94,7 @@ class _Message:
     blocked: dict[int, bool] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class _WaitLog:
     node: int
     op_index: int
@@ -166,10 +178,7 @@ class _Engine:
             return
         item = proc.items[proc.cursor]
         t = proc.resume_wall + (item.offset - proc.position) * proc.freq.beta
-        kind = EventKind.WAIT_ENTER if item.is_wait else (
-            EventKind.POST_SEND if item.op.direction is Direction.SEND else EventKind.POST_RECV
-        )
-        proc.milestone_id = self.q.schedule(t, kind, proc.node, payload=item)
+        proc.milestone_id = self.q.schedule(t, item.kind, proc.node, item)
 
     def _cancel_milestone(self, proc: _Proc) -> None:
         if proc.milestone_id is not None:
@@ -208,18 +217,18 @@ class _Engine:
             EventKind.REEXEC_END: self._on_reexec_end,
             EventKind.WAKEUP_END: self._on_wakeup_end,
         }
-        while len(self.q):
-            nxt = self.q.peek_time()
-            if nxt is None or nxt > s.horizon:
+        q, horizon = self.q, s.horizon
+        while q:
+            ev = q.advance()
+            if ev.time > horizon:
                 break
-            ev = self.q.advance()
             handlers[ev.kind](ev)
 
     # -- op handling -----------------------------------------------------------
 
     def _register_post(self, item: _Item, now: float) -> _Message:
         msg = self.messages[item.key]
-        if item.op.direction is Direction.SEND:
+        if item.kind is EventKind.POST_SEND:
             msg.send_post = now
         else:
             msg.recv_post = now
@@ -240,22 +249,13 @@ class _Engine:
                     self.q.schedule(msg.transfer, EventKind.COMM_COMPLETE, waiter, payload=msg)
         return msg
 
-    def _must_block(self, item: _Item, msg: _Message) -> bool:
-        if msg.transfer is not None:
-            return False
-        if self.s.pattern.buffered and item.op.direction is Direction.SEND:
-            return False
-        if item.op.mode is OpMode.NONBLOCKING and not item.is_wait:
-            return False
-        return True
-
     def _on_item(self, ev) -> None:
-        proc = self.procs[ev.node]
         item: _Item = ev.payload
-        if item.replay:
-            self._register_post(item, ev.time)
-            return
         now = ev.time
+        if item.replay:
+            self._register_post(item, now)
+            return
+        proc = self.procs[ev.node]
         proc.milestone_id = None
         proc.position = item.offset
         proc.resume_wall = now
@@ -264,16 +264,13 @@ class _Engine:
         else:
             msg = self._register_post(item, now)
             self.posts[(proc.node, item.op.index)] = now
-        self._finish_item(proc, item, msg, now)
-
-    def _finish_item(self, proc: _Proc, item: _Item, msg: _Message, now: float) -> None:
-        if self._must_block(item, msg):
+        if msg.transfer is None and item.blocks:
             self.wait_logs[proc.node].append(
                 _WaitLog(proc.node, item.op.index, item.is_wait, begin=now)
             )
             self._enter_wait(proc, item, msg, now)
             return
-        if self._strategy_here(proc, item) is not None:
+        if proc.node in self.plans and self._strategy_here(proc, item) is not None:
             # zero-length wait: the compute intervention still ends here
             self._end_compute_strategy(proc, now)
         self.completions[(proc.node, item.op.index, item.is_wait)] = now
@@ -425,12 +422,7 @@ class _Engine:
             if proc.pos_at_ckpt < item.offset <= proc.pos_at_failure:
                 if self.messages[item.key].transfer is None:
                     t = now + (item.offset - proc.pos_at_ckpt)
-                    kind = (
-                        EventKind.POST_SEND
-                        if item.op.direction is Direction.SEND
-                        else EventKind.POST_RECV
-                    )
-                    self.q.schedule(t, kind, proc.node, payload=replace(item, replay=True))
+                    self.q.schedule(t, item.kind, proc.node, payload=item._replace(replay=True))
         self.q.schedule(now + replay, EventKind.REEXEC_END, proc.node)
 
     def _on_reexec_end(self, ev) -> None:
@@ -448,7 +440,7 @@ class _Engine:
             # the process was suspended at this op when it failed; the post
             # (if any) was already registered or replayed
             msg = self.messages[item.key]
-            if self._must_block(item, msg):
+            if msg.transfer is None and item.blocks:
                 self.wait_logs[proc.node].append(
                     _WaitLog(proc.node, item.op.index, item.is_wait, begin=now)
                 )
@@ -652,7 +644,7 @@ def simulate_detailed(s: Scenario) -> SimulationResult:
     programs = _programs(s.pattern)
     base = _Engine(s, programs, inject_failure=False)
     base.run()
-    baseline = dict(base.completions)
+    baseline = base.completions  # read-only from here on
 
     ref = _Engine(s, programs, inject_failure=True, baseline=baseline)
     ref.run()
@@ -675,6 +667,7 @@ def simulate_detailed(s: Scenario) -> SimulationResult:
         plan = node_best_plan(phase, s.profile, s.pattern.wait_mode, allowed=allowed)
         plans.append(plan)
         plan_map[est.process] = (plan, log)
+    del base  # pass 3 needs only its completions
 
     if s.strategies_enabled and plan_map:
         final = _Engine(s, programs, inject_failure=True, baseline=baseline, plans=plan_map)

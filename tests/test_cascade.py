@@ -1,6 +1,16 @@
+import random
+
 import pytest
 
-from ftsim.cascade import DepthConfig, estimate_block_times, pattern_depth
+from ftsim.cascade import (
+    BlockEstimate,
+    DepthConfig,
+    _candidate_ops,
+    _converge_level,
+    _Schedule,
+    estimate_block_times,
+    pattern_depth,
+)
 from ftsim.pattern import CommOp, CommPattern, Direction, OpMode
 
 
@@ -47,6 +57,49 @@ def test_convergence_lowers_sibling_block():
     assert by_proc[2].block_time == 10.0
     assert by_proc[3].block_time == 20.0
     assert by_proc[3].cause == 2
+
+
+def all_pairs_converge(pattern, fail_time, current, sched):
+    """Reference convergence: every ordered sibling pair on every iteration,
+    candidates recomputed each time."""
+    changed = True
+    while changed:
+        changed = False
+        for pid in sorted(current):
+            est = current[pid]
+            for other_id in sorted(current):
+                if other_id == pid:
+                    continue
+                other = current[other_id]
+                for t, _ in _candidate_ops(pattern, pid, other_id, fail_time, sched):
+                    if other.block_time < t < est.block_time:
+                        current[pid] = est = BlockEstimate(pid, t, est.level, other_id)
+                        changed = True
+                        break
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_converge_level_matches_all_pairs_reference(seed):
+    rng = random.Random(seed)
+    nodes = rng.randint(3, 8)
+    processes = [[] for _ in range(nodes)]
+    t = 0.0
+    for _ in range(rng.randint(5, 40)):
+        t += rng.choice([0.5, 1.0, 3.0])
+        a, b = rng.sample(range(nodes), 2)
+        processes[a].append(op(0, a, b, Direction.SEND, t))
+        processes[b].append(op(0, b, a, Direction.RECV, t))
+    pattern = build(processes)
+    pattern.validate()
+    siblings = rng.sample(range(nodes), rng.randint(2, nodes))
+    level = {
+        pid: BlockEstimate(pid, round(rng.uniform(0.0, t + 5.0), 1), 1, -1) for pid in siblings
+    }
+    fail_time = rng.uniform(0.0, t / 2)
+    got, want = dict(level), dict(level)
+    _converge_level(pattern, fail_time, got, _Schedule())
+    all_pairs_converge(pattern, fail_time, want, _Schedule())
+    assert got == want
 
 
 def test_failed_without_communications():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ftsim.kernel import EmptyQueue, EventKind, EventQueue, PastTime
+from ftsim.simulate import _Message
 
 
 def test_schedule_keeps_clock():
@@ -19,6 +20,37 @@ def test_tie_break_by_insertion_order():
     assert first != second
     assert q.advance().node == 1
     assert q.advance().node == 2
+
+
+class Incomparable:
+    def __eq__(self, other):
+        raise AssertionError("payloads compared")
+
+    __lt__ = __gt__ = __le__ = __ge__ = __ne__ = __eq__
+    __hash__ = object.__hash__
+
+
+def test_tie_break_never_compares_payloads():
+    q = EventQueue()
+    payloads = [{"a": 1}, _Message(), Incomparable(), {"a": 1}, _Message(), Incomparable()]
+    ids = [q.schedule(5.0, EventKind.COMM_COMPLETE, 0, payload=p) for p in payloads]
+    popped = [q.advance() for _ in payloads]
+    assert [ev.seq for ev in popped] == ids
+    assert all(ev.payload is p for ev, p in zip(popped, payloads))
+
+
+def test_event_fields():
+    q = EventQueue()
+    payload = {"op": 3}
+    eid = q.schedule(2.5, EventKind.WAIT_ENTER, 7, payload=payload)
+    ev = q.advance()
+    assert ev.time == 2.5
+    assert ev.seq == eid
+    assert ev.kind is EventKind.WAIT_ENTER
+    assert ev.node == 7
+    assert ev.payload is payload
+    assert q.schedule(3.0, EventKind.CKPT_BEGIN, 1) != eid
+    assert q.advance().payload is None
 
 
 def test_past_time_rejected():

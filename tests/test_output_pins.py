@@ -1,16 +1,19 @@
 """Byte pins: the sha256 of the CSV report plus the trace of each fixture and
-of a few generated scenarios. A change meant to keep output as it is (a
-refactor, a speed-up) must leave every digest unchanged; a change that moves
-simulated results on purpose updates them here and says why.
+of a few generated scenarios, and the events each engine pass schedules,
+processes and cancels. A change meant to keep output as it is (a refactor, a
+speed-up) must leave every pin unchanged; a change that moves simulated
+results on purpose updates them here and says why.
 """
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from ftsim.kernel import EventQueue
 from ftsim.report import render_report, write_trace
-from ftsim.scenario import load_scenario
+from ftsim.scenario import load_scenario, loads_scenario
 from ftsim.simulate import simulate_detailed
 
 from scengen import random_scenario
@@ -68,3 +71,199 @@ def test_fixture_output_bytes(name, tmp_path):
 @pytest.mark.parametrize("seed", sorted(GENERATED_DIGESTS))
 def test_generated_output_bytes(seed, tmp_path):
     assert output_digest(random_scenario(seed), tmp_path) == GENERATED_DIGESTS[seed]
+
+
+_SYSTEM = """\
+[system]
+freq = 2.8 ghz, 166 w, 1.0, 150 w, 1.0
+freq = 2.1 ghz, 148 w, 1.2, 142 w, 1.1
+freq = 1.7 ghz, 139 w, 1.5, 131 w, 1.2
+freq = 1.2 ghz, 126 w, 2.1, 125 w, 1.4, 94.5 w
+t_go_sleep = 25 s
+t_wakeup = 5 s
+p_go_sleep = 51 w
+p_wakeup = 91 w
+p_sleep = 12 w
+p_idle_wait = 60 w
+mu1 = 7.0
+mu2 = 0.9
+"""
+
+
+def halo_chain_scenario():
+    """8-node non-blocking halo chain, 12 steps of 60 s; node 4 fails at
+    300.05 s, after its own checkpoint and while node 5 checkpoints, so its
+    restart replays posts whose peers have not posted yet. Depth 3."""
+    nodes, step, steps = 8, 60.0, 12
+    lines = [_SYSTEM, "[pattern]", f"nodes = {nodes}", "wait_mode = active",
+             "mpi_mode = nonblocking", "buffered = off", "message_size = 4096",
+             f"interval = {step} s", f"repetition = {step} s"]
+    until = step * (steps - 1)
+    for i in range(nodes):
+        posts = []
+        if i > 0:
+            posts += [("send", i - 1, 1.0), ("recv", i - 1, 1.2)]
+        if i < nodes - 1:
+            posts += [("send", i + 1, 1.1), ("recv", i + 1, 1.3)]
+        for direction, peer, at in posts:
+            lines.append(f"op = {i} {direction} {peer} @ {at} s wait @ {at + 40.0:.1f} s"
+                         f" every {step} s until {until + at:.1f} s")
+    lines += ["[checkpoint]", "interval = 1000 s", "duration = 100 s", "anticipation = off"]
+    offsets = [700, 600, 500, 650, 50, 215, 800, 900]
+    lines += [f"offset = {i}: {o} s" for i, o in enumerate(offsets)]
+    lines += ["[failure]", "node = 4", "time = 300.05 s", "restart = 30 s",
+              "[run]", "horizon = 4000 s", "depth = 3"]
+    return loads_scenario("\n".join(lines), "halo_chain_8")
+
+
+def master_worker_scenario():
+    """Blocking master-worker: the master hands 6 workers a task each per
+    200 s stage and collects the results; the master fails in stage 3."""
+    workers, stages, stage, work = 6, 5, 200.0, 80.0
+    lines = [_SYSTEM, "[pattern]", f"nodes = {workers + 1}", "wait_mode = active",
+             "mpi_mode = blocking", "buffered = off", "message_size = 1024",
+             f"interval = {stage} s", f"repetition = {stage} s"]
+    last = stage * (stages - 1)
+    for k in range(1, workers + 1):
+        send, recv = 2.0 * k, 100.0 + 2.0 * k
+        lines.append(f"op = 0 send {k} @ {send} s every {stage} s until {last + send} s")
+        lines.append(f"op = 0 recv {k} @ {recv} s every {stage} s until {last + recv} s")
+    cycle = work + 1.0
+    for k in range(1, workers + 1):
+        lines.append(f"op = {k} recv 0 @ 1.0 s every {cycle} s until {1.0 + cycle * (stages - 1)} s")
+        lines.append(f"op = {k} send 0 @ {cycle} s every {cycle} s until {cycle * stages} s")
+    lines += ["[checkpoint]", "interval = 1500 s", "duration = 40 s", "anticipation = off"]
+    offsets = [900, 100, 300, 500, 700, 1100, 1300]
+    lines += [f"offset = {i}: {o} s" for i, o in enumerate(offsets)]
+    lines += ["[failure]", "node = 0", "time = 430.5 s", "restart = 60 s",
+              "[run]", "horizon = 5000 s", "depth = 1"]
+    return loads_scenario("\n".join(lines), "master_worker_6")
+
+
+def horizon_cut_scenario():
+    """A fixture whose horizon falls after the failure-free makespan
+    (1568.4 s) but before the reference one (1705.4 s)."""
+    s = load_scenario(FIXTURES / "scenario7_short_nonblocking.scn")
+    return replace(s, horizon=1650.0)
+
+
+SHAPED = {
+    "halo_chain_8": halo_chain_scenario,
+    "master_worker_6": master_worker_scenario,
+    "horizon_cut": horizon_cut_scenario,
+}
+
+SHAPED_DIGESTS = {
+    "halo_chain_8": "0b0a63eb0a8f1d4a711a033c388e6dfc020f40e913da493a3bbecad36898b97e",
+    "horizon_cut": "ebdbe77d76535953c4d935f3066a5ffe9207948b6449e9274f12b52323b573e2",
+    "master_worker_6": "c874cb393ef7a669388597a7d3d9760f4a214765acdb969958ee4f11f3e14338",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPED_DIGESTS))
+def test_shaped_output_bytes(name, tmp_path):
+    assert output_digest(SHAPED[name](), tmp_path) == SHAPED_DIGESTS[name]
+
+
+def test_halo_chain_covers_waits_and_replay(monkeypatch):
+    replayed = []
+    schedule = EventQueue.schedule
+
+    def spy(queue, time, kind, node, payload=None):
+        if getattr(payload, "replay", False):
+            replayed.append(node)
+        return schedule(queue, time, kind, node, payload)
+
+    monkeypatch.setattr(EventQueue, "schedule", spy)
+    result = simulate_detailed(halo_chain_scenario())
+    assert replayed and set(replayed) == {4}
+    assert max(e.level for e in result.estimates) >= 2
+    assert any(getattr(t, "state", "") == "WAIT_ACTIVE" for t in result.trace)
+
+
+def pass_counts(scenario, monkeypatch) -> list[tuple[int, int, int]]:
+    """(scheduled, processed, cancelled) per engine pass, in pass order.
+
+    Processed events are those the queue hands out at or before the horizon;
+    cancelled ones are the cancel calls that removed a pending event."""
+    queues: list[EventQueue] = []
+    counts: list[list[int]] = []
+
+    def tally(queue, field, n=1):
+        for i, known in enumerate(queues):
+            if known is queue:
+                counts[i][field] += n
+                return
+        queues.append(queue)
+        counts.append([0, 0, 0])
+        counts[-1][field] += n
+
+    schedule, advance, cancel = EventQueue.schedule, EventQueue.advance, EventQueue.cancel
+
+    def counted_schedule(queue, *args, **kwargs):
+        tally(queue, 0)
+        return schedule(queue, *args, **kwargs)
+
+    def counted_advance(queue):
+        ev = advance(queue)
+        tally(queue, 1, ev.time <= scenario.horizon)
+        return ev
+
+    def counted_cancel(queue, event_id):
+        done = cancel(queue, event_id)
+        tally(queue, 2, done)
+        return done
+
+    monkeypatch.setattr(EventQueue, "schedule", counted_schedule)
+    monkeypatch.setattr(EventQueue, "advance", counted_advance)
+    monkeypatch.setattr(EventQueue, "cancel", counted_cancel)
+    simulate_detailed(scenario)
+    return [tuple(c) for c in counts]
+
+
+# (scheduled, processed, cancelled) for pass 1, pass 2 and, with plans, pass 3
+EVENT_COUNTS = {
+    "scenario1_long": [(61, 60, 1), (73, 67, 6), (76, 70, 6)],
+    "scenario1_short": [(57, 53, 4), (61, 56, 5), (64, 56, 8)],
+    "scenario2_blocking": [(57, 56, 1), (61, 59, 2), (62, 60, 2)],
+    "scenario2_nonblocking": [(27, 26, 1), (32, 30, 2), (33, 30, 3)],
+    "scenario3_active": [(267, 266, 1), (271, 269, 2), (274, 269, 5)],
+    "scenario3_idle": [(267, 266, 1), (271, 269, 2), (274, 269, 5)],
+    "scenario4_buffered": [(78, 77, 1), (82, 80, 2)],
+    "scenario4_unbuffered": [(78, 77, 1), (87, 85, 2), (90, 88, 2)],
+    "scenario5": [(114, 113, 1), (118, 116, 2), (120, 118, 2)],
+    "scenario6_anticipated": [(61, 60, 1), (76, 70, 6), (79, 73, 6)],
+    "scenario6_plain": [(61, 60, 1), (73, 67, 6), (76, 70, 6)],
+    "scenario7_long": [(78, 77, 1), (82, 80, 2), (85, 83, 2)],
+    "scenario7_short_blocking": [(78, 77, 1), (82, 80, 2), (85, 80, 5)],
+    "scenario7_short_nonblocking": [(54, 53, 1), (63, 61, 2), (66, 61, 5)],
+    "seed0": [(51, 50, 1), (59, 57, 2), (62, 60, 2)],
+    "seed1": [(51, 50, 1), (60, 58, 2), (60, 58, 2)],
+    "seed2": [(27, 26, 1), (31, 29, 2), (31, 29, 2)],
+    "seed3": [(38, 37, 1), (41, 39, 2), (45, 41, 4)],
+    "seed4": [(27, 26, 1), (31, 29, 2), (33, 31, 2)],
+    "seed5": [(74, 73, 1), (74, 72, 2), (78, 72, 6)],
+    "seed6": [(87, 86, 1), (91, 89, 2), (91, 89, 2)],
+    "seed7": [(66, 65, 1), (70, 68, 2), (73, 68, 5)],
+    "halo_chain_8": [(748, 742, 6), (770, 765, 5), (770, 765, 5)],
+    "master_worker_6": [(206, 205, 1), (208, 207, 1), (214, 213, 1)],
+    "horizon_cut": [(51, 50, 1), (53, 47, 2), (56, 47, 5)],
+}
+
+
+def _counted_scenario(name):
+    if name in FIXTURE_DIGESTS:
+        return load_scenario(FIXTURES / f"{name}.scn")
+    if name in SHAPED:
+        return SHAPED[name]()
+    return random_scenario(int(name.removeprefix("seed")))
+
+
+def test_every_scenario_has_event_counts():
+    names = [*FIXTURE_DIGESTS, *SHAPED, *(f"seed{s}" for s in GENERATED_DIGESTS)]
+    assert sorted(EVENT_COUNTS) == sorted(names)
+
+
+@pytest.mark.parametrize("name", sorted(EVENT_COUNTS))
+def test_event_counts_per_pass(name, monkeypatch):
+    assert pass_counts(_counted_scenario(name), monkeypatch) == EVENT_COUNTS[name]
