@@ -83,18 +83,18 @@ def _candidate_ops(
 class _Schedule:
     """Projected failure-free post times; defaults to the pattern offsets."""
 
-    def __init__(self, posts: dict[tuple[int, int], tuple[float, float]] | None = None):
+    def __init__(self, times: dict[tuple[int, int], tuple[float, float]] | None = None):
         # keyed by (proc, op index) -> (post wall time, block-point wall time)
-        self._posts = posts or {}
+        self._times = times or {}
 
     def post(self, op: CommOp) -> float:
-        if (op.proc, op.index) in self._posts:
-            return self._posts[(op.proc, op.index)][0]
+        if (op.proc, op.index) in self._times:
+            return self._times[(op.proc, op.index)][0]
         return op.post_time_offset
 
     def block_point(self, op: CommOp) -> float:
-        if (op.proc, op.index) in self._posts:
-            return self._posts[(op.proc, op.index)][1]
+        if (op.proc, op.index) in self._times:
+            return self._times[(op.proc, op.index)][1]
         return op.block_point
 
 
@@ -153,7 +153,7 @@ def _first_block(
     at most ``depth`` communications ahead; None when none is found.
 
     A communication still succeeds while the parent has not reached its own
-    block, i.e. while the parent-side op posts before the parent's block
+    block, i.e. while the parent-side op is posted before the parent's block
     time; each such communication consumes one unit of depth.
     """
     examined = 0

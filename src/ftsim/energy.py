@@ -136,14 +136,9 @@ class NodePlan:
         return 100.0 * self.saving_j / self.eni_j if self.eni_j > 0 else 0.0
 
 
-def t_comp(f: FrequencyLevel, est: PhaseEstimate) -> float:
-    """Compute-phase duration at frequency f (slowdown-scaled)."""
-    return est.t_comp_fmax * f.beta
-
-
 def compute_phase_energy(f: FrequencyLevel, est: PhaseEstimate) -> float:
     """Compute-phase energy: slowed compute plus any checkpoints in the phase."""
-    return t_comp(f, est) * f.p_comp + est.n_ckpt * (est.t_ckpt * f.gamma) * f.p_ckpt
+    return est.t_comp_fmax * f.beta * f.p_comp + est.n_ckpt * (est.t_ckpt * f.gamma) * f.p_ckpt
 
 
 def awake_wait_energy(

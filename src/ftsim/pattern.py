@@ -123,9 +123,11 @@ class CommPattern:
     def validate(self) -> None:
         for proc, ops in enumerate(self.processes):
             last = -1.0
-            for op in ops:
+            for position, op in enumerate(ops):
                 if op.proc != proc:
                     raise ValueError(f"op {op.index} owner mismatch")
+                if op.index != position:
+                    raise ValueError(f"process {proc}: op {op.index} at position {position}")
                 if op.post_time_offset <= last:
                     raise ValueError(
                         f"process {proc}: post offsets not strictly increasing at op {op.index}"
@@ -138,23 +140,3 @@ class CommPattern:
         for ops in self.processes:
             for op in ops:
                 self.matching_op(op)
-
-
-class ProcStatus(enum.Enum):
-    COMPUTING = "COMPUTING"
-    BLOCKED_WAIT = "BLOCKED_WAIT"
-    CHECKPOINTING = "CHECKPOINTING"
-    SLEEPING = "SLEEPING"
-    RESTARTING = "RESTARTING"
-    REEXECUTING = "REEXECUTING"
-    DONE = "DONE"
-
-
-@dataclass
-class ProcessState:
-    """Mutable per-process simulation state (one representative process per node)."""
-
-    node: int
-    status: ProcStatus = ProcStatus.COMPUTING
-    pc: int = 0
-    last_ckpt_time: float = 0.0

@@ -3,7 +3,8 @@
 
 Durations accept ``s`` and ``min`` suffixes; powers take ``w``; frequencies
 ``ghz``. ``freq``, ``op`` and ``offset`` keys may repeat, all others may
-not. Everything is converted to seconds at ingestion.
+not; an unknown section or key is an error. Everything is converted to
+seconds at ingestion.
 """
 
 from __future__ import annotations
@@ -66,6 +67,15 @@ class Scenario:
 
 _UNITS = {"s": 1.0, "min": 60.0, "ghz": 1.0, "w": 1.0}
 _REPEATABLE = {"freq", "op", "offset"}
+_KEYS = {  # section -> its keys
+    "system": {"freq", "t_go_sleep", "t_wakeup", "p_go_sleep", "p_wakeup", "p_sleep",
+               "p_idle_wait", "mu1", "mu2"},
+    "pattern": {"nodes", "mpi_mode", "op", "interval", "buffered", "wait_mode",
+                "message_size", "repetition"},
+    "checkpoint": {"interval", "duration", "anticipation", "alpha", "offset"},
+    "failure": {"node", "time", "restart"},
+    "run": {"horizon", "depth", "strategies"},
+}
 
 
 def _number(text: str, line: int) -> float:
@@ -191,6 +201,8 @@ def _parse_sections(text: str) -> dict[str, list[tuple[int, str, str]]]:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             current = stripped[1:-1].strip().lower()
+            if current not in _KEYS:
+                raise ParseError(f"unknown section [{current}]", lineno)
             if current in sections:
                 raise ParseError(f"duplicate section [{current}]", lineno)
             sections[current] = []
@@ -201,6 +213,8 @@ def _parse_sections(text: str) -> dict[str, list[tuple[int, str, str]]]:
             raise ParseError(f"expected 'key = value', got {stripped!r}", lineno)
         key, value = (part.strip() for part in stripped.split("=", 1))
         key = key.lower()
+        if key not in _KEYS[current]:
+            raise ParseError(f"unknown key {key!r} in [{current}]", lineno)
         if key not in _REPEATABLE:
             if (current, key) in seen_keys:
                 raise ParseError(f"duplicate key {key!r} in [{current}]", lineno)
@@ -264,7 +278,7 @@ def _parse_profile(sec: _Section) -> SystemProfile:
 
 def loads_scenario(text: str, name: str = "scenario") -> Scenario:
     sections = _parse_sections(text)
-    for required in ("system", "pattern", "checkpoint", "failure", "run"):
+    for required in _KEYS:
         if required not in sections:
             raise ParseError(f"missing section [{required}]")
 

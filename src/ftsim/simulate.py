@@ -2,8 +2,9 @@
 
 Three deterministic passes:
 
-1. a failure-free run, giving every operation's undisturbed completion time
-   (used to recognize failure-induced waits and to feed the block-time
+1. a failure-free run, whose message record gives every operation's
+   undisturbed post, wait and completion times (used to recognize
+   failure-induced waits, to decide anticipation, and to feed the block-time
    analysis with projected post times);
 2. the reference run: the failure happens and nothing is done about it
    (defines the deadline, the phase durations and the no-intervention
@@ -19,6 +20,7 @@ reference run.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -33,9 +35,19 @@ from .energy import (
 )
 from .fault import should_anticipate
 from .kernel import EventKind, EventQueue
-from .pattern import CommOp, CommPattern, Direction, OpMode, ProcStatus, ProcessState
+from .pattern import CommOp, CommPattern, Direction, OpMode
 from .report import CommRecord, FlagRecord, SavingsReport, StateRecord, TraceRecord
 from .scenario import Scenario
+
+
+class ProcStatus(enum.Enum):
+    COMPUTING = "COMPUTING"
+    BLOCKED_WAIT = "BLOCKED_WAIT"
+    CHECKPOINTING = "CHECKPOINTING"
+    SLEEPING = "SLEEPING"
+    RESTARTING = "RESTARTING"
+    REEXECUTING = "REEXECUTING"
+    DONE = "DONE"
 
 
 _Key = tuple[tuple[int, int], int]  # ((sender, receiver), k): the k-th message on a channel
@@ -87,18 +99,42 @@ def _programs(pattern: CommPattern) -> _Programs:
 
 @dataclass(slots=True)
 class _Message:
+    """One message of a pass: when each side posted it and reached its
+    non-blocking wait, and when it was transferred. The failure-free pass's
+    messages are the baseline that the later passes and the analysis read."""
+
     send_post: float | None = None
     recv_post: float | None = None
+    send_wait: float | None = None
+    recv_wait: float | None = None
     transfer: float | None = None
     mode: OpMode = OpMode.BLOCKING
     blocked: dict[int, bool] = field(default_factory=dict)
+
+    def post(self, op: CommOp) -> float | None:
+        """When ``op``'s side posted."""
+        return self.send_post if op.direction is Direction.SEND else self.recv_post
+
+    def reached(self, item: _Item) -> float | None:
+        """When ``item``'s process reached it; a replayed post counts from its replay."""
+        if not item.is_wait:
+            return self.post(item.op)
+        return self.send_wait if item.op.direction is Direction.SEND else self.recv_wait
+
+    def completion(self, item: _Item) -> float | None:
+        """When a failure-free pass let ``item``'s process go on: on reaching
+        it, or for an item that can block, once the message is also
+        transferred; None when either had not happened by the horizon."""
+        reach = self.reached(item)
+        if reach is None or not item.blocks:
+            return reach
+        return None if self.transfer is None else max(reach, self.transfer)
 
 
 @dataclass(slots=True)
 class _WaitLog:
     node: int
-    op_index: int
-    is_wait: bool
+    item: _Item
     begin: float
     end: float | None = None
 
@@ -144,7 +180,7 @@ class _Engine:
         s: Scenario,
         programs: _Programs,
         inject_failure: bool,
-        baseline: dict | None = None,
+        baseline: dict[_Key, _Message] | None = None,
         plans: dict[int, tuple[NodePlan, _WaitLog]] | None = None,
     ):
         self.s = s
@@ -157,8 +193,6 @@ class _Engine:
         self.procs = [_Proc(node, program, s.profile.f_max) for node, program in enumerate(items)]
         for proc in self.procs:
             proc.mark(0.0, "COMPUTE")
-        self.completions: dict[tuple[int, int, bool], float] = {}
-        self.posts: dict[tuple[int, int], float] = {}
         self.wait_logs: dict[int, list[_WaitLog]] = {i: [] for i in range(s.nodes)}
         self.comm_records: list[CommRecord] = []
         self.flags: list[FlagRecord] = []
@@ -261,19 +295,19 @@ class _Engine:
         proc.resume_wall = now
         if item.is_wait:
             msg = self.messages[item.key]
+            if item.op.direction is Direction.SEND:
+                msg.send_wait = now
+            else:
+                msg.recv_wait = now
         else:
             msg = self._register_post(item, now)
-            self.posts[(proc.node, item.op.index)] = now
         if msg.transfer is None and item.blocks:
-            self.wait_logs[proc.node].append(
-                _WaitLog(proc.node, item.op.index, item.is_wait, begin=now)
-            )
+            self.wait_logs[proc.node].append(_WaitLog(proc.node, item, begin=now))
             self._enter_wait(proc, item, msg, now)
             return
         if proc.node in self.plans and self._strategy_here(proc, item) is not None:
             # zero-length wait: the compute intervention still ends here
             self._end_compute_strategy(proc, now)
-        self.completions[(proc.node, item.op.index, item.is_wait)] = now
         proc.cursor += 1
         self._schedule_milestone(proc)
 
@@ -283,10 +317,8 @@ class _Engine:
         entry = self.plans.get(proc.node)
         if entry is None:
             return None
-        plan, ref = entry
-        if ref.op_index == item.op.index and ref.is_wait == item.is_wait:
-            return entry
-        return None
+        # all passes share the programs, so the planned wait is this very item
+        return entry if entry[1].item is item else None
 
     def _enter_wait(self, proc: _Proc, item: _Item, msg: _Message, now: float) -> None:
         anticipated = self._wants_anticipation(proc, item, now)
@@ -314,26 +346,21 @@ class _Engine:
             return False
         if not should_anticipate(self.s.ckpt, now, proc.last_ckpt):
             return False
-        base = self.baseline.get((proc.node, item.op.index, item.is_wait))
+        base = self.baseline[item.key].completion(item)
         return base is not None and base <= now
 
     def _on_complete(self, ev) -> None:
         proc = self.procs[ev.node]
-        msg: _Message = ev.payload
-        now = ev.time
-        if proc.status is ProcStatus.SLEEPING:
-            return  # the wakeup event resumes the process
-        if proc.status is not ProcStatus.BLOCKED_WAIT or proc.blocked_item is None:
+        item, msg = proc.blocked_item, ev.payload
+        # a sleeping process is resumed by its wakeup event instead
+        if proc.status is not ProcStatus.BLOCKED_WAIT or item is None:
             return
-        if self.messages[proc.blocked_item.key] is not msg:
-            return
-        item = proc.blocked_item
-        self._resume_from_wait(proc, item, msg, now)
+        if self.messages[item.key] is msg:
+            self._resume_from_wait(proc, item, msg, ev.time)
 
     def _resume_from_wait(self, proc: _Proc, item: _Item, msg: _Message, now: float) -> None:
         log = self.wait_logs[proc.node][-1]
         log.end = now
-        self.completions[(proc.node, item.op.index, item.is_wait)] = now
         msg.blocked[proc.node] = False
         proc.blocked_item = None
         proc.status = ProcStatus.COMPUTING
@@ -358,7 +385,7 @@ class _Engine:
 
     def _on_ckpt_begin(self, ev) -> None:
         proc = self.procs[ev.node]
-        if proc.status is not ProcStatus.COMPUTING or proc.done_at is not None:
+        if proc.status is not ProcStatus.COMPUTING:
             return
         now = ev.time
         self._sync_position(proc, now)
@@ -403,6 +430,7 @@ class _Engine:
                 self.wait_logs[proc.node][-1].end = now
         proc.pos_at_failure = proc.position
         proc.pc_at_failure = proc.cursor
+        proc.done_at = None  # a finished program must re-execute too
         proc.blocked_item = None
         proc.status = ProcStatus.RESTARTING
         proc.mark(now, "RESTART")
@@ -441,12 +469,9 @@ class _Engine:
             # (if any) was already registered or replayed
             msg = self.messages[item.key]
             if msg.transfer is None and item.blocks:
-                self.wait_logs[proc.node].append(
-                    _WaitLog(proc.node, item.op.index, item.is_wait, begin=now)
-                )
+                self.wait_logs[proc.node].append(_WaitLog(proc.node, item, begin=now))
                 self._block_on(proc, item, msg, now)
                 return
-            self.completions[(proc.node, item.op.index, item.is_wait)] = now
             proc.cursor += 1
         self._schedule_milestone(proc)
 
@@ -513,17 +538,6 @@ class _Engine:
             return max(ends)
         return self.s.horizon
 
-    def process_states(self) -> list[ProcessState]:
-        return [
-            ProcessState(
-                node=p.node,
-                status=p.status,
-                pc=p.cursor,
-                last_ckpt_time=p.last_ckpt,
-            )
-            for p in self.procs
-        ]
-
     def state_records(self, end: float) -> list[StateRecord]:
         out = []
         for proc in self.procs:
@@ -548,35 +562,28 @@ class _Engine:
 
 
 def _op_schedule(engine: _Engine) -> dict[tuple[int, int], tuple[float, float]]:
-    """Projected (post, block-point) wall times per op from a failure-free run."""
-    # where each non-blocking op's wait began; a failure-free run logs each once
-    wait_begin = {
-        (log.node, log.op_index): log.begin
-        for logs in engine.wait_logs.values()
-        for log in logs
-        if log.is_wait
-    }
+    """Projected (post, block-point) wall times per posted op from a
+    failure-free run. A non-blocking op blocks where its wait began, and is
+    left out when that wait never completed."""
     sched: dict[tuple[int, int], tuple[float, float]] = {}
-    for (node, op_index), post in engine.posts.items():
-        op = engine.s.pattern.processes[node][op_index]
-        block_point = post
-        if op.mode is OpMode.NONBLOCKING:
-            wall = engine.completions.get((node, op_index, True))
-            if wall is None:
+    for proc in engine.procs:
+        for item in proc.items:
+            op = item.op
+            if op.mode is OpMode.NONBLOCKING and not item.is_wait:
+                continue  # its wait gives both times
+            msg = engine.messages[item.key]
+            post = msg.post(op)
+            if post is None or (item.is_wait and msg.completion(item) is None):
                 continue
-            block_point = wait_begin.get((node, op_index), wall)
-        sched[(node, op_index)] = (post, block_point)
+            sched[(proc.node, op.index)] = (post, msg.reached(item))
     return sched
 
 
-def _first_failure_wait(
-    ref: _Engine, base: _Engine, node: int
-) -> _WaitLog | None:
+def _first_failure_wait(ref: _Engine, baseline: dict[_Key, _Message], node: int) -> _WaitLog | None:
     for log in ref.wait_logs[node]:
         if log.end is None:
             continue
-        key = (node, log.op_index, log.is_wait)
-        base_done = base.completions.get(key)
+        base_done = baseline[log.item.key].completion(log.item)
         if base_done is None or log.end > base_done:
             return log
     return None
@@ -606,18 +613,16 @@ def _allowed_freqs(s: Scenario, ref: _Engine, log: _WaitLog) -> set[float]:
     node = log.node
     allowed = set()
     impactful: list[tuple[float, float]] = []
-    for op in s.pattern.processes[node]:
-        wall = ref.posts.get((node, op.index))
-        if wall is None:
-            continue
-        if not (fail < wall < log.begin):
-            continue
-        if op.peer == s.failure.node:
+    for item in ref.procs[node].items:
+        op = item.op
+        if item.is_wait or op.peer == s.failure.node:
             continue
         if op.direction is Direction.RECV and s.pattern.buffered:
             continue
-        msg = ref.messages[s.pattern.message_key(op)]
-        if msg.transfer is None:
+        # only the failed node replays a post: a survivor's side holds its own
+        msg = ref.messages[item.key]
+        wall = msg.post(op)
+        if wall is None or not (fail < wall < log.begin) or msg.transfer is None:
             continue
         impactful.append((wall, msg.transfer))
     for f in s.profile.freqs:
@@ -636,15 +641,13 @@ class SimulationResult:
     reference_waits: dict[int, _WaitLog]
     plans: list[NodePlan]
     scenario: Scenario
-    final_states: list[ProcessState]
-    reference_states: list[ProcessState]
 
 
 def simulate_detailed(s: Scenario) -> SimulationResult:
     programs = _programs(s.pattern)
     base = _Engine(s, programs, inject_failure=False)
     base.run()
-    baseline = base.completions  # read-only from here on
+    baseline = base.messages  # read-only from here on
 
     ref = _Engine(s, programs, inject_failure=True, baseline=baseline)
     ref.run()
@@ -658,7 +661,7 @@ def simulate_detailed(s: Scenario) -> SimulationResult:
     plan_map: dict[int, tuple[NodePlan, _WaitLog]] = {}
     ref_waits: dict[int, _WaitLog] = {}
     for est in estimates:
-        log = _first_failure_wait(ref, base, est.process)
+        log = _first_failure_wait(ref, baseline, est.process)
         if log is None:
             continue
         ref_waits[est.process] = log
@@ -667,7 +670,7 @@ def simulate_detailed(s: Scenario) -> SimulationResult:
         plan = node_best_plan(phase, s.profile, s.pattern.wait_mode, allowed=allowed)
         plans.append(plan)
         plan_map[est.process] = (plan, log)
-    del base  # pass 3 needs only its completions
+    del base  # pass 3 needs only its messages
 
     if s.strategies_enabled and plan_map:
         final = _Engine(s, programs, inject_failure=True, baseline=baseline, plans=plan_map)
@@ -692,8 +695,6 @@ def simulate_detailed(s: Scenario) -> SimulationResult:
         reference_waits=ref_waits,
         plans=plans,
         scenario=s,
-        final_states=final.process_states(),
-        reference_states=ref.process_states(),
     )
 
 

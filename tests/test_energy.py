@@ -14,7 +14,6 @@ from ftsim.energy import (
     node_best_plan,
     sleep_feasible,
     sleep_wait_energy,
-    t_comp,
 )
 
 # Measured levels of the reference node: 2.8 down to 1.2 GHz.
@@ -35,12 +34,13 @@ def default_estimate(t_comp_fmax, window, n_ckpt=0, t_ckpt=120.0):
 
 
 def test_t_comp_scaling():
+    # with no checkpoint in the phase, its duration is the slowed compute alone
     est = default_estimate(600.0, 1000.0)
-    assert t_comp(PROFILE.f_max, est) == 600.0
+    assert est.phase(PROFILE.f_max) == 600.0
     est2 = default_estimate(603.5, 1000.0)
-    assert t_comp(PROFILE.level(2.1), est2) == pytest.approx(724.2)
+    assert est2.phase(PROFILE.level(2.1)) == pytest.approx(724.2)
     est3 = default_estimate(100.0, 1000.0)
-    assert t_comp(PROFILE.level(1.2), est3) == pytest.approx(210.0)
+    assert est3.phase(PROFILE.level(1.2)) == pytest.approx(210.0)
 
 
 def test_compute_phase_energy():

@@ -174,7 +174,8 @@ def exchange_times(send_at, recv_at, buffered):
     s.validate()
     engine = _Engine(s, _programs(pattern), inject_failure=False)
     engine.run()
-    return engine.completions[(0, 0, False)], engine.completions[(1, 0, False)]
+    msg = engine.messages[pattern.message_key(pattern.processes[0][0])]
+    return tuple(msg.completion(engine.procs[node].items[0]) for node in (0, 1))
 
 
 def test_blocking_unbuffered_synchronizes():
@@ -243,3 +244,17 @@ def test_fifo_validation_rejects_disorder():
     )
     with pytest.raises(ValueError):
         bad.validate()
+
+
+def test_op_index_must_be_its_position(monkeypatch, capsys):
+    from ftsim import cli
+
+    s = load_scenario(FIXTURES / "scenario1_short.scn")
+    shifted = [[replace(o, index=o.index + 10) for o in ops] for ops in s.pattern.processes]
+    s = replace(s, pattern=replace(s.pattern, processes=shifted))
+    with pytest.raises(ValidationError, match="process 0: op 10 at position 0"):
+        s.validate()
+    # the front end re-validates what it loaded, so it reports the error
+    monkeypatch.setattr(cli, "load_scenario", lambda path: s)
+    assert cli.main(["run", "scenario1_short.scn"]) == 1
+    assert capsys.readouterr().err.startswith("error: process 0: op 10 at position 0")

@@ -58,13 +58,35 @@ def test_validation_failure_node_out_of_range():
 
 
 def test_duplicate_key_is_parse_error():
-    with pytest.raises(ParseError):
-        loads_scenario(MINIMAL + "\n[extra]\nhorizon = 1 s\nhorizon = 2 s\n")
+    with pytest.raises(ParseError, match="duplicate key 'horizon' in \\[run\\]"):
+        loads_scenario(MINIMAL + "horizon = 2 s\n")
 
 
 def test_missing_section():
-    with pytest.raises(ParseError):
-        loads_scenario(MINIMAL.replace("[failure]", "[failur]"))
+    with pytest.raises(ParseError, match="missing section \\[failure\\]"):
+        loads_scenario(MINIMAL.replace("[failure]\nnode = 0\ntime = 50 s\nrestart = 5 s\n", ""))
+
+
+@pytest.mark.parametrize(
+    "anchor, bad, section",
+    [
+        ("offset = 0: 20 s", "anticipaton = on", "checkpoint"),  # misspelled
+        ("restart = 5 s", "horizon = 300 s", "failure"),  # a key of another section
+    ],
+)
+def test_unknown_key_names_its_line(anchor, bad, section):
+    text = MINIMAL.replace(anchor, f"{anchor}\n{bad}")
+    line = text.splitlines().index(bad) + 1
+    key = bad.split()[0]
+    with pytest.raises(ParseError, match=f"line {line}: unknown key '{key}' in \\[{section}\\]"):
+        loads_scenario(text)
+
+
+def test_unknown_section_names_its_line():
+    text = MINIMAL + "\n[nonsense]\nhorizon = 1 s\n"
+    line = text.splitlines().index("[nonsense]") + 1
+    with pytest.raises(ParseError, match=f"line {line}: unknown section \\[nonsense\\]"):
+        loads_scenario(text)
 
 
 def test_horizon_must_exceed_failure():

@@ -7,7 +7,7 @@ from ftsim.cascade import DepthConfig
 from ftsim.energy import WaitMode
 from ftsim.report import StateRecord, render_report, write_trace
 from ftsim.scenario import load_scenario
-from ftsim.simulate import _Engine, _programs, simulate_detailed
+from ftsim.simulate import _Engine, _op_schedule, _programs, simulate_detailed
 
 from scengen import random_scenario
 
@@ -155,12 +155,22 @@ def test_report_row_consistency(name):
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
-def test_survivors_never_roll_back(name):
+def test_survivors_never_roll_back(name, monkeypatch):
+    engines = []
+    run = _Engine.run
+
+    def spy(engine):
+        engines.append(engine)
+        run(engine)
+
+    monkeypatch.setattr(_Engine, "run", spy)
     r = detailed(name)
-    for ref, final in zip(r.reference_states, r.final_states):
-        assert final.pc >= 0
-        if ref.node != r.scenario.failure.node:
-            assert final.pc == ref.pc
+    ref, final = engines[1], engines[-1]  # pass 3 is skipped when nothing is planned
+    assert len(engines) in (2, 3) and ref.inject_failure
+    for ref_proc, final_proc in zip(ref.procs, final.procs):
+        assert final_proc.cursor >= 0
+        if ref_proc.node != r.scenario.failure.node:
+            assert final_proc.cursor == ref_proc.cursor
 
 
 def test_deterministic_trace_bytes(tmp_path):
@@ -261,3 +271,90 @@ def test_plans_charge_the_policy_checkpoint_duration():
         f = plan.compute_action
         assert plan.tt == pytest.approx(log.end - fail, abs=1e-9)
         assert plan.t_comp == pytest.approx((log.begin - fail) * f.beta + 60.0 * f.gamma)
+
+
+TWO_LEVELS = """
+[system]
+freq = 2.8 ghz, 166 w, 1.0, 150 w, 1.0
+freq = 1.2 ghz, 126 w, 2.1, 125 w, 1.4
+"""
+
+
+def test_node_that_fails_after_finishing_reexecutes():
+    # node 1 is done at 100 s; failing at 850 s, it restarts for 50 s and
+    # re-executes its 100 s of program before it is done again
+    from ftsim.scenario import loads_scenario
+
+    s = loads_scenario(TWO_LEVELS + """
+[pattern]
+nodes = 3
+op = 0 send 1 @ 100 s
+op = 1 recv 0 @ 100 s
+op = 0 send 2 @ 900 s
+op = 2 recv 0 @ 900 s
+
+[checkpoint]
+interval = 5000 s
+duration = 10 s
+offset = 4000 s
+
+[failure]
+node = 1
+time = 850 s
+restart = 50 s
+
+[run]
+horizon = 3000 s
+depth = 1
+""")
+    r = simulate_detailed(s)
+    assert r.makespan == r.reference_makespan == 1000.0
+    states = [(t.t0, t.t1, t.state) for t in r.trace if isinstance(t, StateRecord) and t.node == 1]
+    assert states[-2:] == [(850.0, 900.0, "RESTART"), (900.0, 1000.0, "REEXEC")]
+
+
+def nonblocking_exchange_schedule(send0, recv1, horizon):
+    """``_op_schedule`` of a failure-free pass over one non-blocking message
+    from node 0 to node 1; each side is ``(post, wait)`` in seconds."""
+    from ftsim.scenario import loads_scenario
+
+    s = loads_scenario(TWO_LEVELS + f"""
+[pattern]
+nodes = 2
+op = 0 send 1 @ {send0[0]} s wait @ {send0[1]} s
+op = 1 recv 0 @ {recv1[0]} s wait @ {recv1[1]} s
+
+[checkpoint]
+interval = 1000 s
+duration = 10 s
+offset = 500 s
+
+[failure]
+node = 0
+time = 30 s
+restart = 5 s
+
+[run]
+horizon = {horizon} s
+depth = 1
+""")
+    engine = _Engine(s, _programs(s.pattern), inject_failure=False)
+    engine.run()
+    return _op_schedule(engine)
+
+
+def test_op_schedule_blocks_where_the_wait_began():
+    # node 0 waits at 20 s for the transfer at 50 s
+    sched = nonblocking_exchange_schedule((10, 20), (50, 60), horizon=400)
+    assert sched == {(0, 0): (10.0, 20.0), (1, 0): (50.0, 60.0)}
+
+
+def test_op_schedule_wait_reached_after_the_transfer():
+    sched = nonblocking_exchange_schedule((10, 70), (50, 60), horizon=400)
+    assert sched == {(0, 0): (10.0, 70.0), (1, 0): (50.0, 60.0)}
+
+
+def test_op_schedule_leaves_out_a_wait_cut_by_the_horizon():
+    # node 0 is still waiting at the horizon and node 1 never posts
+    sched = nonblocking_exchange_schedule((10, 20), (50, 60), horizon=40)
+    assert sched == {}
