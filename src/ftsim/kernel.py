@@ -2,6 +2,9 @@
 
 A virtual clock plus a priority queue of timestamped events. Ties are broken
 by insertion order, which makes every run of the same schedule reproducible.
+A queue can be copied, and a copy run on from where the original stands;
+a sequence number reserved early keeps its place in the tie order for an
+event scheduled later.
 """
 
 from __future__ import annotations
@@ -9,6 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from math import inf
 from typing import Any, NamedTuple
 
 
@@ -50,6 +54,9 @@ class SimEvent(NamedTuple):
 _new_event = tuple.__new__  # skips the NamedTuple's generated Python __new__
 
 
+_ALWAYS = (inf, inf)  # a (time, seq) key no event reaches
+
+
 @dataclass
 class EventQueue:
     """Time-ordered event queue; (time, seq) is a strict total order."""
@@ -58,25 +65,51 @@ class EventQueue:
     _heap: list[SimEvent] = field(default_factory=list)
     _counter: int = 0
     _pending: set[int] = field(default_factory=set)
+    _reserved: set[int] = field(default_factory=set)
 
-    def schedule(self, time: float, kind: EventKind, node: int, payload: Any = None) -> int:
+    def schedule(
+        self, time: float, kind: EventKind, node: int, payload: Any = None, seq: int | None = None
+    ) -> int:
+        """Queue an event and return its sequence number: the next one, or
+        ``seq`` taken earlier from :meth:`reserve`."""
         if time < self.clock:
             raise PastTime(f"cannot schedule at t={time} before clock {self.clock}")
-        seq = self._counter
-        self._counter = seq + 1
+        if seq is None:
+            seq = self._counter
+            self._counter = seq + 1
+        elif seq in self._reserved:
+            self._reserved.discard(seq)
+        else:
+            raise ValueError(f"sequence number {seq} is not reserved")
         heappush(self._heap, _new_event(SimEvent, (time, seq, kind, node, payload)))
         self._pending.add(seq)
         return seq
 
-    def advance(self) -> SimEvent:
+    def reserve(self) -> int:
+        """Take the next sequence number without scheduling anything: an
+        event scheduled with it later breaks ties as if scheduled now."""
+        seq = self._counter
+        self._counter = seq + 1
+        self._reserved.add(seq)
+        return seq
+
+    def advance(self, before: tuple[float, float] = _ALWAYS) -> SimEvent | None:
+        """Pop the first pending event and move the clock to it. Return None
+        instead, and leave the queue as it is, when that event's (time, seq)
+        is not before ``before``."""
         heap, pending = self._heap, self._pending
         while heap:
-            event = heappop(heap)
+            event = heap[0]
             seq = event[1]
-            if seq in pending:  # a cancelled event is no longer pending
-                pending.discard(seq)
-                self.clock = event[0]
-                return event
+            if seq not in pending:  # a cancelled event is no longer pending
+                heappop(heap)
+                continue
+            if event >= before:  # by (time, seq): an event with ``before``'s key is not before it
+                return None
+            heappop(heap)
+            pending.discard(seq)
+            self.clock = event[0]
+            return event
         raise EmptyQueue("no pending events")
 
     def cancel(self, event_id: int) -> bool:
@@ -84,6 +117,13 @@ class EventQueue:
             self._pending.discard(event_id)
             return True
         return False
+
+    def copy(self) -> EventQueue:
+        """A queue that runs on independently from this one's state. The
+        events' payloads are shared, not copied."""
+        return EventQueue(
+            self.clock, list(self._heap), self._counter, set(self._pending), set(self._reserved)
+        )
 
     def __len__(self) -> int:
         return len(self._pending)

@@ -55,11 +55,12 @@ class CommOp:
 class CommPattern:
     """Per-process programs plus the MPI semantics they run under.
 
-    Construction builds the FIFO channel index in one pass over the ops: each
-    op's sequence number on its directed channel, the per-direction op
-    stream of every (process, peer) pair, and each pair's ops in program
-    order. The index is not refreshed, so ``processes`` must not be mutated
-    after construction; ``dataclasses.replace`` builds a new, indexed pattern.
+    Construction builds the FIFO channel index in one pass over the ops: the
+    sequence number on its directed channel of the op at each position of
+    each program, the per-direction op stream of every (process, peer) pair,
+    and each pair's ops in program order. The index is not refreshed, so
+    ``processes`` must not be mutated after construction;
+    ``dataclasses.replace`` builds a new, indexed pattern.
     """
 
     processes: list[list[CommOp]]
@@ -71,18 +72,19 @@ class CommPattern:
 
     def __post_init__(self) -> None:
         self._streams: dict[tuple[int, int, Direction], list[CommOp]] = {}
-        self._seq: dict[CommOp, int] = {}
+        # looked up by (proc, index), not by hashing the op: an op's index is
+        # its position once validated
+        self._seq: list[list[int]] = []
         self._pairs: list[dict[int, list[CommOp]]] = []
         for proc, ops in enumerate(self.processes):
+            seq: list[int] = []
             pairs: dict[int, list[CommOp]] = {}
             for op in ops:
                 stream = self._streams.setdefault((proc, op.peer, op.direction), [])
-                if op.proc == proc:
-                    # ops are looked up in their own process's program; an
-                    # equal op earlier in the stream keeps its number
-                    self._seq.setdefault(op, len(stream))
+                seq.append(len(stream))
                 stream.append(op)
                 pairs.setdefault(op.peer, []).append(op)
+            self._seq.append(seq)
             self._pairs.append(dict(sorted(pairs.items())))
 
     @property
@@ -98,10 +100,12 @@ class CommPattern:
         return self._pairs[proc].get(peer, [])
 
     def _sequence(self, op: CommOp) -> int:
-        k = self._seq.get(op)
-        if k is None:
-            raise ValueError(f"op {op.index} of process {op.proc} is not in the pattern")
-        return k
+        proc, index = op.proc, op.index
+        if 0 <= proc < len(self.processes) and 0 <= index < len(self.processes[proc]):
+            mine = self.processes[proc][index]
+            if mine is op or mine == op:
+                return self._seq[proc][index]
+        raise ValueError(f"op {op.index} of process {op.proc} is not in the pattern")
 
     def message_key(self, op: CommOp) -> tuple[tuple[int, int], int]:
         """((sender, receiver), k): ``op`` is a side of the k-th message on

@@ -11,6 +11,13 @@ Three deterministic passes:
    energy baseline);
 3. the final run with the selected strategies applied, when enabled.
 
+Until the failure the three passes are one run: the failure disturbs only
+what comes after it, and no strategy acts before it. So that prefix is
+simulated once. Pass 1 reserves the failure event's place in the tie order
+and is snapshotted right before the first event that would follow it; passes
+2 and 3 resume from copies of that state with the failure scheduled, and run
+exactly as if it had been injected at t = 0.
+
 Strategy evaluation and application consume no virtual time. Applying a
 strategy never moves a block release: a slowed compute phase must fit inside
 the reference window and must not delay any operation a live peer depends
@@ -21,7 +28,9 @@ reference run.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from copy import copy
+from dataclasses import dataclass, field, replace
+from math import inf
 from typing import NamedTuple
 
 from .cascade import BlockEstimate, estimate_block_times
@@ -34,7 +43,7 @@ from .energy import (
     node_best_plan,
 )
 from .fault import should_anticipate
-from .kernel import EventKind, EventQueue
+from .kernel import EmptyQueue, EventKind, EventQueue
 from .pattern import CommOp, CommPattern, Direction, OpMode
 from .report import CommRecord, FlagRecord, SavingsReport, StateRecord, TraceRecord
 from .scenario import Scenario
@@ -109,7 +118,21 @@ class _Message:
     recv_wait: float | None = None
     transfer: float | None = None
     mode: OpMode = OpMode.BLOCKING
-    blocked: dict[int, bool] = field(default_factory=dict)
+    send_blocked: bool = False  # the sender is suspended until the transfer
+    recv_blocked: bool = False
+
+    def copy(self) -> _Message:
+        return _Message(
+            self.send_post, self.recv_post, self.send_wait, self.recv_wait,
+            self.transfer, self.mode, self.send_blocked, self.recv_blocked,
+        )
+
+    def set_blocked(self, op: CommOp, blocked: bool) -> None:
+        """Mark ``op``'s side as suspended on this message, or no longer."""
+        if op.direction is Direction.SEND:
+            self.send_blocked = blocked
+        else:
+            self.recv_blocked = blocked
 
     def post(self, op: CommOp) -> float | None:
         """When ``op``'s side posted."""
@@ -137,6 +160,9 @@ class _WaitLog:
     item: _Item
     begin: float
     end: float | None = None
+
+    def copy(self) -> _WaitLog:
+        return _WaitLog(self.node, self.item, self.begin, self.end)
 
 
 @dataclass
@@ -171,23 +197,20 @@ class _Proc:
         self.pos_at_ckpt = self.position
         self.ckpt_spans.append(self.ckpt_span)
 
+    def copy(self) -> _Proc:
+        return replace(self, segments=list(self.segments), ckpt_spans=list(self.ckpt_spans))
+
 
 class _Engine:
-    """One simulation pass over a scenario."""
+    """One simulation pass over a scenario, from t = 0 or, through
+    :meth:`fork`, from another pass's state."""
 
-    def __init__(
-        self,
-        s: Scenario,
-        programs: _Programs,
-        inject_failure: bool,
-        baseline: dict[_Key, _Message] | None = None,
-        plans: dict[int, tuple[NodePlan, _WaitLog]] | None = None,
-    ):
+    def __init__(self, s: Scenario, programs: _Programs, inject_failure: bool):
         self.s = s
-        self.inject_failure = inject_failure
-        self.baseline = baseline
-        self.plans = plans or {}
-        self.q = EventQueue()
+        # read from the failure on: the failure-free pass's messages and the strategies
+        self.baseline: dict[_Key, _Message] | None = None
+        self.plans: dict[int, tuple[NodePlan, _WaitLog]] = {}
+        self.q = q = EventQueue()
         items, modes = programs
         self.messages = {key: _Message(mode=mode) for key, mode in modes.items()}
         self.procs = [_Proc(node, program, s.profile.f_max) for node, program in enumerate(items)]
@@ -200,6 +223,46 @@ class _Engine:
         self.wait_label = (
             "WAIT_ACTIVE" if s.pattern.wait_mode is WaitMode.ACTIVE else "WAIT_IDLE"
         )
+        for node in range(s.nodes):
+            t = s.ckpt.offset(node)
+            while t <= s.horizon:
+                if t > 0:
+                    q.schedule(t, EventKind.CKPT_BEGIN, node)
+                t += s.ckpt.interval
+        # the failure's (time, seq): a failure-free pass keeps its place in
+        # the tie order, so that a fork taken there can schedule it
+        self.failure_at = (s.failure.time, q.reserve())
+        if inject_failure:
+            self.inject()
+        for proc in self.procs:
+            self._schedule_milestone(proc)
+
+    def inject(
+        self,
+        baseline: dict[_Key, _Message] | None = None,
+        plans: dict[int, tuple[NodePlan, _WaitLog]] | None = None,
+    ) -> None:
+        """Schedule the failure at its reserved place, to be followed by
+        anticipation against ``baseline`` and by the strategies in ``plans``."""
+        self.baseline = baseline
+        self.plans = plans or {}
+        time, seq = self.failure_at
+        self.q.schedule(time, EventKind.FAILURE, self.s.failure.node, seq=seq)
+
+    def fork(self) -> _Engine:
+        """A copy of this pass's state that runs on independently. The
+        scenario, the programs, the baseline and the plans are shared."""
+        twin = copy(self)
+        twin.q = self.q.copy()
+        twin.messages = {key: msg.copy() for key, msg in self.messages.items()}
+        twin.procs = [proc.copy() for proc in self.procs]
+        twin.wait_logs = {
+            node: [log.copy() for log in logs] for node, logs in self.wait_logs.items()
+        }
+        twin.comm_records = list(self.comm_records)
+        twin.flags = list(self.flags)
+        twin._minfreq_open = set(self._minfreq_open)
+        return twin
 
     # -- scheduling helpers --------------------------------------------------
 
@@ -226,19 +289,10 @@ class _Engine:
 
     # -- main loop -----------------------------------------------------------
 
-    def run(self) -> None:
-        s = self.s
-        for node in range(s.nodes):
-            t = s.ckpt.offset(node)
-            while t <= s.horizon:
-                if t > 0:
-                    self.q.schedule(t, EventKind.CKPT_BEGIN, node)
-                t += s.ckpt.interval
-        if self.inject_failure:
-            self.q.schedule(s.failure.time, EventKind.FAILURE, s.failure.node)
-        for proc in self.procs:
-            self._schedule_milestone(proc)
-
+    def run(self, until: tuple[float, float] = (inf, inf)) -> None:
+        """Handle events in (time, seq) order up to the horizon; stop early,
+        before the first event whose key is not before ``until``."""
+        # bound methods: a table kept on the engine would be a reference cycle
         handlers = {
             EventKind.POST_SEND: self._on_item,
             EventKind.POST_RECV: self._on_item,
@@ -251,12 +305,13 @@ class _Engine:
             EventKind.REEXEC_END: self._on_reexec_end,
             EventKind.WAKEUP_END: self._on_wakeup_end,
         }
-        q, horizon = self.q, s.horizon
-        while q:
-            ev = q.advance()
-            if ev.time > horizon:
-                break
-            handlers[ev.kind](ev)
+        q = self.q
+        before = min(until, (self.s.horizon, inf))
+        try:
+            while (ev := q.advance(before)) is not None:
+                handlers[ev.kind](ev)
+        except EmptyQueue:
+            pass
 
     # -- op handling -----------------------------------------------------------
 
@@ -278,9 +333,10 @@ class _Engine:
                     mode="NB" if msg.mode is OpMode.NONBLOCKING else "B",
                 )
             )
-            for waiter in sorted(msg.blocked):
-                if msg.blocked[waiter]:
-                    self.q.schedule(msg.transfer, EventKind.COMM_COMPLETE, waiter, payload=msg)
+            sides = sorted([(channel[0], msg.send_blocked), (channel[1], msg.recv_blocked)])
+            for waiter, blocked in sides:
+                if blocked:
+                    self.q.schedule(msg.transfer, EventKind.COMM_COMPLETE, waiter, payload=item.key)
         return msg
 
     def _on_item(self, ev) -> None:
@@ -338,7 +394,7 @@ class _Engine:
     def _block_on(self, proc: _Proc, item: _Item, msg: _Message, now: float) -> None:
         proc.status = ProcStatus.BLOCKED_WAIT
         proc.blocked_item = item
-        msg.blocked[proc.node] = True
+        msg.set_blocked(item.op, True)
         proc.mark(now, self.wait_label)
 
     def _wants_anticipation(self, proc: _Proc, item: _Item, now: float) -> bool:
@@ -351,17 +407,17 @@ class _Engine:
 
     def _on_complete(self, ev) -> None:
         proc = self.procs[ev.node]
-        item, msg = proc.blocked_item, ev.payload
+        item = proc.blocked_item
         # a sleeping process is resumed by its wakeup event instead
         if proc.status is not ProcStatus.BLOCKED_WAIT or item is None:
             return
-        if self.messages[item.key] is msg:
-            self._resume_from_wait(proc, item, msg, ev.time)
+        if item.key == ev.payload:
+            self._resume_from_wait(proc, item, self.messages[item.key], ev.time)
 
     def _resume_from_wait(self, proc: _Proc, item: _Item, msg: _Message, now: float) -> None:
         log = self.wait_logs[proc.node][-1]
         log.end = now
-        msg.blocked[proc.node] = False
+        msg.set_blocked(item.op, False)
         proc.blocked_item = None
         proc.status = ProcStatus.COMPUTING
         proc.resume_wall = now
@@ -425,7 +481,7 @@ class _Engine:
         self._sync_position(proc, now)
         self._cancel_milestone(proc)
         if proc.blocked_item is not None:
-            self.messages[proc.blocked_item.key].blocked[proc.node] = False
+            self.messages[proc.blocked_item.key].set_blocked(proc.blocked_item.op, False)
             if self.wait_logs[proc.node] and self.wait_logs[proc.node][-1].end is None:
                 self.wait_logs[proc.node][-1].end = now
         proc.pos_at_failure = proc.position
@@ -479,8 +535,13 @@ class _Engine:
 
     def _start_strategies(self, now: float) -> None:
         for node in sorted(self.plans):
-            plan, _ = self.plans[node]
+            plan, ref = self.plans[node]
             proc = self.procs[node]
+            if proc.status is ProcStatus.BLOCKED_WAIT and proc.blocked_item is ref.item:
+                # blocked at the planned wait since before the failure: there
+                # is no compute phase left to slow down
+                self._apply_wait_action(proc, plan, ref, now)
+                continue
             f = plan.compute_action
             if f.beta != 1.0:
                 self._sync_position(proc, now)
@@ -591,7 +652,7 @@ def _first_failure_wait(ref: _Engine, baseline: dict[_Key, _Message], node: int)
 
 def _phase_estimate(s: Scenario, ref: _Engine, log: _WaitLog) -> PhaseEstimate:
     fail = s.failure.time
-    block, release = log.begin, log.end
+    block, release = max(log.begin, fail), log.end  # a wait may begin before the failure
     assert release is not None
     proc = ref.procs[log.node]
     mid_ckpt = sum(
@@ -643,18 +704,29 @@ class SimulationResult:
     scenario: Scenario
 
 
-def simulate_detailed(s: Scenario) -> SimulationResult:
-    programs = _programs(s.pattern)
+def _failure_free_pass(s: Scenario, programs: _Programs) -> tuple[_Engine, _Engine]:
+    """Pass 1 run to the horizon, and a copy of its state at the failure
+    instant, taken before the first event that follows the failure."""
     base = _Engine(s, programs, inject_failure=False)
+    base.run(until=base.failure_at)
+    snapshot = base.fork()
     base.run()
-    baseline = base.messages  # read-only from here on
+    return base, snapshot
 
-    ref = _Engine(s, programs, inject_failure=True, baseline=baseline)
+
+def simulate_detailed(s: Scenario) -> SimulationResult:
+    base, snapshot = _failure_free_pass(s, _programs(s.pattern))
+    baseline = base.messages  # read-only from here on
+    schedule = _op_schedule(base)
+    del base  # the later passes need only its messages
+
+    ref = snapshot.fork()
+    ref.inject(baseline)
     ref.run()
     ref_makespan = ref.makespan()
 
     estimates = estimate_block_times(
-        s.pattern, s.failure.node, s.failure.time, s.depth, schedule=_op_schedule(base)
+        s.pattern, s.failure.node, s.failure.time, s.depth, schedule=schedule
     )
 
     plans: list[NodePlan] = []
@@ -670,13 +742,14 @@ def simulate_detailed(s: Scenario) -> SimulationResult:
         plan = node_best_plan(phase, s.profile, s.pattern.wait_mode, allowed=allowed)
         plans.append(plan)
         plan_map[est.process] = (plan, log)
-    del base  # pass 3 needs only its messages
 
     if s.strategies_enabled and plan_map:
-        final = _Engine(s, programs, inject_failure=True, baseline=baseline, plans=plan_map)
+        final = snapshot
+        final.inject(baseline, plan_map)
         final.run()
     else:
         final = ref
+        del snapshot  # no pass 3
 
     end = max(final.makespan(), ref_makespan)
     report_rows = plans if s.strategies_enabled else []

@@ -112,3 +112,47 @@ def test_deterministic_pop_sequence_and_conservation():
         return seq
 
     assert run() == run()
+
+
+def test_reserved_seq_keeps_its_place_in_the_tie_order():
+    q = EventQueue()
+    q.schedule(5.0, EventKind.CKPT_BEGIN, 0)
+    reserved = q.reserve()
+    q.schedule(5.0, EventKind.CKPT_BEGIN, 2)
+    assert q.schedule(5.0, EventKind.FAILURE, 1, seq=reserved) == reserved
+    assert [q.advance().node for _ in range(3)] == [0, 1, 2]
+    with pytest.raises(ValueError):
+        q.schedule(6.0, EventKind.FAILURE, 1, seq=reserved)  # already used
+    with pytest.raises(ValueError):
+        q.schedule(6.0, EventKind.FAILURE, 1, seq=0)  # never reserved
+
+
+def test_advance_stops_before_a_key():
+    q = EventQueue()
+    first = q.schedule(5.0, EventKind.CKPT_BEGIN, 0)
+    second = q.schedule(5.0, EventKind.CKPT_BEGIN, 1)
+    q.schedule(4.0, EventKind.CKPT_BEGIN, 2)
+    q.cancel(q.schedule(4.5, EventKind.CKPT_BEGIN, 3))
+    assert q.advance((5.0, second)).node == 2
+    assert q.advance((5.0, second)).seq == first
+    assert q.advance((5.0, second)) is None  # an equal key is not before it
+    assert (len(q), q.clock) == (1, 5.0)
+    assert q.advance((5.0, second + 0.5)).seq == second
+
+
+def test_copy_runs_on_independently():
+    q = EventQueue()
+    q.schedule(1.0, EventKind.CKPT_BEGIN, 0)
+    q.schedule(2.0, EventKind.CKPT_BEGIN, 1)
+    reserved = q.reserve()
+    q.advance()
+    twin = q.copy()
+    assert twin == q and twin._heap is not q._heap
+    assert q.advance().node == 1
+    twin.schedule(1.5, EventKind.FAILURE, 0, seq=reserved)
+    assert twin.clock == 1.0 and len(twin) == 2
+    assert [twin.advance().kind for _ in range(2)] == [EventKind.FAILURE, EventKind.CKPT_BEGIN]
+    assert len(q) == 0 and q.clock == 2.0
+    with pytest.raises(ValueError):
+        twin.schedule(3.0, EventKind.FAILURE, 0, seq=reserved)
+    q.schedule(3.0, EventKind.FAILURE, 0, seq=reserved)  # each copy keeps its reservation

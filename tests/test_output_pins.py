@@ -169,10 +169,10 @@ def test_halo_chain_covers_waits_and_replay(monkeypatch):
     replayed = []
     schedule = EventQueue.schedule
 
-    def spy(queue, time, kind, node, payload=None):
+    def spy(queue, time, kind, node, payload=None, **kwargs):
         if getattr(payload, "replay", False):
             replayed.append(node)
-        return schedule(queue, time, kind, node, payload)
+        return schedule(queue, time, kind, node, payload, **kwargs)
 
     monkeypatch.setattr(EventQueue, "schedule", spy)
     result = simulate_detailed(halo_chain_scenario())
@@ -181,13 +181,27 @@ def test_halo_chain_covers_waits_and_replay(monkeypatch):
     assert any(getattr(t, "state", "") == "WAIT_ACTIVE" for t in result.trace)
 
 
-def pass_counts(scenario, monkeypatch) -> list[tuple[int, int, int]]:
+def pass_counts(scenario, monkeypatch, physical=False) -> list[tuple[int, int, int]]:
     """(scheduled, processed, cancelled) per engine pass, in pass order.
 
     Processed events are those the queue hands out at or before the horizon;
-    cancelled ones are the cancel calls that removed a pending event."""
+    cancelled ones are the cancel calls that removed a pending event. Passes
+    2 and 3 resume from a copy of pass 1's queue at the failure instant, and
+    a copied queue starts from its original's tally: the counts are logical,
+    with the shared prefix counted in each pass. ``physical`` starts every
+    queue from zero instead, counting the events the kernel handles."""
     queues: list[EventQueue] = []
     counts: list[list[int]] = []
+    inherited: list[tuple[EventQueue, list[int]]] = []
+
+    def tally_of(queue):
+        for known, c in zip(queues, counts):
+            if known is queue:
+                return c
+        for copied, c in inherited:
+            if copied is queue:
+                return c
+        return [0, 0, 0]
 
     def tally(queue, field, n=1):
         for i, known in enumerate(queues):
@@ -195,18 +209,20 @@ def pass_counts(scenario, monkeypatch) -> list[tuple[int, int, int]]:
                 counts[i][field] += n
                 return
         queues.append(queue)
-        counts.append([0, 0, 0])
+        counts.append(list(tally_of(queue)))
         counts[-1][field] += n
 
-    schedule, advance, cancel = EventQueue.schedule, EventQueue.advance, EventQueue.cancel
+    schedule, advance = EventQueue.schedule, EventQueue.advance
+    cancel, copy = EventQueue.cancel, EventQueue.copy
 
     def counted_schedule(queue, *args, **kwargs):
         tally(queue, 0)
         return schedule(queue, *args, **kwargs)
 
-    def counted_advance(queue):
-        ev = advance(queue)
-        tally(queue, 1, ev.time <= scenario.horizon)
+    def counted_advance(queue, *args):
+        ev = advance(queue, *args)
+        if ev is not None:
+            tally(queue, 1, ev.time <= scenario.horizon)
         return ev
 
     def counted_cancel(queue, event_id):
@@ -214,9 +230,16 @@ def pass_counts(scenario, monkeypatch) -> list[tuple[int, int, int]]:
         tally(queue, 2, done)
         return done
 
+    def counted_copy(queue):
+        twin = copy(queue)
+        if not physical:
+            inherited.append((twin, list(tally_of(queue))))
+        return twin
+
     monkeypatch.setattr(EventQueue, "schedule", counted_schedule)
     monkeypatch.setattr(EventQueue, "advance", counted_advance)
     monkeypatch.setattr(EventQueue, "cancel", counted_cancel)
+    monkeypatch.setattr(EventQueue, "copy", counted_copy)
     simulate_detailed(scenario)
     return [tuple(c) for c in counts]
 
@@ -267,3 +290,14 @@ def test_every_scenario_has_event_counts():
 @pytest.mark.parametrize("name", sorted(EVENT_COUNTS))
 def test_event_counts_per_pass(name, monkeypatch):
     assert pass_counts(_counted_scenario(name), monkeypatch) == EVENT_COUNTS[name]
+
+
+def test_forked_passes_hand_out_the_prefix_once(monkeypatch):
+    """The kernel handles the events before the failure once, in pass 1: on
+    halo_chain_8, passes 2 and 3 each hand out their logical count less that
+    prefix (271 scheduled, 233 processed, 2 cancelled)."""
+    physical = pass_counts(halo_chain_scenario(), monkeypatch, physical=True)
+    assert physical == [(748, 742, 6), (499, 532, 3), (499, 532, 3)]
+    logical = EVENT_COUNTS["halo_chain_8"]
+    for (s, p, c), (s1, p1, c1) in zip(logical[1:], physical[1:]):
+        assert (s - s1, p - p1, c - c1) == (271, 233, 2)

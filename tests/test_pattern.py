@@ -120,6 +120,21 @@ def test_matching_op_rejects_foreign_op():
         pattern.matching_op(op(9, 0, 1, Direction.SEND, 99.0))
 
 
+def test_matching_op_checks_the_op_at_its_position():
+    pattern = mixed_mode_pattern()
+    mine = pattern.processes[0][1]
+    # same process and index as an op of the pattern, but another offset
+    with pytest.raises(ValueError, match="not in the pattern"):
+        pattern.matching_op(replace(mine, post_time_offset=12.0))
+    with pytest.raises(ValueError, match="not in the pattern"):
+        pattern.message_key(replace(mine, proc=3))
+    with pytest.raises(ValueError, match="not in the pattern"):
+        pattern.message_key(replace(mine, index=-1))
+    # an equal copy stands for the op itself
+    assert pattern.matching_op(replace(mine)) is pattern.matching_op(mine)
+    assert pattern.message_key(replace(mine)) == pattern.message_key(mine) == ((0, 2), 0)
+
+
 def test_ops_with_and_peers_follow_program_order():
     pattern = mixed_mode_pattern()
     assert pattern.peers(0) == [1, 2]

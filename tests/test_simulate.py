@@ -1,3 +1,4 @@
+from copy import deepcopy
 from dataclasses import replace
 from pathlib import Path
 
@@ -5,11 +6,19 @@ import pytest
 
 from ftsim.cascade import DepthConfig
 from ftsim.energy import WaitMode
-from ftsim.report import StateRecord, render_report, write_trace
-from ftsim.scenario import load_scenario
-from ftsim.simulate import _Engine, _op_schedule, _programs, simulate_detailed
+from ftsim.kernel import EventKind, EventQueue
+from ftsim.report import FlagRecord, StateRecord, render_report, write_trace
+from ftsim.scenario import load_scenario, loads_scenario
+from ftsim.simulate import (
+    _Engine,
+    _failure_free_pass,
+    _op_schedule,
+    _programs,
+    simulate_detailed,
+)
 
 from scengen import random_scenario
+from test_output_pins import _SYSTEM, SHAPED
 
 FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
 ALL_FIXTURES = sorted(p.stem for p in FIXTURES.glob("*.scn"))
@@ -156,17 +165,17 @@ def test_report_row_consistency(name):
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_survivors_never_roll_back(name, monkeypatch):
-    engines = []
-    run = _Engine.run
+    resumed = []  # the passes that resume from pass 1 at the failure
+    inject = _Engine.inject
 
-    def spy(engine):
-        engines.append(engine)
-        run(engine)
+    def spy(engine, *args):
+        resumed.append(engine)
+        inject(engine, *args)
 
-    monkeypatch.setattr(_Engine, "run", spy)
+    monkeypatch.setattr(_Engine, "inject", spy)
     r = detailed(name)
-    ref, final = engines[1], engines[-1]  # pass 3 is skipped when nothing is planned
-    assert len(engines) in (2, 3) and ref.inject_failure
+    ref, final = resumed[0], resumed[-1]  # pass 3 is skipped when nothing is planned
+    assert len(resumed) in (1, 2)
     for ref_proc, final_proc in zip(ref.procs, final.procs):
         assert final_proc.cursor >= 0
         if ref_proc.node != r.scenario.failure.node:
@@ -358,3 +367,189 @@ def test_op_schedule_leaves_out_a_wait_cut_by_the_horizon():
     # node 0 is still waiting at the horizon and node 1 never posts
     sched = nonblocking_exchange_schedule((10, 20), (50, 60), horizon=40)
     assert sched == {}
+
+
+# -- passes 2 and 3 resume from pass 1 at the failure instant ----------------
+
+
+def forked_scenarios():
+    for name in ALL_FIXTURES:
+        yield name, load_scenario(FIXTURES / f"{name}.scn")
+    for name, build in SHAPED.items():
+        yield name, build()
+    for seed in range(4):
+        yield f"seed{seed}", random_scenario(seed)
+
+
+@pytest.mark.parametrize("name, s", list(forked_scenarios()))
+def test_resumed_reference_pass_equals_a_run_from_t0(name, s):
+    programs = _programs(s.pattern)
+    base, snapshot = _failure_free_pass(s, programs)
+    ref = snapshot.fork()
+    ref.inject(base.messages)
+    ref.run()
+    scratch = _Engine(s, programs, inject_failure=False)
+    scratch.inject(base.messages)  # the failure scheduled at t = 0
+    scratch.run()
+    end = max(ref.makespan(), scratch.makespan())
+    assert ref.makespan() == scratch.makespan()
+    assert ref.trace(end) == scratch.trace(end)
+    assert ref.messages == scratch.messages
+    assert ref.wait_logs == scratch.wait_logs
+
+
+def engine_state(engine):
+    return deepcopy({k: v for k, v in vars(engine).items() if k != "s"})
+
+
+@pytest.mark.parametrize("name", ["halo_chain_8", "master_worker_6", "horizon_cut"])
+def test_running_pass_2_leaves_the_snapshot_unchanged(name):
+    s = SHAPED[name]()
+    programs = _programs(s.pattern)
+    base, snapshot = _failure_free_pass(s, programs)
+    fresh = _Engine(s, programs, inject_failure=False)
+    fresh.run(until=fresh.failure_at)
+    assert engine_state(snapshot) == engine_state(fresh)  # pass 1 went on without it
+    before = engine_state(snapshot)
+    ref = snapshot.fork()
+    ref.inject(base.messages)
+    ref.run()
+    assert ref.q.clock > s.failure.time
+    assert engine_state(snapshot) == before
+
+
+TIES_AT_FAILURE = TWO_LEVELS + """
+[pattern]
+nodes = 3
+op = 0 send 1 @ 50 s
+op = 1 recv 0 @ 50 s
+op = 2 send 1 @ 100 s
+op = 1 recv 2 @ 100 s
+op = 0 recv 2 @ 150 s
+op = 2 send 0 @ 150 s
+
+[checkpoint]
+interval = 1000 s
+duration = 20 s
+offset = 0: 80 s
+offset = 1: 100 s
+offset = 2: 500 s
+
+[failure]
+node = 0
+time = 100 s
+restart = 5 s
+
+[run]
+horizon = 2000 s
+depth = 1
+"""
+
+
+def test_events_at_the_failure_instant_keep_their_order(monkeypatch):
+    # at 100 s: node 1's checkpoint trigger, scheduled at t = 0 before the
+    # failure's place, then the failure, node 2's send, scheduled at t = 0
+    # after it, and node 0's checkpoint end, scheduled at 80 s
+    s = loads_scenario(TIES_AT_FAILURE)
+    popped = []
+    advance = EventQueue.advance
+
+    def spy(queue, *args):
+        ev = advance(queue, *args)
+        if ev is not None:
+            popped.append((queue, (ev.time, ev.seq, ev.kind, ev.node)))
+        return ev
+
+    monkeypatch.setattr(EventQueue, "advance", spy)
+    programs = _programs(s.pattern)
+    scratch = _Engine(s, programs, inject_failure=True)
+    scratch.run()
+    base = _Engine(s, programs, inject_failure=False)
+    base.run(until=base.failure_at)
+    ref = base.fork()
+    ref.inject()
+    ref.run()
+
+    def events(queue):
+        return [ev for q, ev in popped if q is queue]
+
+    assert events(base.q) + events(ref.q) == events(scratch.q)
+    at_failure = [(kind, node) for t, _, kind, node in events(scratch.q) if t == 100.0]
+    assert at_failure == [
+        (EventKind.CKPT_BEGIN, 1),
+        (EventKind.FAILURE, 0),
+        (EventKind.POST_SEND, 2),
+        (EventKind.CKPT_END, 0),
+    ]
+
+
+def blocked_workers_scenario():
+    """A blocking master-worker whose master fails at 495 s, while all four
+    workers are blocked sending it their stage-2 results."""
+    workers, stages, stage, cycle = 4, 4, 200.0, 81.0
+    lines = [_SYSTEM, "[pattern]", f"nodes = {workers + 1}", "mpi_mode = blocking",
+             f"interval = {stage} s", f"repetition = {stage} s"]
+    last = stage * (stages - 1)
+    for k in range(1, workers + 1):
+        send, recv = 2.0 * k, 100.0 + 2.0 * k
+        lines.append(f"op = 0 send {k} @ {send} s every {stage} s until {last + send} s")
+        lines.append(f"op = 0 recv {k} @ {recv} s every {stage} s until {last + recv} s")
+        lines.append(f"op = {k} recv 0 @ 1 s every {cycle} s until {1 + cycle * (stages - 1)} s")
+        lines.append(f"op = {k} send 0 @ {cycle} s every {cycle} s until {cycle * stages} s")
+    lines += ["[checkpoint]", "interval = 1500 s", "duration = 40 s", "offset = 1200 s",
+              "[failure]", "node = 0", "time = 495 s", "restart = 60 s",
+              "[run]", "horizon = 5000 s", "depth = 1"]
+    return loads_scenario("\n".join(lines), "blocked_workers")
+
+
+def test_workers_blocked_at_the_failure_never_extend_the_run():
+    s = blocked_workers_scenario()
+    r = simulate_detailed(s)
+    fail = s.failure.time
+    assert sorted(p.node for p in r.plans) == [1, 2, 3, 4]
+    assert all(r.reference_waits[p.node].begin < fail for p in r.plans)
+    assert r.makespan <= r.reference_makespan
+    flags = [f for f in r.trace if isinstance(f, FlagRecord)]
+    assert flags and all(f.t >= fail for f in flags)
+    for f in flags:
+        if f.edge == "BEGIN" and f.label.startswith("FREQ_"):
+            assert any(g.edge == "END" and (g.node, g.label) == (f.node, f.label) for g in flags)
+
+
+SAME_INSTANT_WAIT = TWO_LEVELS + """
+[pattern]
+nodes = 3
+op = 0 send 1 @ 200 s
+op = 1 recv 0 @ 200 s
+op = 0 recv 2 @ 600 s
+op = 2 send 0 @ 600 s
+
+[checkpoint]
+interval = 1000 s
+duration = 10 s
+anticipation = on
+alpha = 0.2
+offset = 900 s
+
+[failure]
+node = 2
+time = 300 s
+restart = 50 s
+
+[run]
+horizon = 3000 s
+depth = 1
+"""
+
+
+def test_no_checkpoint_is_anticipated_before_the_failure():
+    # node 0 blocks on its send at 200 s and the receive lands at 200 s, so
+    # the failure-free pass completes that wait the instant it began
+    s = loads_scenario(SAME_INSTANT_WAIT)
+    r = simulate_detailed(s)
+    early = [
+        t for t in r.trace
+        if isinstance(t, StateRecord) and t.state == "CKPT" and t.t0 < s.failure.time
+    ]
+    assert early == []
+    assert r.makespan <= r.reference_makespan
