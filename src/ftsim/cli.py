@@ -6,9 +6,8 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .cascade import DepthConfig, pattern_depth
 from .report import render_report, write_report, write_trace
-from .scenario import ParseError, ValidationError, load_scenario
+from .scenario import ParseError, ValidationError, load_scenario, parse_depth
 from .simulate import simulate_detailed
 
 
@@ -31,10 +30,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = load_scenario(args.scenario)
         if args.depth is not None:
-            if args.depth.strip().lower() == "auto":
-                scenario = replace(scenario, depth=DepthConfig(pattern_depth(scenario.pattern)))
-            else:
-                scenario = replace(scenario, depth=DepthConfig(int(args.depth)))
+            scenario = replace(scenario, depth=parse_depth(args.depth, scenario.pattern))
         if args.horizon is not None:
             scenario = replace(scenario, horizon=args.horizon)
         if args.no_strategies:

@@ -2,15 +2,24 @@
 ``[system] [pattern] [checkpoint] [failure] [run]``.
 
 Durations accept ``s`` and ``min`` suffixes; powers take ``w``; frequencies
-``ghz``. ``freq``, ``op`` and ``offset`` keys may repeat, all others may
-not; an unknown section or key is an error. Everything is converted to
-seconds at ingestion.
+``ghz``. Every number must be finite; integer keys (``nodes``, ``node``,
+``message_size``, ``depth``) take integral values only. ``freq``, ``op`` and
+``offset`` keys may repeat, all others may not; an unknown section or key is
+an error. Everything is converted to seconds at ingestion.
+
+Every error names the line it is on, except a missing section; a missing key
+or ``freq`` row names its section's header. The structural checks of
+``Scenario.validate`` (failure node, horizon, matched ops, frequency table)
+run after parsing and name no line.
 """
 
 from __future__ import annotations
 
+import enum
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .cascade import DepthConfig, pattern_depth
 from .energy import FrequencyLevel, SystemProfile, WaitMode
@@ -45,6 +54,8 @@ class Scenario:
             raise ValidationError(
                 f"failure node {self.failure.node} outside 0..{self.nodes - 1}"
             )
+        if not math.isfinite(self.horizon):
+            raise ValidationError(f"horizon must be finite, got {self.horizon}")
         if self.horizon <= self.failure.time:
             raise ValidationError("horizon must exceed the failure time")
         if len(self.pattern.processes) != self.nodes:
@@ -78,20 +89,40 @@ _KEYS = {  # section -> its keys
 }
 
 
-def _number(text: str, line: int) -> float:
-    parts = text.split()
-    if not parts:
-        raise ParseError("missing value", line)
+def _take_number(tokens: list[str], i: int, line: int | None) -> tuple[float, int]:
+    """The finite number at ``tokens[i]``, scaled by the unit after it if
+    that token is one, and the index of the next unread token."""
+    if i >= len(tokens):
+        raise ParseError("expected a number", line)
+    text = tokens[i]
     try:
-        value = float(parts[0])
+        value = float(text)
     except ValueError:
-        raise ParseError(f"bad number {parts[0]!r}", line) from None
-    if len(parts) == 1:
-        return value
-    unit = parts[1].lower()
-    if unit not in _UNITS:
-        raise ParseError(f"unknown unit {parts[1]!r}", line)
-    return value * _UNITS[unit]
+        raise ParseError(f"bad number {text!r}", line) from None
+    i += 1
+    if i < len(tokens) and tokens[i].lower() in _UNITS:
+        value *= _UNITS[tokens[i].lower()]
+        i += 1
+    if not math.isfinite(value):
+        raise ParseError(f"number {text!r} is not finite", line)
+    return value, i
+
+
+def _number(text: str, line: int | None) -> float:
+    tokens = text.split()
+    value, i = _take_number(tokens, 0, line)
+    if i == 1 and len(tokens) > 1:
+        raise ParseError(f"unknown unit {tokens[1]!r}", line)
+    if i < len(tokens):
+        raise ParseError(f"unexpected {tokens[i]!r} after the number", line)
+    return value
+
+
+def _integer(text: str, line: int | None) -> int:
+    value = _number(text, line)
+    if not value.is_integer():
+        raise ParseError(f"expected an integer, got {text.strip()!r}", line)
+    return int(value)
 
 
 def _boolean(text: str, line: int) -> bool:
@@ -103,109 +134,76 @@ def _boolean(text: str, line: int) -> bool:
     raise ParseError(f"bad boolean {text!r}", line)
 
 
-def _take_timed(tokens: list[str], i: int, line: int) -> tuple[float, int]:
-    """Consume a number with optional unit from a token list."""
-    if i >= len(tokens):
-        raise ParseError("expected a number", line)
-    try:
-        value = float(tokens[i])
-    except ValueError:
-        raise ParseError(f"bad number {tokens[i]!r}", line) from None
-    if i + 1 < len(tokens) and tokens[i + 1].lower() in _UNITS:
-        return value * _UNITS[tokens[i + 1].lower()], i + 2
-    return value, i + 1
+def parse_depth(text: str, pattern: CommPattern, line: int | None = None) -> DepthConfig:
+    """The analysis depth, ``auto`` or an integer >= 1, as the ``depth`` key
+    and ``ftsim run --depth`` give it."""
+    if text.strip().lower() == "auto":
+        return DepthConfig(pattern_depth(pattern))
+    depth = _integer(text, line)
+    if depth < 1:
+        raise ParseError(f"depth must be 'auto' or an integer >= 1, got {depth}", line)
+    return DepthConfig(depth)
 
 
-def _parse_op_line(text: str, line: int) -> list[dict]:
-    """``<proc> send|recv <peer> @ <t> [wait @ <t>] [every <dt> until <t>]``"""
-    tokens = text.split()
-    try:
-        proc = int(tokens[0])
-        direction = Direction(tokens[1].lower())
-        peer = int(tokens[2])
-    except (IndexError, ValueError):
-        raise ParseError(f"bad op spec {text!r}", line) from None
-    if len(tokens) < 5 or tokens[3] != "@":
-        raise ParseError(f"op needs '@ <time>' {text!r}", line)
-    post, i = _take_timed(tokens, 4, line)
-    wait = None
-    every = until = None
-    while i < len(tokens):
-        word = tokens[i].lower()
-        if word == "wait":
-            if i + 1 >= len(tokens) or tokens[i + 1] != "@":
-                raise ParseError("wait needs '@ <time>'", line)
-            wait, i = _take_timed(tokens, i + 2, line)
-        elif word == "every":
-            every, i = _take_timed(tokens, i + 1, line)
-            if i >= len(tokens) or tokens[i].lower() != "until":
-                raise ParseError("'every' needs 'until <time>'", line)
-            until, i = _take_timed(tokens, i + 1, line)
+class _Section:
+    """One section's values: each key's ``(line, text)`` pairs in file order.
+
+    The accessors parse a key's value, or ``default`` (text, as a file would
+    give it) when the key is absent; without a default the key is required."""
+
+    def __init__(self, name: str, header: int):
+        self.name = name
+        self.header = header
+        self.values: dict[str, list[tuple[int, str]]] = {}
+
+    def value(self, key: str, default: str | None, parse: Callable[[str, int], object]):
+        if key in self.values:
+            line, text = self.values[key][0]
+        elif default is None:
+            raise ParseError(f"missing key {key!r} in [{self.name}]", self.header)
         else:
-            raise ParseError(f"unexpected token {tokens[i]!r}", line)
-    out = []
-    t, w = post, wait
-    while True:
-        out.append(
-            {"proc": proc, "peer": peer, "direction": direction, "post": t, "wait": w}
-        )
-        if every is None:
-            break
-        t += every
-        if w is not None:
-            w += every
-        if t > until + 1e-9:
-            break
-    return out
+            line, text = self.header, default
+        return parse(text, line)
+
+    def number(self, key: str, default: str | None = None) -> float:
+        return self.value(key, default, _number)
+
+    def integer(self, key: str, default: str | None = None) -> int:
+        return self.value(key, default, _integer)
+
+    def boolean(self, key: str, default: str | None = None) -> bool:
+        return self.value(key, default, _boolean)
+
+    def choice(self, key: str, kind: type[enum.Enum], default: str | None = None):
+        def parse(text: str, line: int) -> enum.Enum:
+            try:
+                return kind(text.strip().lower())
+            except ValueError:
+                allowed = " | ".join(member.value for member in kind)
+                raise ParseError(
+                    f"{key} must be one of {allowed}, got {text.strip()!r}", line
+                ) from None
+
+        return self.value(key, default, parse)
+
+    def repeated(self, key: str) -> list[tuple[int, str]]:
+        return self.values.get(key, [])
 
 
-def _build_ops(raw_ops: list[dict], nodes: int, mpi_mode: OpMode) -> list[list[CommOp]]:
-    per_proc: list[list[dict]] = [[] for _ in range(nodes)]
-    for order, spec in enumerate(raw_ops):
-        if not (0 <= spec["proc"] < nodes):
-            raise ValidationError(f"op process {spec['proc']} outside 0..{nodes - 1}")
-        spec["order"] = order
-        per_proc[spec["proc"]].append(spec)
-    processes: list[list[CommOp]] = []
-    for proc, specs in enumerate(per_proc):
-        specs.sort(key=lambda s: (s["post"], s["order"]))
-        ops = []
-        for idx, s in enumerate(specs):
-            wait = s["wait"]
-            mode = OpMode.NONBLOCKING if wait is not None else mpi_mode
-            if wait is None:
-                # a non-blocking op without an explicit wait tests right away
-                wait = s["post"]
-            ops.append(
-                CommOp(
-                    index=idx,
-                    proc=proc,
-                    peer=s["peer"],
-                    direction=s["direction"],
-                    mode=mode,
-                    post_time_offset=s["post"],
-                    wait_offset=wait,
-                )
-            )
-        processes.append(ops)
-    return processes
-
-
-def _parse_sections(text: str) -> dict[str, list[tuple[int, str, str]]]:
-    sections: dict[str, list[tuple[int, str, str]]] = {}
-    current: str | None = None
-    seen_keys: set[tuple[str, str]] = set()
+def _parse_sections(text: str) -> dict[str, _Section]:
+    sections: dict[str, _Section] = {}
+    current: _Section | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
-            current = stripped[1:-1].strip().lower()
-            if current not in _KEYS:
-                raise ParseError(f"unknown section [{current}]", lineno)
-            if current in sections:
-                raise ParseError(f"duplicate section [{current}]", lineno)
-            sections[current] = []
+            name = stripped[1:-1].strip().lower()
+            if name not in _KEYS:
+                raise ParseError(f"unknown section [{name}]", lineno)
+            if name in sections:
+                raise ParseError(f"duplicate section [{name}]", lineno)
+            current = sections[name] = _Section(name, lineno)
             continue
         if current is None:
             raise ParseError("content before any section header", lineno)
@@ -213,66 +211,100 @@ def _parse_sections(text: str) -> dict[str, list[tuple[int, str, str]]]:
             raise ParseError(f"expected 'key = value', got {stripped!r}", lineno)
         key, value = (part.strip() for part in stripped.split("=", 1))
         key = key.lower()
-        if key not in _KEYS[current]:
-            raise ParseError(f"unknown key {key!r} in [{current}]", lineno)
-        if key not in _REPEATABLE:
-            if (current, key) in seen_keys:
-                raise ParseError(f"duplicate key {key!r} in [{current}]", lineno)
-            seen_keys.add((current, key))
-        sections[current].append((lineno, key, value))
+        if key not in _KEYS[current.name]:
+            raise ParseError(f"unknown key {key!r} in [{current.name}]", lineno)
+        if key in current.values and key not in _REPEATABLE:
+            raise ParseError(f"duplicate key {key!r} in [{current.name}]", lineno)
+        current.values.setdefault(key, []).append((lineno, value))
     return sections
 
 
-class _Section:
-    def __init__(self, entries: list[tuple[int, str, str]], name: str):
-        self.name = name
-        self.entries = entries
-        self._single: dict[str, tuple[int, str]] = {}
-        for lineno, key, value in entries:
-            if key not in _REPEATABLE:
-                self._single[key] = (lineno, value)
+def _parse_op(text: str, line: int, order: int, per_proc: list[list[list]]) -> int:
+    """``<proc> send|recv <peer> @ <t> [wait @ <t>] [every <dt> until <t>]``
 
-    def get(self, key: str, default: str | None = None) -> tuple[int, str]:
-        if key in self._single:
-            return self._single[key]
-        if default is not None:
-            return (0, default)
-        raise ParseError(f"missing key {key!r} in [{self.name}]")
+    Appends one ``[post, order, peer, direction, wait]`` record per op to its
+    process's list, numbering them from ``order`` in file order; returns the
+    next number."""
+    tokens = text.split()
+    try:
+        proc = int(tokens[0])
+        direction = Direction(tokens[1].lower())
+        peer = int(tokens[2])
+    except (IndexError, ValueError):
+        raise ParseError(f"bad op spec {text!r}", line) from None
+    nodes = len(per_proc)
+    for role, node in (("process", proc), ("peer", peer)):
+        if not (0 <= node < nodes):
+            raise ParseError(f"op {role} {node} outside 0..{nodes - 1}", line)
+    if len(tokens) < 5 or tokens[3] != "@":
+        raise ParseError(f"op needs '@ <time>' {text!r}", line)
+    post, i = _take_number(tokens, 4, line)
+    wait = every = until = None
+    while i < len(tokens):
+        word = tokens[i].lower()
+        if word == "wait":
+            if i + 1 >= len(tokens) or tokens[i + 1] != "@":
+                raise ParseError("wait needs '@ <time>'", line)
+            wait, i = _take_number(tokens, i + 2, line)
+        elif word == "every":
+            every, i = _take_number(tokens, i + 1, line)
+            if every <= 0:
+                raise ParseError(f"'every' needs a positive step, got {every}", line)
+            if i >= len(tokens) or tokens[i].lower() != "until":
+                raise ParseError("'every' needs 'until <time>'", line)
+            until, i = _take_number(tokens, i + 1, line)
+        else:
+            raise ParseError(f"unexpected token {tokens[i]!r}", line)
+    # lists, not tuples: freed small tuples stay on CPython's free list and
+    # would raise the peak memory of the simulation that follows
+    records = per_proc[proc]
+    while True:
+        records.append([post, order, peer, direction, wait])
+        order += 1
+        if every is None:
+            break
+        post += every
+        if wait is not None:
+            wait += every
+        if post > until + 1e-9:
+            break
+    return order
 
-    def repeated(self, key: str) -> list[tuple[int, str]]:
-        return [(lineno, value) for lineno, k, value in self.entries if k == key]
+
+def _build_ops(per_proc: list[list[list]], mpi_mode: OpMode) -> list[list[CommOp]]:
+    processes: list[list[CommOp]] = []
+    for proc, records in enumerate(per_proc):
+        records.sort()  # by (post, file order); the order is unique
+        processes.append([
+            # a non-blocking op without an explicit wait tests right away
+            CommOp(idx, proc, peer, direction, mpi_mode, post, post) if wait is None
+            else CommOp(idx, proc, peer, direction, OpMode.NONBLOCKING, post, wait)
+            for idx, (post, _, peer, direction, wait) in enumerate(records)
+        ])
+    return processes
 
 
 def _parse_profile(sec: _Section) -> SystemProfile:
     freqs = []
     for lineno, value in sec.repeated("freq"):
-        fields = [f.strip() for f in value.split(",")]
+        fields = value.split(",")
         if len(fields) not in (5, 6):
             raise ParseError("freq needs: ghz, p_comp, beta, p_ckpt, gamma [, p_active_wait]", lineno)
-        nums = [_number(f, lineno) for f in fields]
-        freqs.append(
-            FrequencyLevel(
-                ghz=nums[0],
-                p_comp=nums[1],
-                beta=nums[2],
-                p_ckpt=nums[3],
-                gamma=nums[4],
-                p_active_wait=nums[5] if len(fields) == 6 else None,
-            )
-        )
+        # ghz, p_comp, beta, p_ckpt, gamma [, p_active_wait]
+        freqs.append(FrequencyLevel(*(_number(f, lineno) for f in fields)))
     if not freqs:
-        raise ParseError(f"[{sec.name}] needs at least one freq row")
+        raise ParseError(f"[{sec.name}] needs at least one freq row", sec.header)
     freqs.sort(key=lambda f: -f.ghz)
     return SystemProfile(
         freqs=tuple(freqs),
-        t_go_sleep=_number(*reversed(sec.get("t_go_sleep", "25 s"))),
-        t_wakeup=_number(*reversed(sec.get("t_wakeup", "5 s"))),
-        p_go_sleep=_number(*reversed(sec.get("p_go_sleep", "51 w"))),
-        p_wakeup=_number(*reversed(sec.get("p_wakeup", "91 w"))),
-        p_sleep=_number(*reversed(sec.get("p_sleep", "12 w"))),
-        p_idle_wait=_number(*reversed(sec.get("p_idle_wait", "60 w"))),
-        mu1=_number(*reversed(sec.get("mu1", "2.0"))),
-        mu2=_number(*reversed(sec.get("mu2", "0.9"))),
+        t_go_sleep=sec.number("t_go_sleep", "25 s"),
+        t_wakeup=sec.number("t_wakeup", "5 s"),
+        p_go_sleep=sec.number("p_go_sleep", "51 w"),
+        p_wakeup=sec.number("p_wakeup", "91 w"),
+        p_sleep=sec.number("p_sleep", "12 w"),
+        p_idle_wait=sec.number("p_idle_wait", "60 w"),
+        mu1=sec.number("mu1", "2.0"),
+        mu2=sec.number("mu2", "0.9"),
     )
 
 
@@ -281,30 +313,24 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
     for required in _KEYS:
         if required not in sections:
             raise ParseError(f"missing section [{required}]")
+    pat_sec, ck_sec, fail_sec, run_sec = (
+        sections[s] for s in ("pattern", "checkpoint", "failure", "run")
+    )
 
-    pat_sec = _Section(sections["pattern"], "pattern")
-    ck_sec = _Section(sections["checkpoint"], "checkpoint")
-    fail_sec = _Section(sections["failure"], "failure")
-    run_sec = _Section(sections["run"], "run")
-    sys_sec = _Section(sections["system"], "system")
-
-    nodes = int(_number(*reversed(pat_sec.get("nodes"))))
-    mpi_mode = OpMode(pat_sec.get("mpi_mode", "blocking")[1].strip().lower())
-    raw_ops: list[dict] = []
+    nodes = pat_sec.integer("nodes")
+    mpi_mode = pat_sec.choice("mpi_mode", OpMode, "blocking")
+    per_proc: list[list[list]] = [[] for _ in range(nodes)]
+    order = 0
     for lineno, value in pat_sec.repeated("op"):
-        raw_ops.extend(_parse_op_line(value, lineno))
-    try:
-        processes = _build_ops(raw_ops, nodes, mpi_mode)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+        order = _parse_op(value, lineno, order, per_proc)
 
     pattern = CommPattern(
-        processes=processes,
-        interval=_number(*reversed(pat_sec.get("interval", "0 s"))),
-        buffered=_boolean(*reversed(pat_sec.get("buffered", "false"))),
-        wait_mode=WaitMode(pat_sec.get("wait_mode", "active")[1].strip().lower()),
-        message_size=int(_number(*reversed(pat_sec.get("message_size", "0")))),
-        repetition=_number(*reversed(pat_sec.get("repetition", "0 s"))),
+        processes=_build_ops(per_proc, mpi_mode),
+        interval=pat_sec.number("interval", "0 s"),
+        buffered=pat_sec.boolean("buffered", "false"),
+        wait_mode=pat_sec.choice("wait_mode", WaitMode, "active"),
+        message_size=pat_sec.integer("message_size", "0"),
+        repetition=pat_sec.number("repetition", "0 s"),
     )
 
     offsets: dict[int, float] = {}
@@ -315,36 +341,30 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
                 proc = int(proc_text)
             except ValueError:
                 raise ParseError(f"bad offset process {proc_text!r}", lineno) from None
+            if not (0 <= proc < nodes):
+                raise ParseError(f"offset process {proc} outside 0..{nodes - 1}", lineno)
             offsets[proc] = _number(time_text, lineno)
         else:
-            broadcast = _number(value, lineno)
-            offsets.update({p: broadcast for p in range(nodes)})
+            offsets.update(dict.fromkeys(range(nodes), _number(value, lineno)))
     try:
         ckpt = CheckpointPolicy(
-            interval=_number(*reversed(ck_sec.get("interval"))),
-            duration=_number(*reversed(ck_sec.get("duration"))),
-            anticipation_enabled=_boolean(*reversed(ck_sec.get("anticipation", "off"))),
-            anticipation_fraction=_number(*reversed(ck_sec.get("alpha", "0.5"))),
+            interval=ck_sec.number("interval"),
+            duration=ck_sec.number("duration"),
+            anticipation_enabled=ck_sec.boolean("anticipation", "off"),
+            anticipation_fraction=ck_sec.number("alpha", "0.5"),
             phase_offsets=offsets,
         )
         failure = FailureSpec(
-            node=int(_number(*reversed(fail_sec.get("node")))),
-            time=_number(*reversed(fail_sec.get("time"))),
-            restart_duration=_number(*reversed(fail_sec.get("restart"))),
+            node=fail_sec.integer("node"),
+            time=fail_sec.number("time"),
+            restart_duration=fail_sec.number("restart"),
         )
+    except ParseError:
+        raise
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
-    profile = _parse_profile(sys_sec)
-
-    depth_line, depth_text = run_sec.get("depth", "auto")
-    if depth_text.strip().lower() == "auto":
-        depth = DepthConfig(pattern_depth(pattern))
-    else:
-        try:
-            depth = DepthConfig(int(_number(depth_text, depth_line)))
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+    profile = _parse_profile(sections["system"])
 
     scenario = Scenario(
         name=name,
@@ -353,9 +373,9 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
         pattern=pattern,
         ckpt=ckpt,
         failure=failure,
-        depth=depth,
-        horizon=_number(*reversed(run_sec.get("horizon"))),
-        strategies_enabled=_boolean(*reversed(run_sec.get("strategies", "on"))),
+        depth=run_sec.value("depth", "auto", lambda text, line: parse_depth(text, pattern, line)),
+        horizon=run_sec.number("horizon"),
+        strategies_enabled=run_sec.boolean("strategies", "on"),
     )
     scenario.validate()
     return scenario
@@ -364,63 +384,3 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     return loads_scenario(path.read_text(), name=path.stem)
-
-
-def dump_scenario(s: Scenario) -> str:
-    """Canonical text form; loads back to an equal scenario."""
-    lines = ["[system]"]
-    for f in s.profile.freqs:
-        row = f"freq = {f.ghz} ghz, {f.p_comp} w, {f.beta}, {f.p_ckpt} w, {f.gamma}"
-        if f.p_active_wait is not None:
-            row += f", {f.p_active_wait} w"
-        lines.append(row)
-    p = s.profile
-    lines += [
-        f"t_go_sleep = {p.t_go_sleep} s",
-        f"t_wakeup = {p.t_wakeup} s",
-        f"p_go_sleep = {p.p_go_sleep} w",
-        f"p_wakeup = {p.p_wakeup} w",
-        f"p_sleep = {p.p_sleep} w",
-        f"p_idle_wait = {p.p_idle_wait} w",
-        f"mu1 = {p.mu1}",
-        f"mu2 = {p.mu2}",
-        "",
-        "[pattern]",
-        f"nodes = {s.nodes}",
-        f"wait_mode = {s.pattern.wait_mode.value}",
-        "mpi_mode = blocking",
-        f"buffered = {'on' if s.pattern.buffered else 'off'}",
-        f"message_size = {s.pattern.message_size}",
-        f"interval = {s.pattern.interval} s",
-        f"repetition = {s.pattern.repetition} s",
-    ]
-    for ops in s.pattern.processes:
-        for op in ops:
-            line = f"op = {op.proc} {op.direction.value} {op.peer} @ {op.post_time_offset} s"
-            if op.mode is OpMode.NONBLOCKING:
-                line += f" wait @ {op.wait_offset} s"
-            lines.append(line)
-    lines += [
-        "",
-        "[checkpoint]",
-        f"interval = {s.ckpt.interval} s",
-        f"duration = {s.ckpt.duration} s",
-        f"anticipation = {'on' if s.ckpt.anticipation_enabled else 'off'}",
-        f"alpha = {s.ckpt.anticipation_fraction}",
-    ]
-    for proc in sorted(s.ckpt.phase_offsets):
-        lines.append(f"offset = {proc}: {s.ckpt.phase_offsets[proc]} s")
-    lines += [
-        "",
-        "[failure]",
-        f"node = {s.failure.node}",
-        f"time = {s.failure.time} s",
-        f"restart = {s.failure.restart_duration} s",
-        "",
-        "[run]",
-        f"horizon = {s.horizon} s",
-        f"depth = {s.depth.depth}",
-        f"strategies = {'on' if s.strategies_enabled else 'off'}",
-        "",
-    ]
-    return "\n".join(lines)

@@ -2,6 +2,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ftsim.energy import FrequencyLevel, NodePlan, WaitAction
 from ftsim.report import (
     CommRecord,
@@ -97,6 +99,7 @@ def run_cli(*args):
         capture_output=True,
         text=True,
         cwd=Path(__file__).resolve().parent.parent,
+        timeout=120,
     )
 
 
@@ -147,6 +150,38 @@ def test_cli_auto_depth_without_ops(tmp_path):
     assert from_file.returncode == 0, from_file.stderr
     assert from_flag.returncode == 0, from_flag.stderr
     assert from_flag.stdout == from_file.stdout
+
+
+@pytest.mark.parametrize("horizon", ["inf", "-inf", "nan"])
+def test_cli_rejects_a_non_finite_horizon(horizon):
+    proc = run_cli("run", str(FIXTURES / "scenario5.scn"), f"--horizon={horizon}")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: horizon must be finite")
+    assert proc.stdout == ""
+
+
+def test_cli_rejects_a_non_finite_number_in_the_file(tmp_path):
+    text = (FIXTURES / "scenario5.scn").read_text()
+    horizon = next(l for l in text.splitlines() if l.startswith("horizon ="))
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text.replace(horizon, "horizon = inf s"))
+    line = text.splitlines().index(horizon) + 1
+    proc = run_cli("run", str(bad))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: line {line}: number 'inf' is not finite\n"
+
+
+def test_cli_depth_flag_reads_like_the_depth_key(tmp_path):
+    text = (FIXTURES / "scenario5.scn").read_text()
+    depth = next(l for l in text.splitlines() if l.startswith("depth ="))
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text.replace(depth, "depth = 2.5"))
+    line = text.splitlines().index(depth) + 1
+    from_file = run_cli("run", str(bad))
+    from_flag = run_cli("run", str(FIXTURES / "scenario5.scn"), "--depth", "2.5")
+    assert (from_file.returncode, from_flag.returncode) == (1, 1)
+    assert from_flag.stderr == "error: expected an integer, got '2.5'\n"
+    assert from_file.stderr == f"error: line {line}: expected an integer, got '2.5'\n"
 
 
 def test_cli_no_strategies(tmp_path):
