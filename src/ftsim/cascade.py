@@ -11,6 +11,7 @@ current estimate has its block time lowered until the level converges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .pattern import CommOp, CommPattern, Direction
 
@@ -56,7 +57,7 @@ def _candidate_ops(
     child: int,
     parent: int,
     fail_time: float,
-    schedule: "_Schedule",
+    schedule: _Schedule,
 ) -> list[tuple[float, float]]:
     """Child ops with the parent that may still block after the failure.
 
@@ -68,34 +69,34 @@ def _candidate_ops(
     for op in pattern.ops_with(child, parent):
         if pattern.buffered and op.direction is Direction.SEND:
             continue
-        block_point = schedule.block_point(op)
+        post, block_point = schedule.times(op)
         if block_point <= fail_time:
             continue
-        peer_op = pattern.matching_op(op)
-        transfer = max(schedule.post(op), schedule.post(peer_op))
-        if transfer <= fail_time:
+        peer_post, _ = schedule.times(pattern.matching_op(op))
+        if max(post, peer_post) <= fail_time:
             continue
-        out.append((block_point, schedule.post(peer_op)))
+        out.append((block_point, peer_post))
     out.sort()
     return out
 
 
+FailureFreeTimes = Callable[[CommOp], tuple[float, float] | None]
+
+
 class _Schedule:
-    """Projected failure-free post times; defaults to the pattern offsets."""
+    """Projected failure-free times; the pattern offsets where ``lookup``
+    has none, and everywhere without a lookup."""
 
-    def __init__(self, times: dict[tuple[int, int], tuple[float, float]] | None = None):
-        # keyed by (proc, op index) -> (post wall time, block-point wall time)
-        self._times = times or {}
+    def __init__(self, lookup: FailureFreeTimes | None = None):
+        self._lookup = lookup
 
-    def post(self, op: CommOp) -> float:
-        if (op.proc, op.index) in self._times:
-            return self._times[(op.proc, op.index)][0]
-        return op.post_time_offset
-
-    def block_point(self, op: CommOp) -> float:
-        if (op.proc, op.index) in self._times:
-            return self._times[(op.proc, op.index)][1]
-        return op.block_point
+    def times(self, op: CommOp) -> tuple[float, float]:
+        """(post, block point) of ``op``."""
+        if self._lookup is not None:
+            found = self._lookup(op)
+            if found is not None:
+                return found
+        return op.post_time_offset, op.block_point
 
 
 def estimate_block_times(
@@ -103,12 +104,13 @@ def estimate_block_times(
     failed: int,
     fail_time: float,
     depth: DepthConfig,
-    schedule: dict[tuple[int, int], tuple[float, float]] | None = None,
+    schedule: FailureFreeTimes | None = None,
 ) -> list[BlockEstimate]:
     """Level-by-level expansion with per-level convergence.
 
-    ``schedule`` optionally supplies projected failure-free post times per
-    (process, op index); without it the pattern offsets are used directly.
+    ``schedule`` optionally gives an op's projected failure-free (post,
+    block point) wall times, or None where it has none; the pattern offsets
+    apply there and without it.
     """
     sched = _Schedule(schedule)
     analyzed: set[int] = {failed}

@@ -27,6 +27,12 @@ class OpMode(enum.Enum):
 class UnmatchedOp(ValueError):
     """A send without a matching receive on the peer (or vice versa)."""
 
+    @classmethod
+    def of(cls, op: CommOp) -> UnmatchedOp:
+        return cls(
+            f"op {op.index} of process {op.proc} ({op.direction.value} peer {op.peer}) has no match"
+        )
+
 
 @dataclass(frozen=True)
 class CommOp:
@@ -119,9 +125,7 @@ class CommPattern:
         want = Direction.RECV if op.direction is Direction.SEND else Direction.SEND
         theirs = self._streams.get((op.peer, op.proc, want), [])
         if k >= len(theirs):
-            raise UnmatchedOp(
-                f"op {op.index} of process {op.proc} ({op.direction.value} peer {op.peer}) has no match"
-            )
+            raise UnmatchedOp.of(op)
         return theirs[k]
 
     def validate(self) -> None:
@@ -141,6 +145,14 @@ class CommPattern:
                     raise ValueError(f"process {proc}: wait before post at op {op.index}")
                 if not (0 <= op.peer < self.nodes) or op.peer == proc:
                     raise ValueError(f"process {proc}: bad peer {op.peer}")
-        for ops in self.processes:
-            for op in ops:
-                self.matching_op(op)
+        # FIFO matching from the channel index: past the shorter of a
+        # channel's send and receive streams, every op of the longer one is
+        # unmatched, the first of them at position len(shorter)
+        unmatched = []
+        for (proc, peer, direction), stream in self._streams.items():
+            want = Direction.RECV if direction is Direction.SEND else Direction.SEND
+            k = len(self._streams.get((peer, proc, want), ()))
+            if len(stream) > k:
+                unmatched.append(stream[k])
+        if unmatched:
+            raise UnmatchedOp.of(min(unmatched, key=lambda op: (op.proc, op.index)))

@@ -5,7 +5,8 @@ Durations accept ``s`` and ``min`` suffixes; powers take ``w``; frequencies
 ``ghz``. Every number must be finite; integer keys (``nodes``, ``node``,
 ``message_size``, ``depth``) take integral values only. ``freq``, ``op`` and
 ``offset`` keys may repeat, all others may not; an unknown section or key is
-an error. Everything is converted to seconds at ingestion.
+an error. Everything is converted to seconds at ingestion. ``nodes``, and the
+op count once every ``every`` is expanded, are capped at ``SIZE_LIMIT``.
 
 Every error names the line it is on, except a missing section; a missing key
 or ``freq`` row names its section's header. The structural checks of
@@ -76,6 +77,10 @@ class Scenario:
             raise ValidationError("mu2 must be in (0, 1]")
 
 
+# the most nodes, and the most ops once every ``every`` line is expanded, a
+# file may ask for: both are checked before the lists they size are built
+SIZE_LIMIT = 1_000_000
+
 _UNITS = {"s": 1.0, "min": 60.0, "ghz": 1.0, "w": 1.0}
 _REPEATABLE = {"freq", "op", "offset"}
 _KEYS = {  # section -> its keys
@@ -123,6 +128,13 @@ def _integer(text: str, line: int | None) -> int:
     if not value.is_integer():
         raise ParseError(f"expected an integer, got {text.strip()!r}", line)
     return int(value)
+
+
+def _node_count(text: str, line: int) -> int:
+    nodes = _integer(text, line)
+    if nodes > SIZE_LIMIT:
+        raise ParseError(f"nodes = {nodes} is past the limit of {SIZE_LIMIT}", line)
+    return nodes
 
 
 def _boolean(text: str, line: int) -> bool:
@@ -219,6 +231,10 @@ def _parse_sections(text: str) -> dict[str, _Section]:
     return sections
 
 
+def _too_many_ops(line: int) -> ParseError:
+    return ParseError(f"the ops expand past the limit of {SIZE_LIMIT}", line)
+
+
 def _parse_op(text: str, line: int, order: int, per_proc: list[list[list]]) -> int:
     """``<proc> send|recv <peer> @ <t> [wait @ <t>] [every <dt> until <t>]``
 
@@ -255,10 +271,14 @@ def _parse_op(text: str, line: int, order: int, per_proc: list[list[list]]) -> i
             until, i = _take_number(tokens, i + 1, line)
         else:
             raise ParseError(f"unexpected token {tokens[i]!r}", line)
+    if every is not None and order + 1 + max(0.0, (until - post) / every) > SIZE_LIMIT:
+        raise _too_many_ops(line)
     # lists, not tuples: freed small tuples stay on CPython's free list and
     # would raise the peak memory of the simulation that follows
     records = per_proc[proc]
     while True:
+        if order >= SIZE_LIMIT:  # also where a step too small to move ``post`` repeats it
+            raise _too_many_ops(line)
         records.append([post, order, peer, direction, wait])
         order += 1
         if every is None:
@@ -317,7 +337,7 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
         sections[s] for s in ("pattern", "checkpoint", "failure", "run")
     )
 
-    nodes = pat_sec.integer("nodes")
+    nodes = pat_sec.value("nodes", None, _node_count)
     mpi_mode = pat_sec.choice("mpi_mode", OpMode, "blocking")
     per_proc: list[list[list]] = [[] for _ in range(nodes)]
     order = 0

@@ -4,8 +4,9 @@ Three deterministic passes:
 
 1. a failure-free run, whose message record gives every operation's
    undisturbed post, wait and completion times (used to recognize
-   failure-induced waits, to decide anticipation, and to feed the block-time
-   analysis with projected post times);
+   failure-induced waits and to decide anticipation; the block-time
+   analysis reads its projected post and block times from these messages
+   directly, only for the ops it examines);
 2. the reference run: the failure happens and nothing is done about it
    (defines the deadline, the phase durations and the no-intervention
    energy baseline);
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from math import inf
 from typing import NamedTuple
 
-from .cascade import BlockEstimate, estimate_block_times
+from .cascade import BlockEstimate, FailureFreeTimes, estimate_block_times
 from .energy import (
     FrequencyLevel,
     NodePlan,
@@ -79,13 +80,27 @@ class _Item(NamedTuple):
 _Programs = tuple[list[list[_Item]], dict[_Key, OpMode]]
 
 
-def _programs(pattern: CommPattern) -> _Programs:
-    """Each process's milestones in execution order, and each message's mode:
-    that of its op on the lower-numbered process. Built once per scenario and
-    shared by all passes.
+def _milestones(op: CommOp, key: _Key, buffered: bool) -> list[_Item]:
+    """``op``'s milestones: its post and, for a non-blocking op, its wait.
+    The last is the one at which ``op`` can block.
 
     A buffered send never blocks; otherwise a blocking op blocks at its post
     and a non-blocking one at its wait."""
+    sends = op.direction is Direction.SEND
+    can_block = not (buffered and sends)
+    post = EventKind.POST_SEND if sends else EventKind.POST_RECV
+    if op.mode is OpMode.NONBLOCKING:
+        return [
+            _Item(op.post_time_offset, op, key, False, post, False),
+            _Item(op.wait_offset, op, key, True, EventKind.WAIT_ENTER, can_block),
+        ]
+    return [_Item(op.post_time_offset, op, key, False, post, can_block)]
+
+
+def _programs(pattern: CommPattern) -> _Programs:
+    """Each process's milestones in execution order, and each message's mode:
+    that of its op on the lower-numbered process. Built once per scenario and
+    shared by all passes."""
     programs: list[list[_Item]] = []
     modes: dict[_Key, OpMode] = {}
     for ops in pattern.processes:
@@ -93,14 +108,7 @@ def _programs(pattern: CommPattern) -> _Programs:
         for op in ops:
             key = pattern.message_key(op)
             modes.setdefault(key, op.mode)
-            sends = op.direction is Direction.SEND
-            can_block = not (pattern.buffered and sends)
-            post = EventKind.POST_SEND if sends else EventKind.POST_RECV
-            if op.mode is OpMode.NONBLOCKING:
-                items.append(_Item(op.post_time_offset, op, key, False, post, False))
-                items.append(_Item(op.wait_offset, op, key, True, EventKind.WAIT_ENTER, can_block))
-            else:
-                items.append(_Item(op.post_time_offset, op, key, False, post, can_block))
+            items.extend(_milestones(op, key, pattern.buffered))
         items.sort(key=lambda it: (it.offset, it.op.index, it.is_wait))
         programs.append(items)
     return programs, modes
@@ -622,22 +630,25 @@ class _Engine:
         return records
 
 
-def _op_schedule(engine: _Engine) -> dict[tuple[int, int], tuple[float, float]]:
-    """Projected (post, block-point) wall times per posted op from a
-    failure-free run. A non-blocking op blocks where its wait began, and is
-    left out when that wait never completed."""
-    sched: dict[tuple[int, int], tuple[float, float]] = {}
-    for proc in engine.procs:
-        for item in proc.items:
-            op = item.op
-            if op.mode is OpMode.NONBLOCKING and not item.is_wait:
-                continue  # its wait gives both times
-            msg = engine.messages[item.key]
-            post = msg.post(op)
-            if post is None or (item.is_wait and msg.completion(item) is None):
-                continue
-            sched[(proc.node, op.index)] = (post, msg.reached(item))
-    return sched
+def _failure_free_times(pattern: CommPattern, baseline: dict[_Key, _Message]) -> FailureFreeTimes:
+    """The failure-free pass's (post, block-point) wall times of an op, read
+    from its message when asked. A non-blocking op blocks where its wait
+    began; None for an op that never posted, or whose wait never completed."""
+
+    def times(op: CommOp) -> tuple[float, float] | None:
+        key = pattern.message_key(op)
+        msg = baseline[key]
+        post = msg.post(op)
+        if post is None:
+            return None
+        if op.mode is not OpMode.NONBLOCKING:
+            return post, post
+        wait = _milestones(op, key, pattern.buffered)[-1]
+        if msg.completion(wait) is None:
+            return None
+        return post, msg.reached(wait)
+
+    return times
 
 
 def _first_failure_wait(ref: _Engine, baseline: dict[_Key, _Message], node: int) -> _WaitLog | None:
@@ -717,8 +728,7 @@ def _failure_free_pass(s: Scenario, programs: _Programs) -> tuple[_Engine, _Engi
 def simulate_detailed(s: Scenario) -> SimulationResult:
     base, snapshot = _failure_free_pass(s, _programs(s.pattern))
     baseline = base.messages  # read-only from here on
-    schedule = _op_schedule(base)
-    del base  # the later passes need only its messages
+    del base  # the later passes and the analysis need only its messages
 
     ref = snapshot.fork()
     ref.inject(baseline)
@@ -726,7 +736,8 @@ def simulate_detailed(s: Scenario) -> SimulationResult:
     ref_makespan = ref.makespan()
 
     estimates = estimate_block_times(
-        s.pattern, s.failure.node, s.failure.time, s.depth, schedule=schedule
+        s.pattern, s.failure.node, s.failure.time, s.depth,
+        schedule=_failure_free_times(s.pattern, baseline),
     )
 
     plans: list[NodePlan] = []

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -100,18 +101,50 @@ def test_matching_op_agrees_with_reference():
                 assert got == matched(reference_matching_op, pattern, o), (name, o)
 
 
+def without_op(pattern, proc, position):
+    """``pattern`` less the op at ``position`` of ``proc``, the indices after
+    it renumbered."""
+    processes = [list(ops) for ops in pattern.processes]
+    rest = processes[proc][:position] + processes[proc][position + 1:]
+    processes[proc] = [replace(o, index=i) for i, o in enumerate(rest)]
+    return replace(pattern, processes=processes)
+
+
+def first_reference_error(pattern):
+    """The text of the first unmatched op in (process, index) order by the
+    list-scan oracle, or None."""
+    for ops in pattern.processes:
+        for o in ops:
+            got = matched(reference_matching_op, pattern, o)
+            if isinstance(got, tuple):
+                return got[1]
+    return None
+
+
 def test_validate_reports_reference_error():
-    pattern = unmatched_pattern()
-    first = next(
-        matched(reference_matching_op, pattern, o)
-        for ops in pattern.processes
-        for o in ops
-        if isinstance(matched(reference_matching_op, pattern, o), tuple)
-    )
-    with pytest.raises(UnmatchedOp) as caught:
-        pattern.validate()
-    assert str(caught.value) == first[1]
-    assert first[1] == "op 2 of process 0 (send peer 1) has no match"
+    """Count-based validation raises exactly the oracle's first unmatched op,
+    and passes where the oracle finds none: each pattern as it is and with
+    one op removed at seeded positions."""
+    checked = raised = 0
+    for name, pattern in patterns_under_test():
+        rng = random.Random(name)
+        cases = [("as is", pattern)]
+        for _ in range(3):
+            proc = rng.choice([p for p, ops in enumerate(pattern.processes) if ops])
+            position = rng.randrange(len(pattern.processes[proc]))
+            cases.append((f"less op {position} of {proc}", without_op(pattern, proc, position)))
+        for case, variant in cases:
+            want = first_reference_error(variant)
+            if want is None:
+                variant.validate()
+            else:
+                with pytest.raises(UnmatchedOp) as caught:
+                    variant.validate()
+                assert str(caught.value) == want, (name, case)
+                raised += 1
+            checked += 1
+    assert raised > checked // 2
+    assert first_reference_error(unmatched_pattern()) == "op 2 of process 0 (send peer 1) has no match"
 
 
 def test_matching_op_rejects_foreign_op():

@@ -1,7 +1,9 @@
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from ftsim import scenario
 from ftsim.energy import WaitMode
 from ftsim.scenario import ParseError, ValidationError, load_scenario, loads_scenario
 
@@ -171,3 +173,46 @@ def test_missing_value_names_its_section_header(drop, header, message):
     line = text.splitlines().index(header) + 1
     with pytest.raises(ParseError, match=f"^line {line}: {message}"):
         loads_scenario(text)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("nodes = 2", "nodes = 100000000", "nodes = 100000000 is past the limit of 1000000"),
+        ("op = 0 send 1 @ 10 s", "op = 0 send 1 @ 10 s every 1e-3 s until 1e9 s",
+         "the ops expand past the limit of 1000000"),
+    ],
+)
+def test_oversized_input_is_refused_before_it_is_built(old, new, message):
+    text = MINIMAL.replace(old, new)
+    line = text.splitlines().index(new) + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=f"^line {line}: {message}$"):
+            loads_scenario(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_a_step_too_small_to_move_the_post_stops_at_the_limit(monkeypatch):
+    # 1e17 + 1 rounds back to 1e17, so the post never passes `until`
+    monkeypatch.setattr(scenario, "SIZE_LIMIT", 1000)
+    new = "op = 0 send 1 @ 1e17 s every 1 s until 1e17 s"
+    text = MINIMAL.replace("op = 0 send 1 @ 10 s", new)
+    line = text.splitlines().index(new) + 1
+    with pytest.raises(ParseError, match=f"^line {line}: the ops expand past the limit of 1000$"):
+        loads_scenario(text)
+
+
+def test_ops_of_one_process_at_one_offset_are_rejected():
+    """A process's ops need strictly increasing post offsets, so a Sendrecv
+    or a halo step is written as two staggered ops."""
+    text = MINIMAL.replace(
+        "op = 0 send 1 @ 10 s", "op = 0 send 1 @ 10 s\nop = 0 recv 1 @ 10 s"
+    ).replace("op = 1 recv 0 @ 10 s", "op = 1 recv 0 @ 10 s\nop = 1 send 0 @ 11 s")
+    with pytest.raises(ValueError, match="^process 0: post offsets not strictly increasing at op 1$"):
+        loads_scenario(text)
+    staggered = text.replace("op = 0 recv 1 @ 10 s", "op = 0 recv 1 @ 11 s")
+    assert [op.post_time_offset for op in loads_scenario(staggered).pattern.processes[0]] == [10.0, 11.0]

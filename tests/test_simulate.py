@@ -4,15 +4,18 @@ from pathlib import Path
 
 import pytest
 
+from ftsim import cascade, simulate
 from ftsim.cascade import DepthConfig
 from ftsim.energy import WaitMode
 from ftsim.kernel import EventKind, EventQueue
+from ftsim.pattern import CommPattern, OpMode
 from ftsim.report import FlagRecord, StateRecord, render_report, write_trace
 from ftsim.scenario import load_scenario, loads_scenario
 from ftsim.simulate import (
     _Engine,
     _failure_free_pass,
-    _op_schedule,
+    _failure_free_times,
+    _Message,
     _programs,
     simulate_detailed,
 )
@@ -323,8 +326,9 @@ depth = 1
 
 
 def nonblocking_exchange_schedule(send0, recv1, horizon):
-    """``_op_schedule`` of a failure-free pass over one non-blocking message
-    from node 0 to node 1; each side is ``(post, wait)`` in seconds."""
+    """``_failure_free_times`` of a failure-free pass over one non-blocking
+    message from node 0 to node 1, as {(process, op index): times} over the
+    ops it has times for; each side is ``(post, wait)`` in seconds."""
     from ftsim.scenario import loads_scenario
 
     s = loads_scenario(TWO_LEVELS + f"""
@@ -349,7 +353,9 @@ depth = 1
 """)
     engine = _Engine(s, _programs(s.pattern), inject_failure=False)
     engine.run()
-    return _op_schedule(engine)
+    times = _failure_free_times(s.pattern, engine.messages)
+    found = {(o.proc, o.index): times(o) for ops in s.pattern.processes for o in ops}
+    return {key: value for key, value in found.items() if value is not None}
 
 
 def test_op_schedule_blocks_where_the_wait_began():
@@ -553,3 +559,89 @@ def test_no_checkpoint_is_anticipated_before_the_failure():
     ]
     assert early == []
     assert r.makespan <= r.reference_makespan
+
+
+# -- the analysis reads failure-free times from pass 1 on demand -------------
+
+
+def op_schedule_table(engine):
+    """Projected (post, block-point) wall times per posted op, as a table
+    built over the whole pattern: the reference for the on-demand lookup."""
+    sched = {}
+    for proc in engine.procs:
+        for item in proc.items:
+            op = item.op
+            if op.mode is OpMode.NONBLOCKING and not item.is_wait:
+                continue  # its wait gives both times
+            msg = engine.messages[item.key]
+            post = msg.post(op)
+            if post is None or (item.is_wait and msg.completion(item) is None):
+                continue
+            sched[(proc.node, op.index)] = (post, msg.reached(item))
+    return sched
+
+
+@pytest.mark.parametrize("cut", [False, True])
+@pytest.mark.parametrize("name, s", list(forked_scenarios()))
+def test_failure_free_times_equal_the_per_op_table(name, s, cut):
+    if cut:  # ops left unposted or waiting at the horizon have no times
+        s = replace(s, horizon=s.failure.time + (s.horizon - s.failure.time) / 4)
+    base, _ = _failure_free_pass(s, _programs(s.pattern))
+    table = op_schedule_table(base)
+    times = _failure_free_times(s.pattern, base.messages)
+    for ops in s.pattern.processes:
+        for o in ops:
+            assert times(o) == table.get((o.proc, o.index)), (name, o)
+
+
+def test_set_up_work_follows_the_analysed_pairs(monkeypatch):
+    """Validation makes no per-op matching call, and neither building the
+    failure-free times nor the analysis reads the pass-1 message of an op
+    outside the process pairs the analysis examined."""
+    matches = []
+    matching_op = CommPattern.matching_op
+
+    def counted_matching_op(pattern, op):
+        matches.append(op)
+        return matching_op(pattern, op)
+
+    monkeypatch.setattr(CommPattern, "matching_op", counted_matching_op)
+    s = SHAPED["halo_chain_8"]()  # loads and validates
+    s.validate()
+    assert matches == []
+
+    pairs = set()
+    candidate_ops = cascade._candidate_ops
+
+    def spied_candidate_ops(pattern, child, parent, *args):
+        pairs.add(frozenset((child, parent)))
+        return candidate_ops(pattern, child, parent, *args)
+
+    reading = False
+    read = []
+    post = _Message.post
+
+    def spied_post(msg, op):
+        if reading:
+            read.append(op)
+        return post(msg, op)
+
+    def reads_times(fn):
+        def spied(*args, **kwargs):
+            nonlocal reading
+            reading = True
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                reading = False
+
+        return spied
+
+    monkeypatch.setattr(cascade, "_candidate_ops", spied_candidate_ops)
+    monkeypatch.setattr(_Message, "post", spied_post)
+    monkeypatch.setattr(simulate, "_failure_free_times", reads_times(simulate._failure_free_times))
+    monkeypatch.setattr(simulate, "estimate_block_times", reads_times(simulate.estimate_block_times))
+    simulate_detailed(s)
+    assert read
+    assert {frozenset((o.proc, o.peer)) for o in read} <= pairs
+    assert len(set(read)) < sum(len(ops) for ops in s.pattern.processes)
