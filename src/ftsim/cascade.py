@@ -11,7 +11,7 @@ current estimate has its block time lowered until the level converges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Protocol
 
 from .pattern import CommOp, CommPattern, Direction
 
@@ -69,18 +69,23 @@ def _candidate_ops(
     for op in pattern.ops_with(child, parent):
         if pattern.buffered and op.direction is Direction.SEND:
             continue
-        post, block_point = schedule.times(op)
-        if block_point <= fail_time:
-            continue
-        peer_post, _ = schedule.times(pattern.matching_op(op))
-        if max(post, peer_post) <= fail_time:
+        post, block_point, peer_post = schedule.exchange(pattern, op)
+        if block_point <= fail_time or max(post, peer_post) <= fail_time:
             continue
         out.append((block_point, peer_post))
     out.sort()
     return out
 
 
-FailureFreeTimes = Callable[[CommOp], tuple[float, float] | None]
+Times = tuple[float, float]
+
+
+class FailureFreeTimes(Protocol):
+    """Projected failure-free (post, block point) wall times."""
+
+    def exchange(self, op: CommOp) -> tuple[Times | None, CommOp, Times | None]:
+        """The times of ``op``, its peer op and the peer's times; None for a
+        side without them."""
 
 
 class _Schedule:
@@ -90,13 +95,15 @@ class _Schedule:
     def __init__(self, lookup: FailureFreeTimes | None = None):
         self._lookup = lookup
 
-    def times(self, op: CommOp) -> tuple[float, float]:
-        """(post, block point) of ``op``."""
-        if self._lookup is not None:
-            found = self._lookup(op)
-            if found is not None:
-                return found
-        return op.post_time_offset, op.block_point
+    def exchange(self, pattern: CommPattern, op: CommOp) -> tuple[float, float, float]:
+        """(post, block point) of ``op`` and the post of its peer op."""
+        if self._lookup is None:
+            mine, peer, theirs = None, pattern.matching_op(op), None
+        else:
+            mine, peer, theirs = self._lookup.exchange(op)
+        post, block_point = (op.post_time_offset, op.block_point) if mine is None else mine
+        peer_post = peer.post_time_offset if theirs is None else theirs[0]
+        return post, block_point, peer_post
 
 
 def estimate_block_times(
@@ -108,9 +115,9 @@ def estimate_block_times(
 ) -> list[BlockEstimate]:
     """Level-by-level expansion with per-level convergence.
 
-    ``schedule`` optionally gives an op's projected failure-free (post,
-    block point) wall times, or None where it has none; the pattern offsets
-    apply there and without it.
+    ``schedule`` optionally gives the projected failure-free (post, block
+    point) wall times of an op and of its peer op, or None where it has
+    none; the pattern offsets apply there and without it.
     """
     sched = _Schedule(schedule)
     analyzed: set[int] = {failed}

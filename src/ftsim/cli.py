@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import replace
+from functools import cache
 
 from .report import render_report, write_report, write_trace
 from .scenario import ParseError, ValidationError, load_scenario, parse_depth
 from .simulate import simulate_detailed
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache  # built on the first call, not on import; parsing does not change it
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ftsim")
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="simulate a scenario file")
@@ -26,7 +29,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # A run makes no reference cycles: everything it builds is freed by
+    # reference counting, so the cyclic collector's passes over its objects
+    # would find nothing. It is paused for the run, and left as it was found.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.scenario)
         if args.depth is not None:

@@ -3,7 +3,9 @@ failure/restart timing."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -31,6 +33,30 @@ class CheckpointPolicy:
 
     def offset(self, proc: int) -> float:
         return self.phase_offsets.get(proc, 0.0)
+
+    def triggers(self, proc: int, horizon: float) -> Iterator[float]:
+        """The times ``proc``'s timer fires up to ``horizon``: its offset and
+        every interval after it, as a running sum; only times after 0 count.
+        :meth:`trigger_steps` bounds the work."""
+        t = self.offset(proc)
+        while t <= horizon:
+            if t > 0:
+                yield t
+            t += self.interval
+
+    def trigger_steps(self, proc: int, horizon: float) -> float:
+        """How many sums :meth:`triggers` takes for ``proc``, up to rounding;
+        raises ValueError where adding the interval may not move the sum."""
+        start = self.offset(proc)
+        if start > horizon:
+            return 0.0
+        # half an ulp of the largest sum is the smallest step that moves it
+        if self.interval <= math.ulp(max(abs(start), abs(horizon))) / 2:
+            raise ValueError(
+                f"checkpoint interval {self.interval:g} s is too small to advance"
+                f" process {proc}'s timer from {start:g} s"
+            )
+        return (horizon - start) / self.interval + 1
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterator
 
 from .energy import WaitMode
 
@@ -119,14 +120,30 @@ class CommPattern:
         channel = (op.proc, op.peer) if op.direction is Direction.SEND else (op.peer, op.proc)
         return channel, self._sequence(op)
 
-    def matching_op(self, op: CommOp) -> CommOp:
-        """Peer op paired with ``op`` by FIFO order on the directed channel."""
-        k = self._sequence(op)
+    def message(self, op: CommOp) -> tuple[tuple[tuple[int, int], int], CommOp]:
+        """``op``'s message key and the peer op on the message's other side,
+        paired with it by FIFO order on the directed channel."""
+        _, k = key = self.message_key(op)
         want = Direction.RECV if op.direction is Direction.SEND else Direction.SEND
         theirs = self._streams.get((op.peer, op.proc, want), [])
         if k >= len(theirs):
             raise UnmatchedOp.of(op)
-        return theirs[k]
+        return key, theirs[k]
+
+    def matching_op(self, op: CommOp) -> CommOp:
+        """Peer op paired with ``op`` by FIFO order on the directed channel."""
+        return self.message(op)[1]
+
+    def messages(self) -> Iterator[tuple[tuple[tuple[int, int], int], CommOp, CommOp]]:
+        """Every message of a validated pattern as (key, send op, receive
+        op), channel by channel: the k-th send of a directed channel and its
+        k-th receive share the key ((sender, receiver), k)."""
+        for (proc, peer, direction), sends in self._streams.items():
+            if direction is Direction.SEND:
+                channel = (proc, peer)
+                recvs = self._streams[(peer, proc, Direction.RECV)]
+                for k, (send, recv) in enumerate(zip(sends, recvs, strict=True)):
+                    yield (channel, k), send, recv
 
     def validate(self) -> None:
         for proc, ops in enumerate(self.processes):

@@ -13,21 +13,20 @@ import tempfile
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
-from typing import Union
+from typing import NamedTuple, Union
 
 from .energy import NodePlan, WaitAction
 
 
-@dataclass(frozen=True)
-class StateRecord:
+# named tuples: immutable, and built and read in C, as a run makes thousands
+class StateRecord(NamedTuple):
     node: int
     t0: float
     t1: float
     state: str
 
 
-@dataclass(frozen=True)
-class CommRecord:
+class CommRecord(NamedTuple):
     src: int
     dst: int
     t_post: float
@@ -35,8 +34,7 @@ class CommRecord:
     mode: str
 
 
-@dataclass(frozen=True)
-class FlagRecord:
+class FlagRecord(NamedTuple):
     node: int
     t: float
     edge: str  # BEGIN | END
@@ -54,10 +52,6 @@ class SavingsReport:
     min_ghz: float = 0.0
 
 
-def _fmt_time(t: float) -> str:
-    return f"{t:.3f}"
-
-
 def _round2(x: float) -> str:
     return str(Decimal(repr(x)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
@@ -68,14 +62,6 @@ def _record_key(r: TraceRecord) -> tuple:
     if isinstance(r, CommRecord):
         return (r.t_post, r.src, "C", r.t_complete)
     return (r.t, r.node, "F", 0.0)
-
-
-def _record_line(r: TraceRecord) -> str:
-    if isinstance(r, StateRecord):
-        return f"S {r.node} {_fmt_time(r.t0)} {_fmt_time(r.t1)} {r.state}"
-    if isinstance(r, CommRecord):
-        return f"C {r.src} {r.dst} {_fmt_time(r.t_post)} {_fmt_time(r.t_complete)} {r.mode}"
-    return f"F {r.node} {_fmt_time(r.t)} {r.edge} {r.label}"
 
 
 def _atomic_write(path: str | Path, text: str) -> None:
@@ -93,8 +79,13 @@ def _atomic_write(path: str | Path, text: str) -> None:
 
 def write_trace(records: list[TraceRecord], path: str | Path) -> None:
     lines = ["TRACE v1"]
-    for record in sorted(records, key=_record_key):
-        lines.append(_record_line(record))
+    for r in sorted(records, key=_record_key):
+        if isinstance(r, StateRecord):
+            lines.append(f"S {r.node} {r.t0:.3f} {r.t1:.3f} {r.state}")
+        elif isinstance(r, CommRecord):
+            lines.append(f"C {r.src} {r.dst} {r.t_post:.3f} {r.t_complete:.3f} {r.mode}")
+        else:
+            lines.append(f"F {r.node} {r.t:.3f} {r.edge} {r.label}")
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -5,13 +5,14 @@ Durations accept ``s`` and ``min`` suffixes; powers take ``w``; frequencies
 ``ghz``. Every number must be finite; integer keys (``nodes``, ``node``,
 ``message_size``, ``depth``) take integral values only. ``freq``, ``op`` and
 ``offset`` keys may repeat, all others may not; an unknown section or key is
-an error. Everything is converted to seconds at ingestion. ``nodes``, and the
-op count once every ``every`` is expanded, are capped at ``SIZE_LIMIT``.
+an error. Everything is converted to seconds at ingestion. ``nodes``, the op
+count once every ``every`` is expanded, and the checkpoint timer steps of all
+nodes up to the horizon are capped at ``SIZE_LIMIT``.
 
 Every error names the line it is on, except a missing section; a missing key
 or ``freq`` row names its section's header. The structural checks of
-``Scenario.validate`` (failure node, horizon, matched ops, frequency table)
-run after parsing and name no line.
+``Scenario.validate`` (failure node, horizon, checkpoint triggers, matched
+ops, frequency table) run after parsing and name no line.
 """
 
 from __future__ import annotations
@@ -61,6 +62,16 @@ class Scenario:
             raise ValidationError("horizon must exceed the failure time")
         if len(self.pattern.processes) != self.nodes:
             raise ValidationError("pattern process count differs from nodes")
+        steps = 0.0
+        for node in range(self.nodes):
+            try:
+                steps += self.ckpt.trigger_steps(node, self.horizon)
+            except ValueError as exc:
+                raise ValidationError(str(exc)) from exc
+        if steps > SIZE_LIMIT:
+            raise ValidationError(
+                f"the checkpoint triggers up to the horizon are past the limit of {SIZE_LIMIT}"
+            )
         try:
             self.pattern.validate()
         except ValueError as exc:
@@ -78,7 +89,8 @@ class Scenario:
 
 
 # the most nodes, and the most ops once every ``every`` line is expanded, a
-# file may ask for: both are checked before the lists they size are built
+# file may ask for: both are checked before the lists they size are built.
+# Also the most checkpoint timer steps of all nodes up to the horizon.
 SIZE_LIMIT = 1_000_000
 
 _UNITS = {"s": 1.0, "min": 60.0, "ghz": 1.0, "w": 1.0}

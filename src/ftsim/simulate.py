@@ -66,51 +66,68 @@ _Key = tuple[tuple[int, int], int]  # ((sender, receiver), k): the k-th message 
 class _Item(NamedTuple):
     """One milestone in a process's program: an op post or its wait, the
     event kind that reaches it (POST_SEND, POST_RECV or WAIT_ENTER), and
-    whether it suspends the process until its message is transferred."""
+    whether it suspends the process until its message is transferred.
+
+    (offset, index, is_wait) is unique within a program, so items sort by
+    their leading fields and never compare ops."""
 
     offset: float
+    index: int  # the op's index in its program
+    is_wait: bool
     op: CommOp
     key: _Key
-    is_wait: bool
     kind: EventKind
     blocks: bool
     replay: bool = False
 
 
+# both skip the NamedTuples' generated Python __new__
+_new_item = _new_record = tuple.__new__
+
 _Programs = tuple[list[list[_Item]], dict[_Key, OpMode]]
 
 
-def _milestones(op: CommOp, key: _Key, buffered: bool) -> list[_Item]:
-    """``op``'s milestones: its post and, for a non-blocking op, its wait.
-    The last is the one at which ``op`` can block.
+def _can_block(sends: bool, buffered: bool) -> bool:
+    """Whether an op can suspend its process: a buffered send never does."""
+    return not (buffered and sends)
 
-    A buffered send never blocks; otherwise a blocking op blocks at its post
-    and a non-blocking one at its wait."""
-    sends = op.direction is Direction.SEND
-    can_block = not (buffered and sends)
-    post = EventKind.POST_SEND if sends else EventKind.POST_RECV
+
+def _wait_item(op: CommOp, key: _Key, blocks: bool) -> _Item:
+    """A non-blocking op's wait."""
+    return _new_item(
+        _Item, (op.wait_offset, op.index, True, op, key, EventKind.WAIT_ENTER, blocks, False)
+    )
+
+
+def _milestones(op: CommOp, key: _Key, post: EventKind, blocks: bool) -> list[_Item]:
+    """``op``'s milestones: its post, reached by a ``post`` event, and for a
+    non-blocking op its wait. The last is the one at which ``op`` blocks, if
+    it ``blocks`` at all: a blocking op blocks at its post and a non-blocking
+    one at its wait."""
+    at = op.post_time_offset
     if op.mode is OpMode.NONBLOCKING:
         return [
-            _Item(op.post_time_offset, op, key, False, post, False),
-            _Item(op.wait_offset, op, key, True, EventKind.WAIT_ENTER, can_block),
+            _new_item(_Item, (at, op.index, False, op, key, post, False, False)),
+            _wait_item(op, key, blocks),
         ]
-    return [_Item(op.post_time_offset, op, key, False, post, can_block)]
+    return [_new_item(_Item, (at, op.index, False, op, key, post, blocks, False))]
 
 
 def _programs(pattern: CommPattern) -> _Programs:
     """Each process's milestones in execution order, and each message's mode:
-    that of its op on the lower-numbered process. Built once per scenario and
-    shared by all passes."""
-    programs: list[list[_Item]] = []
+    that of its op on the lower-numbered process. The two sides of a message
+    share its key. Built once per scenario and shared by all passes."""
+    programs: list[list[_Item]] = [[] for _ in pattern.processes]
     modes: dict[_Key, OpMode] = {}
-    for ops in pattern.processes:
-        items = []
-        for op in ops:
-            key = pattern.message_key(op)
-            modes.setdefault(key, op.mode)
-            items.extend(_milestones(op, key, pattern.buffered))
-        items.sort(key=lambda it: (it.offset, it.op.index, it.is_wait))
-        programs.append(items)
+    post_send, post_recv = EventKind.POST_SEND, EventKind.POST_RECV
+    send_blocks = _can_block(True, pattern.buffered)
+    recv_blocks = _can_block(False, pattern.buffered)
+    for key, send, recv in pattern.messages():
+        modes[key] = send.mode if send.proc < recv.proc else recv.mode
+        programs[send.proc] += _milestones(send, key, post_send, send_blocks)
+        programs[recv.proc] += _milestones(recv, key, post_recv, recv_blocks)
+    for items in programs:
+        items.sort()
     return programs, modes
 
 
@@ -232,11 +249,8 @@ class _Engine:
             "WAIT_ACTIVE" if s.pattern.wait_mode is WaitMode.ACTIVE else "WAIT_IDLE"
         )
         for node in range(s.nodes):
-            t = s.ckpt.offset(node)
-            while t <= s.horizon:
-                if t > 0:
-                    q.schedule(t, EventKind.CKPT_BEGIN, node)
-                t += s.ckpt.interval
+            for t in s.ckpt.triggers(node, s.horizon):
+                q.schedule(t, EventKind.CKPT_BEGIN, node)
         # the failure's (time, seq): a failure-free pass keeps its place in
         # the tie order, so that a fork taken there can schedule it
         self.failure_at = (s.failure.time, q.reserve())
@@ -331,20 +345,20 @@ class _Engine:
             msg.recv_post = now
         if msg.send_post is not None and msg.recv_post is not None and msg.transfer is None:
             msg.transfer = max(msg.send_post, msg.recv_post)
-            channel, _ = item.key
+            (sender, receiver), _ = item.key
             self.comm_records.append(
-                CommRecord(
-                    src=channel[0],
-                    dst=channel[1],
-                    t_post=msg.send_post,
-                    t_complete=msg.transfer,
-                    mode="NB" if msg.mode is OpMode.NONBLOCKING else "B",
+                _new_record(
+                    CommRecord,
+                    (sender, receiver, msg.send_post, msg.transfer,
+                     "NB" if msg.mode is OpMode.NONBLOCKING else "B"),
                 )
             )
-            sides = sorted([(channel[0], msg.send_blocked), (channel[1], msg.recv_blocked)])
-            for waiter, blocked in sides:
-                if blocked:
-                    self.q.schedule(msg.transfer, EventKind.COMM_COMPLETE, waiter, payload=item.key)
+            if msg.send_blocked or msg.recv_blocked:
+                # the blocked sides' completions, in ascending node order
+                sides = ((sender, msg.send_blocked), (receiver, msg.recv_blocked))
+                for waiter, blocked in sides if sender < receiver else sides[::-1]:
+                    if blocked:
+                        self.q.schedule(msg.transfer, EventKind.COMM_COMPLETE, waiter, payload=item.key)
         return msg
 
     def _on_item(self, ev) -> None:
@@ -616,9 +630,9 @@ class _Engine:
                 if t1 <= t0:
                     continue
                 if merged and merged[-1].state == label and merged[-1].t1 == t0:
-                    merged[-1] = StateRecord(proc.node, merged[-1].t0, t1, label)
+                    merged[-1] = _new_record(StateRecord, (proc.node, merged[-1].t0, t1, label))
                     continue
-                merged.append(StateRecord(proc.node, t0, t1, label))
+                merged.append(_new_record(StateRecord, (proc.node, t0, t1, label)))
             out.extend(merged)
         return out
 
@@ -630,25 +644,43 @@ class _Engine:
         return records
 
 
-def _failure_free_times(pattern: CommPattern, baseline: dict[_Key, _Message]) -> FailureFreeTimes:
-    """The failure-free pass's (post, block-point) wall times of an op, read
-    from its message when asked. A non-blocking op blocks where its wait
+class _BaselineTimes:
+    """The failure-free pass's (post, block-point) wall times of ops, read
+    from their messages when asked. A non-blocking op blocks where its wait
     began; None for an op that never posted, or whose wait never completed."""
 
-    def times(op: CommOp) -> tuple[float, float] | None:
-        key = pattern.message_key(op)
-        msg = baseline[key]
+    def __init__(self, pattern: CommPattern, baseline: dict[_Key, _Message]):
+        self.pattern = pattern
+        self.baseline = baseline
+
+    def __call__(self, op: CommOp) -> tuple[float, float] | None:
+        return self.exchange(op)[0]
+
+    def exchange(
+        self, op: CommOp
+    ) -> tuple[tuple[float, float] | None, CommOp, tuple[float, float] | None]:
+        """``op``'s times, its peer op and the peer's times, both read from
+        their one message."""
+        key, peer = self.pattern.message(op)
+        msg = self.baseline[key]
+        return self._side(op, key, msg), peer, self._side(peer, key, msg)
+
+    def _side(self, op: CommOp, key: _Key, msg: _Message) -> tuple[float, float] | None:
         post = msg.post(op)
         if post is None:
             return None
         if op.mode is not OpMode.NONBLOCKING:
             return post, post
-        wait = _milestones(op, key, pattern.buffered)[-1]
+        sends = op.direction is Direction.SEND
+        wait = _wait_item(op, key, _can_block(sends, self.pattern.buffered))
         if msg.completion(wait) is None:
             return None
         return post, msg.reached(wait)
 
-    return times
+
+def _failure_free_times(pattern: CommPattern, baseline: dict[_Key, _Message]) -> FailureFreeTimes:
+    """The failure-free times of ``pattern``'s ops, read from ``baseline``."""
+    return _BaselineTimes(pattern, baseline)
 
 
 def _first_failure_wait(ref: _Engine, baseline: dict[_Key, _Message], node: int) -> _WaitLog | None:

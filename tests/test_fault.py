@@ -123,3 +123,19 @@ def test_failure_spec_invariants():
         FailureSpec(node=0, time=0.0, restart_duration=1.0)
     with pytest.raises(ValueError):
         FailureSpec(node=0, time=10.0, restart_duration=-1.0)
+
+
+@pytest.mark.parametrize(
+    "p, horizon",
+    [
+        (policy(), 4000.0),
+        (policy(phase_offsets={0: 500.0}), 400.0),
+        (policy(interval=100.0, duration=10.0, phase_offsets={0: 10.0}), 100.0),
+        # a running sum: 0.3 + 0.1 is 0.4, but 0.7 + 0.1 is 0.7999999999999999
+        (policy(interval=0.1, duration=0.05, phase_offsets={0: 0.3}), 2.0),
+    ],
+)
+def test_the_engine_checkpoints_at_the_policy_triggers(p, horizon):
+    fired = list(p.triggers(0, horizon))
+    assert checkpoint_times(p, horizon) == fired
+    assert len(fired) <= p.trigger_steps(0, horizon) < len(fired) + 2

@@ -301,3 +301,49 @@ def test_forked_passes_hand_out_the_prefix_once(monkeypatch):
     logical = EVENT_COUNTS["halo_chain_8"]
     for (s, p, c), (s1, p1, c1) in zip(logical[1:], physical[1:]):
         assert (s - s1, p - p1, c - c1) == (271, 233, 2)
+
+
+# -- the reference run's output: ``ftsim run --no-strategies`` --------------
+
+# report plus trace with strategies off, so the trace written is pass 2's
+NO_STRATEGY_DIGESTS = {
+    "scenario1_long": "e31bbfa0055ad31407b7bcbc051db55b44faf320ddc2309fc4e53f74e7deaeb8",
+    "scenario1_short": "75c489a42dde05af47fb00460509ca11a9a34947bfe24a4bed1d0b3898924777",
+    "scenario2_blocking": "57d99bd283e44e047a6e32750a0b3226ef205f91be4456935069f3a86f98ca5a",
+    "scenario2_nonblocking": "ed284a0fd495b9ead33540d770d7eabce850cd1d14242150bfa037895d829077",
+    "scenario3_active": "535307928d1d743ed35dd6317dba1420ac1b7af2ca95741f5e512786f921de5b",
+    "scenario3_idle": "b59a4238a535fc6100665598fbc3ced74bfb0bd392d75647427905225863ba64",
+    "scenario4_buffered": "cb780a3200c935d035cdc9e37e6a7cca065bb3492a26f77c88541f34c8d21975",
+    "scenario4_unbuffered": "a8d03047b9d6b8acdbe1e01821ee25d7bd63b1bea9f16017c1f4e7700e63e278",
+    "scenario5": "b60c651a2ce6e1959e9f8f476d61aa0c26f3adbfe26e0141840970f8131e3d0c",
+    "scenario6_anticipated": "84f83450a9ef4c8c1f55b57a4c22bbda07e899b3772e71685e33dee217d4ecbe",
+    "scenario6_plain": "e31bbfa0055ad31407b7bcbc051db55b44faf320ddc2309fc4e53f74e7deaeb8",
+    "scenario7_long": "3e333919402d19eb8876b888bb80be772761fce49a864e37022ba32f85481126",
+    "scenario7_short_blocking": "8b34a68597f74705f98c93759df689367b2bf3e39dc50d1f9d82d7fb69086e04",
+    "scenario7_short_nonblocking": "12b174ae6a590aefde8ff0714392eeeb62e2e24506c6741ca9be861892198628",
+    "halo_chain_8": "1aa19e3d688366f6f662ead6db48e43d743e9118c0eb11a415d8b5fe1179c58d",
+    "horizon_cut": "ef90c5d83ea97f41587f663e38b2a6ed30ac96b0ecc2374c2166271fb45d8dfc",
+    "master_worker_6": "22d402166f8838ac092699c1770014f5dfbb9c458e4b8105fee7f7dba28b485b",
+}
+
+
+def test_every_fixture_and_shape_is_pinned_without_strategies():
+    assert sorted(NO_STRATEGY_DIGESTS) == sorted([*FIXTURE_DIGESTS, *SHAPED])
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_DIGESTS))
+def test_fixture_output_bytes_without_strategies(name, tmp_path):
+    from ftsim import cli
+
+    report, trace = tmp_path / "run.csv", tmp_path / "run.trace"
+    argv = ["run", str(FIXTURES / f"{name}.scn"), "--no-strategies",
+            "--report", str(report), "--trace", str(trace)]
+    assert cli.main(argv) == 0
+    digest = hashlib.sha256(report.read_bytes() + b"\0" + trace.read_bytes()).hexdigest()
+    assert digest == NO_STRATEGY_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SHAPED))
+def test_shaped_output_bytes_without_strategies(name, tmp_path):
+    scenario = replace(SHAPED[name](), strategies_enabled=False)  # as --no-strategies sets it
+    assert output_digest(scenario, tmp_path) == NO_STRATEGY_DIGESTS[name]

@@ -189,3 +189,16 @@ def test_cli_no_strategies(tmp_path):
     proc = run_cli("run", str(FIXTURES / "scenario1_long.scn"), "--no-strategies", "--report", str(report))
     assert proc.returncode == 0
     assert report.read_text().splitlines()[1] == "TOTAL,,,,,,0.00,,"
+
+
+def test_trace_records_are_immutable_and_told_apart():
+    records = [
+        StateRecord(0, 0.0, 1.0, "COMPUTE"),
+        CommRecord(0, 1, 1.0, 2.0, "B"),
+        FlagRecord(0, 1.0, "BEGIN", "SLEEP"),
+    ]
+    kinds = (StateRecord, CommRecord, FlagRecord)
+    for record, kind in zip(records, kinds):
+        assert [isinstance(record, k) for k in kinds] == [k is kind for k in kinds]
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], 9)

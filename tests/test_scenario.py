@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -216,3 +217,30 @@ def test_ops_of_one_process_at_one_offset_are_rejected():
         loads_scenario(text)
     staggered = text.replace("op = 0 recv 1 @ 10 s", "op = 0 recv 1 @ 11 s")
     assert [op.post_time_offset for op in loads_scenario(staggered).pattern.processes[0]] == [10.0, 11.0]
+
+
+def test_checkpoint_triggers_past_the_limit_are_refused(monkeypatch):
+    # 2 nodes x (10,000 s / 10 s + 1) timer steps
+    monkeypatch.setattr(scenario, "SIZE_LIMIT", 1000)
+    text = MINIMAL.replace("interval = 100 s", "interval = 10 s").replace("duration = 10 s", "duration = 1 s")
+    s = loads_scenario(text)  # 2 x (200 s / 10 s + 1) steps
+    assert [t for node in range(2) for t in s.ckpt.triggers(node, s.horizon)][:3] == [20.0, 30.0, 40.0]
+    message = "^the checkpoint triggers up to the horizon are past the limit of 1000$"
+    with pytest.raises(ValidationError, match=message):
+        loads_scenario(text.replace("horizon = 200 s", "horizon = 10000 s"))
+    with pytest.raises(ValidationError, match=message):  # as `ftsim run --horizon` sets it
+        replace(s, horizon=10000.0).validate()
+
+
+@pytest.mark.parametrize("offset, horizon", [("1e17 s", "1e17 s"), ("-1e17 s", "200 s")])
+def test_a_checkpoint_interval_too_small_to_advance_is_refused(offset, horizon):
+    # 1e17 + 1 s rounds back to 1e17 s: the timer would never pass the horizon
+    text = (
+        MINIMAL.replace("offset = 0: 20 s", f"offset = 0: {offset}")
+        .replace("horizon = 200 s", f"horizon = {horizon}")
+        .replace("interval = 100 s", "interval = 1 s")
+        .replace("duration = 10 s", "duration = 0.5 s")
+    )
+    with pytest.raises(ValidationError, match="too small to advance process 0's timer"):
+        loads_scenario(text)
+

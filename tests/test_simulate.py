@@ -645,3 +645,53 @@ def test_set_up_work_follows_the_analysed_pairs(monkeypatch):
     assert read
     assert {frozenset((o.proc, o.peer)) for o in read} <= pairs
     assert len(set(read)) < sum(len(ops) for ops in s.pattern.processes)
+
+
+# -- programs and transfers ----------------------------------------------------
+
+
+@pytest.mark.parametrize("sender, receiver", [(0, 1), (1, 0)])
+def test_blocked_sides_complete_in_ascending_node_order(sender, receiver):
+    """A run never has both sides of a message blocked when it is
+    transferred; were it so, the lower node's completion is queued first."""
+    s = loads_scenario(TWO_LEVELS + f"""
+[pattern]
+nodes = 2
+op = {sender} send {receiver} @ 10 s
+op = {receiver} recv {sender} @ 10 s
+
+[checkpoint]
+interval = 1000 s
+duration = 10 s
+
+[failure]
+node = 0
+time = 30 s
+restart = 5 s
+
+[run]
+horizon = 400 s
+depth = 1
+""")
+    engine = _Engine(s, _programs(s.pattern), inject_failure=False)
+    send, recv = engine.procs[sender].items[0], engine.procs[receiver].items[0]
+    assert send.key is recv.key == ((sender, receiver), 0)
+    msg = engine.messages[send.key]
+    msg.send_blocked = msg.recv_blocked = True
+    engine._register_post(send, 5.0)
+    engine._register_post(recv, 6.0)
+    completions = [ev for ev in sorted(engine.q._heap) if ev.kind is EventKind.COMM_COMPLETE]
+    assert [(ev.time, ev.node) for ev in completions] == [(6.0, 0), (6.0, 1)]
+
+
+def test_programs_share_message_keys_and_sort_by_offset():
+    s = SHAPED["halo_chain_8"]()
+    programs, modes = _programs(s.pattern)
+    keys = {}
+    for node, items in enumerate(programs):
+        assert items == sorted(items, key=lambda it: (it.offset, it.op.index, it.is_wait))
+        for item in items:
+            assert item.op.proc == node and item.index == item.op.index
+            assert item.key == s.pattern.message_key(item.op)
+            assert keys.setdefault(item.key, item.key) is item.key
+    assert set(keys) == set(modes)
