@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .kernel import EventQueue, SimEvent, EventKind, PastTime, EmptyQueue
 from .energy import FrequencyLevel, SystemProfile, PhaseEstimate, NodePlan, WaitAction
 from .scenario import Scenario, load_scenario, ParseError, ValidationError
-from .simulate import run_simulation
 
 __all__ = [
     "EventQueue",
@@ -24,5 +23,4 @@ __all__ = [
     "load_scenario",
     "ParseError",
     "ValidationError",
-    "run_simulation",
 ]

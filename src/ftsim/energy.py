@@ -165,9 +165,7 @@ def sleep_wait_energy(t_wait: float, profile: SystemProfile) -> float:
     )
 
 
-def sleep_feasible(
-    f: FrequencyLevel, t_wait: float, mode: WaitMode, profile: SystemProfile
-) -> bool:
+def sleep_feasible(t_wait: float, mode: WaitMode, profile: SystemProfile) -> bool:
     """Whether sleeping the node through a wait of t_wait is worthwhile.
 
     The wait must exceed the transition time by the factor mu1, and sleeping
@@ -188,7 +186,7 @@ def _wait_options(
         options.append(
             (awake_wait_energy(profile.f_min, t_wait, mode, profile), WaitAction.MIN_FREQ)
         )
-    if sleep_feasible(f, t_wait, mode, profile):
+    if sleep_feasible(t_wait, mode, profile):
         options.append((sleep_wait_energy(t_wait, profile), WaitAction.SLEEP))
     return options
 

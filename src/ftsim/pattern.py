@@ -71,10 +71,8 @@ class CommPattern:
     """
 
     processes: list[list[CommOp]]
-    interval: float = 0.0
     buffered: bool = False
     wait_mode: WaitMode = WaitMode.ACTIVE
-    message_size: int = 0
     repetition: float = 0.0  # one pattern repetition, seconds; 0 = whole program
 
     def __post_init__(self) -> None:
@@ -114,17 +112,15 @@ class CommPattern:
                 return self._seq[proc][index]
         raise ValueError(f"op {op.index} of process {op.proc} is not in the pattern")
 
-    def message_key(self, op: CommOp) -> tuple[tuple[int, int], int]:
-        """((sender, receiver), k): ``op`` is a side of the k-th message on
-        that directed channel."""
-        channel = (op.proc, op.peer) if op.direction is Direction.SEND else (op.peer, op.proc)
-        return channel, self._sequence(op)
-
     def message(self, op: CommOp) -> tuple[tuple[tuple[int, int], int], CommOp]:
-        """``op``'s message key and the peer op on the message's other side,
-        paired with it by FIFO order on the directed channel."""
-        _, k = key = self.message_key(op)
-        want = Direction.RECV if op.direction is Direction.SEND else Direction.SEND
+        """``op``'s message key ((sender, receiver), k), for the k-th message
+        on that directed channel, and the peer op on the message's other
+        side, paired with it by FIFO order on the channel."""
+        k = self._sequence(op)
+        if op.direction is Direction.SEND:
+            key, want = ((op.proc, op.peer), k), Direction.RECV
+        else:
+            key, want = ((op.peer, op.proc), k), Direction.SEND
         theirs = self._streams.get((op.peer, op.proc, want), [])
         if k >= len(theirs):
             raise UnmatchedOp.of(op)

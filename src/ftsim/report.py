@@ -9,6 +9,7 @@ fixed-point with three decimals; reports round half-up to two decimals.
 from __future__ import annotations
 
 import os
+import stat
 import tempfile
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
@@ -64,10 +65,22 @@ def _record_key(r: TraceRecord) -> tuple:
     return (r.t, r.node, "F", 0.0)
 
 
+def _mode_for(path: Path) -> int:
+    """The mode ``open(path, "w")`` leaves: a replaced file's own, else 0666
+    less the umask (``mkstemp`` alone would give 0600)."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def _atomic_write(path: str | Path, text: str) -> None:
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
     try:
+        os.fchmod(fd, _mode_for(path))
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.write(text)
         os.replace(tmp, path)

@@ -3,8 +3,10 @@
 
 Durations accept ``s`` and ``min`` suffixes; powers take ``w``; frequencies
 ``ghz``. Every number must be finite; integer keys (``nodes``, ``node``,
-``message_size``, ``depth``) take integral values only. ``freq``, ``op`` and
-``offset`` keys may repeat, all others may not; an unknown section or key is
+``depth``) take integral values only. ``[pattern]`` accepts ``interval`` (a
+duration) and ``message_size`` (an integer) and checks them, but does not
+model them: a transfer takes no time. ``freq``, ``op`` and ``offset`` keys
+may repeat, all others may not; an unknown section or key is
 an error. Everything is converted to seconds at ingestion. ``nodes``, the op
 count once every ``every`` is expanded, and the checkpoint timer steps of all
 nodes up to the horizon are capped at ``SIZE_LIMIT``.
@@ -42,7 +44,6 @@ class ValidationError(ValueError):
 @dataclass
 class Scenario:
     name: str
-    nodes: int
     profile: SystemProfile
     pattern: CommPattern
     ckpt: CheckpointPolicy
@@ -50,6 +51,10 @@ class Scenario:
     depth: DepthConfig
     horizon: float
     strategies_enabled: bool = True
+
+    @property
+    def nodes(self) -> int:
+        return self.pattern.nodes
 
     def validate(self) -> None:
         if not (0 <= self.failure.node < self.nodes):
@@ -60,8 +65,6 @@ class Scenario:
             raise ValidationError(f"horizon must be finite, got {self.horizon}")
         if self.horizon <= self.failure.time:
             raise ValidationError("horizon must exceed the failure time")
-        if len(self.pattern.processes) != self.nodes:
-            raise ValidationError("pattern process count differs from nodes")
         steps = 0.0
         for node in range(self.nodes):
             try:
@@ -356,12 +359,13 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
     for lineno, value in pat_sec.repeated("op"):
         order = _parse_op(value, lineno, order, per_proc)
 
+    # checked but not modelled: a transfer takes no time
+    pat_sec.number("interval", "0 s")
+    pat_sec.integer("message_size", "0")
     pattern = CommPattern(
         processes=_build_ops(per_proc, mpi_mode),
-        interval=pat_sec.number("interval", "0 s"),
         buffered=pat_sec.boolean("buffered", "false"),
         wait_mode=pat_sec.choice("wait_mode", WaitMode, "active"),
-        message_size=pat_sec.integer("message_size", "0"),
         repetition=pat_sec.number("repetition", "0 s"),
     )
 
@@ -400,7 +404,6 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
 
     scenario = Scenario(
         name=name,
-        nodes=nodes,
         profile=profile,
         pattern=pattern,
         ckpt=ckpt,

@@ -142,22 +142,11 @@ class _Message:
     send_wait: float | None = None
     recv_wait: float | None = None
     transfer: float | None = None
-    mode: OpMode = OpMode.BLOCKING
-    send_blocked: bool = False  # the sender is suspended until the transfer
-    recv_blocked: bool = False
 
     def copy(self) -> _Message:
         return _Message(
-            self.send_post, self.recv_post, self.send_wait, self.recv_wait,
-            self.transfer, self.mode, self.send_blocked, self.recv_blocked,
+            self.send_post, self.recv_post, self.send_wait, self.recv_wait, self.transfer
         )
-
-    def set_blocked(self, op: CommOp, blocked: bool) -> None:
-        """Mark ``op``'s side as suspended on this message, or no longer."""
-        if op.direction is Direction.SEND:
-            self.send_blocked = blocked
-        else:
-            self.recv_blocked = blocked
 
     def post(self, op: CommOp) -> float | None:
         """When ``op``'s side posted."""
@@ -236,13 +225,12 @@ class _Engine:
         self.baseline: dict[_Key, _Message] | None = None
         self.plans: dict[int, tuple[NodePlan, _WaitLog]] = {}
         self.q = q = EventQueue()
-        items, modes = programs
-        self.messages = {key: _Message(mode=mode) for key, mode in modes.items()}
+        items, self.modes = programs  # shared by forks, as the programs are
+        self.messages = {key: _Message() for key in self.modes}
         self.procs = [_Proc(node, program, s.profile.f_max) for node, program in enumerate(items)]
         for proc in self.procs:
             proc.mark(0.0, "COMPUTE")
         self.wait_logs: dict[int, list[_WaitLog]] = {i: [] for i in range(s.nodes)}
-        self.comm_records: list[CommRecord] = []
         self.flags: list[FlagRecord] = []
         self._minfreq_open: set[int] = set()
         self.wait_label = (
@@ -281,7 +269,6 @@ class _Engine:
         twin.wait_logs = {
             node: [log.copy() for log in logs] for node, logs in self.wait_logs.items()
         }
-        twin.comm_records = list(self.comm_records)
         twin.flags = list(self.flags)
         twin._minfreq_open = set(self._minfreq_open)
         return twin
@@ -345,27 +332,27 @@ class _Engine:
             msg.recv_post = now
         if msg.send_post is not None and msg.recv_post is not None and msg.transfer is None:
             msg.transfer = max(msg.send_post, msg.recv_post)
-            (sender, receiver), _ = item.key
-            self.comm_records.append(
-                _new_record(
-                    CommRecord,
-                    (sender, receiver, msg.send_post, msg.transfer,
-                     "NB" if msg.mode is OpMode.NONBLOCKING else "B"),
-                )
-            )
-            if msg.send_blocked or msg.recv_blocked:
-                # the blocked sides' completions, in ascending node order
-                sides = ((sender, msg.send_blocked), (receiver, msg.recv_blocked))
-                for waiter, blocked in sides if sender < receiver else sides[::-1]:
-                    if blocked:
-                        self.q.schedule(msg.transfer, EventKind.COMM_COMPLETE, waiter, payload=item.key)
+            # Only the side that posted first can be suspended on the message:
+            # the side posting now is computing up to it or re-executing. A
+            # wait anticipated with a checkpoint resumes at the checkpoint's end.
+            other = self.procs[item.op.peer]
+            waiting = other.blocked_item
+            if (
+                waiting is not None
+                and waiting.key == item.key
+                and other.status is not ProcStatus.CHECKPOINTING
+            ):
+                self.q.schedule(msg.transfer, EventKind.COMM_COMPLETE, other.node, payload=item.key)
         return msg
 
     def _on_item(self, ev) -> None:
         item: _Item = ev.payload
         now = ev.time
         if item.replay:
-            self._register_post(item, now)
+            # a message transferred since the replay was scheduled keeps the
+            # post it was transferred with
+            if self.messages[item.key].transfer is None:
+                self._register_post(item, now)
             return
         proc = self.procs[ev.node]
         proc.milestone_id = None
@@ -381,7 +368,7 @@ class _Engine:
             msg = self._register_post(item, now)
         if msg.transfer is None and item.blocks:
             self.wait_logs[proc.node].append(_WaitLog(proc.node, item, begin=now))
-            self._enter_wait(proc, item, msg, now)
+            self._enter_wait(proc, item, now)
             return
         if proc.node in self.plans and self._strategy_here(proc, item) is not None:
             # zero-length wait: the compute intervention still ends here
@@ -398,7 +385,7 @@ class _Engine:
         # all passes share the programs, so the planned wait is this very item
         return entry if entry[1].item is item else None
 
-    def _enter_wait(self, proc: _Proc, item: _Item, msg: _Message, now: float) -> None:
+    def _enter_wait(self, proc: _Proc, item: _Item, now: float) -> None:
         anticipated = self._wants_anticipation(proc, item, now)
         strategy = self._strategy_here(proc, item)
         if anticipated:
@@ -409,14 +396,13 @@ class _Engine:
             return
         if strategy is not None:
             self._end_compute_strategy(proc, now)
-        self._block_on(proc, item, msg, now)
+        self._block_on(proc, item, now)
         if strategy is not None and proc.status is ProcStatus.BLOCKED_WAIT:
             self._apply_wait_action(proc, strategy[0], strategy[1], now)
 
-    def _block_on(self, proc: _Proc, item: _Item, msg: _Message, now: float) -> None:
+    def _block_on(self, proc: _Proc, item: _Item, now: float) -> None:
         proc.status = ProcStatus.BLOCKED_WAIT
         proc.blocked_item = item
-        msg.set_blocked(item.op, True)
         proc.mark(now, self.wait_label)
 
     def _wants_anticipation(self, proc: _Proc, item: _Item, now: float) -> bool:
@@ -434,12 +420,11 @@ class _Engine:
         if proc.status is not ProcStatus.BLOCKED_WAIT or item is None:
             return
         if item.key == ev.payload:
-            self._resume_from_wait(proc, item, self.messages[item.key], ev.time)
+            self._resume_from_wait(proc, ev.time)
 
-    def _resume_from_wait(self, proc: _Proc, item: _Item, msg: _Message, now: float) -> None:
+    def _resume_from_wait(self, proc: _Proc, now: float) -> None:
         log = self.wait_logs[proc.node][-1]
         log.end = now
-        msg.set_blocked(item.op, False)
         proc.blocked_item = None
         proc.status = ProcStatus.COMPUTING
         proc.resume_wall = now
@@ -487,9 +472,9 @@ class _Engine:
         msg = self.messages[item.key]
         strategy = self._strategy_here(proc, item)
         if msg.transfer is not None:
-            self._resume_from_wait(proc, item, msg, max(now, msg.transfer))
+            self._resume_from_wait(proc, max(now, msg.transfer))
             return
-        self._block_on(proc, item, msg, now)
+        self._block_on(proc, item, now)
         if strategy is not None:
             self._apply_wait_action(proc, strategy[0], strategy[1], now)
 
@@ -502,10 +487,9 @@ class _Engine:
             proc.checkpoint_taken()  # it ends at this very instant: nothing is lost
         self._sync_position(proc, now)
         self._cancel_milestone(proc)
-        if proc.blocked_item is not None:
-            self.messages[proc.blocked_item.key].set_blocked(proc.blocked_item.op, False)
-            if self.wait_logs[proc.node] and self.wait_logs[proc.node][-1].end is None:
-                self.wait_logs[proc.node][-1].end = now
+        logs = self.wait_logs[proc.node]
+        if proc.blocked_item is not None and logs and logs[-1].end is None:
+            logs[-1].end = now
         proc.pos_at_failure = proc.position
         proc.pc_at_failure = proc.cursor
         proc.done_at = None  # a finished program must re-execute too
@@ -545,10 +529,9 @@ class _Engine:
                 break
             # the process was suspended at this op when it failed; the post
             # (if any) was already registered or replayed
-            msg = self.messages[item.key]
-            if msg.transfer is None and item.blocks:
+            if self.messages[item.key].transfer is None and item.blocks:
                 self.wait_logs[proc.node].append(_WaitLog(proc.node, item, begin=now))
-                self._block_on(proc, item, msg, now)
+                self._block_on(proc, item, now)
                 return
             proc.cursor += 1
         self._schedule_milestone(proc)
@@ -607,7 +590,7 @@ class _Engine:
         proc.status = ProcStatus.BLOCKED_WAIT
         self.flags.append(FlagRecord(proc.node, now, "END", "SLEEP"))
         if msg.transfer is not None and msg.transfer <= now:
-            self._resume_from_wait(proc, item, msg, now)
+            self._resume_from_wait(proc, now)
             return
         # The completing post lands at this very instant; the pending
         # completion event resumes the process right after it.
@@ -637,9 +620,16 @@ class _Engine:
         return out
 
     def trace(self, end: float) -> list[TraceRecord]:
-        records: list[TraceRecord] = []
-        records.extend(self.state_records(end))
-        records.extend(self.comm_records)
+        """The state records up to ``end``, one ``CommRecord`` per transferred
+        message, read from the message table, and the strategy flags."""
+        records: list[TraceRecord] = self.state_records(end)
+        for key, msg in self.messages.items():
+            if msg.transfer is not None:
+                (sender, receiver), _ = key
+                mode = "NB" if self.modes[key] is OpMode.NONBLOCKING else "B"
+                records.append(
+                    _new_record(CommRecord, (sender, receiver, msg.send_post, msg.transfer, mode))
+                )
         records.extend(self.flags)
         return records
 
@@ -652,9 +642,6 @@ class _BaselineTimes:
     def __init__(self, pattern: CommPattern, baseline: dict[_Key, _Message]):
         self.pattern = pattern
         self.baseline = baseline
-
-    def __call__(self, op: CommOp) -> tuple[float, float] | None:
-        return self.exchange(op)[0]
 
     def exchange(
         self, op: CommOp
@@ -812,9 +799,3 @@ def simulate_detailed(s: Scenario) -> SimulationResult:
         plans=plans,
         scenario=s,
     )
-
-
-def run_simulation(s: Scenario) -> tuple[SavingsReport, list[TraceRecord]]:
-    """Simulate a scenario and return the savings report and the trace."""
-    result = simulate_detailed(s)
-    return result.report, result.trace

@@ -76,10 +76,8 @@ def random_scenario(seed: int) -> Scenario:
 
     pattern = CommPattern(
         processes=processes,
-        interval=interval,
         buffered=rng.random() < 0.3,
         wait_mode=rng.choice([WaitMode.ACTIVE, WaitMode.IDLE]),
-        message_size=1024,
         repetition=interval,
     )
 
@@ -95,7 +93,6 @@ def random_scenario(seed: int) -> Scenario:
     )
     scenario = Scenario(
         name=f"random-{seed}",
-        nodes=nodes,
         profile=profile,
         pattern=pattern,
         ckpt=ckpt,

@@ -70,9 +70,9 @@ def test_sleep_energy_slope_is_sleep_power():
 
 
 def test_sleep_feasible():
-    assert sleep_feasible(PROFILE.f_max, 300.0, WaitMode.ACTIVE, PROFILE) is True
-    assert sleep_feasible(PROFILE.f_max, 50.0, WaitMode.ACTIVE, PROFILE) is False
-    assert sleep_feasible(PROFILE.f_max, 0.0, WaitMode.ACTIVE, PROFILE) is False
+    assert sleep_feasible(300.0, WaitMode.ACTIVE, PROFILE) is True
+    assert sleep_feasible(50.0, WaitMode.ACTIVE, PROFILE) is False
+    assert sleep_feasible(0.0, WaitMode.ACTIVE, PROFILE) is False
 
 
 def test_zero_wait_means_no_action():
@@ -181,7 +181,7 @@ def test_sleep_dominates_when_feasible():
         est = default_estimate(rng.uniform(0, 500), rng.uniform(500, 5000))
         mode = rng.choice([WaitMode.ACTIVE, WaitMode.IDLE])
         plan = node_best_plan(est, profile, mode)
-        if sleep_feasible(plan.compute_action, plan.t_wait, mode, profile):
+        if sleep_feasible(plan.t_wait, mode, profile):
             assert plan.wait_action is WaitAction.SLEEP
 
 

@@ -28,7 +28,6 @@ def node0_marks(ckpt, horizon, failure=None):
     )
     s = Scenario(
         name="node0",
-        nodes=2,
         profile=PROFILE,
         pattern=pattern,
         ckpt=ckpt,

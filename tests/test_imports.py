@@ -31,3 +31,8 @@ def test_module_imports_only_the_standard_library(name):
     module = importlib.import_module(name)
     outside = imported_roots(Path(module.__file__)) - set(sys.stdlib_module_names) - {"ftsim"}
     assert not outside, f"{name} imports {sorted(outside)}"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in ftsim.__all__ if not hasattr(ftsim, name)]
+    assert not missing, f"ftsim.__all__ lists {missing}"

@@ -160,12 +160,12 @@ def test_matching_op_checks_the_op_at_its_position():
     with pytest.raises(ValueError, match="not in the pattern"):
         pattern.matching_op(replace(mine, post_time_offset=12.0))
     with pytest.raises(ValueError, match="not in the pattern"):
-        pattern.message_key(replace(mine, proc=3))
+        pattern.message(replace(mine, proc=3))
     with pytest.raises(ValueError, match="not in the pattern"):
-        pattern.message_key(replace(mine, index=-1))
+        pattern.message(replace(mine, index=-1))
     # an equal copy stands for the op itself
     assert pattern.matching_op(replace(mine)) is pattern.matching_op(mine)
-    assert pattern.message_key(replace(mine)) == pattern.message_key(mine) == ((0, 2), 0)
+    assert pattern.message(replace(mine))[0] == pattern.message(mine)[0] == ((0, 2), 0)
 
 
 def test_ops_with_and_peers_follow_program_order():
@@ -190,7 +190,6 @@ def test_scenario_validation_wraps_the_unmatched_error():
     pattern = unmatched_pattern()
     s = Scenario(
         name="unmatched",
-        nodes=3,
         profile=PROFILE,
         pattern=pattern,
         ckpt=CheckpointPolicy(interval=1000.0, duration=10.0),
@@ -211,7 +210,6 @@ def exchange_times(send_at, recv_at, buffered):
     )
     s = Scenario(
         name="exchange",
-        nodes=2,
         profile=PROFILE,
         pattern=pattern,
         ckpt=CheckpointPolicy(interval=1000.0, duration=10.0, phase_offsets={0: 900.0, 1: 900.0}),
@@ -222,7 +220,7 @@ def exchange_times(send_at, recv_at, buffered):
     s.validate()
     engine = _Engine(s, _programs(pattern), inject_failure=False)
     engine.run()
-    msg = engine.messages[pattern.message_key(pattern.processes[0][0])]
+    msg = engine.messages[pattern.message(pattern.processes[0][0])[0]]
     return tuple(msg.completion(engine.procs[node].items[0]) for node in (0, 1))
 
 

@@ -1,3 +1,5 @@
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -91,6 +93,37 @@ def test_rounding_is_half_up():
     report = SavingsReport(rows=[p], total_j=0.005, max_ghz=2.8, min_ghz=1.2)
     text = render_report(report, "csv")
     assert text.splitlines()[-1] == "TOTAL,,,,,,0.01,,"
+
+
+@pytest.fixture
+def umask_027():
+    old = os.umask(0o027)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+def file_mode(path):
+    return stat.S_IMODE(path.stat().st_mode)
+
+
+def test_outputs_are_created_with_the_umask_mode(tmp_path, umask_027):
+    report, trace = tmp_path / "r.csv", tmp_path / "t.trace"
+    write_report(SavingsReport(rows=[plan()], total_j=1.0), report, "csv")
+    write_trace([StateRecord(1, 0.0, 5.0, "COMPUTE")], trace)
+    assert file_mode(report) == file_mode(trace) == 0o640
+
+
+def test_replaced_outputs_keep_their_mode(tmp_path, umask_027):
+    report, trace = tmp_path / "r.csv", tmp_path / "t.trace"
+    for path in (report, trace):
+        path.write_text("old\n")
+        path.chmod(0o604)
+    write_report(SavingsReport(rows=[plan()], total_j=1.0), report, "csv")
+    write_trace([StateRecord(1, 0.0, 5.0, "COMPUTE")], trace)
+    assert file_mode(report) == file_mode(trace) == 0o604
+    assert report.read_text().startswith("node,") and trace.read_text().startswith("TRACE v1")
 
 
 def run_cli(*args):

@@ -8,6 +8,8 @@ from ftsim import scenario
 from ftsim.energy import WaitMode
 from ftsim.scenario import ParseError, ValidationError, load_scenario, loads_scenario
 
+from test_output_pins import FIXTURE_DIGESTS, output_digest
+
 FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
 
 MINIMAL = """
@@ -41,7 +43,6 @@ depth = 1
 def test_load_scenario1_fixture():
     s = load_scenario(FIXTURES / "scenario1_short.scn")
     assert s.nodes == 4
-    assert s.pattern.interval == pytest.approx(1296.0)
     assert s.pattern.wait_mode is WaitMode.ACTIVE
     assert s.profile.level(1.2).p_active_wait == pytest.approx(94.5)
     assert s.ckpt.duration == pytest.approx(120.0)
@@ -174,6 +175,49 @@ def test_missing_value_names_its_section_header(drop, header, message):
     line = text.splitlines().index(header) + 1
     with pytest.raises(ParseError, match=f"^line {line}: {message}"):
         loads_scenario(text)
+
+
+# [pattern] keys that are parsed and checked but not modelled: transfers take no time
+UNMODELLED = ("interval", "message_size")
+
+
+def test_unmodelled_pattern_keys_are_accepted():
+    text = MINIMAL.replace("wait_mode = active", "wait_mode = active\ninterval = 60 s\nmessage_size = 4096")
+    assert loads_scenario(text) == loads_scenario(MINIMAL)
+
+
+@pytest.mark.parametrize(
+    "new, message",
+    [
+        ("message_size = 2.5", "expected an integer, got '2.5'"),
+        ("interval = nan s", "number 'nan' is not finite"),
+    ],
+)
+def test_unmodelled_pattern_keys_are_checked_on_their_line(new, message):
+    text = MINIMAL.replace("wait_mode = active", f"wait_mode = active\n{new}")
+    line = text.splitlines().index(new) + 1
+    with pytest.raises(ParseError, match=f"^line {line}: {message}"):
+        loads_scenario(text)
+
+
+def without_unmodelled_keys(text):
+    kept, section = [], None
+    for raw in text.splitlines():
+        stripped = raw.split("#", 1)[0].strip()
+        if stripped.startswith("["):
+            section = stripped
+        if section == "[pattern]" and stripped.split("=", 1)[0].strip() in UNMODELLED:
+            continue
+        kept.append(raw)
+    return "\n".join(kept) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_DIGESTS))
+def test_fixture_output_without_unmodelled_keys(name, tmp_path):
+    text = (FIXTURES / f"{name}.scn").read_text()
+    stripped = without_unmodelled_keys(text)
+    assert len(stripped.splitlines()) == len(text.splitlines()) - len(UNMODELLED)
+    assert output_digest(loads_scenario(stripped, name), tmp_path) == FIXTURE_DIGESTS[name]
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from ftsim.cascade import DepthConfig
 from ftsim.energy import WaitMode
 from ftsim.kernel import EventKind, EventQueue
 from ftsim.pattern import CommPattern, OpMode
-from ftsim.report import FlagRecord, StateRecord, render_report, write_trace
+from ftsim.report import CommRecord, FlagRecord, StateRecord, render_report, write_trace
 from ftsim.scenario import load_scenario, loads_scenario
 from ftsim.simulate import (
     _Engine,
@@ -21,7 +21,7 @@ from ftsim.simulate import (
 )
 
 from scengen import random_scenario
-from test_output_pins import _SYSTEM, SHAPED
+from test_output_pins import _SYSTEM, SHAPED, pass_counts
 
 FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
 ALL_FIXTURES = sorted(p.stem for p in FIXTURES.glob("*.scn"))
@@ -354,7 +354,7 @@ depth = 1
     engine = _Engine(s, _programs(s.pattern), inject_failure=False)
     engine.run()
     times = _failure_free_times(s.pattern, engine.messages)
-    found = {(o.proc, o.index): times(o) for ops in s.pattern.processes for o in ops}
+    found = {(o.proc, o.index): times.exchange(o)[0] for ops in s.pattern.processes for o in ops}
     return {key: value for key, value in found.items() if value is not None}
 
 
@@ -591,7 +591,7 @@ def test_failure_free_times_equal_the_per_op_table(name, s, cut):
     times = _failure_free_times(s.pattern, base.messages)
     for ops in s.pattern.processes:
         for o in ops:
-            assert times(o) == table.get((o.proc, o.index)), (name, o)
+            assert times.exchange(o)[0] == table.get((o.proc, o.index)), (name, o)
 
 
 def test_set_up_work_follows_the_analysed_pairs(monkeypatch):
@@ -650,38 +650,94 @@ def test_set_up_work_follows_the_analysed_pairs(monkeypatch):
 # -- programs and transfers ----------------------------------------------------
 
 
-@pytest.mark.parametrize("sender, receiver", [(0, 1), (1, 0)])
-def test_blocked_sides_complete_in_ascending_node_order(sender, receiver):
-    """A run never has both sides of a message blocked when it is
-    transferred; were it so, the lower node's completion is queued first."""
-    s = loads_scenario(TWO_LEVELS + f"""
+def anticipated_transfer_scenario():
+    """Node 1 fails at 30 s and re-executes until 65 s, so node 0, reaching
+    its receive at 50 s, waits where the failure-free run did not: it
+    anticipates a checkpoint until 90 s, during which node 1 sends (80 s)."""
+    return loads_scenario(TWO_LEVELS + """
 [pattern]
 nodes = 2
-op = {sender} send {receiver} @ 10 s
-op = {receiver} recv {sender} @ 10 s
+op = 1 send 0 @ 45 s
+op = 0 recv 1 @ 50 s
 
 [checkpoint]
 interval = 1000 s
-duration = 10 s
+duration = 40 s
+offset = 900 s
+anticipation = on
+alpha = 0.01
 
 [failure]
-node = 0
+node = 1
 time = 30 s
 restart = 5 s
 
 [run]
 horizon = 400 s
 depth = 1
-""")
-    engine = _Engine(s, _programs(s.pattern), inject_failure=False)
-    send, recv = engine.procs[sender].items[0], engine.procs[receiver].items[0]
-    assert send.key is recv.key == ((sender, receiver), 0)
-    msg = engine.messages[send.key]
-    msg.send_blocked = msg.recv_blocked = True
-    engine._register_post(send, 5.0)
-    engine._register_post(recv, 6.0)
-    completions = [ev for ev in sorted(engine.q._heap) if ev.kind is EventKind.COMM_COMPLETE]
-    assert [(ev.time, ev.node) for ev in completions] == [(6.0, 0), (6.0, 1)]
+""", "anticipated_transfer")
+
+
+def transfer_scenarios():
+    yield from forked_scenarios()
+    for seed in range(4, 8):
+        yield f"seed{seed}", random_scenario(seed)
+    yield "anticipated_transfer", anticipated_transfer_scenario()
+
+
+@pytest.mark.parametrize("name, s", list(transfer_scenarios()))
+def test_no_post_comes_after_its_transfer(name, s, monkeypatch):
+    """After each pass, a transferred message's posts are no later than its
+    transfer: a replayed post whose message was transferred since the replay
+    was scheduled leaves the message as it was."""
+    run = _Engine.run
+    late = []
+
+    def checked_run(engine, *args, **kwargs):
+        run(engine, *args, **kwargs)
+        late.append([
+            key for key, msg in engine.messages.items()
+            if msg.transfer is not None and max(msg.send_post, msg.recv_post) > msg.transfer
+        ])
+
+    monkeypatch.setattr(_Engine, "run", checked_run)
+    simulate_detailed(s)
+    assert late and not any(late), name
+
+
+@pytest.mark.parametrize("name, s", list(transfer_scenarios()))
+def test_the_posting_side_is_not_suspended_at_a_transfer(name, s, monkeypatch):
+    """At a transfer only the side that posted first can be suspended on the
+    message, so only its completion is ever queued."""
+    register = _Engine._register_post
+    transfers = []
+
+    def spied(engine, item, now):
+        before = engine.messages[item.key].transfer
+        waiting = engine.procs[item.op.proc].blocked_item
+        msg = register(engine, item, now)
+        if before is None and msg.transfer is not None:
+            transfers.append((item.key, waiting is not None and waiting.key == item.key))
+        return msg
+
+    monkeypatch.setattr(_Engine, "_register_post", spied)
+    simulate_detailed(s)
+    assert transfers
+    assert [key for key, suspended in transfers if suspended] == [], name
+
+
+def test_a_transfer_during_an_anticipated_checkpoint_queues_no_completion(monkeypatch):
+    """The checkpoint's end resumes the waiting node; the transfer during the
+    checkpoint adds no event to passes 2 and 3."""
+    s = anticipated_transfer_scenario()
+    r = simulate_detailed(s)
+    states = [(t.t0, t.t1, t.state) for t in r.trace if isinstance(t, StateRecord) and t.node == 0]
+    assert states == [(0.0, 50.0, "COMPUTE"), (50.0, 90.0, "CKPT")]
+    assert [(t.src, t.dst, t.t_complete) for t in r.trace if isinstance(t, CommRecord)] == [
+        (1, 0, 80.0)
+    ]
+    # (scheduled, processed, cancelled) per pass
+    assert pass_counts(s, monkeypatch) == [(3, 3, 0), (7, 6, 1), (7, 6, 1)]
 
 
 def test_programs_share_message_keys_and_sort_by_offset():
@@ -692,6 +748,6 @@ def test_programs_share_message_keys_and_sort_by_offset():
         assert items == sorted(items, key=lambda it: (it.offset, it.op.index, it.is_wait))
         for item in items:
             assert item.op.proc == node and item.index == item.op.index
-            assert item.key == s.pattern.message_key(item.op)
+            assert item.key == s.pattern.message(item.op)[0]
             assert keys.setdefault(item.key, item.key) is item.key
     assert set(keys) == set(modes)
