@@ -11,9 +11,12 @@ current estimate has its block time lowered until the level converges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Callable
 
 from .pattern import CommOp, CommPattern, Direction
+
+# an op's projected failure-free (post, block point) wall times and its peer op's post
+Exchange = Callable[[CommOp], tuple[float, float, float]]
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,7 @@ def _candidate_ops(
     child: int,
     parent: int,
     fail_time: float,
-    schedule: _Schedule,
+    exchange: Exchange,
 ) -> list[tuple[float, float]]:
     """Child ops with the parent that may still block after the failure.
 
@@ -69,7 +72,7 @@ def _candidate_ops(
     for op in pattern.ops_with(child, parent):
         if pattern.buffered and op.direction is Direction.SEND:
             continue
-        post, block_point, peer_post = schedule.exchange(pattern, op)
+        post, block_point, peer_post = exchange(op)
         if block_point <= fail_time or max(post, peer_post) <= fail_time:
             continue
         out.append((block_point, peer_post))
@@ -77,49 +80,18 @@ def _candidate_ops(
     return out
 
 
-Times = tuple[float, float]
-
-
-class FailureFreeTimes(Protocol):
-    """Projected failure-free (post, block point) wall times."""
-
-    def exchange(self, op: CommOp) -> tuple[Times | None, CommOp, Times | None]:
-        """The times of ``op``, its peer op and the peer's times; None for a
-        side without them."""
-
-
-class _Schedule:
-    """Projected failure-free times; the pattern offsets where ``lookup``
-    has none, and everywhere without a lookup."""
-
-    def __init__(self, lookup: FailureFreeTimes | None = None):
-        self._lookup = lookup
-
-    def exchange(self, pattern: CommPattern, op: CommOp) -> tuple[float, float, float]:
-        """(post, block point) of ``op`` and the post of its peer op."""
-        if self._lookup is None:
-            mine, peer, theirs = None, pattern.matching_op(op), None
-        else:
-            mine, peer, theirs = self._lookup.exchange(op)
-        post, block_point = (op.post_time_offset, op.block_point) if mine is None else mine
-        peer_post = peer.post_time_offset if theirs is None else theirs[0]
-        return post, block_point, peer_post
-
-
 def estimate_block_times(
     pattern: CommPattern,
     failed: int,
     fail_time: float,
     depth: DepthConfig,
-    schedule: FailureFreeTimes | None = None,
+    exchange: Exchange,
 ) -> list[BlockEstimate]:
     """Level-by-level expansion with per-level convergence.
 
-    ``schedule`` optionally gives the projected failure-free (post, block
-    point) wall times of an op and of its peer op, or None where it has
-    none; the pattern offsets apply there and without it.
+    ``exchange(op)`` gives the projected failure-free post and block point
+    wall times of ``op`` and the post of its peer op.
     """
-    sched = _Schedule(schedule)
     analyzed: set[int] = {failed}
     level_procs: list[tuple[int, float]] = [(failed, fail_time)]
     estimates: dict[int, BlockEstimate] = {}
@@ -132,7 +104,7 @@ def estimate_block_times(
             for child in pattern.peers(parent):
                 if child in analyzed:
                     continue
-                found = _first_block(pattern, child, parent, fail_time, parent_block, depth.depth, sched)
+                found = _first_block(pattern, child, parent, fail_time, parent_block, depth.depth, exchange)
                 if found is None:
                     continue
                 if child not in current or found < current[child].block_time:
@@ -141,7 +113,7 @@ def estimate_block_times(
         if not current:
             break
 
-        _converge_level(pattern, fail_time, current, sched)
+        _converge_level(pattern, fail_time, current, exchange)
         estimates.update(current)
         analyzed.update(current)
         level_procs = [(e.process, e.block_time) for e in current.values()]
@@ -156,7 +128,7 @@ def _first_block(
     fail_time: float,
     parent_block: float,
     depth: int,
-    sched: _Schedule,
+    exchange: Exchange,
 ) -> float | None:
     """First communication of ``child`` with ``parent`` that blocks, looking
     at most ``depth`` communications ahead; None when none is found.
@@ -166,7 +138,7 @@ def _first_block(
     time; each such communication consumes one unit of depth.
     """
     examined = 0
-    for block_point, parent_post in _candidate_ops(pattern, child, parent, fail_time, sched):
+    for block_point, parent_post in _candidate_ops(pattern, child, parent, fail_time, exchange):
         examined += 1
         if parent_post >= parent_block:
             return block_point
@@ -179,7 +151,7 @@ def _converge_level(
     pattern: CommPattern,
     fail_time: float,
     current: dict[int, BlockEstimate],
-    sched: _Schedule,
+    exchange: Exchange,
 ) -> None:
     """Lower a sibling's block time when another same-level process
     communicates with it after blocking but before the sibling's estimate.
@@ -192,7 +164,7 @@ def _converge_level(
         for other_id in pattern.peers(pid):
             if other_id == pid or other_id not in current:
                 continue
-            ops = _candidate_ops(pattern, pid, other_id, fail_time, sched)
+            ops = _candidate_ops(pattern, pid, other_id, fail_time, exchange)
             if ops:
                 pairs[pid].append((other_id, [t for t, _ in ops]))
     changed = True

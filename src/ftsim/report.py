@@ -77,8 +77,9 @@ def _mode_for(path: Path) -> int:
 
 
 def _atomic_write(path: str | Path, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
+    # a symlink's target is replaced, and the link kept, as open(path, "w") would
+    path = Path(os.path.realpath(path))
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         os.fchmod(fd, _mode_for(path))
         with os.fdopen(fd, "w", newline="\n") as handle:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from math import inf
 from typing import NamedTuple
 
-from .cascade import BlockEstimate, FailureFreeTimes, estimate_block_times
+from .cascade import BlockEstimate, Exchange, estimate_block_times
 from .energy import (
     FrequencyLevel,
     NodePlan,
@@ -168,15 +168,14 @@ class _Message:
         return None if self.transfer is None else max(reach, self.transfer)
 
 
-@dataclass(slots=True)
-class _WaitLog:
+class _DelayedWait(NamedTuple):
+    """A node's first wait of a pass that ended after its failure-free
+    completion: the wait the strategies plan."""
+
     node: int
     item: _Item
     begin: float
-    end: float | None = None
-
-    def copy(self) -> _WaitLog:
-        return _WaitLog(self.node, self.item, self.begin, self.end)
+    end: float
 
 
 @dataclass
@@ -193,6 +192,7 @@ class _Proc:
     pos_at_ckpt: float = 0.0
     done_at: float | None = None
     blocked_item: _Item | None = None
+    wait_begin: float = 0.0  # when the process reached its current wait
     pc_at_failure: int = 0
     pos_at_failure: float = 0.0
     ckpt_span: tuple[float, float] = (0.0, 0.0)
@@ -223,14 +223,14 @@ class _Engine:
         self.s = s
         # read from the failure on: the failure-free pass's messages and the strategies
         self.baseline: dict[_Key, _Message] | None = None
-        self.plans: dict[int, tuple[NodePlan, _WaitLog]] = {}
+        self.plans: dict[int, tuple[NodePlan, _DelayedWait]] = {}
+        self.delayed: dict[int, _DelayedWait] = {}  # filled only in a pass with a baseline
         self.q = q = EventQueue()
         items, self.modes = programs  # shared by forks, as the programs are
         self.messages = {key: _Message() for key in self.modes}
         self.procs = [_Proc(node, program, s.profile.f_max) for node, program in enumerate(items)]
         for proc in self.procs:
             proc.mark(0.0, "COMPUTE")
-        self.wait_logs: dict[int, list[_WaitLog]] = {i: [] for i in range(s.nodes)}
         self.flags: list[FlagRecord] = []
         self._minfreq_open: set[int] = set()
         self.wait_label = (
@@ -250,11 +250,14 @@ class _Engine:
     def inject(
         self,
         baseline: dict[_Key, _Message] | None = None,
-        plans: dict[int, tuple[NodePlan, _WaitLog]] | None = None,
+        plans: dict[int, tuple[NodePlan, _DelayedWait]] | None = None,
     ) -> None:
         """Schedule the failure at its reserved place, to be followed by
-        anticipation against ``baseline`` and by the strategies in ``plans``."""
+        anticipation against ``baseline`` and by the strategies in ``plans``;
+        with a baseline, each node's first wait that ends after its
+        completion there is recorded in this pass's own ``delayed``."""
         self.baseline = baseline
+        self.delayed = {}
         self.plans = plans or {}
         time, seq = self.failure_at
         self.q.schedule(time, EventKind.FAILURE, self.s.failure.node, seq=seq)
@@ -266,9 +269,6 @@ class _Engine:
         twin.q = self.q.copy()
         twin.messages = {key: msg.copy() for key, msg in self.messages.items()}
         twin.procs = [proc.copy() for proc in self.procs]
-        twin.wait_logs = {
-            node: [log.copy() for log in logs] for node, logs in self.wait_logs.items()
-        }
         twin.flags = list(self.flags)
         twin._minfreq_open = set(self._minfreq_open)
         return twin
@@ -367,7 +367,7 @@ class _Engine:
         else:
             msg = self._register_post(item, now)
         if msg.transfer is None and item.blocks:
-            self.wait_logs[proc.node].append(_WaitLog(proc.node, item, begin=now))
+            proc.wait_begin = now
             self._enter_wait(proc, item, now)
             return
         if proc.node in self.plans and self._strategy_here(proc, item) is not None:
@@ -378,7 +378,7 @@ class _Engine:
 
     # -- waits and strategies --------------------------------------------------
 
-    def _strategy_here(self, proc: _Proc, item: _Item) -> tuple[NodePlan, _WaitLog] | None:
+    def _strategy_here(self, proc: _Proc, item: _Item) -> tuple[NodePlan, _DelayedWait] | None:
         entry = self.plans.get(proc.node)
         if entry is None:
             return None
@@ -398,7 +398,7 @@ class _Engine:
             self._end_compute_strategy(proc, now)
         self._block_on(proc, item, now)
         if strategy is not None and proc.status is ProcStatus.BLOCKED_WAIT:
-            self._apply_wait_action(proc, strategy[0], strategy[1], now)
+            self._apply_wait_action(proc, now)
 
     def _block_on(self, proc: _Proc, item: _Item, now: float) -> None:
         proc.status = ProcStatus.BLOCKED_WAIT
@@ -423,8 +423,13 @@ class _Engine:
             self._resume_from_wait(proc, ev.time)
 
     def _resume_from_wait(self, proc: _Proc, now: float) -> None:
-        log = self.wait_logs[proc.node][-1]
-        log.end = now
+        item = proc.blocked_item
+        if self.baseline is not None and proc.node not in self.delayed:
+            done = self.baseline[item.key].completion(item)
+            if done is None or now > done:
+                self.delayed[proc.node] = _new_record(
+                    _DelayedWait, (proc.node, item, proc.wait_begin, now)
+                )
         proc.blocked_item = None
         proc.status = ProcStatus.COMPUTING
         proc.resume_wall = now
@@ -470,13 +475,12 @@ class _Engine:
             return
         # anticipated checkpoint taken at the head of a wait
         msg = self.messages[item.key]
-        strategy = self._strategy_here(proc, item)
         if msg.transfer is not None:
             self._resume_from_wait(proc, max(now, msg.transfer))
             return
         self._block_on(proc, item, now)
-        if strategy is not None:
-            self._apply_wait_action(proc, strategy[0], strategy[1], now)
+        if self._strategy_here(proc, item) is not None:
+            self._apply_wait_action(proc, now)
 
     # -- failure and recovery ------------------------------------------------
 
@@ -487,9 +491,6 @@ class _Engine:
             proc.checkpoint_taken()  # it ends at this very instant: nothing is lost
         self._sync_position(proc, now)
         self._cancel_milestone(proc)
-        logs = self.wait_logs[proc.node]
-        if proc.blocked_item is not None and logs and logs[-1].end is None:
-            logs[-1].end = now
         proc.pos_at_failure = proc.position
         proc.pc_at_failure = proc.cursor
         proc.done_at = None  # a finished program must re-execute too
@@ -530,7 +531,7 @@ class _Engine:
             # the process was suspended at this op when it failed; the post
             # (if any) was already registered or replayed
             if self.messages[item.key].transfer is None and item.blocks:
-                self.wait_logs[proc.node].append(_WaitLog(proc.node, item, begin=now))
+                proc.wait_begin = now
                 self._block_on(proc, item, now)
                 return
             proc.cursor += 1
@@ -540,12 +541,12 @@ class _Engine:
 
     def _start_strategies(self, now: float) -> None:
         for node in sorted(self.plans):
-            plan, ref = self.plans[node]
+            plan, wait = self.plans[node]
             proc = self.procs[node]
-            if proc.status is ProcStatus.BLOCKED_WAIT and proc.blocked_item is ref.item:
+            if proc.status is ProcStatus.BLOCKED_WAIT and proc.blocked_item is wait.item:
                 # blocked at the planned wait since before the failure: there
                 # is no compute phase left to slow down
-                self._apply_wait_action(proc, plan, ref, now)
+                self._apply_wait_action(proc, now)
                 continue
             f = plan.compute_action
             if f.beta != 1.0:
@@ -563,15 +564,16 @@ class _Engine:
             proc.freq = self.s.profile.f_max
             self.flags.append(FlagRecord(proc.node, now, "END", f"FREQ_{f.ghz:g}"))
 
-    def _apply_wait_action(self, proc: _Proc, plan: NodePlan, ref: _WaitLog, now: float) -> None:
-        profile = self.s.profile
-        release = ref.end
-        if release is None or plan.wait_action is WaitAction.NONE:
+    def _apply_wait_action(self, proc: _Proc, now: float) -> None:
+        """Apply the wait action of ``proc``'s plan at its planned wait."""
+        plan, wait = self.plans[proc.node]
+        if plan.wait_action is WaitAction.NONE:
             return
         if plan.wait_action is WaitAction.MIN_FREQ:
             self._minfreq_open.add(proc.node)
             self.flags.append(FlagRecord(proc.node, now, "BEGIN", "MIN_FREQ"))
             return
+        profile, release = self.s.profile, wait.end
         go_end = now + profile.t_go_sleep
         wake_start = release - profile.t_wakeup
         proc.mark(now, "GO_SLEEP")
@@ -634,63 +636,41 @@ class _Engine:
         return records
 
 
-class _BaselineTimes:
-    """The failure-free pass's (post, block-point) wall times of ops, read
-    from their messages when asked. A non-blocking op blocks where its wait
-    began; None for an op that never posted, or whose wait never completed."""
+def _failure_free_times(pattern: CommPattern, baseline: dict[_Key, _Message]) -> Exchange:
+    """The analysis's exchange function: an op's (post, block point) wall
+    times and its peer op's post, both read from their one message in
+    ``baseline``. A non-blocking op blocks where its wait began. A side that
+    never posted, or whose wait never completed, has its pattern offsets."""
 
-    def __init__(self, pattern: CommPattern, baseline: dict[_Key, _Message]):
-        self.pattern = pattern
-        self.baseline = baseline
-
-    def exchange(
-        self, op: CommOp
-    ) -> tuple[tuple[float, float] | None, CommOp, tuple[float, float] | None]:
-        """``op``'s times, its peer op and the peer's times, both read from
-        their one message."""
-        key, peer = self.pattern.message(op)
-        msg = self.baseline[key]
-        return self._side(op, key, msg), peer, self._side(peer, key, msg)
-
-    def _side(self, op: CommOp, key: _Key, msg: _Message) -> tuple[float, float] | None:
+    def side(op: CommOp, key: _Key, msg: _Message) -> tuple[float, float]:
         post = msg.post(op)
         if post is None:
-            return None
+            return op.post_time_offset, op.block_point
         if op.mode is not OpMode.NONBLOCKING:
             return post, post
-        sends = op.direction is Direction.SEND
-        wait = _wait_item(op, key, _can_block(sends, self.pattern.buffered))
+        wait = _wait_item(op, key, _can_block(op.direction is Direction.SEND, pattern.buffered))
         if msg.completion(wait) is None:
-            return None
+            return op.post_time_offset, op.block_point
         return post, msg.reached(wait)
 
+    def exchange(op: CommOp) -> tuple[float, float, float]:
+        key, peer = pattern.message(op)
+        msg = baseline[key]
+        return (*side(op, key, msg), side(peer, key, msg)[0])
 
-def _failure_free_times(pattern: CommPattern, baseline: dict[_Key, _Message]) -> FailureFreeTimes:
-    """The failure-free times of ``pattern``'s ops, read from ``baseline``."""
-    return _BaselineTimes(pattern, baseline)
-
-
-def _first_failure_wait(ref: _Engine, baseline: dict[_Key, _Message], node: int) -> _WaitLog | None:
-    for log in ref.wait_logs[node]:
-        if log.end is None:
-            continue
-        base_done = baseline[log.item.key].completion(log.item)
-        if base_done is None or log.end > base_done:
-            return log
-    return None
+    return exchange
 
 
-def _phase_estimate(s: Scenario, ref: _Engine, log: _WaitLog) -> PhaseEstimate:
+def _phase_estimate(s: Scenario, ref: _Engine, wait: _DelayedWait) -> PhaseEstimate:
     fail = s.failure.time
-    block, release = max(log.begin, fail), log.end  # a wait may begin before the failure
-    assert release is not None
-    proc = ref.procs[log.node]
+    block, release = max(wait.begin, fail), wait.end  # a wait may begin before the failure
+    proc = ref.procs[wait.node]
     mid_ckpt = sum(
         max(0.0, min(end, block) - max(start, fail)) for start, end in proc.ckpt_spans
     )
     n_ckpt = sum(1 for start, _ in proc.ckpt_spans if fail <= start < release)
     return PhaseEstimate(
-        node=log.node,
+        node=wait.node,
         t_comp_fmax=(block - fail) - mid_ckpt,
         window=release - fail,
         n_ckpt=n_ckpt,
@@ -698,10 +678,10 @@ def _phase_estimate(s: Scenario, ref: _Engine, log: _WaitLog) -> PhaseEstimate:
     )
 
 
-def _allowed_freqs(s: Scenario, ref: _Engine, log: _WaitLog) -> set[float]:
+def _allowed_freqs(s: Scenario, ref: _Engine, wait: _DelayedWait) -> set[float]:
     """Compute frequencies that cannot delay any op a live peer depends on."""
     fail = s.failure.time
-    node = log.node
+    node = wait.node
     allowed = set()
     impactful: list[tuple[float, float]] = []
     for item in ref.procs[node].items:
@@ -713,7 +693,7 @@ def _allowed_freqs(s: Scenario, ref: _Engine, log: _WaitLog) -> set[float]:
         # only the failed node replays a post: a survivor's side holds its own
         msg = ref.messages[item.key]
         wall = msg.post(op)
-        if wall is None or not (fail < wall < log.begin) or msg.transfer is None:
+        if wall is None or not (fail < wall < wait.begin) or msg.transfer is None:
             continue
         impactful.append((wall, msg.transfer))
     for f in s.profile.freqs:
@@ -729,7 +709,7 @@ class SimulationResult:
     makespan: float
     reference_makespan: float
     estimates: list[BlockEstimate]
-    reference_waits: dict[int, _WaitLog]
+    reference_waits: dict[int, _DelayedWait]
     plans: list[NodePlan]
     scenario: Scenario
 
@@ -756,22 +736,22 @@ def simulate_detailed(s: Scenario) -> SimulationResult:
 
     estimates = estimate_block_times(
         s.pattern, s.failure.node, s.failure.time, s.depth,
-        schedule=_failure_free_times(s.pattern, baseline),
+        _failure_free_times(s.pattern, baseline),
     )
 
     plans: list[NodePlan] = []
-    plan_map: dict[int, tuple[NodePlan, _WaitLog]] = {}
-    ref_waits: dict[int, _WaitLog] = {}
+    plan_map: dict[int, tuple[NodePlan, _DelayedWait]] = {}
+    ref_waits: dict[int, _DelayedWait] = {}
     for est in estimates:
-        log = _first_failure_wait(ref, baseline, est.process)
-        if log is None:
+        wait = ref.delayed.get(est.process)
+        if wait is None:
             continue
-        ref_waits[est.process] = log
-        phase = _phase_estimate(s, ref, log)
-        allowed = _allowed_freqs(s, ref, log)
+        ref_waits[est.process] = wait
+        phase = _phase_estimate(s, ref, wait)
+        allowed = _allowed_freqs(s, ref, wait)
         plan = node_best_plan(phase, s.profile, s.pattern.wait_mode, allowed=allowed)
         plans.append(plan)
-        plan_map[est.process] = (plan, log)
+        plan_map[est.process] = (plan, wait)
 
     if s.strategies_enabled and plan_map:
         final = snapshot

@@ -17,6 +17,7 @@ from ftsim.scenario import load_scenario
 from ftsim.simulate import simulate_detailed
 
 from scengen import random_scenario
+from test_cascade import offsets
 from test_energy import LEVELS, brute_force_plan, default_estimate, random_profile
 
 FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
@@ -220,7 +221,7 @@ def test_criterion_10_cascade_soundness():
             [op(0, 3, 2, Direction.RECV, 20.0), op(1, 3, 1, Direction.RECV, 30.0)],
         ]
     )
-    estimates = estimate_block_times(pattern, failed=1, fail_time=0.0, depth=DepthConfig(2))
+    estimates = estimate_block_times(pattern, 1, 0.0, DepthConfig(2), offsets(pattern))
     assert {(e.process, e.block_time) for e in estimates} == {(2, 10.0), (3, 20.0)}
     print("\nACCEPTANCE 10 PASS: predicted block times equal reference trace blocks; "
           "three-process example converges to the intermediate time")

@@ -7,7 +7,6 @@ from ftsim.cascade import (
     DepthConfig,
     _candidate_ops,
     _converge_level,
-    _Schedule,
     estimate_block_times,
     pattern_depth,
 )
@@ -24,6 +23,16 @@ def op(index, proc, peer, direction, post):
         post_time_offset=post,
         wait_offset=post,
     )
+
+
+def offsets(pattern):
+    """The exchange of an analysis without a failure-free run: each side of
+    an op's message at its pattern offsets."""
+
+    def exchange(o):
+        return o.post_time_offset, o.block_point, pattern.matching_op(o).post_time_offset
+
+    return exchange
 
 
 def build(processes, repetition=0.0):
@@ -51,7 +60,7 @@ def three_process_case():
 
 def test_convergence_lowers_sibling_block():
     pattern = three_process_case()
-    estimates = estimate_block_times(pattern, failed=1, fail_time=0.0, depth=DepthConfig(3))
+    estimates = estimate_block_times(pattern, 1, 0.0, DepthConfig(3), offsets(pattern))
     by_proc = {e.process: e for e in estimates}
     assert set(by_proc) == {2, 3}
     assert by_proc[2].block_time == 10.0
@@ -59,7 +68,7 @@ def test_convergence_lowers_sibling_block():
     assert by_proc[3].cause == 2
 
 
-def all_pairs_converge(pattern, fail_time, current, sched):
+def all_pairs_converge(pattern, fail_time, current, exchange):
     """Reference convergence: every ordered sibling pair on every iteration,
     candidates recomputed each time."""
     changed = True
@@ -71,7 +80,7 @@ def all_pairs_converge(pattern, fail_time, current, sched):
                 if other_id == pid:
                     continue
                 other = current[other_id]
-                for t, _ in _candidate_ops(pattern, pid, other_id, fail_time, sched):
+                for t, _ in _candidate_ops(pattern, pid, other_id, fail_time, exchange):
                     if other.block_time < t < est.block_time:
                         current[pid] = est = BlockEstimate(pid, t, est.level, other_id)
                         changed = True
@@ -97,14 +106,14 @@ def test_converge_level_matches_all_pairs_reference(seed):
     }
     fail_time = rng.uniform(0.0, t / 2)
     got, want = dict(level), dict(level)
-    _converge_level(pattern, fail_time, got, _Schedule())
-    all_pairs_converge(pattern, fail_time, want, _Schedule())
+    _converge_level(pattern, fail_time, got, offsets(pattern))
+    all_pairs_converge(pattern, fail_time, want, offsets(pattern))
     assert got == want
 
 
 def test_failed_without_communications():
     pattern = build([[], [op(0, 1, 2, Direction.SEND, 5.0)], [op(0, 2, 1, Direction.RECV, 5.0)]])
-    assert estimate_block_times(pattern, failed=0, fail_time=1.0, depth=DepthConfig(2)) == []
+    assert estimate_block_times(pattern, 0, 1.0, DepthConfig(2), offsets(pattern)) == []
 
 
 def chain_pattern():
@@ -123,11 +132,11 @@ def chain_pattern():
 
 def test_depth_gates_cascade_discovery():
     pattern = chain_pattern()
-    shallow = estimate_block_times(pattern, failed=0, fail_time=0.0, depth=DepthConfig(1))
+    shallow = estimate_block_times(pattern, 0, 0.0, DepthConfig(1), offsets(pattern))
     assert {e.process for e in shallow} == {1}
     assert shallow[0].block_time == 270.0
 
-    deep = estimate_block_times(pattern, failed=0, fail_time=0.0, depth=DepthConfig(5))
+    deep = estimate_block_times(pattern, 0, 0.0, DepthConfig(5), offsets(pattern))
     by_proc = {e.process: e for e in deep}
     assert set(by_proc) == {1, 2, 3}
     assert by_proc[1].block_time == 270.0
@@ -137,7 +146,7 @@ def test_depth_gates_cascade_discovery():
     assert by_proc[3].level == 3
 
     # four needed examinations: depth 4 still misses the fifth communication
-    mid = estimate_block_times(pattern, failed=0, fail_time=0.0, depth=DepthConfig(4))
+    mid = estimate_block_times(pattern, 0, 0.0, DepthConfig(4), offsets(pattern))
     assert {e.process for e in mid} == {1}
 
 
@@ -146,7 +155,7 @@ def test_depth_monotonicity():
     previous: dict[int, float] = {}
     seen: set[int] = set()
     for d in range(1, 8):
-        estimates = estimate_block_times(pattern, failed=0, fail_time=0.0, depth=DepthConfig(d))
+        estimates = estimate_block_times(pattern, 0, 0.0, DepthConfig(d), offsets(pattern))
         current = {e.process: e.block_time for e in estimates}
         assert seen.issubset(current.keys())
         for proc, t in previous.items():
@@ -156,7 +165,7 @@ def test_depth_monotonicity():
 
 def test_block_times_not_before_failure():
     pattern = chain_pattern()
-    estimates = estimate_block_times(pattern, failed=0, fail_time=100.0, depth=DepthConfig(6))
+    estimates = estimate_block_times(pattern, 0, 100.0, DepthConfig(6), offsets(pattern))
     assert all(e.block_time >= 100.0 for e in estimates)
 
 

@@ -2,7 +2,9 @@
 and imports nothing but the standard library and ``ftsim`` itself."""
 
 import ast
+import contextlib
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -36,3 +38,53 @@ def test_module_imports_only_the_standard_library(name):
 def test_every_exported_name_resolves():
     missing = [name for name in ftsim.__all__ if not hasattr(ftsim, name)]
     assert not missing, f"ftsim.__all__ lists {missing}"
+
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+
+
+def benchmark_hooks() -> list[tuple[str, object, str]]:
+    """(where, owner, attribute) for every ``ftsim`` name the benchmark
+    imports, and every attribute it patches with ``Tracer.patch`` or reads
+    off an imported ``ftsim`` name (``cli.simulate_detailed``,
+    ``self.cli.main``)."""
+    tree = ast.parse(BENCHMARK.read_text(), str(BENCHMARK))
+    bound: dict[str, object] = {}
+    hooks = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "ftsim":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                with contextlib.suppress(ModuleNotFoundError):  # a module, as ``cli``
+                    importlib.import_module(f"{node.module}.{alias.name}")
+                hooks.append((f"line {node.lineno}", module, alias.name))
+                bound[alias.asname or alias.name] = getattr(module, alias.name, None)
+    for node in ast.walk(tree):
+        where = f"line {getattr(node, 'lineno', '?')}"
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "patch"
+            and isinstance(node.args[0], ast.Name)
+        ):
+            hooks.append((where, bound[node.args[0].id], node.args[1].value))
+        elif isinstance(node, ast.Attribute):
+            owner = node.value
+            name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+            if name in bound:
+                hooks.append((where, bound[name], node.attr))
+    return hooks
+
+
+def test_benchmark_hooks_resolve():
+    hooks = benchmark_hooks()
+    assert {attr for _, _, attr in hooks} >= {"matching_op", "estimate_block_times", "main"}
+    missing = [(where, attr) for where, owner, attr in hooks if not hasattr(owner, attr)]
+    assert not missing, f"perfbench/run.py uses names ftsim lacks: {missing}"
+
+
+def test_benchmark_calls_the_analysis_with_its_positional_parameters():
+    from ftsim.simulate import estimate_block_times
+
+    params = list(inspect.signature(estimate_block_times).parameters)
+    assert params[:4] == ["pattern", "failed", "fail_time", "depth"]

@@ -347,3 +347,52 @@ def test_fixture_output_bytes_without_strategies(name, tmp_path):
 def test_shaped_output_bytes_without_strategies(name, tmp_path):
     scenario = replace(SHAPED[name](), strategies_enabled=False)  # as --no-strategies sets it
     assert output_digest(scenario, tmp_path) == NO_STRATEGY_DIGESTS[name]
+
+
+# -- the reference run's delayed waits, which the strategies plan -------------
+
+
+def reference_waits_digest(scenario) -> str:
+    """sha256 of each planned node's first delayed reference wait, as
+    (node, op index, is_wait, begin, end) in node order."""
+    waits = simulate_detailed(scenario).reference_waits
+    rows = [(n, w.item.index, w.item.is_wait, w.begin, w.end) for n, w in sorted(waits.items())]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+REFERENCE_WAIT_DIGESTS = {
+    "halo_chain_8": "ae757991fee2889496fc4488ed3afc400b88e07a6476e3fb5bef3c5ed20d9bd6",
+    "horizon_cut": "c3c9dfa161fb58ee31fb83d5eeb5d435466b84794c96843940a73b8a5aff8fb9",
+    "master_worker_6": "59a48fbc2cdf52a4c2756421a6d205586d5a643773a155979636ae5d285f767c",
+    "scenario1_long": "bc4d34a7fe36258f7e7b9de1f3ae36e58e2e10c57fc0bcc641fcf9e34894a1b1",
+    "scenario1_short": "2944964af9515fa67a3581d197cd67ab295cb0fc883435a152b5e5222e7903c0",
+    "scenario2_blocking": "c5d2658e1ce223abf44c26568350797ccd5f3fadd094b4cd28cd3e486b9a85bb",
+    "scenario2_nonblocking": "12068eb90f0365890d3fb2a05065c3825fd9f3e644f4c2d4d18ebdb0d46f560f",
+    "scenario3_active": "7fb3f29dedd7de1ba2c25b6ccae9f0355cbe9bc0507617a62853bf7fdd320d21",
+    "scenario3_idle": "7fb3f29dedd7de1ba2c25b6ccae9f0355cbe9bc0507617a62853bf7fdd320d21",
+    "scenario4_buffered": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "scenario4_unbuffered": "ddc9c567beeb43e393a1d3404c1a772f65aed78290b67bd484b1a066aff91188",
+    "scenario5": "884c9c081ef2318d3e84d96ad8ebeee06f49eaa1501ac594771d666015bf87f0",
+    "scenario6_anticipated": "bc4d34a7fe36258f7e7b9de1f3ae36e58e2e10c57fc0bcc641fcf9e34894a1b1",
+    "scenario6_plain": "bc4d34a7fe36258f7e7b9de1f3ae36e58e2e10c57fc0bcc641fcf9e34894a1b1",
+    "scenario7_long": "40136748e1b05b2ba3332a496c27864e8a08292c5fc26b03273ff8a6197b210f",
+    "scenario7_short_blocking": "f043b39f711870bf58f90df53158097d1da657b1db54c5000620d003bc0b3692",
+    "scenario7_short_nonblocking": "c3c9dfa161fb58ee31fb83d5eeb5d435466b84794c96843940a73b8a5aff8fb9",
+    "seed0": "9cfdcb7a9205ad81a4edd8c975f9de8d199730ec7e1e979b511b86122b41db97",
+    "seed1": "cafb3f3018ebc86d09bb57729d4b4b7a97c93ff4bcb44d7f7277bab26a3c23ad",
+    "seed2": "02172db381bc1e5fbf94a55e19933689cd394b98406360153c328d2f9a9bdea0",
+    "seed3": "d048d92286d515ea8fcbb1d7fdb8fc0e8b2a1649f16bdf0c1400b790424891d2",
+    "seed4": "f5f2586457614cb34d3102c26ff955260fda3165941d21bfba1f4ea09ae7bcb7",
+    "seed5": "cdcb8347b7a98ccf75effaab0b20f7aa1a990e82c05a6f84917943aebe64e94b",
+    "seed6": "1add2fd17941c4cab12544f8600834f07d32db7cc4a5e4f3e6f50bd3739ab4ad",
+    "seed7": "c0067c00c709a8a34466542877d185b2431232840f955416f30aae32a21290cb",
+}
+
+
+def test_every_scenario_has_reference_waits():
+    assert sorted(REFERENCE_WAIT_DIGESTS) == sorted(EVENT_COUNTS)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_WAIT_DIGESTS))
+def test_reference_waits(name):
+    assert reference_waits_digest(_counted_scenario(name)) == REFERENCE_WAIT_DIGESTS[name]

@@ -11,6 +11,7 @@ from ftsim.scenario import Scenario, ValidationError, load_scenario
 from ftsim.simulate import _Engine, _programs
 
 from scengen import random_scenario
+from test_cascade import offsets
 from test_energy import PROFILE
 
 FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
@@ -260,7 +261,7 @@ def repeating_pattern():
 def next_comm(pattern, child, parent, after):
     """When ``child`` next blocks on ``parent`` if the parent fails at
     ``after``, per the block-time analysis; infinity when it never does."""
-    estimates = estimate_block_times(pattern, failed=parent, fail_time=after, depth=DepthConfig(1))
+    estimates = estimate_block_times(pattern, parent, after, DepthConfig(1), offsets(pattern))
     return next((e.block_time for e in estimates if e.process == child), float("inf"))
 
 

@@ -126,6 +126,36 @@ def test_replaced_outputs_keep_their_mode(tmp_path, umask_027):
     assert report.read_text().startswith("node,") and trace.read_text().startswith("TRACE v1")
 
 
+
+def test_outputs_are_written_through_a_symlink(tmp_path):
+    real, link = tmp_path / "real.csv", tmp_path / "out.csv"
+    real.write_text("old\n")
+    link.symlink_to("real.csv")
+    write_report(SavingsReport(rows=[plan()], total_j=1.0), link, "csv")
+    assert link.is_symlink() and os.readlink(link) == "real.csv"
+    assert real.read_text().startswith("node,")
+
+
+def test_a_dangling_symlink_creates_its_target(tmp_path, umask_027):
+    (tmp_path / "out").mkdir()
+    real, link = tmp_path / "out" / "real.trace", tmp_path / "t.trace"
+    link.symlink_to(real)
+    write_trace([StateRecord(1, 0.0, 5.0, "COMPUTE")], link)
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_text().startswith("TRACE v1")
+    assert file_mode(real) == 0o640
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["out", "real.trace", "t.trace"]
+
+
+def test_a_symlinks_replaced_target_keeps_its_mode(tmp_path, umask_027):
+    real, link = tmp_path / "real.trace", tmp_path / "t.trace"
+    real.write_text("old\n")
+    real.chmod(0o604)
+    link.symlink_to(real)
+    write_trace([StateRecord(1, 0.0, 5.0, "COMPUTE")], link)
+    assert link.is_symlink() and real.read_text().startswith("TRACE v1")
+    assert file_mode(real) == 0o604
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "ftsim.cli", *args],

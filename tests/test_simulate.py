@@ -327,8 +327,9 @@ depth = 1
 
 def nonblocking_exchange_schedule(send0, recv1, horizon):
     """``_failure_free_times`` of a failure-free pass over one non-blocking
-    message from node 0 to node 1, as {(process, op index): times} over the
-    ops it has times for; each side is ``(post, wait)`` in seconds."""
+    message from node 0 to node 1, as {(process, op index): exchange}; each
+    side is ``(post, wait)`` in offset seconds. Both nodes checkpoint over
+    [5 s, 15 s], so a side's pass-1 wall times are 10 s after its offsets."""
     from ftsim.scenario import loads_scenario
 
     s = loads_scenario(TWO_LEVELS + f"""
@@ -340,7 +341,7 @@ op = 1 recv 0 @ {recv1[0]} s wait @ {recv1[1]} s
 [checkpoint]
 interval = 1000 s
 duration = 10 s
-offset = 500 s
+offset = 5 s
 
 [failure]
 node = 0
@@ -353,26 +354,27 @@ depth = 1
 """)
     engine = _Engine(s, _programs(s.pattern), inject_failure=False)
     engine.run()
-    times = _failure_free_times(s.pattern, engine.messages)
-    found = {(o.proc, o.index): times.exchange(o)[0] for ops in s.pattern.processes for o in ops}
-    return {key: value for key, value in found.items() if value is not None}
+    exchange = _failure_free_times(s.pattern, engine.messages)
+    return {(o.proc, o.index): exchange(o) for ops in s.pattern.processes for o in ops}
 
 
 def test_op_schedule_blocks_where_the_wait_began():
-    # node 0 waits at 20 s for the transfer at 50 s
+    # node 0 waits at 30 s for the transfer at 60 s
     sched = nonblocking_exchange_schedule((10, 20), (50, 60), horizon=400)
-    assert sched == {(0, 0): (10.0, 20.0), (1, 0): (50.0, 60.0)}
+    assert sched == {(0, 0): (20.0, 30.0, 60.0), (1, 0): (60.0, 70.0, 20.0)}
 
 
 def test_op_schedule_wait_reached_after_the_transfer():
     sched = nonblocking_exchange_schedule((10, 70), (50, 60), horizon=400)
-    assert sched == {(0, 0): (10.0, 70.0), (1, 0): (50.0, 60.0)}
+    assert sched == {(0, 0): (20.0, 80.0, 60.0), (1, 0): (60.0, 70.0, 20.0)}
 
 
 def test_op_schedule_leaves_out_a_wait_cut_by_the_horizon():
-    # node 0 is still waiting at the horizon and node 1 never posts
+    # node 0 posts at 20 s and is still waiting at the 40 s horizon; node 1
+    # never posts. Both sides fall back to their offsets: node 1's op sees
+    # node 0's offset post, 10 s, and not the 20 s post pass 1 recorded.
     sched = nonblocking_exchange_schedule((10, 20), (50, 60), horizon=40)
-    assert sched == {}
+    assert sched == {(0, 0): (10.0, 20.0, 50.0), (1, 0): (50.0, 60.0, 10.0)}
 
 
 # -- passes 2 and 3 resume from pass 1 at the failure instant ----------------
@@ -401,7 +403,7 @@ def test_resumed_reference_pass_equals_a_run_from_t0(name, s):
     assert ref.makespan() == scratch.makespan()
     assert ref.trace(end) == scratch.trace(end)
     assert ref.messages == scratch.messages
-    assert ref.wait_logs == scratch.wait_logs
+    assert ref.delayed == scratch.delayed
 
 
 def engine_state(engine):
@@ -588,10 +590,14 @@ def test_failure_free_times_equal_the_per_op_table(name, s, cut):
         s = replace(s, horizon=s.failure.time + (s.horizon - s.failure.time) / 4)
     base, _ = _failure_free_pass(s, _programs(s.pattern))
     table = op_schedule_table(base)
-    times = _failure_free_times(s.pattern, base.messages)
+    exchange = _failure_free_times(s.pattern, base.messages)
+
+    def times(o):  # the pass-1 times where the table has them, the offsets otherwise
+        return table.get((o.proc, o.index), (o.post_time_offset, o.block_point))
+
     for ops in s.pattern.processes:
         for o in ops:
-            assert times.exchange(o)[0] == table.get((o.proc, o.index)), (name, o)
+            assert exchange(o) == (*times(o), times(s.pattern.matching_op(o))[0]), (name, o)
 
 
 def test_set_up_work_follows_the_analysed_pairs(monkeypatch):
@@ -645,6 +651,43 @@ def test_set_up_work_follows_the_analysed_pairs(monkeypatch):
     assert read
     assert {frozenset((o.proc, o.peer)) for o in read} <= pairs
     assert len(set(read)) < sum(len(ops) for ops in s.pattern.processes)
+
+
+SIBLINGS_TALK = TWO_LEVELS + """
+[pattern]
+nodes = 3
+op = 0 send 1 @ 10 s
+op = 1 recv 0 @ 10 s
+op = 1 send 2 @ 20 s
+op = 2 recv 1 @ 20 s
+op = 0 send 2 @ 30 s
+op = 2 recv 0 @ 30 s
+
+[checkpoint]
+interval = 1000 s
+duration = 10 s
+offset = 500 s
+
+[failure]
+node = 0
+time = 5 s
+restart = 5 s
+
+[run]
+horizon = 400 s
+depth = 3
+"""
+
+
+def test_a_sibling_block_lowers_an_estimate_end_to_end():
+    # nodes 1 and 2 both block on the failed node 0 (at 10 s and 30 s); node
+    # 2 blocks earlier, at 20 s, on its receive from the blocked node 1
+    r = simulate_detailed(loads_scenario(SIBLINGS_TALK))
+    assert [(e.process, e.block_time, e.level, e.cause) for e in r.estimates] == [
+        (1, 10.0, 1, 0),
+        (2, 20.0, 1, 1),
+    ]
+    assert {n: w.begin for n, w in r.reference_waits.items()} == {1: 10.0, 2: 20.0}
 
 
 # -- programs and transfers ----------------------------------------------------
