@@ -45,12 +45,13 @@ def pattern_depth(pattern: CommPattern) -> int:
     communications after the failure (as down a long chain) gets no estimate."""
     limit = pattern.repetition if pattern.repetition > 0 else float("inf")
     counts: dict[tuple[int, int], int] = {}
+    send = Direction.SEND
     for ops in pattern.processes:
-        for op in ops:
+        for _, proc, peer, direction, _, post, _ in ops:
             # one message per send; counting both sides would double it
-            if op.direction is not Direction.SEND or op.post_time_offset >= limit:
+            if direction is not send or post >= limit:
                 continue
-            pair = (min(op.proc, op.peer), max(op.proc, op.peer))
+            pair = (proc, peer) if proc < peer else (peer, proc)
             counts[pair] = counts.get(pair, 0) + 1
     return max(counts.values(), default=1)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .energy import WaitMode
 
@@ -35,8 +35,7 @@ class UnmatchedOp(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class CommOp:
+class CommOp(NamedTuple):
     """One communication operation in a process's program.
 
     ``post_time_offset`` is compute time preceding the op at the maximum
@@ -81,14 +80,16 @@ class CommPattern:
         # its position once validated
         self._seq: list[list[int]] = []
         self._pairs: list[dict[int, list[CommOp]]] = []
+        streams = self._streams
         for proc, ops in enumerate(self.processes):
             seq: list[int] = []
             pairs: dict[int, list[CommOp]] = {}
             for op in ops:
-                stream = self._streams.setdefault((proc, op.peer, op.direction), [])
+                _, _, peer, direction, _, _, _ = op
+                stream = streams.setdefault((proc, peer, direction), [])
                 seq.append(len(stream))
                 stream.append(op)
-                pairs.setdefault(op.peer, []).append(op)
+                pairs.setdefault(peer, []).append(op)
             self._seq.append(seq)
             self._pairs.append(dict(sorted(pairs.items())))
 
@@ -142,29 +143,30 @@ class CommPattern:
                     yield (channel, k), send, recv
 
     def validate(self) -> None:
+        nodes, nonblocking = self.nodes, OpMode.NONBLOCKING
         for proc, ops in enumerate(self.processes):
             last = -1.0
-            for position, op in enumerate(ops):
-                if op.proc != proc:
-                    raise ValueError(f"op {op.index} owner mismatch")
-                if op.index != position:
-                    raise ValueError(f"process {proc}: op {op.index} at position {position}")
-                if op.post_time_offset <= last:
+            for position, (index, owner, peer, _, mode, post, wait) in enumerate(ops):
+                if owner != proc:
+                    raise ValueError(f"op {index} owner mismatch")
+                if index != position:
+                    raise ValueError(f"process {proc}: op {index} at position {position}")
+                if post <= last:
                     raise ValueError(
-                        f"process {proc}: post offsets not strictly increasing at op {op.index}"
+                        f"process {proc}: post offsets not strictly increasing at op {index}"
                     )
-                last = op.post_time_offset
-                if op.mode is OpMode.NONBLOCKING and op.wait_offset < op.post_time_offset:
-                    raise ValueError(f"process {proc}: wait before post at op {op.index}")
-                if not (0 <= op.peer < self.nodes) or op.peer == proc:
-                    raise ValueError(f"process {proc}: bad peer {op.peer}")
+                last = post
+                if mode is nonblocking and wait < post:
+                    raise ValueError(f"process {proc}: wait before post at op {index}")
+                if not (0 <= peer < nodes) or peer == proc:
+                    raise ValueError(f"process {proc}: bad peer {peer}")
         # FIFO matching from the channel index: past the shorter of a
         # channel's send and receive streams, every op of the longer one is
         # unmatched, the first of them at position len(shorter)
+        send, recv = Direction.SEND, Direction.RECV
         unmatched = []
         for (proc, peer, direction), stream in self._streams.items():
-            want = Direction.RECV if direction is Direction.SEND else Direction.SEND
-            k = len(self._streams.get((peer, proc, want), ()))
+            k = len(self._streams.get((peer, proc, recv if direction is send else send), ()))
             if len(stream) > k:
                 unmatched.append(stream[k])
         if unmatched:

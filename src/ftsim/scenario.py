@@ -308,12 +308,14 @@ def _parse_op(text: str, line: int, order: int, per_proc: list[list[list]]) -> i
 
 def _build_ops(per_proc: list[list[list]], mpi_mode: OpMode) -> list[list[CommOp]]:
     processes: list[list[CommOp]] = []
+    new_op = tuple.__new__  # skips the NamedTuple's generated Python __new__
+    nonblocking = OpMode.NONBLOCKING
     for proc, records in enumerate(per_proc):
         records.sort()  # by (post, file order); the order is unique
         processes.append([
             # a non-blocking op without an explicit wait tests right away
-            CommOp(idx, proc, peer, direction, mpi_mode, post, post) if wait is None
-            else CommOp(idx, proc, peer, direction, OpMode.NONBLOCKING, post, wait)
+            new_op(CommOp, (idx, proc, peer, direction, mpi_mode, post, post)) if wait is None
+            else new_op(CommOp, (idx, proc, peer, direction, nonblocking, post, wait))
             for idx, (post, _, peer, direction, wait) in enumerate(records)
         ])
     return processes

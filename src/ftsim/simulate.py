@@ -60,6 +60,18 @@ class ProcStatus(enum.Enum):
     DONE = "DONE"
 
 
+# CPython 3.11's EnumType defines __getattr__, which sends every member read
+# through the class (``ProcStatus.DONE``) into a Python-level hook, about ten
+# times the cost of a global read: per-op and per-event code reads these names
+_POST_SEND, _POST_RECV, _WAIT_ENTER, _COMM_COMPLETE = (
+    EventKind.POST_SEND, EventKind.POST_RECV, EventKind.WAIT_ENTER, EventKind.COMM_COMPLETE
+)
+_CKPT_END, _RESTART_END, _REEXEC_END, _WAKEUP_END = (
+    EventKind.CKPT_END, EventKind.RESTART_END, EventKind.REEXEC_END, EventKind.WAKEUP_END
+)
+_COMPUTING, _BLOCKED_WAIT, _CHECKPOINTING, _SLEEPING, _RESTARTING, _REEXECUTING, _DONE = ProcStatus
+_SEND, _NONBLOCKING = Direction.SEND, OpMode.NONBLOCKING
+
 _Key = tuple[tuple[int, int], int]  # ((sender, receiver), k): the k-th message on a channel
 
 
@@ -94,38 +106,36 @@ def _can_block(sends: bool, buffered: bool) -> bool:
 
 def _wait_item(op: CommOp, key: _Key, blocks: bool) -> _Item:
     """A non-blocking op's wait."""
-    return _new_item(
-        _Item, (op.wait_offset, op.index, True, op, key, EventKind.WAIT_ENTER, blocks, False)
-    )
-
-
-def _milestones(op: CommOp, key: _Key, post: EventKind, blocks: bool) -> list[_Item]:
-    """``op``'s milestones: its post, reached by a ``post`` event, and for a
-    non-blocking op its wait. The last is the one at which ``op`` blocks, if
-    it ``blocks`` at all: a blocking op blocks at its post and a non-blocking
-    one at its wait."""
-    at = op.post_time_offset
-    if op.mode is OpMode.NONBLOCKING:
-        return [
-            _new_item(_Item, (at, op.index, False, op, key, post, False, False)),
-            _wait_item(op, key, blocks),
-        ]
-    return [_new_item(_Item, (at, op.index, False, op, key, post, blocks, False))]
+    return _new_item(_Item, (op.wait_offset, op.index, True, op, key, _WAIT_ENTER, blocks, False))
 
 
 def _programs(pattern: CommPattern) -> _Programs:
     """Each process's milestones in execution order, and each message's mode:
     that of its op on the lower-numbered process. The two sides of a message
-    share its key. Built once per scenario and shared by all passes."""
+    share its key. Built once per scenario and shared by all passes.
+
+    An op's milestones are its post, reached by a POST_SEND or POST_RECV
+    event, and for a non-blocking op its wait. The last is the one at which
+    the op blocks, if it can block at all: a blocking op blocks at its post
+    and a non-blocking one at its wait."""
     programs: list[list[_Item]] = [[] for _ in pattern.processes]
     modes: dict[_Key, OpMode] = {}
-    post_send, post_recv = EventKind.POST_SEND, EventKind.POST_RECV
-    send_blocks = _can_block(True, pattern.buffered)
-    recv_blocks = _can_block(False, pattern.buffered)
+    sides = (
+        (_POST_SEND, _can_block(True, pattern.buffered)),
+        (_POST_RECV, _can_block(False, pattern.buffered)),
+    )
     for key, send, recv in pattern.messages():
+        for op, (kind, blocks) in zip((send, recv), sides):
+            index, proc, _, _, mode, post, wait = op
+            items = programs[proc]
+            if mode is _NONBLOCKING:
+                items.append(_new_item(_Item, (post, index, False, op, key, kind, False, False)))
+                items.append(
+                    _new_item(_Item, (wait, index, True, op, key, _WAIT_ENTER, blocks, False))
+                )
+            else:
+                items.append(_new_item(_Item, (post, index, False, op, key, kind, blocks, False)))
         modes[key] = send.mode if send.proc < recv.proc else recv.mode
-        programs[send.proc] += _milestones(send, key, post_send, send_blocks)
-        programs[recv.proc] += _milestones(recv, key, post_recv, recv_blocks)
     for items in programs:
         items.sort()
     return programs, modes
@@ -150,13 +160,13 @@ class _Message:
 
     def post(self, op: CommOp) -> float | None:
         """When ``op``'s side posted."""
-        return self.send_post if op.direction is Direction.SEND else self.recv_post
+        return self.send_post if op.direction is _SEND else self.recv_post
 
     def reached(self, item: _Item) -> float | None:
         """When ``item``'s process reached it; a replayed post counts from its replay."""
         if not item.is_wait:
             return self.post(item.op)
-        return self.send_wait if item.op.direction is Direction.SEND else self.recv_wait
+        return self.send_wait if item.op.direction is _SEND else self.recv_wait
 
     def completion(self, item: _Item) -> float | None:
         """When a failure-free pass let ``item``'s process go on: on reaching
@@ -178,7 +188,7 @@ class _DelayedWait(NamedTuple):
     end: float
 
 
-@dataclass
+@dataclass(slots=True)
 class _Proc:
     node: int
     items: list[_Item]
@@ -186,7 +196,7 @@ class _Proc:
     cursor: int = 0
     position: float = 0.0
     resume_wall: float = 0.0
-    status: ProcStatus = ProcStatus.COMPUTING
+    status: ProcStatus = _COMPUTING
     milestone_id: int | None = None
     last_ckpt: float = 0.0
     pos_at_ckpt: float = 0.0
@@ -279,7 +289,7 @@ class _Engine:
         if proc.cursor >= len(proc.items):
             if proc.done_at is None:
                 proc.done_at = self.q.clock
-                proc.status = ProcStatus.DONE
+                proc.status = _DONE
                 proc.mark(self.q.clock, "WAIT_IDLE")
             return
         item = proc.items[proc.cursor]
@@ -292,7 +302,7 @@ class _Engine:
             proc.milestone_id = None
 
     def _sync_position(self, proc: _Proc, now: float) -> None:
-        if proc.status is ProcStatus.COMPUTING:
+        if proc.status is _COMPUTING:
             proc.position += (now - proc.resume_wall) / proc.freq.beta
             proc.resume_wall = now
 
@@ -326,7 +336,7 @@ class _Engine:
 
     def _register_post(self, item: _Item, now: float) -> _Message:
         msg = self.messages[item.key]
-        if item.kind is EventKind.POST_SEND:
+        if item.kind is _POST_SEND:
             msg.send_post = now
         else:
             msg.recv_post = now
@@ -340,9 +350,9 @@ class _Engine:
             if (
                 waiting is not None
                 and waiting.key == item.key
-                and other.status is not ProcStatus.CHECKPOINTING
+                and other.status is not _CHECKPOINTING
             ):
-                self.q.schedule(msg.transfer, EventKind.COMM_COMPLETE, other.node, payload=item.key)
+                self.q.schedule(msg.transfer, _COMM_COMPLETE, other.node, payload=item.key)
         return msg
 
     def _on_item(self, ev) -> None:
@@ -360,7 +370,7 @@ class _Engine:
         proc.resume_wall = now
         if item.is_wait:
             msg = self.messages[item.key]
-            if item.op.direction is Direction.SEND:
+            if item.op.direction is _SEND:
                 msg.send_wait = now
             else:
                 msg.recv_wait = now
@@ -397,11 +407,11 @@ class _Engine:
         if strategy is not None:
             self._end_compute_strategy(proc, now)
         self._block_on(proc, item, now)
-        if strategy is not None and proc.status is ProcStatus.BLOCKED_WAIT:
+        if strategy is not None and proc.status is _BLOCKED_WAIT:
             self._apply_wait_action(proc, now)
 
     def _block_on(self, proc: _Proc, item: _Item, now: float) -> None:
-        proc.status = ProcStatus.BLOCKED_WAIT
+        proc.status = _BLOCKED_WAIT
         proc.blocked_item = item
         proc.mark(now, self.wait_label)
 
@@ -417,7 +427,7 @@ class _Engine:
         proc = self.procs[ev.node]
         item = proc.blocked_item
         # a sleeping process is resumed by its wakeup event instead
-        if proc.status is not ProcStatus.BLOCKED_WAIT or item is None:
+        if proc.status is not _BLOCKED_WAIT or item is None:
             return
         if item.key == ev.payload:
             self._resume_from_wait(proc, ev.time)
@@ -431,7 +441,7 @@ class _Engine:
                     _DelayedWait, (proc.node, item, proc.wait_begin, now)
                 )
         proc.blocked_item = None
-        proc.status = ProcStatus.COMPUTING
+        proc.status = _COMPUTING
         proc.resume_wall = now
         proc.mark(now, "COMPUTE")
         if proc.node in self._minfreq_open:
@@ -446,14 +456,14 @@ class _Engine:
         """Begin a checkpoint lasting the policy duration times the running
         frequency's gamma; ``item`` is the wait it was anticipated at, if any."""
         end = now + self.s.ckpt.duration * proc.freq.gamma
-        proc.status = ProcStatus.CHECKPOINTING
+        proc.status = _CHECKPOINTING
         proc.ckpt_span = (now, end)
         proc.mark(now, "CKPT")
-        self.q.schedule(end, EventKind.CKPT_END, proc.node, payload=item)
+        self.q.schedule(end, _CKPT_END, proc.node, payload=item)
 
     def _on_ckpt_begin(self, ev) -> None:
         proc = self.procs[ev.node]
-        if proc.status is not ProcStatus.COMPUTING:
+        if proc.status is not _COMPUTING:
             return
         now = ev.time
         self._sync_position(proc, now)
@@ -462,13 +472,13 @@ class _Engine:
 
     def _on_ckpt_end(self, ev) -> None:
         proc = self.procs[ev.node]
-        if proc.status is not ProcStatus.CHECKPOINTING:
+        if proc.status is not _CHECKPOINTING:
             return
         now = ev.time
         proc.checkpoint_taken()
         item: _Item | None = ev.payload
         if item is None:
-            proc.status = ProcStatus.COMPUTING
+            proc.status = _COMPUTING
             proc.resume_wall = now
             proc.mark(now, "COMPUTE")
             self._schedule_milestone(proc)
@@ -487,7 +497,7 @@ class _Engine:
     def _on_failure(self, ev) -> None:
         proc = self.procs[ev.node]
         now = ev.time
-        if proc.status is ProcStatus.CHECKPOINTING and proc.ckpt_span[1] == now:
+        if proc.status is _CHECKPOINTING and proc.ckpt_span[1] == now:
             proc.checkpoint_taken()  # it ends at this very instant: nothing is lost
         self._sync_position(proc, now)
         self._cancel_milestone(proc)
@@ -495,16 +505,16 @@ class _Engine:
         proc.pc_at_failure = proc.cursor
         proc.done_at = None  # a finished program must re-execute too
         proc.blocked_item = None
-        proc.status = ProcStatus.RESTARTING
+        proc.status = _RESTARTING
         proc.mark(now, "RESTART")
-        self.q.schedule(now + self.s.failure.restart_duration, EventKind.RESTART_END, proc.node)
+        self.q.schedule(now + self.s.failure.restart_duration, _RESTART_END, proc.node)
         self._start_strategies(now)
 
     def _on_restart_end(self, ev) -> None:
         proc = self.procs[ev.node]
         now = ev.time
         replay = proc.pos_at_failure - proc.pos_at_ckpt
-        proc.status = ProcStatus.REEXECUTING
+        proc.status = _REEXECUTING
         if replay > 0:
             proc.mark(now, "REEXEC")
         for item in proc.items:
@@ -514,12 +524,12 @@ class _Engine:
                 if self.messages[item.key].transfer is None:
                     t = now + (item.offset - proc.pos_at_ckpt)
                     self.q.schedule(t, item.kind, proc.node, payload=item._replace(replay=True))
-        self.q.schedule(now + replay, EventKind.REEXEC_END, proc.node)
+        self.q.schedule(now + replay, _REEXEC_END, proc.node)
 
     def _on_reexec_end(self, ev) -> None:
         proc = self.procs[ev.node]
         now = ev.time
-        proc.status = ProcStatus.COMPUTING
+        proc.status = _COMPUTING
         proc.position = proc.pos_at_failure
         proc.resume_wall = now
         proc.cursor = proc.pc_at_failure
@@ -543,7 +553,7 @@ class _Engine:
         for node in sorted(self.plans):
             plan, wait = self.plans[node]
             proc = self.procs[node]
-            if proc.status is ProcStatus.BLOCKED_WAIT and proc.blocked_item is wait.item:
+            if proc.status is _BLOCKED_WAIT and proc.blocked_item is wait.item:
                 # blocked at the planned wait since before the failure: there
                 # is no compute phase left to slow down
                 self._apply_wait_action(proc, now)
@@ -553,7 +563,7 @@ class _Engine:
                 self._sync_position(proc, now)
                 proc.freq = f
                 self.flags.append(FlagRecord(node, now, "BEGIN", f"FREQ_{f.ghz:g}"))
-                if proc.status is ProcStatus.COMPUTING:
+                if proc.status is _COMPUTING:
                     self._cancel_milestone(proc)
                     self._schedule_milestone(proc)
 
@@ -579,17 +589,17 @@ class _Engine:
         proc.mark(now, "GO_SLEEP")
         proc.mark(go_end, "SLEEP")
         proc.mark(wake_start, "WAKEUP")
-        proc.status = ProcStatus.SLEEPING
+        proc.status = _SLEEPING
         self.flags.append(FlagRecord(proc.node, now, "BEGIN", "SLEEP"))
-        self.q.schedule(release, EventKind.WAKEUP_END, proc.node)
+        self.q.schedule(release, _WAKEUP_END, proc.node)
 
     def _on_wakeup_end(self, ev) -> None:
         proc = self.procs[ev.node]
         now = ev.time
-        assert proc.status is ProcStatus.SLEEPING and proc.blocked_item is not None
+        assert proc.status is _SLEEPING and proc.blocked_item is not None
         item = proc.blocked_item
         msg = self.messages[item.key]
-        proc.status = ProcStatus.BLOCKED_WAIT
+        proc.status = _BLOCKED_WAIT
         self.flags.append(FlagRecord(proc.node, now, "END", "SLEEP"))
         if msg.transfer is not None and msg.transfer <= now:
             self._resume_from_wait(proc, now)
@@ -628,7 +638,7 @@ class _Engine:
         for key, msg in self.messages.items():
             if msg.transfer is not None:
                 (sender, receiver), _ = key
-                mode = "NB" if self.modes[key] is OpMode.NONBLOCKING else "B"
+                mode = "NB" if self.modes[key] is _NONBLOCKING else "B"
                 records.append(
                     _new_record(CommRecord, (sender, receiver, msg.send_post, msg.transfer, mode))
                 )
@@ -646,9 +656,9 @@ def _failure_free_times(pattern: CommPattern, baseline: dict[_Key, _Message]) ->
         post = msg.post(op)
         if post is None:
             return op.post_time_offset, op.block_point
-        if op.mode is not OpMode.NONBLOCKING:
+        if op.mode is not _NONBLOCKING:
             return post, post
-        wait = _wait_item(op, key, _can_block(op.direction is Direction.SEND, pattern.buffered))
+        wait = _wait_item(op, key, _can_block(op.direction is _SEND, pattern.buffered))
         if msg.completion(wait) is None:
             return op.post_time_offset, op.block_point
         return post, msg.reached(wait)

@@ -6,6 +6,7 @@ import pytest
 
 from ftsim import scenario
 from ftsim.energy import WaitMode
+from ftsim.pattern import CommOp, Direction, OpMode
 from ftsim.scenario import ParseError, ValidationError, load_scenario, loads_scenario
 
 from test_output_pins import FIXTURE_DIGESTS, output_digest
@@ -288,3 +289,57 @@ def test_a_checkpoint_interval_too_small_to_advance_is_refused(offset, horizon):
     with pytest.raises(ValidationError, match="too small to advance process 0's timer"):
         loads_scenario(text)
 
+
+# 1,500 non-blocking sends with explicit waits and 1,500 blocking receives
+EVERY = MINIMAL.replace(
+    "op = 0 send 1 @ 10 s\nop = 1 recv 0 @ 10 s",
+    "op = 0 send 1 @ 1 s wait @ 1.5 s every 1 s until 1500 s\n"
+    "op = 1 recv 0 @ 1 s every 1 s until 1500 s",
+)
+OP_TEXTS = {path.stem: path.read_text() for path in sorted(FIXTURES.glob("*.scn"))}
+OP_TEXTS["every"] = EVERY
+
+
+@pytest.mark.parametrize("name", list(OP_TEXTS))
+def test_loaded_ops_are_whole_commops(name):
+    """Ops are built with ``tuple.__new__``: each must be a whole ``CommOp``,
+    equal to one built by keyword, and immutable."""
+    processes = loads_scenario(OP_TEXTS[name]).pattern.processes
+    assert sum(map(len, processes)) >= 12
+    for proc, ops in enumerate(processes):
+        for position, op in enumerate(ops):
+            assert type(op) is CommOp and len(op) == 7, (name, op)
+            assert op == CommOp(
+                index=op.index,
+                proc=op.proc,
+                peer=op.peer,
+                direction=op.direction,
+                mode=op.mode,
+                post_time_offset=op.post_time_offset,
+                wait_offset=op.wait_offset,
+            )
+            assert (op.index, op.proc) == (position, proc)
+            with pytest.raises(AttributeError):
+                op.wait_offset = 0.0
+    if name == "every":
+        assert processes == [
+            [CommOp(i, 0, 1, Direction.SEND, OpMode.NONBLOCKING, 1.0 + i, 1.5 + i) for i in range(1500)],
+            [CommOp(i, 1, 0, Direction.RECV, OpMode.BLOCKING, 1.0 + i, 1.0 + i) for i in range(1500)],
+        ]
+
+
+def test_loading_never_calls_the_commop_constructor(monkeypatch):
+    calls = []
+    new = CommOp.__new__
+
+    def spied(cls, *args, **kwargs):
+        calls.append(args or kwargs)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(CommOp, "__new__", spied)
+    CommOp(0, 0, 1, Direction.SEND, OpMode.BLOCKING, 1.0, 1.0)
+    assert len(calls) == 1  # the spy sees a direct construction
+    calls.clear()
+    for name, text in OP_TEXTS.items():
+        loads_scenario(text)
+        assert calls == [], name

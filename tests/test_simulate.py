@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ftsim import cascade, simulate
+from ftsim import cascade, cli, simulate
 from ftsim.cascade import DepthConfig
 from ftsim.energy import WaitMode
 from ftsim.kernel import EventKind, EventQueue
@@ -794,3 +794,67 @@ def test_programs_share_message_keys_and_sort_by_offset():
             assert item.key == s.pattern.message(item.op)[0]
             assert keys.setdefault(item.key, item.key) is item.key
     assert set(keys) == set(modes)
+
+
+SAME_INSTANT_POST = _SYSTEM + """
+[pattern]
+nodes = 3
+wait_mode = active
+mpi_mode = nonblocking
+buffered = off
+op = 0 send 1 @ 0.5 s wait @ 2.0 s
+op = 0 send 1 @ 5.0 s wait @ 6.0 s
+op = 0 send 2 @ 50 s wait @ 50 s
+op = 1 recv 0 @ 0.2 s wait @ 1.0 s
+op = 1 recv 0 @ 1.5 s wait @ 5.0 s
+op = 2 recv 0 @ 50 s wait @ 50 s
+
+[checkpoint]
+interval = 1000 s
+duration = 10 s
+anticipation = on
+alpha = 0.001
+offset = 900 s
+
+[failure]
+node = 2
+time = 3.0 s
+restart = 20 s
+
+[run]
+horizon = 500 s
+depth = auto
+"""
+
+
+def test_a_wait_runs_before_the_post_it_meets_at_the_same_instant(tmp_path):
+    """Node 1 reaches its wait at 5.0 s, the instant node 0 posts that
+    message. The wait was scheduled first, so it runs first: the message is
+    not yet transferred, and anticipation takes a checkpoint there."""
+    scn = tmp_path / "same_instant.scn"
+    scn.write_text(SAME_INSTANT_POST)
+    report, trace = tmp_path / "r.csv", tmp_path / "t.trace"
+    assert cli.main(["run", str(scn), "--report", str(report), "--trace", str(trace)]) == 0
+    assert report.read_bytes() == (
+        b"node,compute_action,t_comp_min,wait_action,t_wait_min,tt_min,save_j,save_rate_j_s,save_pct\n"
+        b"0,No action,0.95,1.2 GHz,0.22,1.17,929.50,13.28,8.11\n"
+        b"TOTAL,,,,,,929.50,,\n"
+    )
+    assert trace.read_bytes() == (
+        b"TRACE v1\n"
+        b"S 0 0.000 50.000 COMPUTE\n"
+        b"S 1 0.000 5.000 COMPUTE\n"
+        b"S 2 0.000 3.000 COMPUTE\n"
+        b"C 0 1 0.500 0.500 NB\n"
+        b"S 2 3.000 23.000 RESTART\n"
+        b"C 0 1 5.000 5.000 NB\n"
+        b"S 1 5.000 15.000 CKPT\n"
+        b"S 1 15.000 73.000 WAIT_IDLE\n"
+        b"S 2 23.000 26.000 REEXEC\n"
+        b"S 2 26.000 73.000 COMPUTE\n"
+        b"C 0 2 50.000 73.000 NB\n"
+        b"S 0 50.000 60.000 CKPT\n"
+        b"F 0 60.000 BEGIN MIN_FREQ\n"
+        b"S 0 60.000 73.000 WAIT_ACTIVE\n"
+        b"F 0 73.000 END MIN_FREQ\n"
+    )
