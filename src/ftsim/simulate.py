@@ -72,7 +72,7 @@ _CKPT_END, _RESTART_END, _REEXEC_END, _WAKEUP_END = (
 _COMPUTING, _BLOCKED_WAIT, _CHECKPOINTING, _SLEEPING, _RESTARTING, _REEXECUTING, _DONE = ProcStatus
 _SEND, _NONBLOCKING = Direction.SEND, OpMode.NONBLOCKING
 
-_Key = tuple[tuple[int, int], int]  # ((sender, receiver), k): the k-th message on a channel
+_Channel = tuple[int, int]  # (sender, receiver)
 
 
 class _Item(NamedTuple):
@@ -87,7 +87,7 @@ class _Item(NamedTuple):
     index: int  # the op's index in its program
     is_wait: bool
     op: CommOp
-    key: _Key
+    msg: int  # the message's id
     kind: EventKind
     blocks: bool
     replay: bool = False
@@ -96,7 +96,16 @@ class _Item(NamedTuple):
 # both skip the NamedTuples' generated Python __new__
 _new_item = _new_record = tuple.__new__
 
-_Programs = tuple[list[list[_Item]], dict[_Key, OpMode]]
+
+class _Programs(NamedTuple):
+    """Each process's milestones, and per message id its mode and its
+    (sender, receiver); ``first`` gives each channel's first message id, so
+    that the k-th message on a channel has id ``first[channel] + k``."""
+
+    items: list[list[_Item]]
+    modes: list[OpMode]
+    ends: list[_Channel]
+    first: dict[_Channel, int]
 
 
 def _can_block(sends: bool, buffered: bool) -> bool:
@@ -104,69 +113,84 @@ def _can_block(sends: bool, buffered: bool) -> bool:
     return not (buffered and sends)
 
 
-def _wait_item(op: CommOp, key: _Key, blocks: bool) -> _Item:
+def _wait_item(op: CommOp, msg: int, blocks: bool) -> _Item:
     """A non-blocking op's wait."""
-    return _new_item(_Item, (op.wait_offset, op.index, True, op, key, _WAIT_ENTER, blocks, False))
+    return _new_item(_Item, (op.wait_offset, op.index, True, op, msg, _WAIT_ENTER, blocks, False))
 
 
 def _programs(pattern: CommPattern) -> _Programs:
     """Each process's milestones in execution order, and each message's mode:
-    that of its op on the lower-numbered process. The two sides of a message
-    share its key. Built once per scenario and shared by all passes.
+    that of its op on the lower-numbered process. Messages are numbered
+    0..n-1 in ``pattern.messages()`` order, and both sides of a message carry
+    its id. Built once per scenario and shared by all passes.
 
     An op's milestones are its post, reached by a POST_SEND or POST_RECV
     event, and for a non-blocking op its wait. The last is the one at which
     the op blocks, if it can block at all: a blocking op blocks at its post
     and a non-blocking one at its wait."""
     programs: list[list[_Item]] = [[] for _ in pattern.processes]
-    modes: dict[_Key, OpMode] = {}
+    modes: list[OpMode] = []
+    ends: list[_Channel] = []
+    first: dict[_Channel, int] = {}
     sides = (
         (_POST_SEND, _can_block(True, pattern.buffered)),
         (_POST_RECV, _can_block(False, pattern.buffered)),
     )
-    for key, send, recv in pattern.messages():
+    for msg, ((channel, k), send, recv) in enumerate(pattern.messages()):
+        if not k:
+            first[channel] = msg
         for op, (kind, blocks) in zip((send, recv), sides):
             index, proc, _, _, mode, post, wait = op
             items = programs[proc]
             if mode is _NONBLOCKING:
-                items.append(_new_item(_Item, (post, index, False, op, key, kind, False, False)))
+                items.append(_new_item(_Item, (post, index, False, op, msg, kind, False, False)))
                 items.append(
-                    _new_item(_Item, (wait, index, True, op, key, _WAIT_ENTER, blocks, False))
+                    _new_item(_Item, (wait, index, True, op, msg, _WAIT_ENTER, blocks, False))
                 )
             else:
-                items.append(_new_item(_Item, (post, index, False, op, key, kind, blocks, False)))
-        modes[key] = send.mode if send.proc < recv.proc else recv.mode
+                items.append(_new_item(_Item, (post, index, False, op, msg, kind, blocks, False)))
+        modes.append(send.mode if send.proc < recv.proc else recv.mode)
+        ends.append(channel)
     for items in programs:
         items.sort()
-    return programs, modes
+    return _new_record(_Programs, (programs, modes, ends, first))
 
 
 @dataclass(slots=True)
-class _Message:
-    """One message of a pass: when each side posted it and reached its
-    non-blocking wait, and when it was transferred. The failure-free pass's
+class _Messages:
+    """A pass's messages, one column per fact indexed by message id: when
+    each side posted and reached its non-blocking wait, and when the message
+    was transferred (None until it happens). The failure-free pass's
     messages are the baseline that the later passes and the analysis read."""
 
-    send_post: float | None = None
-    recv_post: float | None = None
-    send_wait: float | None = None
-    recv_wait: float | None = None
-    transfer: float | None = None
+    send_post: list[float | None]
+    recv_post: list[float | None]
+    send_wait: list[float | None]
+    recv_wait: list[float | None]
+    transfer: list[float | None]
 
-    def copy(self) -> _Message:
-        return _Message(
-            self.send_post, self.recv_post, self.send_wait, self.recv_wait, self.transfer
+    @classmethod
+    def unsent(cls, n: int) -> _Messages:
+        return cls([None] * n, [None] * n, [None] * n, [None] * n, [None] * n)
+
+    def copy(self) -> _Messages:
+        return _Messages(
+            self.send_post.copy(),
+            self.recv_post.copy(),
+            self.send_wait.copy(),
+            self.recv_wait.copy(),
+            self.transfer.copy(),
         )
 
-    def post(self, op: CommOp) -> float | None:
-        """When ``op``'s side posted."""
-        return self.send_post if op.direction is _SEND else self.recv_post
+    def post(self, op: CommOp, msg: int) -> float | None:
+        """When ``op``'s side of message ``msg`` posted."""
+        return (self.send_post if op.direction is _SEND else self.recv_post)[msg]
 
     def reached(self, item: _Item) -> float | None:
         """When ``item``'s process reached it; a replayed post counts from its replay."""
         if not item.is_wait:
-            return self.post(item.op)
-        return self.send_wait if item.op.direction is _SEND else self.recv_wait
+            return self.post(item.op, item.msg)
+        return (self.send_wait if item.op.direction is _SEND else self.recv_wait)[item.msg]
 
     def completion(self, item: _Item) -> float | None:
         """When a failure-free pass let ``item``'s process go on: on reaching
@@ -175,7 +199,8 @@ class _Message:
         reach = self.reached(item)
         if reach is None or not item.blocks:
             return reach
-        return None if self.transfer is None else max(reach, self.transfer)
+        transfer = self.transfer[item.msg]
+        return None if transfer is None else max(reach, transfer)
 
 
 class _DelayedWait(NamedTuple):
@@ -232,12 +257,12 @@ class _Engine:
     def __init__(self, s: Scenario, programs: _Programs, inject_failure: bool):
         self.s = s
         # read from the failure on: the failure-free pass's messages and the strategies
-        self.baseline: dict[_Key, _Message] | None = None
+        self.baseline: _Messages | None = None
         self.plans: dict[int, tuple[NodePlan, _DelayedWait]] = {}
         self.delayed: dict[int, _DelayedWait] = {}  # filled only in a pass with a baseline
         self.q = q = EventQueue()
-        items, self.modes = programs  # shared by forks, as the programs are
-        self.messages = {key: _Message() for key in self.modes}
+        items, self.modes, self.ends, _ = programs  # shared by forks
+        self.messages = _Messages.unsent(len(self.modes))
         self.procs = [_Proc(node, program, s.profile.f_max) for node, program in enumerate(items)]
         for proc in self.procs:
             proc.mark(0.0, "COMPUTE")
@@ -259,7 +284,7 @@ class _Engine:
 
     def inject(
         self,
-        baseline: dict[_Key, _Message] | None = None,
+        baseline: _Messages | None = None,
         plans: dict[int, tuple[NodePlan, _DelayedWait]] | None = None,
     ) -> None:
         """Schedule the failure at its reserved place, to be followed by
@@ -277,7 +302,7 @@ class _Engine:
         scenario, the programs, the baseline and the plans are shared."""
         twin = copy(self)
         twin.q = self.q.copy()
-        twin.messages = {key: msg.copy() for key, msg in self.messages.items()}
+        twin.messages = self.messages.copy()
         twin.procs = [proc.copy() for proc in self.procs]
         twin.flags = list(self.flags)
         twin._minfreq_open = set(self._minfreq_open)
@@ -334,14 +359,15 @@ class _Engine:
 
     # -- op handling -----------------------------------------------------------
 
-    def _register_post(self, item: _Item, now: float) -> _Message:
-        msg = self.messages[item.key]
+    def _register_post(self, item: _Item, now: float) -> None:
+        table, msg = self.messages, item.msg
+        send_post, recv_post, transfer = table.send_post, table.recv_post, table.transfer
         if item.kind is _POST_SEND:
-            msg.send_post = now
+            send_post[msg] = now
         else:
-            msg.recv_post = now
-        if msg.send_post is not None and msg.recv_post is not None and msg.transfer is None:
-            msg.transfer = max(msg.send_post, msg.recv_post)
+            recv_post[msg] = now
+        if send_post[msg] is not None and recv_post[msg] is not None and transfer[msg] is None:
+            transfer[msg] = t = max(send_post[msg], recv_post[msg])
             # Only the side that posted first can be suspended on the message:
             # the side posting now is computing up to it or re-executing. A
             # wait anticipated with a checkpoint resumes at the checkpoint's end.
@@ -349,19 +375,19 @@ class _Engine:
             waiting = other.blocked_item
             if (
                 waiting is not None
-                and waiting.key == item.key
+                and waiting.msg == msg
                 and other.status is not _CHECKPOINTING
             ):
-                self.q.schedule(msg.transfer, _COMM_COMPLETE, other.node, payload=item.key)
-        return msg
+                self.q.schedule(t, _COMM_COMPLETE, other.node, payload=msg)
 
     def _on_item(self, ev) -> None:
         item: _Item = ev.payload
         now = ev.time
+        table = self.messages
         if item.replay:
             # a message transferred since the replay was scheduled keeps the
             # post it was transferred with
-            if self.messages[item.key].transfer is None:
+            if table.transfer[item.msg] is None:
                 self._register_post(item, now)
             return
         proc = self.procs[ev.node]
@@ -369,14 +395,10 @@ class _Engine:
         proc.position = item.offset
         proc.resume_wall = now
         if item.is_wait:
-            msg = self.messages[item.key]
-            if item.op.direction is _SEND:
-                msg.send_wait = now
-            else:
-                msg.recv_wait = now
+            (table.send_wait if item.op.direction is _SEND else table.recv_wait)[item.msg] = now
         else:
-            msg = self._register_post(item, now)
-        if msg.transfer is None and item.blocks:
+            self._register_post(item, now)
+        if table.transfer[item.msg] is None and item.blocks:
             proc.wait_begin = now
             self._enter_wait(proc, item, now)
             return
@@ -420,7 +442,7 @@ class _Engine:
             return False
         if not should_anticipate(self.s.ckpt, now, proc.last_ckpt):
             return False
-        base = self.baseline[item.key].completion(item)
+        base = self.baseline.completion(item)
         return base is not None and base <= now
 
     def _on_complete(self, ev) -> None:
@@ -429,13 +451,13 @@ class _Engine:
         # a sleeping process is resumed by its wakeup event instead
         if proc.status is not _BLOCKED_WAIT or item is None:
             return
-        if item.key == ev.payload:
+        if item.msg == ev.payload:
             self._resume_from_wait(proc, ev.time)
 
     def _resume_from_wait(self, proc: _Proc, now: float) -> None:
         item = proc.blocked_item
         if self.baseline is not None and proc.node not in self.delayed:
-            done = self.baseline[item.key].completion(item)
+            done = self.baseline.completion(item)
             if done is None or now > done:
                 self.delayed[proc.node] = _new_record(
                     _DelayedWait, (proc.node, item, proc.wait_begin, now)
@@ -484,9 +506,9 @@ class _Engine:
             self._schedule_milestone(proc)
             return
         # anticipated checkpoint taken at the head of a wait
-        msg = self.messages[item.key]
-        if msg.transfer is not None:
-            self._resume_from_wait(proc, max(now, msg.transfer))
+        transfer = self.messages.transfer[item.msg]
+        if transfer is not None:
+            self._resume_from_wait(proc, max(now, transfer))
             return
         self._block_on(proc, item, now)
         if self._strategy_here(proc, item) is not None:
@@ -517,11 +539,12 @@ class _Engine:
         proc.status = _REEXECUTING
         if replay > 0:
             proc.mark(now, "REEXEC")
+        transfer = self.messages.transfer
         for item in proc.items:
             if item.is_wait:
                 continue
             if proc.pos_at_ckpt < item.offset <= proc.pos_at_failure:
-                if self.messages[item.key].transfer is None:
+                if transfer[item.msg] is None:
                     t = now + (item.offset - proc.pos_at_ckpt)
                     self.q.schedule(t, item.kind, proc.node, payload=item._replace(replay=True))
         self.q.schedule(now + replay, _REEXEC_END, proc.node)
@@ -534,13 +557,14 @@ class _Engine:
         proc.resume_wall = now
         proc.cursor = proc.pc_at_failure
         proc.mark(now, "COMPUTE")
+        transfer = self.messages.transfer
         while proc.cursor < len(proc.items):
             item = proc.items[proc.cursor]
             if item.offset > proc.pos_at_failure:
                 break
             # the process was suspended at this op when it failed; the post
             # (if any) was already registered or replayed
-            if self.messages[item.key].transfer is None and item.blocks:
+            if transfer[item.msg] is None and item.blocks:
                 proc.wait_begin = now
                 self._block_on(proc, item, now)
                 return
@@ -597,11 +621,10 @@ class _Engine:
         proc = self.procs[ev.node]
         now = ev.time
         assert proc.status is _SLEEPING and proc.blocked_item is not None
-        item = proc.blocked_item
-        msg = self.messages[item.key]
+        transfer = self.messages.transfer[proc.blocked_item.msg]
         proc.status = _BLOCKED_WAIT
         self.flags.append(FlagRecord(proc.node, now, "END", "SLEEP"))
-        if msg.transfer is not None and msg.transfer <= now:
+        if transfer is not None and transfer <= now:
             self._resume_from_wait(proc, now)
             return
         # The completing post lands at this very instant; the pending
@@ -635,38 +658,41 @@ class _Engine:
         """The state records up to ``end``, one ``CommRecord`` per transferred
         message, read from the message table, and the strategy flags."""
         records: list[TraceRecord] = self.state_records(end)
-        for key, msg in self.messages.items():
-            if msg.transfer is not None:
-                (sender, receiver), _ = key
-                mode = "NB" if self.modes[key] is _NONBLOCKING else "B"
-                records.append(
-                    _new_record(CommRecord, (sender, receiver, msg.send_post, msg.transfer, mode))
-                )
+        table, modes = self.messages, self.modes
+        for msg, ((sender, receiver), post, transfer) in enumerate(
+            zip(self.ends, table.send_post, table.transfer)
+        ):
+            if transfer is not None:
+                mode = "NB" if modes[msg] is _NONBLOCKING else "B"
+                records.append(_new_record(CommRecord, (sender, receiver, post, transfer, mode)))
         records.extend(self.flags)
         return records
 
 
-def _failure_free_times(pattern: CommPattern, baseline: dict[_Key, _Message]) -> Exchange:
+def _failure_free_times(
+    pattern: CommPattern, first: dict[_Channel, int], baseline: _Messages
+) -> Exchange:
     """The analysis's exchange function: an op's (post, block point) wall
     times and its peer op's post, both read from their one message in
-    ``baseline``. A non-blocking op blocks where its wait began. A side that
+    ``baseline``, whose id is its channel's ``first`` id plus its place on
+    the channel. A non-blocking op blocks where its wait began. A side that
     never posted, or whose wait never completed, has its pattern offsets."""
 
-    def side(op: CommOp, key: _Key, msg: _Message) -> tuple[float, float]:
-        post = msg.post(op)
+    def side(op: CommOp, msg: int) -> tuple[float, float]:
+        post = baseline.post(op, msg)
         if post is None:
             return op.post_time_offset, op.block_point
         if op.mode is not _NONBLOCKING:
             return post, post
-        wait = _wait_item(op, key, _can_block(op.direction is _SEND, pattern.buffered))
-        if msg.completion(wait) is None:
+        wait = _wait_item(op, msg, _can_block(op.direction is _SEND, pattern.buffered))
+        if baseline.completion(wait) is None:
             return op.post_time_offset, op.block_point
-        return post, msg.reached(wait)
+        return post, baseline.reached(wait)
 
     def exchange(op: CommOp) -> tuple[float, float, float]:
-        key, peer = pattern.message(op)
-        msg = baseline[key]
-        return (*side(op, key, msg), side(peer, key, msg)[0])
+        (channel, k), peer = pattern.message(op)
+        msg = first[channel] + k
+        return (*side(op, msg), side(peer, msg)[0])
 
     return exchange
 
@@ -694,6 +720,7 @@ def _allowed_freqs(s: Scenario, ref: _Engine, wait: _DelayedWait) -> set[float]:
     node = wait.node
     allowed = set()
     impactful: list[tuple[float, float]] = []
+    table = ref.messages
     for item in ref.procs[node].items:
         op = item.op
         if item.is_wait or op.peer == s.failure.node:
@@ -701,11 +728,11 @@ def _allowed_freqs(s: Scenario, ref: _Engine, wait: _DelayedWait) -> set[float]:
         if op.direction is Direction.RECV and s.pattern.buffered:
             continue
         # only the failed node replays a post: a survivor's side holds its own
-        msg = ref.messages[item.key]
-        wall = msg.post(op)
-        if wall is None or not (fail < wall < wait.begin) or msg.transfer is None:
+        wall = table.post(op, item.msg)
+        transfer = table.transfer[item.msg]
+        if wall is None or not (fail < wall < wait.begin) or transfer is None:
             continue
-        impactful.append((wall, msg.transfer))
+        impactful.append((wall, transfer))
     for f in s.profile.freqs:
         if all(fail + f.beta * (wall - fail) <= transfer for wall, transfer in impactful):
             allowed.add(f.ghz)
@@ -735,7 +762,8 @@ def _failure_free_pass(s: Scenario, programs: _Programs) -> tuple[_Engine, _Engi
 
 
 def simulate_detailed(s: Scenario) -> SimulationResult:
-    base, snapshot = _failure_free_pass(s, _programs(s.pattern))
+    programs = _programs(s.pattern)
+    base, snapshot = _failure_free_pass(s, programs)
     baseline = base.messages  # read-only from here on
     del base  # the later passes and the analysis need only its messages
 
@@ -746,7 +774,7 @@ def simulate_detailed(s: Scenario) -> SimulationResult:
 
     estimates = estimate_block_times(
         s.pattern, s.failure.node, s.failure.time, s.depth,
-        _failure_free_times(s.pattern, baseline),
+        _failure_free_times(s.pattern, programs.first, baseline),
     )
 
     plans: list[NodePlan] = []
@@ -764,12 +792,16 @@ def simulate_detailed(s: Scenario) -> SimulationResult:
         plan_map[est.process] = (plan, wait)
 
     if s.strategies_enabled and plan_map:
+        del ref  # pass 3 reads only pass 2's makespan and delayed waits
         final = snapshot
         final.inject(baseline, plan_map)
         final.run()
     else:
         final = ref
         del snapshot  # no pass 3
+    # the trace reads only the final pass's own state
+    final.baseline = None
+    del baseline
 
     end = max(final.makespan(), ref_makespan)
     report_rows = plans if s.strategies_enabled else []

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ftsim.kernel import EmptyQueue, EventKind, EventQueue, PastTime
-from ftsim.simulate import _Message
+from ftsim.simulate import _Messages
 
 
 def test_schedule_keeps_clock():
@@ -32,7 +32,7 @@ class Incomparable:
 
 def test_tie_break_never_compares_payloads():
     q = EventQueue()
-    payloads = [{"a": 1}, _Message(), Incomparable(), {"a": 1}, _Message(), Incomparable()]
+    payloads = [{"a": 1}, _Messages.unsent(1), Incomparable()] * 2
     ids = [q.schedule(5.0, EventKind.COMM_COMPLETE, 0, payload=p) for p in payloads]
     popped = [q.advance() for _ in payloads]
     assert [ev.seq for ev in popped] == ids

@@ -1,5 +1,6 @@
+import weakref
 from copy import deepcopy
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from ftsim.simulate import (
     _Engine,
     _failure_free_pass,
     _failure_free_times,
-    _Message,
+    _Messages,
     _programs,
     simulate_detailed,
 )
@@ -352,9 +353,10 @@ restart = 5 s
 horizon = {horizon} s
 depth = 1
 """)
-    engine = _Engine(s, _programs(s.pattern), inject_failure=False)
+    programs = _programs(s.pattern)
+    engine = _Engine(s, programs, inject_failure=False)
     engine.run()
-    exchange = _failure_free_times(s.pattern, engine.messages)
+    exchange = _failure_free_times(s.pattern, programs.first, engine.messages)
     return {(o.proc, o.index): exchange(o) for ops in s.pattern.processes for o in ops}
 
 
@@ -424,6 +426,77 @@ def test_running_pass_2_leaves_the_snapshot_unchanged(name):
     ref.run()
     assert ref.q.clock > s.failure.time
     assert engine_state(snapshot) == before
+
+
+@pytest.mark.parametrize("name", ["halo_chain_8", "master_worker_6"])
+def test_a_fork_shares_no_message_column(name):
+    s = SHAPED[name]()
+    programs = _programs(s.pattern)
+    _, snapshot = _failure_free_pass(s, programs)
+    n = len(programs.modes)
+    twin = snapshot.fork()
+    before = engine_state(snapshot)
+    columns = [f.name for f in fields(_Messages)]
+    assert columns == ["send_post", "recv_post", "send_wait", "recv_wait", "transfer"]
+    for column in columns:
+        mine, theirs = getattr(snapshot.messages, column), getattr(twin.messages, column)
+        assert type(mine) is list and type(theirs) is list
+        assert len(mine) == len(theirs) == n
+        assert theirs is not mine
+        theirs[:] = [-1.0] * n
+    assert engine_state(snapshot) == before
+
+
+@pytest.mark.parametrize("name, strategies", [
+    ("halo_chain_8", True),
+    ("master_worker_6", True),
+    ("halo_chain_8", False),
+])
+def test_each_pass_is_freed_after_its_last_read(name, strategies, monkeypatch):
+    """When pass 3 starts, the engine running it is the only one alive:
+    pass 1 went once its messages were taken, pass 2 once the plans were
+    made. The final pass builds its trace without a baseline, so pass 1's
+    messages are gone by then too."""
+    s = replace(SHAPED[name](), strategies_enabled=strategies)
+    engines = []
+    init, fork, run, trace = _Engine.__init__, _Engine.fork, _Engine.run, _Engine.trace
+
+    def alive(engine):
+        """Whether ``engine`` is the only engine alive."""
+        live = [e for e in (r() for r in engines) if e is not None]
+        return len(live) == 1 and live[0] is engine
+
+    def spied_init(engine, *args, **kwargs):
+        init(engine, *args, **kwargs)
+        engines.append(weakref.ref(engine))
+
+    def spied_fork(engine):
+        twin = fork(engine)
+        engines.append(weakref.ref(twin))
+        return twin
+
+    at_pass_3 = []
+
+    def spied_run(engine, *args, **kwargs):
+        if engine.plans:  # only pass 3 runs with plans
+            at_pass_3.append(alive(engine))
+        return run(engine, *args, **kwargs)
+
+    at_trace = []
+
+    def spied_trace(engine, end):
+        at_trace.append((alive(engine), engine.baseline is None))
+        return trace(engine, end)
+
+    monkeypatch.setattr(_Engine, "__init__", spied_init)
+    monkeypatch.setattr(_Engine, "fork", spied_fork)
+    monkeypatch.setattr(_Engine, "run", spied_run)
+    monkeypatch.setattr(_Engine, "trace", spied_trace)
+    r = simulate_detailed(s)
+    assert len(engines) == 3
+    assert at_pass_3 == ([True] if strategies else [])
+    assert r.plans
+    assert at_trace == [(True, True)]
 
 
 TIES_AT_FAILURE = TWO_LEVELS + """
@@ -570,16 +643,16 @@ def op_schedule_table(engine):
     """Projected (post, block-point) wall times per posted op, as a table
     built over the whole pattern: the reference for the on-demand lookup."""
     sched = {}
+    table = engine.messages
     for proc in engine.procs:
         for item in proc.items:
             op = item.op
             if op.mode is OpMode.NONBLOCKING and not item.is_wait:
                 continue  # its wait gives both times
-            msg = engine.messages[item.key]
-            post = msg.post(op)
-            if post is None or (item.is_wait and msg.completion(item) is None):
+            post = table.post(op, item.msg)
+            if post is None or (item.is_wait and table.completion(item) is None):
                 continue
-            sched[(proc.node, op.index)] = (post, msg.reached(item))
+            sched[(proc.node, op.index)] = (post, table.reached(item))
     return sched
 
 
@@ -588,9 +661,10 @@ def op_schedule_table(engine):
 def test_failure_free_times_equal_the_per_op_table(name, s, cut):
     if cut:  # ops left unposted or waiting at the horizon have no times
         s = replace(s, horizon=s.failure.time + (s.horizon - s.failure.time) / 4)
-    base, _ = _failure_free_pass(s, _programs(s.pattern))
+    programs = _programs(s.pattern)
+    base, _ = _failure_free_pass(s, programs)
     table = op_schedule_table(base)
-    exchange = _failure_free_times(s.pattern, base.messages)
+    exchange = _failure_free_times(s.pattern, programs.first, base.messages)
 
     def times(o):  # the pass-1 times where the table has them, the offsets otherwise
         return table.get((o.proc, o.index), (o.post_time_offset, o.block_point))
@@ -625,12 +699,12 @@ def test_set_up_work_follows_the_analysed_pairs(monkeypatch):
 
     reading = False
     read = []
-    post = _Message.post
+    post = _Messages.post
 
-    def spied_post(msg, op):
+    def spied_post(table, op, msg):
         if reading:
             read.append(op)
-        return post(msg, op)
+        return post(table, op, msg)
 
     def reads_times(fn):
         def spied(*args, **kwargs):
@@ -644,7 +718,7 @@ def test_set_up_work_follows_the_analysed_pairs(monkeypatch):
         return spied
 
     monkeypatch.setattr(cascade, "_candidate_ops", spied_candidate_ops)
-    monkeypatch.setattr(_Message, "post", spied_post)
+    monkeypatch.setattr(_Messages, "post", spied_post)
     monkeypatch.setattr(simulate, "_failure_free_times", reads_times(simulate._failure_free_times))
     monkeypatch.setattr(simulate, "estimate_block_times", reads_times(simulate.estimate_block_times))
     simulate_detailed(s)
@@ -738,9 +812,12 @@ def test_no_post_comes_after_its_transfer(name, s, monkeypatch):
 
     def checked_run(engine, *args, **kwargs):
         run(engine, *args, **kwargs)
+        table = engine.messages
         late.append([
-            key for key, msg in engine.messages.items()
-            if msg.transfer is not None and max(msg.send_post, msg.recv_post) > msg.transfer
+            msg for msg, (send, recv, transfer) in enumerate(
+                zip(table.send_post, table.recv_post, table.transfer)
+            )
+            if transfer is not None and max(send, recv) > transfer
         ])
 
     monkeypatch.setattr(_Engine, "run", checked_run)
@@ -756,17 +833,17 @@ def test_the_posting_side_is_not_suspended_at_a_transfer(name, s, monkeypatch):
     transfers = []
 
     def spied(engine, item, now):
-        before = engine.messages[item.key].transfer
+        transfer = engine.messages.transfer
+        before = transfer[item.msg]
         waiting = engine.procs[item.op.proc].blocked_item
-        msg = register(engine, item, now)
-        if before is None and msg.transfer is not None:
-            transfers.append((item.key, waiting is not None and waiting.key == item.key))
-        return msg
+        register(engine, item, now)
+        if before is None and transfer[item.msg] is not None:
+            transfers.append((item.msg, waiting is not None and waiting.msg == item.msg))
 
     monkeypatch.setattr(_Engine, "_register_post", spied)
     simulate_detailed(s)
     assert transfers
-    assert [key for key, suspended in transfers if suspended] == [], name
+    assert [msg for msg, suspended in transfers if suspended] == [], name
 
 
 def test_a_transfer_during_an_anticipated_checkpoint_queues_no_completion(monkeypatch):
@@ -785,15 +862,20 @@ def test_a_transfer_during_an_anticipated_checkpoint_queues_no_completion(monkey
 
 def test_programs_share_message_keys_and_sort_by_offset():
     s = SHAPED["halo_chain_8"]()
-    programs, modes = _programs(s.pattern)
-    keys = {}
-    for node, items in enumerate(programs):
+    programs = _programs(s.pattern)
+    n = len(programs.modes)
+    assert len(programs.ends) == n
+    ids = {}  # message id -> its key ((sender, receiver), k)
+    for node, items in enumerate(programs.items):
         assert items == sorted(items, key=lambda it: (it.offset, it.op.index, it.is_wait))
         for item in items:
             assert item.op.proc == node and item.index == item.op.index
-            assert item.key == s.pattern.message(item.op)[0]
-            assert keys.setdefault(item.key, item.key) is item.key
-    assert set(keys) == set(modes)
+            (channel, k), _ = s.pattern.message(item.op)
+            assert item.msg == programs.first[channel] + k
+            assert ids.setdefault(item.msg, (channel, k)) == (channel, k)  # one id per message
+            assert programs.ends[item.msg] == channel
+    assert sorted(ids) == list(range(n))
+    assert [key for key, _, _ in s.pattern.messages()] == [ids[msg] for msg in range(n)]
 
 
 SAME_INSTANT_POST = _SYSTEM + """
