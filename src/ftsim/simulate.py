@@ -692,7 +692,8 @@ def _failure_free_times(
     def exchange(op: CommOp) -> tuple[float, float, float]:
         (channel, k), peer = pattern.message(op)
         msg = first[channel] + k
-        return (*side(op, msg), side(peer, msg)[0])
+        peer_post = baseline.post(peer, msg)
+        return (*side(op, msg), peer.post_time_offset if peer_post is None else peer_post)
 
     return exchange
 

@@ -373,10 +373,10 @@ def test_op_schedule_wait_reached_after_the_transfer():
 
 def test_op_schedule_leaves_out_a_wait_cut_by_the_horizon():
     # node 0 posts at 20 s and is still waiting at the 40 s horizon; node 1
-    # never posts. Both sides fall back to their offsets: node 1's op sees
-    # node 0's offset post, 10 s, and not the 20 s post pass 1 recorded.
+    # never posts. Both sides' own times fall back to their offsets, but node
+    # 1's op sees the 20 s post pass 1 recorded for node 0.
     sched = nonblocking_exchange_schedule((10, 20), (50, 60), horizon=40)
-    assert sched == {(0, 0): (10.0, 20.0, 50.0), (1, 0): (50.0, 60.0, 10.0)}
+    assert sched == {(0, 0): (10.0, 20.0, 50.0), (1, 0): (50.0, 60.0, 20.0)}
 
 
 # -- passes 2 and 3 resume from pass 1 at the failure instant ----------------
