@@ -19,6 +19,14 @@ and is snapshotted right before the first event that would follow it; passes
 2 and 3 resume from copies of that state with the failure scheduled, and run
 exactly as if it had been injected at t = 0.
 
+Each process's program is a column of milestones in execution order, one
+integer each: ``2·op index + is_wait`` for an op's post (is_wait 0) or a
+non-blocking op's wait (1). A milestone is named by its node and its
+position in that column, and milestone events carry the position (a replayed
+post carries its op's index, complemented). Its offset, direction, event
+kind and whether it blocks are read from the op and the pattern; each op's
+message id is stored once, in a per-process column.
+
 Strategy evaluation and application consume no virtual time. Applying a
 strategy never moves a block release: a slowed compute phase must fit inside
 the reference window and must not delay any operation a live peer depends
@@ -29,8 +37,9 @@ reference run.
 from __future__ import annotations
 
 import enum
+from array import array
 from copy import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import inf
 from typing import NamedTuple
 
@@ -75,47 +84,29 @@ _SEND, _NONBLOCKING = Direction.SEND, OpMode.NONBLOCKING
 _Channel = tuple[int, int]  # (sender, receiver)
 
 
-class _Item(NamedTuple):
-    """One milestone in a process's program: an op post or its wait, the
-    event kind that reaches it (POST_SEND, POST_RECV or WAIT_ENTER), and
-    whether it suspends the process until its message is transferred.
-
-    (offset, index, is_wait) is unique within a program, so items sort by
-    their leading fields and never compare ops."""
-
-    offset: float
-    index: int  # the op's index in its program
-    is_wait: bool
-    op: CommOp
-    msg: int  # the message's id
-    kind: EventKind
-    blocks: bool
-    replay: bool = False
-
-
-# both skip the NamedTuples' generated Python __new__
-_new_item = _new_record = tuple.__new__
+_new_record = tuple.__new__  # skips the NamedTuples' generated Python __new__
 
 
 class _Programs(NamedTuple):
-    """Each process's milestones, and per message id its mode and its
-    (sender, receiver); ``first`` gives each channel's first message id, so
-    that the k-th message on a channel has id ``first[channel] + k``."""
+    """Each process's program as columns, and per message id its mode and its
+    (sender, receiver). ``order[node][position]`` is the milestone code
+    ``2·op index + is_wait``, where the op is ``ops[node][index]`` and its
+    message id ``msgs[node][index]``. ``first`` gives each channel's first
+    message id, so that the k-th message on a channel has id
+    ``first[channel] + k``."""
 
-    items: list[list[_Item]]
+    ops: list[list[CommOp]]
+    order: list[array]
+    msgs: list[array]
     modes: list[OpMode]
     ends: list[_Channel]
     first: dict[_Channel, int]
 
 
-def _can_block(sends: bool, buffered: bool) -> bool:
-    """Whether an op can suspend its process: a buffered send never does."""
-    return not (buffered and sends)
-
-
-def _wait_item(op: CommOp, msg: int, blocks: bool) -> _Item:
-    """A non-blocking op's wait."""
-    return _new_item(_Item, (op.wait_offset, op.index, True, op, msg, _WAIT_ENTER, blocks, False))
+def _blocks(op: CommOp, is_wait: int, buffered: bool) -> bool:
+    """Whether an op's milestone can suspend its process: a blocking op's
+    post or a non-blocking op's wait, unless the op is a buffered send."""
+    return (is_wait or op[4] is not _NONBLOCKING) and not (buffered and op[3] is _SEND)
 
 
 def _programs(pattern: CommPattern) -> _Programs:
@@ -125,35 +116,31 @@ def _programs(pattern: CommPattern) -> _Programs:
     its id. Built once per scenario and shared by all passes.
 
     An op's milestones are its post, reached by a POST_SEND or POST_RECV
-    event, and for a non-blocking op its wait. The last is the one at which
-    the op blocks, if it can block at all: a blocking op blocks at its post
-    and a non-blocking one at its wait."""
-    programs: list[list[_Item]] = [[] for _ in pattern.processes]
+    event, and for a non-blocking op its wait, reached by WAIT_ENTER. They
+    sort by offset, then by code, so by (op index, is_wait)."""
+    processes = pattern.processes
+    msgs = [array("i", [0]) * len(ops) for ops in processes]
     modes: list[OpMode] = []
     ends: list[_Channel] = []
     first: dict[_Channel, int] = {}
-    sides = (
-        (_POST_SEND, _can_block(True, pattern.buffered)),
-        (_POST_RECV, _can_block(False, pattern.buffered)),
-    )
     for msg, ((channel, k), send, recv) in enumerate(pattern.messages()):
         if not k:
             first[channel] = msg
-        for op, (kind, blocks) in zip((send, recv), sides):
-            index, proc, _, _, mode, post, wait = op
-            items = programs[proc]
-            if mode is _NONBLOCKING:
-                items.append(_new_item(_Item, (post, index, False, op, msg, kind, False, False)))
-                items.append(
-                    _new_item(_Item, (wait, index, True, op, msg, _WAIT_ENTER, blocks, False))
-                )
-            else:
-                items.append(_new_item(_Item, (post, index, False, op, msg, kind, blocks, False)))
+        msgs[send.proc][send.index] = msgs[recv.proc][recv.index] = msg
         modes.append(send.mode if send.proc < recv.proc else recv.mode)
         ends.append(channel)
-    for items in programs:
-        items.sort()
-    return _new_record(_Programs, (programs, modes, ends, first))
+    order = []
+    for ops in processes:
+        codes = []
+        for op in ops:
+            codes.append(2 * op.index)
+            if op.mode is _NONBLOCKING:
+                codes.append(2 * op.index + 1)
+        # a stable sort on the offset (op field 5 for a post, 6 for a wait)
+        # keeps the code order among milestones at one offset
+        codes.sort(key=lambda code, ops=ops: ops[code >> 1][5 + (code & 1)])
+        order.append(array("i", codes))
+    return _new_record(_Programs, (processes, order, msgs, modes, ends, first))
 
 
 @dataclass(slots=True)
@@ -186,20 +173,21 @@ class _Messages:
         """When ``op``'s side of message ``msg`` posted."""
         return (self.send_post if op.direction is _SEND else self.recv_post)[msg]
 
-    def reached(self, item: _Item) -> float | None:
-        """When ``item``'s process reached it; a replayed post counts from its replay."""
-        if not item.is_wait:
-            return self.post(item.op, item.msg)
-        return (self.send_wait if item.op.direction is _SEND else self.recv_wait)[item.msg]
+    def reached(self, op: CommOp, msg: int, is_wait: int) -> float | None:
+        """When ``op``'s process reached its post of message ``msg`` or, with
+        ``is_wait``, its wait; a replayed post counts from its replay."""
+        if op.direction is _SEND:
+            return (self.send_wait if is_wait else self.send_post)[msg]
+        return (self.recv_wait if is_wait else self.recv_post)[msg]
 
-    def completion(self, item: _Item) -> float | None:
-        """When a failure-free pass let ``item``'s process go on: on reaching
-        it, or for an item that can block, once the message is also
+    def completion(self, op: CommOp, msg: int, is_wait: int, blocks: bool) -> float | None:
+        """When a failure-free pass let a milestone's process go on: on
+        reaching it, or for one that ``blocks``, once the message is also
         transferred; None when either had not happened by the horizon."""
-        reach = self.reached(item)
-        if reach is None or not item.blocks:
+        reach = self.reached(op, msg, is_wait)
+        if reach is None or not blocks:
             return reach
-        transfer = self.transfer[item.msg]
+        transfer = self.transfer[msg]
         return None if transfer is None else max(reach, transfer)
 
 
@@ -208,7 +196,7 @@ class _DelayedWait(NamedTuple):
     completion: the wait the strategies plan."""
 
     node: int
-    item: _Item
+    milestone: int  # 2·op index + is_wait
     begin: float
     end: float
 
@@ -216,7 +204,9 @@ class _DelayedWait(NamedTuple):
 @dataclass(slots=True)
 class _Proc:
     node: int
-    items: list[_Item]
+    ops: list[CommOp]  # the program's columns, shared by all passes
+    order: array
+    msgs: array
     freq: FrequencyLevel
     cursor: int = 0
     position: float = 0.0
@@ -226,7 +216,7 @@ class _Proc:
     last_ckpt: float = 0.0
     pos_at_ckpt: float = 0.0
     done_at: float | None = None
-    blocked_item: _Item | None = None
+    blocked_msg: int | None = None  # the message it is suspended on, at its cursor
     wait_begin: float = 0.0  # when the process reached its current wait
     pc_at_failure: int = 0
     pos_at_failure: float = 0.0
@@ -247,7 +237,11 @@ class _Proc:
         self.ckpt_spans.append(self.ckpt_span)
 
     def copy(self) -> _Proc:
-        return replace(self, segments=list(self.segments), ckpt_spans=list(self.ckpt_spans))
+        # not dataclasses.replace: on CPython 3.11.7 each replace() of a
+        # 20-field instance keeps a 200 B tuple that is never freed
+        twin = copy(self)
+        twin.segments, twin.ckpt_spans = list(self.segments), list(self.ckpt_spans)
+        return twin
 
 
 class _Engine:
@@ -261,9 +255,11 @@ class _Engine:
         self.plans: dict[int, tuple[NodePlan, _DelayedWait]] = {}
         self.delayed: dict[int, _DelayedWait] = {}  # filled only in a pass with a baseline
         self.q = q = EventQueue()
-        items, self.modes, self.ends, _ = programs  # shared by forks
+        self.buffered = s.pattern.buffered
+        self.modes, self.ends = programs.modes, programs.ends  # shared by forks
         self.messages = _Messages.unsent(len(self.modes))
-        self.procs = [_Proc(node, program, s.profile.f_max) for node, program in enumerate(items)]
+        columns = zip(programs.ops, programs.order, programs.msgs)
+        self.procs = [_Proc(node, *program, s.profile.f_max) for node, program in enumerate(columns)]
         for proc in self.procs:
             proc.mark(0.0, "COMPUTE")
         self.flags: list[FlagRecord] = []
@@ -310,16 +306,28 @@ class _Engine:
 
     # -- scheduling helpers --------------------------------------------------
 
+    def milestone(self, node: int, position: int) -> tuple[CommOp, int, int, bool]:
+        """Milestone ``position`` of ``node``'s program: its op, the op's
+        message id, is_wait, and whether it can suspend the process."""
+        proc = self.procs[node]
+        code = proc.order[position]
+        op, is_wait = proc.ops[code >> 1], code & 1
+        return op, proc.msgs[code >> 1], is_wait, _blocks(op, is_wait, self.buffered)
+
     def _schedule_milestone(self, proc: _Proc) -> None:
-        if proc.cursor >= len(proc.items):
+        position = proc.cursor
+        if position >= len(proc.order):
             if proc.done_at is None:
                 proc.done_at = self.q.clock
                 proc.status = _DONE
                 proc.mark(self.q.clock, "WAIT_IDLE")
             return
-        item = proc.items[proc.cursor]
-        t = proc.resume_wall + (item.offset - proc.position) * proc.freq.beta
-        proc.milestone_id = self.q.schedule(t, item.kind, proc.node, item)
+        code = proc.order[position]
+        op, is_wait = proc.ops[code >> 1], code & 1
+        # op fields 5 and 6 are the post and the wait offsets
+        t = proc.resume_wall + (op[5 + is_wait] - proc.position) * proc.freq.beta
+        kind = _WAIT_ENTER if is_wait else _POST_SEND if op[3] is _SEND else _POST_RECV
+        proc.milestone_id = self.q.schedule(t, kind, proc.node, position)
 
     def _cancel_milestone(self, proc: _Proc) -> None:
         if proc.milestone_id is not None:
@@ -338,9 +346,9 @@ class _Engine:
         before the first event whose key is not before ``until``."""
         # bound methods: a table kept on the engine would be a reference cycle
         handlers = {
-            EventKind.POST_SEND: self._on_item,
-            EventKind.POST_RECV: self._on_item,
-            EventKind.WAIT_ENTER: self._on_item,
+            EventKind.POST_SEND: self._on_milestone,
+            EventKind.POST_RECV: self._on_milestone,
+            EventKind.WAIT_ENTER: self._on_milestone,
             EventKind.COMM_COMPLETE: self._on_complete,
             EventKind.CKPT_BEGIN: self._on_ckpt_begin,
             EventKind.CKPT_END: self._on_ckpt_end,
@@ -359,10 +367,10 @@ class _Engine:
 
     # -- op handling -----------------------------------------------------------
 
-    def _register_post(self, item: _Item, now: float) -> None:
-        table, msg = self.messages, item.msg
+    def _register_post(self, op: CommOp, msg: int, now: float) -> None:
+        table = self.messages
         send_post, recv_post, transfer = table.send_post, table.recv_post, table.transfer
-        if item.kind is _POST_SEND:
+        if op[3] is _SEND:
             send_post[msg] = now
         else:
             recv_post[msg] = now
@@ -371,38 +379,37 @@ class _Engine:
             # Only the side that posted first can be suspended on the message:
             # the side posting now is computing up to it or re-executing. A
             # wait anticipated with a checkpoint resumes at the checkpoint's end.
-            other = self.procs[item.op.peer]
-            waiting = other.blocked_item
-            if (
-                waiting is not None
-                and waiting.msg == msg
-                and other.status is not _CHECKPOINTING
-            ):
+            other = self.procs[op[2]]
+            if other.blocked_msg == msg and other.status is not _CHECKPOINTING:
                 self.q.schedule(t, _COMM_COMPLETE, other.node, payload=msg)
 
-    def _on_item(self, ev) -> None:
-        item: _Item = ev.payload
+    def _on_milestone(self, ev) -> None:
+        position: int = ev.payload
         now = ev.time
         table = self.messages
-        if item.replay:
-            # a message transferred since the replay was scheduled keeps the
-            # post it was transferred with
-            if table.transfer[item.msg] is None:
-                self._register_post(item, now)
-            return
         proc = self.procs[ev.node]
-        proc.milestone_id = None
-        proc.position = item.offset
-        proc.resume_wall = now
-        if item.is_wait:
-            (table.send_wait if item.op.direction is _SEND else table.recv_wait)[item.msg] = now
-        else:
-            self._register_post(item, now)
-        if table.transfer[item.msg] is None and item.blocks:
-            proc.wait_begin = now
-            self._enter_wait(proc, item, now)
+        if position < 0:
+            # the replayed post of op ~position: a message transferred since
+            # the replay was scheduled keeps the post it was transferred with
+            msg = proc.msgs[~position]
+            if table.transfer[msg] is None:
+                self._register_post(proc.ops[~position], msg, now)
             return
-        if proc.node in self.plans and self._strategy_here(proc, item) is not None:
+        code = proc.order[position]
+        index, is_wait = code >> 1, code & 1
+        op, msg = proc.ops[index], proc.msgs[index]
+        proc.milestone_id = None
+        proc.position = op[5 + is_wait]
+        proc.resume_wall = now
+        if is_wait:
+            (table.send_wait if op[3] is _SEND else table.recv_wait)[msg] = now
+        else:
+            self._register_post(op, msg, now)
+        if table.transfer[msg] is None and _blocks(op, is_wait, self.buffered):
+            proc.wait_begin = now
+            self._enter_wait(proc, position, msg, now)
+            return
+        if proc.node in self.plans and self._strategy_here(proc, position) is not None:
             # zero-length wait: the compute intervention still ends here
             self._end_compute_strategy(proc, now)
         proc.cursor += 1
@@ -410,59 +417,56 @@ class _Engine:
 
     # -- waits and strategies --------------------------------------------------
 
-    def _strategy_here(self, proc: _Proc, item: _Item) -> tuple[NodePlan, _DelayedWait] | None:
+    def _strategy_here(self, proc: _Proc, position: int) -> tuple[NodePlan, _DelayedWait] | None:
         entry = self.plans.get(proc.node)
         if entry is None:
             return None
-        # all passes share the programs, so the planned wait is this very item
-        return entry if entry[1].item is item else None
+        # all passes share the programs, so the planned wait is this milestone
+        return entry if entry[1].milestone == proc.order[position] else None
 
-    def _enter_wait(self, proc: _Proc, item: _Item, now: float) -> None:
-        anticipated = self._wants_anticipation(proc, item, now)
-        strategy = self._strategy_here(proc, item)
+    def _enter_wait(self, proc: _Proc, position: int, msg: int, now: float) -> None:
+        anticipated = self._wants_anticipation(proc, position, now)
+        strategy = self._strategy_here(proc, position)
         if anticipated:
-            proc.blocked_item = item
-            self._start_checkpoint(proc, now, item)
+            proc.blocked_msg = msg
+            self._start_checkpoint(proc, now, position)
             if strategy is not None:
                 self._end_compute_strategy(proc, now)
             return
         if strategy is not None:
             self._end_compute_strategy(proc, now)
-        self._block_on(proc, item, now)
+        self._block_on(proc, msg, now)
         if strategy is not None and proc.status is _BLOCKED_WAIT:
             self._apply_wait_action(proc, now)
 
-    def _block_on(self, proc: _Proc, item: _Item, now: float) -> None:
+    def _block_on(self, proc: _Proc, msg: int, now: float) -> None:
         proc.status = _BLOCKED_WAIT
-        proc.blocked_item = item
+        proc.blocked_msg = msg
         proc.mark(now, self.wait_label)
 
-    def _wants_anticipation(self, proc: _Proc, item: _Item, now: float) -> bool:
+    def _wants_anticipation(self, proc: _Proc, position: int, now: float) -> bool:
         if not self.s.ckpt.anticipation_enabled or self.baseline is None:
             return False
         if not should_anticipate(self.s.ckpt, now, proc.last_ckpt):
             return False
-        base = self.baseline.completion(item)
+        base = self.baseline.completion(*self.milestone(proc.node, position))
         return base is not None and base <= now
 
     def _on_complete(self, ev) -> None:
         proc = self.procs[ev.node]
-        item = proc.blocked_item
         # a sleeping process is resumed by its wakeup event instead
-        if proc.status is not _BLOCKED_WAIT or item is None:
-            return
-        if item.msg == ev.payload:
+        if proc.status is _BLOCKED_WAIT and proc.blocked_msg == ev.payload:
             self._resume_from_wait(proc, ev.time)
 
     def _resume_from_wait(self, proc: _Proc, now: float) -> None:
-        item = proc.blocked_item
+        position = proc.cursor
         if self.baseline is not None and proc.node not in self.delayed:
-            done = self.baseline.completion(item)
+            done = self.baseline.completion(*self.milestone(proc.node, position))
             if done is None or now > done:
                 self.delayed[proc.node] = _new_record(
-                    _DelayedWait, (proc.node, item, proc.wait_begin, now)
+                    _DelayedWait, (proc.node, proc.order[position], proc.wait_begin, now)
                 )
-        proc.blocked_item = None
+        proc.blocked_msg = None
         proc.status = _COMPUTING
         proc.resume_wall = now
         proc.mark(now, "COMPUTE")
@@ -474,14 +478,15 @@ class _Engine:
 
     # -- checkpoints -------------------------------------------------------------
 
-    def _start_checkpoint(self, proc: _Proc, now: float, item: _Item | None = None) -> None:
+    def _start_checkpoint(self, proc: _Proc, now: float, position: int | None = None) -> None:
         """Begin a checkpoint lasting the policy duration times the running
-        frequency's gamma; ``item`` is the wait it was anticipated at, if any."""
+        frequency's gamma; ``position`` is that of the wait it was anticipated
+        at, if any."""
         end = now + self.s.ckpt.duration * proc.freq.gamma
         proc.status = _CHECKPOINTING
         proc.ckpt_span = (now, end)
         proc.mark(now, "CKPT")
-        self.q.schedule(end, _CKPT_END, proc.node, payload=item)
+        self.q.schedule(end, _CKPT_END, proc.node, payload=position)
 
     def _on_ckpt_begin(self, ev) -> None:
         proc = self.procs[ev.node]
@@ -498,20 +503,20 @@ class _Engine:
             return
         now = ev.time
         proc.checkpoint_taken()
-        item: _Item | None = ev.payload
-        if item is None:
+        position: int | None = ev.payload
+        if position is None:
             proc.status = _COMPUTING
             proc.resume_wall = now
             proc.mark(now, "COMPUTE")
             self._schedule_milestone(proc)
             return
         # anticipated checkpoint taken at the head of a wait
-        transfer = self.messages.transfer[item.msg]
+        transfer = self.messages.transfer[proc.blocked_msg]
         if transfer is not None:
             self._resume_from_wait(proc, max(now, transfer))
             return
-        self._block_on(proc, item, now)
-        if self._strategy_here(proc, item) is not None:
+        self._block_on(proc, proc.blocked_msg, now)
+        if self._strategy_here(proc, position) is not None:
             self._apply_wait_action(proc, now)
 
     # -- failure and recovery ------------------------------------------------
@@ -526,7 +531,7 @@ class _Engine:
         proc.pos_at_failure = proc.position
         proc.pc_at_failure = proc.cursor
         proc.done_at = None  # a finished program must re-execute too
-        proc.blocked_item = None
+        proc.blocked_msg = None
         proc.status = _RESTARTING
         proc.mark(now, "RESTART")
         self.q.schedule(now + self.s.failure.restart_duration, _RESTART_END, proc.node)
@@ -540,13 +545,13 @@ class _Engine:
         if replay > 0:
             proc.mark(now, "REEXEC")
         transfer = self.messages.transfer
-        for item in proc.items:
-            if item.is_wait:
-                continue
-            if proc.pos_at_ckpt < item.offset <= proc.pos_at_failure:
-                if transfer[item.msg] is None:
-                    t = now + (item.offset - proc.pos_at_ckpt)
-                    self.q.schedule(t, item.kind, proc.node, payload=item._replace(replay=True))
+        for index, (op, msg) in enumerate(zip(proc.ops, proc.msgs)):
+            offset = op.post_time_offset
+            if offset > proc.pos_at_failure:
+                break  # the posts are in offset order
+            if offset > proc.pos_at_ckpt and transfer[msg] is None:
+                kind = _POST_SEND if op.direction is _SEND else _POST_RECV
+                self.q.schedule(now + (offset - proc.pos_at_ckpt), kind, proc.node, ~index)
         self.q.schedule(now + replay, _REEXEC_END, proc.node)
 
     def _on_reexec_end(self, ev) -> None:
@@ -558,15 +563,15 @@ class _Engine:
         proc.cursor = proc.pc_at_failure
         proc.mark(now, "COMPUTE")
         transfer = self.messages.transfer
-        while proc.cursor < len(proc.items):
-            item = proc.items[proc.cursor]
-            if item.offset > proc.pos_at_failure:
+        while proc.cursor < len(proc.order):
+            op, msg, is_wait, blocks = self.milestone(proc.node, proc.cursor)
+            if op[5 + is_wait] > proc.pos_at_failure:
                 break
             # the process was suspended at this op when it failed; the post
             # (if any) was already registered or replayed
-            if transfer[item.msg] is None and item.blocks:
+            if transfer[msg] is None and blocks:
                 proc.wait_begin = now
-                self._block_on(proc, item, now)
+                self._block_on(proc, msg, now)
                 return
             proc.cursor += 1
         self._schedule_milestone(proc)
@@ -577,7 +582,7 @@ class _Engine:
         for node in sorted(self.plans):
             plan, wait = self.plans[node]
             proc = self.procs[node]
-            if proc.status is _BLOCKED_WAIT and proc.blocked_item is wait.item:
+            if proc.status is _BLOCKED_WAIT and proc.order[proc.cursor] == wait.milestone:
                 # blocked at the planned wait since before the failure: there
                 # is no compute phase left to slow down
                 self._apply_wait_action(proc, now)
@@ -620,8 +625,8 @@ class _Engine:
     def _on_wakeup_end(self, ev) -> None:
         proc = self.procs[ev.node]
         now = ev.time
-        assert proc.status is _SLEEPING and proc.blocked_item is not None
-        transfer = self.messages.transfer[proc.blocked_item.msg]
+        assert proc.status is _SLEEPING and proc.blocked_msg is not None
+        transfer = self.messages.transfer[proc.blocked_msg]
         proc.status = _BLOCKED_WAIT
         self.flags.append(FlagRecord(proc.node, now, "END", "SLEEP"))
         if transfer is not None and transfer <= now:
@@ -675,8 +680,9 @@ def _failure_free_times(
     """The analysis's exchange function: an op's (post, block point) wall
     times and its peer op's post, both read from their one message in
     ``baseline``, whose id is its channel's ``first`` id plus its place on
-    the channel. A non-blocking op blocks where its wait began. A side that
-    never posted, or whose wait never completed, has its pattern offsets."""
+    the channel. A non-blocking op blocks where its wait began. An op that
+    never posted, or whose wait never completed, has its pattern offsets; a
+    peer has its offset post only when it never posted."""
 
     def side(op: CommOp, msg: int) -> tuple[float, float]:
         post = baseline.post(op, msg)
@@ -684,10 +690,9 @@ def _failure_free_times(
             return op.post_time_offset, op.block_point
         if op.mode is not _NONBLOCKING:
             return post, post
-        wait = _wait_item(op, msg, _can_block(op.direction is _SEND, pattern.buffered))
-        if baseline.completion(wait) is None:
+        if baseline.completion(op, msg, 1, _blocks(op, 1, pattern.buffered)) is None:
             return op.post_time_offset, op.block_point
-        return post, baseline.reached(wait)
+        return post, baseline.reached(op, msg, 1)
 
     def exchange(op: CommOp) -> tuple[float, float, float]:
         (channel, k), peer = pattern.message(op)
@@ -721,16 +726,15 @@ def _allowed_freqs(s: Scenario, ref: _Engine, wait: _DelayedWait) -> set[float]:
     node = wait.node
     allowed = set()
     impactful: list[tuple[float, float]] = []
-    table = ref.messages
-    for item in ref.procs[node].items:
-        op = item.op
-        if item.is_wait or op.peer == s.failure.node:
+    table, proc = ref.messages, ref.procs[node]
+    for op, msg in zip(proc.ops, proc.msgs):  # each op's post
+        if op.peer == s.failure.node:
             continue
         if op.direction is Direction.RECV and s.pattern.buffered:
             continue
         # only the failed node replays a post: a survivor's side holds its own
-        wall = table.post(op, item.msg)
-        transfer = table.transfer[item.msg]
+        wall = table.post(op, msg)
+        transfer = table.transfer[msg]
         if wall is None or not (fail < wall < wait.begin) or transfer is None:
             continue
         impactful.append((wall, transfer))

@@ -26,7 +26,7 @@ from ftsim.scenario import Scenario
 from test_energy import random_profile
 
 SHAPES = ("ring", "chain", "tree", "star", "random")
-EXHAUSTIVE = 200  # deeper than any family's message chain
+EXHAUSTIVE = 200  # no cut: a pair of nodes exchanges at most 10 messages
 
 
 def _edges(rng: random.Random, shape: str, nodes: int) -> list[tuple[int, int]]:

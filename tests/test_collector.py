@@ -7,6 +7,7 @@ import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,25 @@ def test_a_run_leaves_no_cyclic_garbage(name, build, collector_off):
     assert result.trace
     del result
     assert gc.collect() == 0, name
+
+
+@pytest.mark.parametrize("name", ["halo_chain_8", "master_worker_6"])
+def test_repeated_runs_hold_no_more_memory(name):
+    """A run frees all it builds, also what the interpreter keeps for reuse:
+    after a few runs have settled the allocator's caches, each further run
+    leaves at most a few hundred bytes more allocated (a fork copying its
+    processes with ``dataclasses.replace`` kept about 3 KB per run)."""
+    s = SHAPED[name]()
+    simulate_detailed(s)
+    tracemalloc.start()
+    try:
+        held = []
+        for _ in range(6):
+            simulate_detailed(s)
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert held[-1] - held[2] < 2000, held
 
 
 @pytest.mark.parametrize("enabled", [True, False])

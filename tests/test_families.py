@@ -1,7 +1,9 @@
 """Properties on the pattern families of ``families``: the strategies never
 extend the run (acceptance criterion 9), repeated runs write the same bytes
 (criterion 12), and each node's ``S`` records tile the run without a gap.
-Pinned digests of a set of seeds guard the simulated results off stars.
+The seeds that break a property today are listed exactly, so that both a
+new violation and a fix fail a test. Pinned digests of a set of seeds guard
+the simulated results off stars.
 """
 
 import pytest
@@ -14,16 +16,17 @@ from test_output_pins import output_digest
 
 SEEDS = range(400)
 
-# Seeds on which pass 3 ends after the reference run. Each of these plans
-# extends the run when applied alone: ``_allowed_freqs`` checks a slowed node
-# only against the messages it sent to live peers before its planned wait
-# in the reference run, and these nodes delay the failed node or a peer
-# beyond that. Kept here so that a fix shows as a failure of this test.
+# Seeds on which pass 3 ends after the reference run. Every plan that
+# extends the run when applied alone slows a compute phase; the plans at
+# f_max do not. On seed 110, a star around the failed node, the slowed nodes
+# talk only to the failed node, whose messages ``_allowed_freqs`` does not
+# check. Kept here so that a fix shows as a failure of this test.
 EXTENDED = {79, 110, 379}
 
 # Seeds whose trace has overlapping ``S`` records: a planned sleep that
 # begins less than ``t_go_sleep + t_wakeup`` before its release marks its
-# WAKEUP before its GO_SLEEP ends (``_Engine._apply_wait_action``).
+# WAKEUP before its GO_SLEEP ends (``_Engine._apply_wait_action``). Also
+# kept so that a fix shows.
 OVERLAPPED = {38}
 
 FAMILY_DIGESTS = {

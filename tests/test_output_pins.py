@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ftsim.kernel import EventQueue
+from ftsim.kernel import EventKind, EventQueue
 from ftsim.report import render_report, write_trace
 from ftsim.scenario import load_scenario, loads_scenario
 from ftsim.simulate import simulate_detailed
@@ -170,7 +170,8 @@ def test_halo_chain_covers_waits_and_replay(monkeypatch):
     schedule = EventQueue.schedule
 
     def spy(queue, time, kind, node, payload=None, **kwargs):
-        if getattr(payload, "replay", False):
+        # a replayed post carries its op's index, complemented
+        if kind in (EventKind.POST_SEND, EventKind.POST_RECV) and payload < 0:
             replayed.append(node)
         return schedule(queue, time, kind, node, payload, **kwargs)
 
@@ -356,7 +357,10 @@ def reference_waits_digest(scenario) -> str:
     """sha256 of each planned node's first delayed reference wait, as
     (node, op index, is_wait, begin, end) in node order."""
     waits = simulate_detailed(scenario).reference_waits
-    rows = [(n, w.item.index, w.item.is_wait, w.begin, w.end) for n, w in sorted(waits.items())]
+    rows = [
+        (n, w.milestone >> 1, bool(w.milestone & 1), w.begin, w.end)  # 2·op index + is_wait
+        for n, w in sorted(waits.items())
+    ]
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 

@@ -221,7 +221,7 @@ def exchange_times(send_at, recv_at, buffered):
     s.validate()
     engine = _Engine(s, _programs(pattern), inject_failure=False)
     engine.run()
-    return tuple(engine.messages.completion(engine.procs[node].items[0]) for node in (0, 1))
+    return tuple(engine.messages.completion(*engine.milestone(node, 0)) for node in (0, 1))
 
 
 def test_blocking_unbuffered_synchronizes():

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 from copy import deepcopy
 from dataclasses import fields, replace
@@ -645,15 +646,25 @@ def op_schedule_table(engine):
     sched = {}
     table = engine.messages
     for proc in engine.procs:
-        for item in proc.items:
-            op = item.op
-            if op.mode is OpMode.NONBLOCKING and not item.is_wait:
+        for position in range(len(proc.order)):
+            op, msg, is_wait, blocks = engine.milestone(proc.node, position)
+            if op.mode is OpMode.NONBLOCKING and not is_wait:
                 continue  # its wait gives both times
-            post = table.post(op, item.msg)
-            if post is None or (item.is_wait and table.completion(item) is None):
+            post = table.post(op, msg)
+            if post is None or (is_wait and table.completion(op, msg, is_wait, blocks) is None):
                 continue
-            sched[(proc.node, op.index)] = (post, table.reached(item))
+            sched[(proc.node, op.index)] = (post, table.reached(op, msg, is_wait))
     return sched
+
+
+def post_table(engine):
+    """The pass-1 post of each op that posted."""
+    return {
+        (op.proc, op.index): post
+        for proc in engine.procs
+        for op, msg in zip(proc.ops, proc.msgs)
+        if (post := engine.messages.post(op, msg)) is not None
+    }
 
 
 @pytest.mark.parametrize("cut", [False, True])
@@ -663,15 +674,18 @@ def test_failure_free_times_equal_the_per_op_table(name, s, cut):
         s = replace(s, horizon=s.failure.time + (s.horizon - s.failure.time) / 4)
     programs = _programs(s.pattern)
     base, _ = _failure_free_pass(s, programs)
-    table = op_schedule_table(base)
+    table, posts = op_schedule_table(base), post_table(base)
     exchange = _failure_free_times(s.pattern, programs.first, base.messages)
 
     def times(o):  # the pass-1 times where the table has them, the offsets otherwise
         return table.get((o.proc, o.index), (o.post_time_offset, o.block_point))
 
+    def post(o):  # a peer's recorded post, also where its wait never completed
+        return posts.get((o.proc, o.index), o.post_time_offset)
+
     for ops in s.pattern.processes:
         for o in ops:
-            assert exchange(o) == (*times(o), times(s.pattern.matching_op(o))[0]), (name, o)
+            assert exchange(o) == (*times(o), post(s.pattern.matching_op(o))), (name, o)
 
 
 def test_set_up_work_follows_the_analysed_pairs(monkeypatch):
@@ -832,13 +846,13 @@ def test_the_posting_side_is_not_suspended_at_a_transfer(name, s, monkeypatch):
     register = _Engine._register_post
     transfers = []
 
-    def spied(engine, item, now):
+    def spied(engine, op, msg, now):
         transfer = engine.messages.transfer
-        before = transfer[item.msg]
-        waiting = engine.procs[item.op.proc].blocked_item
-        register(engine, item, now)
-        if before is None and transfer[item.msg] is not None:
-            transfers.append((item.msg, waiting is not None and waiting.msg == item.msg))
+        before = transfer[msg]
+        waiting = engine.procs[op.proc].blocked_msg
+        register(engine, op, msg, now)
+        if before is None and transfer[msg] is not None:
+            transfers.append((msg, waiting == msg))
 
     monkeypatch.setattr(_Engine, "_register_post", spied)
     simulate_detailed(s)
@@ -865,17 +879,62 @@ def test_programs_share_message_keys_and_sort_by_offset():
     programs = _programs(s.pattern)
     n = len(programs.modes)
     assert len(programs.ends) == n
+    assert programs.ops is s.pattern.processes
     ids = {}  # message id -> its key ((sender, receiver), k)
-    for node, items in enumerate(programs.items):
-        assert items == sorted(items, key=lambda it: (it.offset, it.op.index, it.is_wait))
-        for item in items:
-            assert item.op.proc == node and item.index == item.op.index
-            (channel, k), _ = s.pattern.message(item.op)
-            assert item.msg == programs.first[channel] + k
-            assert ids.setdefault(item.msg, (channel, k)) == (channel, k)  # one id per message
-            assert programs.ends[item.msg] == channel
+    for node, (ops, order, msgs) in enumerate(zip(programs.ops, programs.order, programs.msgs)):
+        # each op's post, and a non-blocking op's wait, once, sorted by
+        # (offset, op index, is_wait)
+        milestones = [
+            (op.wait_offset if is_wait else op.post_time_offset, op.index, is_wait)
+            for op in ops
+            for is_wait in ((0, 1) if op.mode is OpMode.NONBLOCKING else (0,))
+        ]
+        assert [2 * index + is_wait for _, index, is_wait in sorted(milestones)] == list(order)
+        assert len(msgs) == len(ops)
+        for op, msg in zip(ops, msgs):
+            assert op.proc == node
+            (channel, k), _ = s.pattern.message(op)
+            assert msg == programs.first[channel] + k
+            assert ids.setdefault(msg, (channel, k)) == (channel, k)  # one id per message
+            assert programs.ends[msg] == channel
     assert sorted(ids) == list(range(n))
     assert [key for key, _, _ in s.pattern.messages()] == [ids[msg] for msg in range(n)]
+
+
+def wide_halo_text(nodes, steps, step=60.0):
+    """A non-blocking 1-D halo: each node exchanges with both neighbours in
+    every step, so every op has a post and a wait milestone."""
+    lines = [_SYSTEM, "[pattern]", f"nodes = {nodes}", "mpi_mode = nonblocking",
+             f"interval = {step} s"]
+    until = step * (steps - 1)
+    for i in range(nodes):
+        for direction, peer, at in (("send", i - 1, 1.0), ("recv", i - 1, 1.2),
+                                    ("send", i + 1, 1.1), ("recv", i + 1, 1.3)):
+            if 0 <= peer < nodes:
+                lines.append(f"op = {i} {direction} {peer} @ {at} s wait @ {at + 40.0:.1f} s"
+                             f" every {step} s until {until + at:.1f} s")
+    lines += ["[checkpoint]", "interval = 1000 s", "duration = 100 s", "offset = 500 s",
+              "[failure]", "node = 1", "time = 300 s", "restart = 30 s",
+              "[run]", f"horizon = {step * steps * 3} s", "depth = 2"]
+    return "\n".join(lines)
+
+
+def test_programs_hold_at_most_40_bytes_per_milestone():
+    """A milestone is one int in its process's column, and an op's message id
+    one int in another: offsets, kinds and ops are read from the pattern, not
+    copied per milestone (an eight-field tuple per milestone held ~131 B)."""
+    s = loads_scenario(wide_halo_text(nodes=32, steps=50), "wide_halo")
+    milestones = sum(2 * len(ops) for ops in s.pattern.processes)
+    assert milestones >= 10_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        programs = _programs(s.pattern)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 40 * milestones, held / milestones
+    assert sum(len(order) for order in programs.order) == milestones
 
 
 SAME_INSTANT_POST = _SYSTEM + """
