@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .pattern import CommOp, CommPattern, Direction
+from .pattern import KIND_RECV, CommOp, CommPattern, Direction
 
 # an op's projected failure-free (post, block point) wall times and its peer op's post
 Exchange = Callable[[CommOp], tuple[float, float, float]]
@@ -45,11 +45,10 @@ def pattern_depth(pattern: CommPattern) -> int:
     communications after the failure (as down a long chain) gets no estimate."""
     limit = pattern.repetition if pattern.repetition > 0 else float("inf")
     counts: dict[tuple[int, int], int] = {}
-    send = Direction.SEND
-    for ops in pattern.processes:
-        for _, proc, peer, direction, _, post, _ in ops:
+    for proc, ops in enumerate(pattern.processes):
+        for peer, kind, post in zip(ops.peers, ops.kinds, ops.offsets[::2]):
             # one message per send; counting both sides would double it
-            if direction is not send or post >= limit:
+            if kind & KIND_RECV or post >= limit:
                 continue
             pair = (proc, peer) if proc < peer else (peer, proc)
             counts[pair] = counts.get(pair, 0) + 1

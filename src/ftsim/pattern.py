@@ -1,10 +1,24 @@
 """Application model: per-process communication programs and MPI standard-mode
-semantics (blocking/non-blocking, with or without system buffering)."""
+semantics (blocking/non-blocking, with or without system buffering).
+
+Each process's ops are stored as columns (:class:`OpColumns`): the post and
+wait offsets interleaved in one ``array('d')``, so that entry
+``2·index + is_wait`` is op ``index``'s post (0) or wait (1); the peers in an
+``array('i')``; and each op's direction and mode as the bits ``KIND_RECV``
+and ``KIND_NONBLOCKING`` of one byte. A :class:`CommOp` is built from the
+columns on demand, by indexing or iterating them, only where a caller asks
+for an op: validation errors, the cascade's ``ops_with`` and ``message``, and
+tests. The simulation reads the columns.
+"""
 
 from __future__ import annotations
 
 import enum
+from array import array
+from bisect import bisect_left
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 from .energy import WaitMode
@@ -14,7 +28,7 @@ class Direction(enum.Enum):
     SEND = "send"
     RECV = "recv"
 
-    # hashed in every channel key and CommOp hash: keep it in C
+    # hashed in every CommOp hash: keep it in C
     __hash__ = object.__hash__
 
 
@@ -23,6 +37,17 @@ class OpMode(enum.Enum):
     NONBLOCKING = "nonblocking"
 
     __hash__ = object.__hash__  # as Direction's
+
+
+# the bits of an op's kind byte
+KIND_RECV = 1  # it receives; else it sends
+KIND_NONBLOCKING = 2  # it is non-blocking; else blocking
+_DIRECTIONS = (Direction.SEND, Direction.RECV)
+_MODES = (OpMode.BLOCKING, OpMode.NONBLOCKING)
+
+
+def op_kind(direction: Direction, mode: OpMode) -> int:
+    return (direction is Direction.RECV) | (mode is OpMode.NONBLOCKING) << 1
 
 
 class UnmatchedOp(ValueError):
@@ -57,117 +82,186 @@ class CommOp(NamedTuple):
         return self.wait_offset if self.mode is OpMode.NONBLOCKING else self.post_time_offset
 
 
+_new_op = tuple.__new__  # skips the NamedTuple's generated Python __new__
+
+
+@dataclass(slots=True, eq=False, repr=False)
+class OpColumns(Sequence):
+    """The ops of process ``proc`` as columns, read as a sequence of
+    :class:`CommOp`: ``ops[index]`` builds op ``index``, and iterating builds
+    each in turn. The columns are never mutated once built.
+
+    ``fault`` is ``(position, message)`` for the first op of a list given to
+    :meth:`of` that does not belong at its place (another owner, or an index
+    other than its position), which the columns cannot hold:
+    :meth:`CommPattern.validate` raises it."""
+
+    proc: int
+    offsets: array
+    peers: array
+    kinds: bytes
+    fault: tuple[int, str] | None = None
+
+    @classmethod
+    def of(cls, proc: int, ops: Iterable[CommOp]) -> OpColumns:
+        """The columns of process ``proc``'s ops in program order."""
+        offsets, peers, kinds, fault = array("d"), array("i"), bytearray(), None
+        for position, (index, owner, peer, direction, mode, post, wait) in enumerate(ops):
+            if fault is None and owner != proc:
+                fault = (position, f"op {index} owner mismatch")
+            elif fault is None and index != position:
+                fault = (position, f"process {proc}: op {index} at position {position}")
+            offsets.append(post)
+            offsets.append(wait)
+            peers.append(peer)
+            kinds.append(op_kind(direction, mode))
+        return cls(proc, offsets, peers, bytes(kinds), fault)
+
+    def __len__(self) -> int:
+        return len(self.peers)
+
+    def __getitem__(self, index: int) -> CommOp:
+        if index < 0:
+            index += len(self.peers)
+        if not 0 <= index < len(self.peers):
+            raise IndexError("op index out of range")
+        kind, offsets = self.kinds[index], self.offsets
+        return _new_op(CommOp, (
+            index, self.proc, self.peers[index], _DIRECTIONS[kind & KIND_RECV],
+            _MODES[kind >> 1], offsets[2 * index], offsets[2 * index + 1],
+        ))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None  # type: ignore[assignment]  # equal to a list of its ops
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.proc}, {list(self)!r})"
+
+
 @dataclass
 class CommPattern:
     """Per-process programs plus the MPI semantics they run under.
 
-    Construction builds the FIFO channel index in one pass over the ops: the
-    sequence number on its directed channel of the op at each position of
-    each program, the per-direction op stream of every (process, peer) pair,
-    and each pair's ops in program order. The index is not refreshed, so
-    ``processes`` must not be mutated after construction;
-    ``dataclasses.replace`` builds a new, indexed pattern.
+    ``processes`` may be given as lists of :class:`CommOp`; construction
+    turns each into :class:`OpColumns` (columns are kept as they are) and
+    builds the FIFO channel index from the columns in one pass: for each
+    process, the indices of its ops on each of its directed channels, in
+    program order. The index is not refreshed, so the columns must not be
+    mutated; ``dataclasses.replace`` builds a new, indexed pattern.
     """
 
-    processes: list[list[CommOp]]
+    processes: list[OpColumns]
     buffered: bool = False
     wait_mode: WaitMode = WaitMode.ACTIVE
     repetition: float = 0.0  # one pattern repetition, seconds; 0 = whole program
 
     def __post_init__(self) -> None:
-        self._streams: dict[tuple[int, int, Direction], list[CommOp]] = {}
-        # looked up by (proc, index), not by hashing the op: an op's index is
-        # its position once validated
-        self._seq: list[list[int]] = []
-        self._pairs: list[dict[int, list[CommOp]]] = []
-        streams = self._streams
-        for proc, ops in enumerate(self.processes):
-            seq: list[int] = []
-            pairs: dict[int, list[CommOp]] = {}
-            for op in ops:
-                _, _, peer, direction, _, _, _ = op
-                stream = streams.setdefault((proc, peer, direction), [])
-                seq.append(len(stream))
-                stream.append(op)
-                pairs.setdefault(peer, []).append(op)
-            self._seq.append(seq)
-            self._pairs.append(dict(sorted(pairs.items())))
+        self.processes = [
+            ops if isinstance(ops, OpColumns) and ops.proc == proc else OpColumns.of(proc, ops)
+            for proc, ops in enumerate(self.processes)
+        ]
+        # per process, its streams keyed 2·peer + (kind & KIND_RECV), each in
+        # the order of its first op: the order ``messages`` numbers them in
+        self._streams: list[dict[int, array]] = []
+        for ops in self.processes:
+            streams: dict[int, array] = {}
+            for index, (peer, kind) in enumerate(zip(ops.peers, ops.kinds)):
+                key = 2 * peer + (kind & KIND_RECV)
+                stream = streams.get(key)
+                if stream is None:
+                    stream = streams[key] = array("i")
+                stream.append(index)
+            self._streams.append(streams)
 
     @property
     def nodes(self) -> int:
         return len(self.processes)
 
+    def _stream(self, proc: int, key: int) -> Sequence[int]:
+        """Stream ``key`` of ``proc``; empty when ``proc`` is no process."""
+        return self._streams[proc].get(key, ()) if 0 <= proc < len(self._streams) else ()
+
     def peers(self, proc: int) -> list[int]:
         """Processes ``proc`` communicates with, ascending."""
-        return list(self._pairs[proc])
+        return sorted({key >> 1 for key in self._streams[proc]})
 
     def ops_with(self, proc: int, peer: int) -> list[CommOp]:
         """The ops of ``proc`` with ``peer``, in program order."""
-        return self._pairs[proc].get(peer, [])
+        ops = self.processes[proc]
+        sends, recvs = self._stream(proc, 2 * peer), self._stream(proc, 2 * peer + KIND_RECV)
+        return [ops[index] for index in sorted(chain(sends, recvs))]
 
-    def _sequence(self, op: CommOp) -> int:
-        proc, index = op.proc, op.index
-        if 0 <= proc < len(self.processes) and 0 <= index < len(self.processes[proc]):
-            mine = self.processes[proc][index]
-            if mine is op or mine == op:
-                return self._seq[proc][index]
-        raise ValueError(f"op {op.index} of process {op.proc} is not in the pattern")
+    def message_at(self, proc: int, index: int) -> tuple[tuple[tuple[int, int], int], int]:
+        """The message key ((sender, receiver), k) of op ``index`` of
+        ``proc``, for the k-th message on that directed channel, and the
+        index in the peer's program of the op on the message's other side,
+        paired with it by FIFO order on the channel."""
+        ops = self.processes[proc]
+        peer, recv = ops.peers[index], ops.kinds[index] & KIND_RECV
+        k = bisect_left(self._streams[proc][2 * peer + recv], index)
+        theirs = self._stream(peer, 2 * proc + (recv ^ KIND_RECV))
+        if k >= len(theirs):
+            raise UnmatchedOp.of(ops[index])
+        return ((peer, proc) if recv else (proc, peer), k), theirs[k]
 
     def message(self, op: CommOp) -> tuple[tuple[tuple[int, int], int], CommOp]:
-        """``op``'s message key ((sender, receiver), k), for the k-th message
-        on that directed channel, and the peer op on the message's other
-        side, paired with it by FIFO order on the channel."""
-        k = self._sequence(op)
-        if op.direction is Direction.SEND:
-            key, want = ((op.proc, op.peer), k), Direction.RECV
-        else:
-            key, want = ((op.peer, op.proc), k), Direction.SEND
-        theirs = self._streams.get((op.peer, op.proc, want), [])
-        if k >= len(theirs):
-            raise UnmatchedOp.of(op)
-        return key, theirs[k]
+        """``op``'s message key, as :meth:`message_at` gives it, and the peer
+        op on the message's other side."""
+        proc, index = op.proc, op.index
+        if not (0 <= proc < len(self.processes) and 0 <= index < len(self.processes[proc])
+                and self.processes[proc][index] == op):
+            raise ValueError(f"op {index} of process {proc} is not in the pattern")
+        key, theirs = self.message_at(proc, index)
+        return key, self.processes[op.peer][theirs]
 
     def matching_op(self, op: CommOp) -> CommOp:
         """Peer op paired with ``op`` by FIFO order on the directed channel."""
         return self.message(op)[1]
 
-    def messages(self) -> Iterator[tuple[tuple[tuple[int, int], int], CommOp, CommOp]]:
-        """Every message of a validated pattern as (key, send op, receive
-        op), channel by channel: the k-th send of a directed channel and its
-        k-th receive share the key ((sender, receiver), k)."""
-        for (proc, peer, direction), sends in self._streams.items():
-            if direction is Direction.SEND:
-                channel = (proc, peer)
-                recvs = self._streams[(peer, proc, Direction.RECV)]
-                for k, (send, recv) in enumerate(zip(sends, recvs, strict=True)):
-                    yield (channel, k), send, recv
+    def messages(self) -> Iterator[tuple[tuple[tuple[int, int], int], int, int]]:
+        """Every message of a validated pattern as (key, send op index,
+        receive op index), channel by channel: the k-th send of a directed
+        channel and its k-th receive share the key ((sender, receiver), k)."""
+        for sender, streams in enumerate(self._streams):
+            for key, sends in streams.items():
+                if not key & KIND_RECV:
+                    channel = (sender, key >> 1)
+                    recvs = self._streams[key >> 1][2 * sender + KIND_RECV]
+                    for k, (send, recv) in enumerate(zip(sends, recvs, strict=True)):
+                        yield (channel, k), send, recv
 
     def validate(self) -> None:
-        nodes, nonblocking = self.nodes, OpMode.NONBLOCKING
+        nodes = self.nodes
         for proc, ops in enumerate(self.processes):
+            fault_at, fault = ops.fault or (len(ops), "")
             last = -1.0
-            for position, (index, owner, peer, _, mode, post, wait) in enumerate(ops):
-                if owner != proc:
-                    raise ValueError(f"op {index} owner mismatch")
-                if index != position:
-                    raise ValueError(f"process {proc}: op {index} at position {position}")
+            for index, (peer, kind, post, wait) in enumerate(
+                zip(ops.peers, ops.kinds, ops.offsets[::2], ops.offsets[1::2])
+            ):
+                if index == fault_at:
+                    raise ValueError(fault)
                 if post <= last:
                     raise ValueError(
                         f"process {proc}: post offsets not strictly increasing at op {index}"
                     )
                 last = post
-                if mode is nonblocking and wait < post:
+                if kind & KIND_NONBLOCKING and wait < post:
                     raise ValueError(f"process {proc}: wait before post at op {index}")
                 if not (0 <= peer < nodes) or peer == proc:
                     raise ValueError(f"process {proc}: bad peer {peer}")
         # FIFO matching from the channel index: past the shorter of a
         # channel's send and receive streams, every op of the longer one is
         # unmatched, the first of them at position len(shorter)
-        send, recv = Direction.SEND, Direction.RECV
         unmatched = []
-        for (proc, peer, direction), stream in self._streams.items():
-            k = len(self._streams.get((peer, proc, recv if direction is send else send), ()))
-            if len(stream) > k:
-                unmatched.append(stream[k])
+        for proc, streams in enumerate(self._streams):
+            for key, stream in streams.items():
+                k = len(self._streams[key >> 1].get(2 * proc + ((key & KIND_RECV) ^ KIND_RECV), ()))
+                if len(stream) > k:
+                    unmatched.append((proc, stream[k]))
         if unmatched:
-            raise UnmatchedOp.of(min(unmatched, key=lambda op: (op.proc, op.index)))
+            proc, index = min(unmatched)
+            raise UnmatchedOp.of(self.processes[proc][index])

@@ -14,7 +14,7 @@ import tempfile
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
-from typing import NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .energy import NodePlan, WaitAction
 
@@ -76,14 +76,16 @@ def _mode_for(path: Path) -> int:
         return 0o666 & ~umask
 
 
-def _atomic_write(path: str | Path, text: str) -> None:
+def _atomic_write(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` to a temporary file as they come, then put
+    it in place of ``path``."""
     # a symlink's target is replaced, and the link kept, as open(path, "w") would
     path = Path(os.path.realpath(path))
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         os.fchmod(fd, _mode_for(path))
         with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -91,16 +93,20 @@ def _atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
-def write_trace(records: list[TraceRecord], path: str | Path) -> None:
-    lines = ["TRACE v1"]
+def _trace_lines(records: list[TraceRecord]) -> Iterator[str]:
+    yield "TRACE v1\n"
     for r in sorted(records, key=_record_key):
         if isinstance(r, StateRecord):
-            lines.append(f"S {r.node} {r.t0:.3f} {r.t1:.3f} {r.state}")
+            yield f"S {r.node} {r.t0:.3f} {r.t1:.3f} {r.state}\n"
         elif isinstance(r, CommRecord):
-            lines.append(f"C {r.src} {r.dst} {r.t_post:.3f} {r.t_complete:.3f} {r.mode}")
+            yield f"C {r.src} {r.dst} {r.t_post:.3f} {r.t_complete:.3f} {r.mode}\n"
         else:
-            lines.append(f"F {r.node} {r.t:.3f} {r.edge} {r.label}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+            yield f"F {r.node} {r.t:.3f} {r.edge} {r.label}\n"
+
+
+def write_trace(records: list[TraceRecord], path: str | Path) -> None:
+    """Write the trace of ``records``, each line as it is formatted."""
+    _atomic_write(path, _trace_lines(records))
 
 
 def _wait_action_label(plan: NodePlan, min_ghz: float) -> str:
@@ -166,4 +172,4 @@ def render_report(report: SavingsReport, format: str) -> str:
 
 
 def write_report(report: SavingsReport, path: str | Path, format: str) -> None:
-    _atomic_write(path, render_report(report, format))
+    _atomic_write(path, [render_report(report, format)])

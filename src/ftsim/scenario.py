@@ -11,6 +11,10 @@ an error. Everything is converted to seconds at ingestion. ``nodes``, the op
 count once every ``every`` is expanded, and the checkpoint timer steps of all
 nodes up to the horizon are capped at ``SIZE_LIMIT``.
 
+The loader builds no op object: each process's ops go straight into columns
+(``pattern.OpColumns``), which are sorted by (post offset, file order) once
+the ``[pattern]`` section is read.
+
 Every error names the line it is on, except a missing section; a missing key
 or ``freq`` row names its section's header. The structural checks of
 ``Scenario.validate`` (failure node, horizon, checkpoint triggers, matched
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -28,7 +33,7 @@ from typing import Callable
 from .cascade import DepthConfig, pattern_depth
 from .energy import FrequencyLevel, SystemProfile, WaitMode
 from .fault import CheckpointPolicy, FailureSpec
-from .pattern import CommOp, CommPattern, Direction, OpMode
+from .pattern import KIND_NONBLOCKING, CommPattern, Direction, OpColumns, OpMode, op_kind
 
 
 class ParseError(ValueError):
@@ -246,22 +251,27 @@ def _parse_sections(text: str) -> dict[str, _Section]:
     return sections
 
 
+# a blocking op's kind bits by its direction's token: one dict lookup per op line
+_DIRECTION_KINDS = {d.value: op_kind(d, OpMode.BLOCKING) for d in Direction}
+
+
 def _too_many_ops(line: int) -> ParseError:
     return ParseError(f"the ops expand past the limit of {SIZE_LIMIT}", line)
 
 
-def _parse_op(text: str, line: int, order: int, per_proc: list[list[list]]) -> int:
+def _parse_op(text: str, line: int, order: int, per_proc: list, nonblocking: bool) -> int:
     """``<proc> send|recv <peer> @ <t> [wait @ <t>] [every <dt> until <t>]``
 
-    Appends one ``[post, order, peer, direction, wait]`` record per op to its
-    process's list, numbering them from ``order`` in file order; returns the
-    next number."""
+    Appends each op, in file order, to its process's raw columns in
+    ``per_proc`` (made on its first op): post offsets, wait offsets, peers
+    and kinds. ``order`` counts the ops of the file so far; returns the new
+    count."""
     tokens = text.split()
     try:
         proc = int(tokens[0])
-        direction = Direction(tokens[1].lower())
+        kind = _DIRECTION_KINDS[tokens[1].lower()]
         peer = int(tokens[2])
-    except (IndexError, ValueError):
+    except (IndexError, ValueError, KeyError):
         raise ParseError(f"bad op spec {text!r}", line) from None
     nodes = len(per_proc)
     for role, node in (("process", proc), ("peer", peer)):
@@ -288,13 +298,21 @@ def _parse_op(text: str, line: int, order: int, per_proc: list[list[list]]) -> i
             raise ParseError(f"unexpected token {tokens[i]!r}", line)
     if every is not None and order + 1 + max(0.0, (until - post) / every) > SIZE_LIMIT:
         raise _too_many_ops(line)
-    # lists, not tuples: freed small tuples stay on CPython's free list and
-    # would raise the peak memory of the simulation that follows
-    records = per_proc[proc]
+    columns = per_proc[proc]
+    if columns is None:
+        columns = per_proc[proc] = [array("d"), array("d"), array("i"), bytearray()]
+    posts, waits, peers, kinds = columns
+    # an op with an explicit wait is non-blocking; a non-blocking op without
+    # one tests right away, its wait at its post
+    if nonblocking or wait is not None:
+        kind |= KIND_NONBLOCKING
     while True:
         if order >= SIZE_LIMIT:  # also where a step too small to move ``post`` repeats it
             raise _too_many_ops(line)
-        records.append([post, order, peer, direction, wait])
+        posts.append(post)
+        waits.append(post if wait is None else wait)
+        peers.append(peer)
+        kinds.append(kind)
         order += 1
         if every is None:
             break
@@ -306,19 +324,23 @@ def _parse_op(text: str, line: int, order: int, per_proc: list[list[list]]) -> i
     return order
 
 
-def _build_ops(per_proc: list[list[list]], mpi_mode: OpMode) -> list[list[CommOp]]:
-    processes: list[list[CommOp]] = []
-    new_op = tuple.__new__  # skips the NamedTuple's generated Python __new__
-    nonblocking = OpMode.NONBLOCKING
-    for proc, records in enumerate(per_proc):
-        records.sort()  # by (post, file order); the order is unique
-        processes.append([
-            # a non-blocking op without an explicit wait tests right away
-            new_op(CommOp, (idx, proc, peer, direction, mpi_mode, post, post)) if wait is None
-            else new_op(CommOp, (idx, proc, peer, direction, nonblocking, post, wait))
-            for idx, (post, _, peer, direction, wait) in enumerate(records)
-        ])
-    return processes
+def _columns(per_proc: list, proc: int) -> OpColumns:
+    """Process ``proc``'s raw columns, taken out of ``per_proc`` so that each
+    is freed once its process's are built, as the pattern's columns: its ops
+    sorted by (post, file order), a stable sort of their positions by post."""
+    raw, per_proc[proc] = per_proc[proc], None
+    if raw is None:
+        return OpColumns(proc, array("d"), array("i"), b"")
+    posts, waits, peers, kinds = raw
+    keys = posts.tolist()
+    # lists, not tuples: freed small tuples stay on CPython's free lists and
+    # would raise the peak memory of the simulation that follows
+    by_post = sorted(range(len(keys)), key=keys.__getitem__)
+    offsets = array("d", bytes(16 * len(by_post)))
+    offsets[0::2] = array("d", [keys[i] for i in by_post])
+    offsets[1::2] = array("d", [waits[i] for i in by_post])
+    peers = array("i", [peers[i] for i in by_post])
+    return OpColumns(proc, offsets, peers, bytes([kinds[i] for i in by_post]))
 
 
 def _parse_profile(sec: _Section) -> SystemProfile:
@@ -355,17 +377,18 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
     )
 
     nodes = pat_sec.value("nodes", None, _node_count)
-    mpi_mode = pat_sec.choice("mpi_mode", OpMode, "blocking")
-    per_proc: list[list[list]] = [[] for _ in range(nodes)]
+    nonblocking = pat_sec.choice("mpi_mode", OpMode, "blocking") is OpMode.NONBLOCKING
+    per_proc: list = [None] * nodes
     order = 0
     for lineno, value in pat_sec.repeated("op"):
-        order = _parse_op(value, lineno, order, per_proc)
+        order = _parse_op(value, lineno, order, per_proc, nonblocking)
+    processes = [_columns(per_proc, proc) for proc in range(nodes)]
 
     # checked but not modelled: a transfer takes no time
     pat_sec.number("interval", "0 s")
     pat_sec.integer("message_size", "0")
     pattern = CommPattern(
-        processes=_build_ops(per_proc, mpi_mode),
+        processes=processes,
         buffered=pat_sec.boolean("buffered", "false"),
         wait_mode=pat_sec.choice("wait_mode", WaitMode, "active"),
         repetition=pat_sec.number("repetition", "0 s"),

@@ -23,9 +23,10 @@ Each process's program is a column of milestones in execution order, one
 integer each: ``2·op index + is_wait`` for an op's post (is_wait 0) or a
 non-blocking op's wait (1). A milestone is named by its node and its
 position in that column, and milestone events carry the position (a replayed
-post carries its op's index, complemented). Its offset, direction, event
-kind and whether it blocks are read from the op and the pattern; each op's
-message id is stored once, in a per-process column.
+post carries its op's index, complemented). Its offset is entry ``code`` of
+the pattern's offset column, and its direction, event kind and whether it
+blocks are read from the op's kind byte; all passes read the pattern's own
+columns, and each op's message id is stored once, in a per-process column.
 
 Strategy evaluation and application consume no virtual time. Applying a
 strategy never moves a block release: a slowed compute phase must fit inside
@@ -40,7 +41,7 @@ import enum
 from array import array
 from copy import copy
 from dataclasses import dataclass, field
-from math import inf
+from math import inf, isnan, nan
 from typing import NamedTuple
 
 from .cascade import BlockEstimate, Exchange, estimate_block_times
@@ -54,7 +55,7 @@ from .energy import (
 )
 from .fault import should_anticipate
 from .kernel import EmptyQueue, EventKind, EventQueue
-from .pattern import CommOp, CommPattern, Direction, OpMode
+from .pattern import KIND_NONBLOCKING, KIND_RECV, CommOp, CommPattern, Direction
 from .report import CommRecord, FlagRecord, SavingsReport, StateRecord, TraceRecord
 from .scenario import Scenario
 
@@ -79,7 +80,6 @@ _CKPT_END, _RESTART_END, _REEXEC_END, _WAKEUP_END = (
     EventKind.CKPT_END, EventKind.RESTART_END, EventKind.REEXEC_END, EventKind.WAKEUP_END
 )
 _COMPUTING, _BLOCKED_WAIT, _CHECKPOINTING, _SLEEPING, _RESTARTING, _REEXECUTING, _DONE = ProcStatus
-_SEND, _NONBLOCKING = Direction.SEND, OpMode.NONBLOCKING
 
 _Channel = tuple[int, int]  # (sender, receiver)
 
@@ -90,23 +90,24 @@ _new_record = tuple.__new__  # skips the NamedTuples' generated Python __new__
 class _Programs(NamedTuple):
     """Each process's program as columns, and per message id its mode and its
     (sender, receiver). ``order[node][position]`` is the milestone code
-    ``2·op index + is_wait``, where the op is ``ops[node][index]`` and its
-    message id ``msgs[node][index]``. ``first`` gives each channel's first
-    message id, so that the k-th message on a channel has id
-    ``first[channel] + k``."""
+    ``2·op index + is_wait`` and ``msgs[node][index]`` the op's message id;
+    the op itself is in the pattern's columns. ``modes[msg]`` is
+    ``KIND_NONBLOCKING`` for a non-blocking message, else 0. ``first`` gives
+    each channel's first message id, so that the k-th message on a channel
+    has id ``first[channel] + k``."""
 
-    ops: list[list[CommOp]]
     order: list[array]
     msgs: list[array]
-    modes: list[OpMode]
+    modes: bytearray
     ends: list[_Channel]
     first: dict[_Channel, int]
 
 
-def _blocks(op: CommOp, is_wait: int, buffered: bool) -> bool:
-    """Whether an op's milestone can suspend its process: a blocking op's
-    post or a non-blocking op's wait, unless the op is a buffered send."""
-    return (is_wait or op[4] is not _NONBLOCKING) and not (buffered and op[3] is _SEND)
+def _blocks(kind: int, is_wait: int, buffered: bool) -> bool:
+    """Whether a milestone of an op of ``kind`` can suspend its process: a
+    blocking op's post or a non-blocking op's wait, unless the op is a
+    buffered send."""
+    return (is_wait or not kind & KIND_NONBLOCKING) and not (buffered and not kind & KIND_RECV)
 
 
 def _programs(pattern: CommPattern) -> _Programs:
@@ -120,75 +121,87 @@ def _programs(pattern: CommPattern) -> _Programs:
     sort by offset, then by code, so by (op index, is_wait)."""
     processes = pattern.processes
     msgs = [array("i", [0]) * len(ops) for ops in processes]
-    modes: list[OpMode] = []
+    modes = bytearray()
     ends: list[_Channel] = []
     first: dict[_Channel, int] = {}
     for msg, ((channel, k), send, recv) in enumerate(pattern.messages()):
         if not k:
             first[channel] = msg
-        msgs[send.proc][send.index] = msgs[recv.proc][recv.index] = msg
-        modes.append(send.mode if send.proc < recv.proc else recv.mode)
+        sender, receiver = channel
+        msgs[sender][send] = msgs[receiver][recv] = msg
+        if sender < receiver:
+            modes.append(processes[sender].kinds[send] & KIND_NONBLOCKING)
+        else:
+            modes.append(processes[receiver].kinds[recv] & KIND_NONBLOCKING)
         ends.append(channel)
     order = []
     for ops in processes:
         codes = []
-        for op in ops:
-            codes.append(2 * op.index)
-            if op.mode is _NONBLOCKING:
-                codes.append(2 * op.index + 1)
-        # a stable sort on the offset (op field 5 for a post, 6 for a wait)
-        # keeps the code order among milestones at one offset
-        codes.sort(key=lambda code, ops=ops: ops[code >> 1][5 + (code & 1)])
+        for index, kind in enumerate(ops.kinds):
+            codes.append(2 * index)
+            if kind & KIND_NONBLOCKING:
+                codes.append(2 * index + 1)
+        # a stable sort on the offset keeps the code order among milestones
+        # at one offset
+        codes.sort(key=ops.offsets.__getitem__)
         order.append(array("i", codes))
-    return _new_record(_Programs, (processes, order, msgs, modes, ends, first))
+    return _new_record(_Programs, (order, msgs, modes, ends, first))
 
 
 @dataclass(slots=True)
 class _Messages:
-    """A pass's messages, one column per fact indexed by message id: when
-    each side posted and reached its non-blocking wait, and when the message
-    was transferred (None until it happens). The failure-free pass's
-    messages are the baseline that the later passes and the analysis read."""
+    """A pass's messages, one ``array('d')`` column per fact indexed by
+    message id: when each side posted and reached its non-blocking wait, and
+    when the message was transferred, NaN until it happens (a column holds
+    no float objects). The failure-free pass's messages are the baseline
+    that the later passes and the analysis read, through the accessors,
+    which give None for NaN."""
 
-    send_post: list[float | None]
-    recv_post: list[float | None]
-    send_wait: list[float | None]
-    recv_wait: list[float | None]
-    transfer: list[float | None]
+    send_post: array
+    recv_post: array
+    send_wait: array
+    recv_wait: array
+    transfer: array
 
     @classmethod
     def unsent(cls, n: int) -> _Messages:
-        return cls([None] * n, [None] * n, [None] * n, [None] * n, [None] * n)
+        column = array("d", [nan]) * n
+        return cls(column, column[:], column[:], column[:], column[:])
 
     def copy(self) -> _Messages:
         return _Messages(
-            self.send_post.copy(),
-            self.recv_post.copy(),
-            self.send_wait.copy(),
-            self.recv_wait.copy(),
-            self.transfer.copy(),
+            self.send_post[:],
+            self.recv_post[:],
+            self.send_wait[:],
+            self.recv_wait[:],
+            self.transfer[:],
         )
 
-    def post(self, op: CommOp, msg: int) -> float | None:
-        """When ``op``'s side of message ``msg`` posted."""
-        return (self.send_post if op.direction is _SEND else self.recv_post)[msg]
+    def post(self, recv: int, msg: int) -> float | None:
+        """When the sending side of message ``msg`` posted, or with ``recv``
+        the receiving side."""
+        t = (self.recv_post if recv else self.send_post)[msg]
+        return None if isnan(t) else t
 
-    def reached(self, op: CommOp, msg: int, is_wait: int) -> float | None:
-        """When ``op``'s process reached its post of message ``msg`` or, with
-        ``is_wait``, its wait; a replayed post counts from its replay."""
-        if op.direction is _SEND:
-            return (self.send_wait if is_wait else self.send_post)[msg]
-        return (self.recv_wait if is_wait else self.recv_post)[msg]
+    def reached(self, recv: int, msg: int, is_wait: int) -> float | None:
+        """When the sending (or with ``recv``, the receiving) process reached
+        its post of message ``msg`` or, with ``is_wait``, its wait; a
+        replayed post counts from its replay."""
+        if recv:
+            t = (self.recv_wait if is_wait else self.recv_post)[msg]
+        else:
+            t = (self.send_wait if is_wait else self.send_post)[msg]
+        return None if isnan(t) else t
 
-    def completion(self, op: CommOp, msg: int, is_wait: int, blocks: bool) -> float | None:
+    def completion(self, recv: int, msg: int, is_wait: int, blocks: bool) -> float | None:
         """When a failure-free pass let a milestone's process go on: on
         reaching it, or for one that ``blocks``, once the message is also
         transferred; None when either had not happened by the horizon."""
-        reach = self.reached(op, msg, is_wait)
+        reach = self.reached(recv, msg, is_wait)
         if reach is None or not blocks:
             return reach
         transfer = self.transfer[msg]
-        return None if transfer is None else max(reach, transfer)
+        return None if isnan(transfer) else max(reach, transfer)
 
 
 class _DelayedWait(NamedTuple):
@@ -204,7 +217,9 @@ class _DelayedWait(NamedTuple):
 @dataclass(slots=True)
 class _Proc:
     node: int
-    ops: list[CommOp]  # the program's columns, shared by all passes
+    offsets: array  # the pattern's columns of the node's ops, shared by all passes
+    peers: array
+    kinds: bytes
     order: array
     msgs: array
     freq: FrequencyLevel
@@ -258,8 +273,11 @@ class _Engine:
         self.buffered = s.pattern.buffered
         self.modes, self.ends = programs.modes, programs.ends  # shared by forks
         self.messages = _Messages.unsent(len(self.modes))
-        columns = zip(programs.ops, programs.order, programs.msgs)
-        self.procs = [_Proc(node, *program, s.profile.f_max) for node, program in enumerate(columns)]
+        columns = zip(s.pattern.processes, programs.order, programs.msgs)
+        self.procs = [
+            _Proc(node, ops.offsets, ops.peers, ops.kinds, order, msgs, s.profile.f_max)
+            for node, (ops, order, msgs) in enumerate(columns)
+        ]
         for proc in self.procs:
             proc.mark(0.0, "COMPUTE")
         self.flags: list[FlagRecord] = []
@@ -306,13 +324,14 @@ class _Engine:
 
     # -- scheduling helpers --------------------------------------------------
 
-    def milestone(self, node: int, position: int) -> tuple[CommOp, int, int, bool]:
-        """Milestone ``position`` of ``node``'s program: its op, the op's
-        message id, is_wait, and whether it can suspend the process."""
+    def milestone(self, node: int, position: int) -> tuple[int, int, int, bool]:
+        """Milestone ``position`` of ``node``'s program: whether its op
+        receives, the op's message id, is_wait, and whether it can suspend
+        the process."""
         proc = self.procs[node]
         code = proc.order[position]
-        op, is_wait = proc.ops[code >> 1], code & 1
-        return op, proc.msgs[code >> 1], is_wait, _blocks(op, is_wait, self.buffered)
+        kind, is_wait, msg = proc.kinds[code >> 1], code & 1, proc.msgs[code >> 1]
+        return kind & KIND_RECV, msg, is_wait, _blocks(kind, is_wait, self.buffered)
 
     def _schedule_milestone(self, proc: _Proc) -> None:
         position = proc.cursor
@@ -323,10 +342,11 @@ class _Engine:
                 proc.mark(self.q.clock, "WAIT_IDLE")
             return
         code = proc.order[position]
-        op, is_wait = proc.ops[code >> 1], code & 1
-        # op fields 5 and 6 are the post and the wait offsets
-        t = proc.resume_wall + (op[5 + is_wait] - proc.position) * proc.freq.beta
-        kind = _WAIT_ENTER if is_wait else _POST_SEND if op[3] is _SEND else _POST_RECV
+        t = proc.resume_wall + (proc.offsets[code] - proc.position) * proc.freq.beta
+        if code & 1:
+            kind = _WAIT_ENTER
+        else:
+            kind = _POST_RECV if proc.kinds[code >> 1] & KIND_RECV else _POST_SEND
         proc.milestone_id = self.q.schedule(t, kind, proc.node, position)
 
     def _cancel_milestone(self, proc: _Proc) -> None:
@@ -367,19 +387,22 @@ class _Engine:
 
     # -- op handling -----------------------------------------------------------
 
-    def _register_post(self, op: CommOp, msg: int, now: float) -> None:
+    def _register_post(self, proc: _Proc, index: int, msg: int, now: float) -> None:
+        """Record the post of ``proc``'s op ``index``, of message ``msg``."""
         table = self.messages
         send_post, recv_post, transfer = table.send_post, table.recv_post, table.transfer
-        if op[3] is _SEND:
-            send_post[msg] = now
-        else:
+        if proc.kinds[index] & KIND_RECV:
             recv_post[msg] = now
-        if send_post[msg] is not None and recv_post[msg] is not None and transfer[msg] is None:
+            other_post = send_post[msg]
+        else:
+            send_post[msg] = now
+            other_post = recv_post[msg]
+        if not isnan(other_post) and isnan(transfer[msg]):
             transfer[msg] = t = max(send_post[msg], recv_post[msg])
             # Only the side that posted first can be suspended on the message:
             # the side posting now is computing up to it or re-executing. A
             # wait anticipated with a checkpoint resumes at the checkpoint's end.
-            other = self.procs[op[2]]
+            other = self.procs[proc.peers[index]]
             if other.blocked_msg == msg and other.status is not _CHECKPOINTING:
                 self.q.schedule(t, _COMM_COMPLETE, other.node, payload=msg)
 
@@ -392,20 +415,20 @@ class _Engine:
             # the replayed post of op ~position: a message transferred since
             # the replay was scheduled keeps the post it was transferred with
             msg = proc.msgs[~position]
-            if table.transfer[msg] is None:
-                self._register_post(proc.ops[~position], msg, now)
+            if isnan(table.transfer[msg]):
+                self._register_post(proc, ~position, msg, now)
             return
         code = proc.order[position]
         index, is_wait = code >> 1, code & 1
-        op, msg = proc.ops[index], proc.msgs[index]
+        kind, msg = proc.kinds[index], proc.msgs[index]
         proc.milestone_id = None
-        proc.position = op[5 + is_wait]
+        proc.position = proc.offsets[code]
         proc.resume_wall = now
         if is_wait:
-            (table.send_wait if op[3] is _SEND else table.recv_wait)[msg] = now
+            (table.recv_wait if kind & KIND_RECV else table.send_wait)[msg] = now
         else:
-            self._register_post(op, msg, now)
-        if table.transfer[msg] is None and _blocks(op, is_wait, self.buffered):
+            self._register_post(proc, index, msg, now)
+        if isnan(table.transfer[msg]) and _blocks(kind, is_wait, self.buffered):
             proc.wait_begin = now
             self._enter_wait(proc, position, msg, now)
             return
@@ -512,7 +535,7 @@ class _Engine:
             return
         # anticipated checkpoint taken at the head of a wait
         transfer = self.messages.transfer[proc.blocked_msg]
-        if transfer is not None:
+        if not isnan(transfer):
             self._resume_from_wait(proc, max(now, transfer))
             return
         self._block_on(proc, proc.blocked_msg, now)
@@ -544,13 +567,13 @@ class _Engine:
         proc.status = _REEXECUTING
         if replay > 0:
             proc.mark(now, "REEXEC")
-        transfer = self.messages.transfer
-        for index, (op, msg) in enumerate(zip(proc.ops, proc.msgs)):
-            offset = op.post_time_offset
+        offsets, kinds, transfer = proc.offsets, proc.kinds, self.messages.transfer
+        for index, msg in enumerate(proc.msgs):
+            offset = offsets[2 * index]
             if offset > proc.pos_at_failure:
                 break  # the posts are in offset order
-            if offset > proc.pos_at_ckpt and transfer[msg] is None:
-                kind = _POST_SEND if op.direction is _SEND else _POST_RECV
+            if offset > proc.pos_at_ckpt and isnan(transfer[msg]):
+                kind = _POST_RECV if kinds[index] & KIND_RECV else _POST_SEND
                 self.q.schedule(now + (offset - proc.pos_at_ckpt), kind, proc.node, ~index)
         self.q.schedule(now + replay, _REEXEC_END, proc.node)
 
@@ -564,12 +587,12 @@ class _Engine:
         proc.mark(now, "COMPUTE")
         transfer = self.messages.transfer
         while proc.cursor < len(proc.order):
-            op, msg, is_wait, blocks = self.milestone(proc.node, proc.cursor)
-            if op[5 + is_wait] > proc.pos_at_failure:
+            if proc.offsets[proc.order[proc.cursor]] > proc.pos_at_failure:
                 break
+            _, msg, _, blocks = self.milestone(proc.node, proc.cursor)
             # the process was suspended at this op when it failed; the post
             # (if any) was already registered or replayed
-            if transfer[msg] is None and blocks:
+            if isnan(transfer[msg]) and blocks:
                 proc.wait_begin = now
                 self._block_on(proc, msg, now)
                 return
@@ -629,7 +652,7 @@ class _Engine:
         transfer = self.messages.transfer[proc.blocked_msg]
         proc.status = _BLOCKED_WAIT
         self.flags.append(FlagRecord(proc.node, now, "END", "SLEEP"))
-        if transfer is not None and transfer <= now:
+        if not isnan(transfer) and transfer <= now:
             self._resume_from_wait(proc, now)
             return
         # The completing post lands at this very instant; the pending
@@ -667,8 +690,8 @@ class _Engine:
         for msg, ((sender, receiver), post, transfer) in enumerate(
             zip(self.ends, table.send_post, table.transfer)
         ):
-            if transfer is not None:
-                mode = "NB" if modes[msg] is _NONBLOCKING else "B"
+            if not isnan(transfer):
+                mode = "NB" if modes[msg] else "B"
                 records.append(_new_record(CommRecord, (sender, receiver, post, transfer, mode)))
         records.extend(self.flags)
         return records
@@ -685,20 +708,24 @@ def _failure_free_times(
     peer has its offset post only when it never posted."""
 
     def side(op: CommOp, msg: int) -> tuple[float, float]:
-        post = baseline.post(op, msg)
+        kind = pattern.processes[op.proc].kinds[op.index]
+        recv = kind & KIND_RECV
+        post = baseline.post(recv, msg)
         if post is None:
             return op.post_time_offset, op.block_point
-        if op.mode is not _NONBLOCKING:
+        if not kind & KIND_NONBLOCKING:
             return post, post
-        if baseline.completion(op, msg, 1, _blocks(op, 1, pattern.buffered)) is None:
+        if baseline.completion(recv, msg, 1, _blocks(kind, 1, pattern.buffered)) is None:
             return op.post_time_offset, op.block_point
-        return post, baseline.reached(op, msg, 1)
+        return post, baseline.reached(recv, msg, 1)
 
     def exchange(op: CommOp) -> tuple[float, float, float]:
-        (channel, k), peer = pattern.message(op)
+        (channel, k), theirs = pattern.message_at(op.proc, op.index)
         msg = first[channel] + k
-        peer_post = baseline.post(peer, msg)
-        return (*side(op, msg), peer.post_time_offset if peer_post is None else peer_post)
+        peer_post = baseline.post(op.direction is Direction.SEND, msg)
+        if peer_post is None:
+            peer_post = pattern.processes[op.peer].offsets[2 * theirs]
+        return (*side(op, msg), peer_post)
 
     return exchange
 
@@ -727,15 +754,15 @@ def _allowed_freqs(s: Scenario, ref: _Engine, wait: _DelayedWait) -> set[float]:
     allowed = set()
     impactful: list[tuple[float, float]] = []
     table, proc = ref.messages, ref.procs[node]
-    for op, msg in zip(proc.ops, proc.msgs):  # each op's post
-        if op.peer == s.failure.node:
+    for peer, kind, msg in zip(proc.peers, proc.kinds, proc.msgs):  # each op's post
+        if peer == s.failure.node:
             continue
-        if op.direction is Direction.RECV and s.pattern.buffered:
+        if kind & KIND_RECV and s.pattern.buffered:
             continue
         # only the failed node replays a post: a survivor's side holds its own
-        wall = table.post(op, msg)
+        wall = table.post(kind & KIND_RECV, msg)
         transfer = table.transfer[msg]
-        if wall is None or not (fail < wall < wait.begin) or transfer is None:
+        if wall is None or not (fail < wall < wait.begin) or isnan(transfer):
             continue
         impactful.append((wall, transfer))
     for f in s.profile.freqs:

@@ -1,7 +1,9 @@
 import tracemalloc
 import weakref
+from array import array
 from copy import deepcopy
 from dataclasses import fields, replace
+from math import isnan
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,7 @@ from ftsim import cascade, cli, simulate
 from ftsim.cascade import DepthConfig
 from ftsim.energy import WaitMode
 from ftsim.kernel import EventKind, EventQueue
-from ftsim.pattern import CommPattern, OpMode
+from ftsim.pattern import KIND_NONBLOCKING, KIND_RECV, CommPattern, OpColumns, OpMode
 from ftsim.report import CommRecord, FlagRecord, StateRecord, render_report, write_trace
 from ftsim.scenario import load_scenario, loads_scenario
 from ftsim.simulate import (
@@ -405,12 +407,20 @@ def test_resumed_reference_pass_equals_a_run_from_t0(name, s):
     end = max(ref.makespan(), scratch.makespan())
     assert ref.makespan() == scratch.makespan()
     assert ref.trace(end) == scratch.trace(end)
-    assert ref.messages == scratch.messages
+    assert table_bytes(ref.messages) == table_bytes(scratch.messages)
     assert ref.delayed == scratch.delayed
 
 
+def table_bytes(table):
+    """A message table's columns as bytes: NaN, "not yet", is unequal to
+    itself as a float, so equal tables compare unequal as arrays."""
+    return None if table is None else [getattr(table, f.name).tobytes() for f in fields(table)]
+
+
 def engine_state(engine):
-    return deepcopy({k: v for k, v in vars(engine).items() if k != "s"})
+    state = deepcopy({k: v for k, v in vars(engine).items() if k != "s"})
+    state["messages"], state["baseline"] = table_bytes(engine.messages), table_bytes(engine.baseline)
+    return state
 
 
 @pytest.mark.parametrize("name", ["halo_chain_8", "master_worker_6", "horizon_cut"])
@@ -441,10 +451,10 @@ def test_a_fork_shares_no_message_column(name):
     assert columns == ["send_post", "recv_post", "send_wait", "recv_wait", "transfer"]
     for column in columns:
         mine, theirs = getattr(snapshot.messages, column), getattr(twin.messages, column)
-        assert type(mine) is list and type(theirs) is list
+        assert type(mine) is array and type(theirs) is array
         assert len(mine) == len(theirs) == n
         assert theirs is not mine
-        theirs[:] = [-1.0] * n
+        theirs[:] = array("d", [-1.0]) * n
     assert engine_state(snapshot) == before
 
 
@@ -646,24 +656,24 @@ def op_schedule_table(engine):
     sched = {}
     table = engine.messages
     for proc in engine.procs:
-        for position in range(len(proc.order)):
-            op, msg, is_wait, blocks = engine.milestone(proc.node, position)
-            if op.mode is OpMode.NONBLOCKING and not is_wait:
+        for position, code in enumerate(proc.order):
+            recv, msg, is_wait, blocks = engine.milestone(proc.node, position)
+            if proc.kinds[code >> 1] & KIND_NONBLOCKING and not is_wait:
                 continue  # its wait gives both times
-            post = table.post(op, msg)
-            if post is None or (is_wait and table.completion(op, msg, is_wait, blocks) is None):
+            post = table.post(recv, msg)
+            if post is None or (is_wait and table.completion(recv, msg, is_wait, blocks) is None):
                 continue
-            sched[(proc.node, op.index)] = (post, table.reached(op, msg, is_wait))
+            sched[(proc.node, code >> 1)] = (post, table.reached(recv, msg, is_wait))
     return sched
 
 
 def post_table(engine):
     """The pass-1 post of each op that posted."""
     return {
-        (op.proc, op.index): post
+        (proc.node, index): post
         for proc in engine.procs
-        for op, msg in zip(proc.ops, proc.msgs)
-        if (post := engine.messages.post(op, msg)) is not None
+        for index, (kind, msg) in enumerate(zip(proc.kinds, proc.msgs))
+        if (post := engine.messages.post(kind & KIND_RECV, msg)) is not None
     }
 
 
@@ -715,10 +725,10 @@ def test_set_up_work_follows_the_analysed_pairs(monkeypatch):
     read = []
     post = _Messages.post
 
-    def spied_post(table, op, msg):
+    def spied_post(table, recv, msg):
         if reading:
-            read.append(op)
-        return post(table, op, msg)
+            read.append(msg)
+        return post(table, recv, msg)
 
     def reads_times(fn):
         def spied(*args, **kwargs):
@@ -737,8 +747,9 @@ def test_set_up_work_follows_the_analysed_pairs(monkeypatch):
     monkeypatch.setattr(simulate, "estimate_block_times", reads_times(simulate.estimate_block_times))
     simulate_detailed(s)
     assert read
-    assert {frozenset((o.proc, o.peer)) for o in read} <= pairs
-    assert len(set(read)) < sum(len(ops) for ops in s.pattern.processes)
+    ends = _programs(s.pattern).ends  # each message's (sender, receiver)
+    assert {frozenset(ends[msg]) for msg in read} <= pairs
+    assert len(set(read)) < len(ends)
 
 
 SIBLINGS_TALK = TWO_LEVELS + """
@@ -846,12 +857,12 @@ def test_the_posting_side_is_not_suspended_at_a_transfer(name, s, monkeypatch):
     register = _Engine._register_post
     transfers = []
 
-    def spied(engine, op, msg, now):
+    def spied(engine, proc, index, msg, now):
         transfer = engine.messages.transfer
         before = transfer[msg]
-        waiting = engine.procs[op.proc].blocked_msg
-        register(engine, op, msg, now)
-        if before is None and transfer[msg] is not None:
+        waiting = proc.blocked_msg
+        register(engine, proc, index, msg, now)
+        if isnan(before) and not isnan(transfer[msg]):
             transfers.append((msg, waiting == msg))
 
     monkeypatch.setattr(_Engine, "_register_post", spied)
@@ -879,9 +890,15 @@ def test_programs_share_message_keys_and_sort_by_offset():
     programs = _programs(s.pattern)
     n = len(programs.modes)
     assert len(programs.ends) == n
-    assert programs.ops is s.pattern.processes
+    # every pass reads the pattern's own columns, not a copy
+    base, snapshot = _failure_free_pass(s, programs)
+    for engine in (base, snapshot, snapshot.fork()):
+        for proc, ops in zip(engine.procs, s.pattern.processes, strict=True):
+            assert proc.offsets is ops.offsets and proc.peers is ops.peers
+            assert proc.kinds is ops.kinds
     ids = {}  # message id -> its key ((sender, receiver), k)
-    for node, (ops, order, msgs) in enumerate(zip(programs.ops, programs.order, programs.msgs)):
+    columns = zip(s.pattern.processes, programs.order, programs.msgs, strict=True)
+    for node, (ops, order, msgs) in enumerate(columns):
         # each op's post, and a non-blocking op's wait, once, sorted by
         # (offset, op index, is_wait)
         milestones = [
@@ -935,6 +952,62 @@ def test_programs_hold_at_most_40_bytes_per_milestone():
         tracemalloc.stop()
     assert held <= 40 * milestones, held / milestones
     assert sum(len(order) for order in programs.order) == milestones
+
+
+def test_a_loaded_scenario_holds_at_most_64_bytes_per_op():
+    """The loader fills each process's columns straight from the file, about
+    21 B per op plus the channel index, and builds no op object (a
+    seven-field tuple per op held ~185 B); its transient peak stays under
+    twice what the scenario holds."""
+    text = wide_halo_text(nodes=32, steps=50)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        s = loads_scenario(text, "wide_halo")
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    ops = sum(len(ops) for ops in s.pattern.processes)
+    assert ops >= 6_000
+    assert held <= 64 * ops, held / ops
+    assert peak < 2 * held, peak / held
+
+
+def test_the_run_path_builds_no_op_per_op(monkeypatch):
+    """A CommOp is built only where a caller asks for one, by indexing a
+    process's columns: loading, validation, the programs, the depth and the
+    engine passes build none, and a whole run builds one per op the analysis
+    examines, in ``ops_with``; its message lookups read positions."""
+    built = []
+    getitem = OpColumns.__getitem__
+
+    def counted(ops, index):
+        built.append((ops.proc, index))
+        return getitem(ops, index)
+
+    monkeypatch.setattr(OpColumns, "__getitem__", counted)
+    s = loads_scenario(wide_halo_text(nodes=32, steps=50), "wide_halo")
+    s.validate()
+    assert cascade.pattern_depth(s.pattern) == 100  # messages per neighbour pair
+    programs = _programs(s.pattern)
+    base, snapshot = _failure_free_pass(s, programs)
+    ref = snapshot.fork()
+    ref.inject(base.messages)
+    ref.run()
+    assert built == []
+
+    examined = []
+    ops_with = CommPattern.ops_with
+
+    def spied_ops_with(pattern, proc, peer):
+        ops = ops_with(pattern, proc, peer)
+        examined.extend(ops)
+        return ops
+
+    monkeypatch.setattr(CommPattern, "ops_with", spied_ops_with)
+    r = simulate_detailed(s)
+    assert r.estimates and examined
+    assert len(built) == len(examined) < sum(len(ops) for ops in s.pattern.processes)
 
 
 SAME_INSTANT_POST = _SYSTEM + """
