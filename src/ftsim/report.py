@@ -65,6 +65,11 @@ def _record_key(r: TraceRecord) -> tuple:
     return (r.t, r.node, "F", 0.0)
 
 
+def _record_time(r: TraceRecord) -> float:
+    """The first field of ``_record_key``: when the record begins."""
+    return r[2] if r.__class__ is CommRecord else r[1]
+
+
 def _mode_for(path: Path) -> int:
     """The mode ``open(path, "w")`` leaves: a replaced file's own, else 0666
     less the umask (``mkstemp`` alone would give 0600)."""
@@ -93,19 +98,24 @@ def _atomic_write(path: str | Path, chunks: Iterable[str]) -> None:
         raise
 
 
-def _trace_lines(records: list[TraceRecord]) -> Iterator[str]:
+def _trace_lines(records: Iterable[TraceRecord]) -> Iterator[str]:
     yield "TRACE v1\n"
-    for r in sorted(records, key=_record_key):
-        if isinstance(r, StateRecord):
-            yield f"S {r.node} {r.t0:.3f} {r.t1:.3f} {r.state}\n"
-        elif isinstance(r, CommRecord):
-            yield f"C {r.src} {r.dst} {r.t_post:.3f} {r.t_complete:.3f} {r.mode}\n"
+    # each record formats as the tuple it is, in field order
+    for r in records:
+        if isinstance(r, CommRecord):
+            yield "C %s %s %.3f %.3f %s\n" % r
+        elif isinstance(r, StateRecord):
+            yield "S %s %.3f %.3f %s\n" % r
         else:
-            yield f"F {r.node} {r.t:.3f} {r.edge} {r.label}\n"
+            yield "F %s %.3f %s %s\n" % r
 
 
-def write_trace(records: list[TraceRecord], path: str | Path) -> None:
-    """Write the trace of ``records``, each line as it is formatted."""
+def write_trace(records: Iterable[TraceRecord], path: str | Path) -> None:
+    """Write the trace of ``records``, each line as it is formatted: a list
+    sorted by ``_record_key``, any other iterable (a run's trace, which
+    iterates in that order) as it iterates."""
+    if isinstance(records, list):
+        records = sorted(records, key=_record_key)
     _atomic_write(path, _trace_lines(records))
 
 

@@ -19,6 +19,10 @@ and is snapshotted right before the first event that would follow it; passes
 2 and 3 resume from copies of that state with the failure scheduled, and run
 exactly as if it had been injected at t = 0.
 
+Only the failure-free pass records when each side reached a non-blocking
+wait: the later passes and the analysis read those times from its message
+table, the baseline, and a fork copies only the posts and the transfers.
+
 Each process's program is a column of milestones in execution order, one
 integer each: ``2·op index + is_wait`` for an op's post (is_wait 0) or a
 non-blocking op's wait (1). A milestone is named by its node and its
@@ -27,6 +31,10 @@ post carries its op's index, complemented). Its offset is entry ``code`` of
 the pattern's offset column, and its direction, event kind and whether it
 blocks are read from the op's kind byte; all passes read the pattern's own
 columns, and each op's message id is stored once, in a per-process column.
+
+The trace is a view over the final pass's own state (each node's marks, the
+send-post and transfer columns and the strategy flags), which builds each
+record as it is read, in trace order.
 
 Strategy evaluation and application consume no virtual time. Applying a
 strategy never moves a block release: a slowed compute phase must fit inside
@@ -38,11 +46,15 @@ reference run.
 from __future__ import annotations
 
 import enum
+import heapq
 from array import array
+from bisect import bisect_left
 from copy import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import chain, islice, pairwise
 from math import inf, isnan, nan
-from typing import NamedTuple
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple
 
 from .cascade import BlockEstimate, Exchange, estimate_block_times
 from .energy import (
@@ -56,7 +68,15 @@ from .energy import (
 from .fault import should_anticipate
 from .kernel import EmptyQueue, EventKind, EventQueue
 from .pattern import KIND_NONBLOCKING, KIND_RECV, CommOp, CommPattern, Direction
-from .report import CommRecord, FlagRecord, SavingsReport, StateRecord, TraceRecord
+from .report import (
+    CommRecord,
+    FlagRecord,
+    SavingsReport,
+    StateRecord,
+    TraceRecord,
+    _record_key,
+    _record_time,
+)
 from .scenario import Scenario
 
 
@@ -151,37 +171,37 @@ def _programs(pattern: CommPattern) -> _Programs:
 @dataclass(slots=True)
 class _Messages:
     """A pass's messages, one ``array('d')`` column per fact indexed by
-    message id: when each side posted and reached its non-blocking wait, and
-    when the message was transferred, NaN until it happens (a column holds
-    no float objects). The failure-free pass's messages are the baseline
-    that the later passes and the analysis read, through the accessors,
-    which give None for NaN."""
+    message id: when each side posted and when the message was transferred,
+    NaN until it happens (a column holds no float objects). A fork copies
+    these three columns."""
 
     send_post: array
     recv_post: array
-    send_wait: array
-    recv_wait: array
     transfer: array
 
     @classmethod
     def unsent(cls, n: int) -> _Messages:
         column = array("d", [nan]) * n
-        return cls(column, column[:], column[:], column[:], column[:])
+        return cls(column, *(column[:] for _ in fields(cls)[1:]))
 
     def copy(self) -> _Messages:
-        return _Messages(
-            self.send_post[:],
-            self.recv_post[:],
-            self.send_wait[:],
-            self.recv_wait[:],
-            self.transfer[:],
-        )
+        return _Messages(self.send_post[:], self.recv_post[:], self.transfer[:])
 
     def post(self, recv: int, msg: int) -> float | None:
         """When the sending side of message ``msg`` posted, or with ``recv``
         the receiving side."""
         t = (self.recv_post if recv else self.send_post)[msg]
         return None if isnan(t) else t
+
+
+@dataclass(slots=True)
+class _Baseline(_Messages):
+    """The failure-free pass's messages, which also record when each side
+    reached its non-blocking wait: the baseline that the later passes and
+    the analysis read, through the accessors, which give None for NaN."""
+
+    send_wait: array
+    recv_wait: array
 
     def reached(self, recv: int, msg: int, is_wait: int) -> float | None:
         """When the sending (or with ``recv``, the receiving) process reached
@@ -266,13 +286,14 @@ class _Engine:
     def __init__(self, s: Scenario, programs: _Programs, inject_failure: bool):
         self.s = s
         # read from the failure on: the failure-free pass's messages and the strategies
-        self.baseline: _Messages | None = None
+        self.baseline: _Baseline | None = None
         self.plans: dict[int, tuple[NodePlan, _DelayedWait]] = {}
         self.delayed: dict[int, _DelayedWait] = {}  # filled only in a pass with a baseline
         self.q = q = EventQueue()
         self.buffered = s.pattern.buffered
         self.modes, self.ends = programs.modes, programs.ends  # shared by forks
-        self.messages = _Messages.unsent(len(self.modes))
+        # only a failure-free pass records its waits; a fork copies none
+        self.messages = (_Messages if inject_failure else _Baseline).unsent(len(self.modes))
         columns = zip(s.pattern.processes, programs.order, programs.msgs)
         self.procs = [
             _Proc(node, ops.offsets, ops.peers, ops.kinds, order, msgs, s.profile.f_max)
@@ -298,7 +319,7 @@ class _Engine:
 
     def inject(
         self,
-        baseline: _Messages | None = None,
+        baseline: _Baseline | None = None,
         plans: dict[int, tuple[NodePlan, _DelayedWait]] | None = None,
     ) -> None:
         """Schedule the failure at its reserved place, to be followed by
@@ -398,7 +419,7 @@ class _Engine:
             send_post[msg] = now
             other_post = recv_post[msg]
         if not isnan(other_post) and isnan(transfer[msg]):
-            transfer[msg] = t = max(send_post[msg], recv_post[msg])
+            transfer[msg] = t = max(now, other_post)
             # Only the side that posted first can be suspended on the message:
             # the side posting now is computing up to it or re-executing. A
             # wait anticipated with a checkpoint resumes at the checkpoint's end.
@@ -424,10 +445,10 @@ class _Engine:
         proc.milestone_id = None
         proc.position = proc.offsets[code]
         proc.resume_wall = now
-        if is_wait:
-            (table.recv_wait if kind & KIND_RECV else table.send_wait)[msg] = now
-        else:
+        if not is_wait:
             self._register_post(proc, index, msg, now)
+        elif table.__class__ is _Baseline:
+            (table.recv_wait if kind & KIND_RECV else table.send_wait)[msg] = now
         if isnan(table.transfer[msg]) and _blocks(kind, is_wait, self.buffered):
             proc.wait_begin = now
             self._enter_wait(proc, position, msg, now)
@@ -667,38 +688,86 @@ class _Engine:
             return max(ends)
         return self.s.horizon
 
-    def state_records(self, end: float) -> list[StateRecord]:
-        out = []
-        for proc in self.procs:
-            marks = [(t, lab) for t, lab in proc.segments if t < end]
-            merged: list[StateRecord] = []
-            for (t0, label), (t1, _) in zip(marks, marks[1:] + [(end, "")]):
-                if t1 <= t0:
-                    continue
-                if merged and merged[-1].state == label and merged[-1].t1 == t0:
-                    merged[-1] = _new_record(StateRecord, (proc.node, merged[-1].t0, t1, label))
-                    continue
-                merged.append(_new_record(StateRecord, (proc.node, t0, t1, label)))
-            out.extend(merged)
-        return out
+    def trace(self, end: float) -> _Trace:
+        """The trace up to ``end``, as a view over this pass's own state."""
+        return _Trace(self, end)
 
-    def trace(self, end: float) -> list[TraceRecord]:
-        """The state records up to ``end``, one ``CommRecord`` per transferred
-        message, read from the message table, and the strategy flags."""
-        records: list[TraceRecord] = self.state_records(end)
-        table, modes = self.messages, self.modes
-        for msg, ((sender, receiver), post, transfer) in enumerate(
-            zip(self.ends, table.send_post, table.transfer)
-        ):
-            if not isnan(transfer):
-                mode = "NB" if modes[msg] else "B"
-                records.append(_new_record(CommRecord, (sender, receiver, post, transfer, mode)))
-        records.extend(self.flags)
+
+class _Trace:
+    """A pass's trace read from its own state: the state records from each
+    node's marks up to ``end``, one ``CommRecord`` per transferred message
+    from the message columns, and the strategy flags. It holds no engine,
+    and iterates in trace order, each record built as it is read."""
+
+    __slots__ = ("end", "marks", "sends", "ends", "modes", "send_post", "transfer", "flags")
+
+    def __init__(self, engine: _Engine, end: float):
+        self.end = end
+        self.marks = [proc.segments for proc in engine.procs]
+        self.sends = [(proc.kinds, proc.msgs) for proc in engine.procs]
+        self.ends, self.modes = engine.ends, engine.modes
+        self.send_post, self.transfer = engine.messages.send_post, engine.messages.transfer
+        self.flags = engine.flags
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        """One stream per node and kind, by node and then kind (C, F, S),
+        each in trace order, merged by time: a tie goes to the earlier
+        stream, which is ``_record_key``'s (time, node, kind) order, so no
+        key tuple is built per record."""
+        return heapq.merge(*self._streams(), key=_record_time)
+
+    def _streams(self) -> Iterator[Iterable[TraceRecord]]:
+        flags: list[list[FlagRecord]] = [[] for _ in self.marks]
+        for flag in self.flags:  # appended as events are handled, so in time order
+            flags[flag.node].append(flag)
+        for node in range(len(self.marks)):
+            yield self._comms(node)
+            yield flags[node]
+            yield self._states(node)
+
+    def _comms(self, sender: int) -> Iterator[CommRecord]:
+        """``sender``'s transferred messages by (post, transfer, id)."""
+        kinds, msgs = self.sends[sender]
+        post, transfer = self.send_post, self.transfer
+        ids = [m for kind, m in zip(kinds, msgs) if not kind & KIND_RECV and not isnan(transfer[m])]
+        ids.sort()  # stable sorts, the least significant key first
+        ids.sort(key=transfer.__getitem__)
+        ids.sort(key=post.__getitem__)
+        ids = array("i", ids)  # 4 B an id while the stream is read, where a list holds 36
+        ends, modes = self.ends, self.modes
+        for msg in ids:
+            mode = "NB" if modes[msg] else "B"
+            yield _new_record(CommRecord, (sender, ends[msg][1], post[msg], transfer[msg], mode))
+
+    def _states(self, node: int) -> Iterable[StateRecord]:
+        """``node``'s state records by (t0, t1): one per run of its marks
+        before the end, adjacent runs of one label merged. Marks come in time
+        order but for a planned sleep, whose wake-up can be marked before
+        its go-to-sleep ends; only such a node's records are sorted."""
+        marks, end = self.marks[node], self.end
+        if all(a[0] <= b[0] for a, b in pairwise(marks)):
+            return self._runs(node, islice(marks, bisect_left(marks, end, key=itemgetter(0))))
+        records = list(self._runs(node, [m for m in marks if m[0] < end]))
+        records.sort(key=_record_key)
         return records
+
+    def _runs(self, node: int, marks: Iterable[tuple[float, str]]) -> Iterator[StateRecord]:
+        t0 = t1 = label = None
+        for (begin, state), (until, _) in pairwise(chain(marks, ((self.end, ""),))):
+            if until <= begin:
+                continue
+            if state == label and begin == t1:
+                t1 = until
+                continue
+            if label is not None:
+                yield _new_record(StateRecord, (node, t0, t1, label))
+            t0, t1, label = begin, until, state
+        if label is not None:
+            yield _new_record(StateRecord, (node, t0, t1, label))
 
 
 def _failure_free_times(
-    pattern: CommPattern, first: dict[_Channel, int], baseline: _Messages
+    pattern: CommPattern, first: dict[_Channel, int], baseline: _Baseline
 ) -> Exchange:
     """The analysis's exchange function: an op's (post, block point) wall
     times and its peer op's post, both read from their one message in
@@ -774,7 +843,7 @@ def _allowed_freqs(s: Scenario, ref: _Engine, wait: _DelayedWait) -> set[float]:
 @dataclass
 class SimulationResult:
     report: SavingsReport
-    trace: list[TraceRecord]
+    trace: Iterable[TraceRecord]  # in trace order, built as it is read
     makespan: float
     reference_makespan: float
     estimates: list[BlockEstimate]

@@ -45,7 +45,7 @@ def collector_off():
 def test_a_run_leaves_no_cyclic_garbage(name, build, collector_off):
     gc.collect()
     result = simulate_detailed(build())
-    assert result.trace
+    assert list(result.trace)  # builds every record, so that building them is checked too
     del result
     assert gc.collect() == 0, name
 

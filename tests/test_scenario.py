@@ -343,3 +343,22 @@ def test_loading_never_calls_the_commop_constructor(monkeypatch):
     for name, text in OP_TEXTS.items():
         loads_scenario(text)
         assert calls == [], name
+
+
+PROCESS_0 = ("op = 0 send 1 @ 10 s", "op = 0 recv 1 @ 20 s wait @ 25 s", "op = 0 send 1 @ 30 s")
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1)])
+def test_a_process_loads_its_ops_in_post_order(order):
+    """A process's ops load sorted by post, whatever their order in the
+    file."""
+    text = MINIMAL.replace("op = 0 send 1 @ 10 s", "\n".join(PROCESS_0[i] for i in order)).replace(
+        "op = 1 recv 0 @ 10 s", "op = 1 recv 0 @ 10 s\nop = 1 send 0 @ 20 s\nop = 1 recv 0 @ 30 s"
+    )
+    ops = loads_scenario(text).pattern.processes[0]
+    assert list(ops) == [
+        CommOp(0, 0, 1, Direction.SEND, OpMode.BLOCKING, 10.0, 10.0),
+        CommOp(1, 0, 1, Direction.RECV, OpMode.NONBLOCKING, 20.0, 25.0),
+        CommOp(2, 0, 1, Direction.SEND, OpMode.BLOCKING, 30.0, 30.0),
+    ]
+    assert (ops.offsets.typecode, ops.peers.typecode, type(ops.kinds)) == ("d", "i", bytes)

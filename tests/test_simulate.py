@@ -13,7 +13,14 @@ from ftsim.cascade import DepthConfig
 from ftsim.energy import WaitMode
 from ftsim.kernel import EventKind, EventQueue
 from ftsim.pattern import KIND_NONBLOCKING, KIND_RECV, CommPattern, OpColumns, OpMode
-from ftsim.report import CommRecord, FlagRecord, StateRecord, render_report, write_trace
+from ftsim.report import (
+    CommRecord,
+    FlagRecord,
+    StateRecord,
+    _record_key,
+    render_report,
+    write_trace,
+)
 from ftsim.scenario import load_scenario, loads_scenario
 from ftsim.simulate import (
     _Engine,
@@ -24,6 +31,7 @@ from ftsim.simulate import (
     simulate_detailed,
 )
 
+from families import family_scenario
 from scengen import random_scenario
 from test_output_pins import _SYSTEM, SHAPED, pass_counts
 
@@ -187,6 +195,22 @@ def test_survivors_never_roll_back(name, monkeypatch):
         assert final_proc.cursor >= 0
         if ref_proc.node != r.scenario.failure.node:
             assert final_proc.cursor == ref_proc.cursor
+
+
+def trace_order_scenarios(source):
+    if source == "fixtures":
+        return [(name, load_scenario(FIXTURES / f"{name}.scn")) for name in ALL_FIXTURES]
+    if source == "scengen":
+        return [(seed, random_scenario(seed)) for seed in range(200)]
+    # every 8th family, and seed 38, whose planned sleep overlaps its wake-up
+    return [(seed, family_scenario(seed)) for seed in (*range(0, 400, 8), 38)]
+
+
+@pytest.mark.parametrize("source", ["fixtures", "scengen", "families"])
+def test_a_run_trace_iterates_in_trace_order(source):
+    for name, s in trace_order_scenarios(source):
+        records = list(simulate_detailed(s).trace)
+        assert records == sorted(records, key=_record_key), name
 
 
 def test_deterministic_trace_bytes(tmp_path):
@@ -406,15 +430,17 @@ def test_resumed_reference_pass_equals_a_run_from_t0(name, s):
     scratch.run()
     end = max(ref.makespan(), scratch.makespan())
     assert ref.makespan() == scratch.makespan()
-    assert ref.trace(end) == scratch.trace(end)
+    assert list(ref.trace(end)) == list(scratch.trace(end))
     assert table_bytes(ref.messages) == table_bytes(scratch.messages)
     assert ref.delayed == scratch.delayed
 
 
 def table_bytes(table):
-    """A message table's columns as bytes: NaN, "not yet", is unequal to
-    itself as a float, so equal tables compare unequal as arrays."""
-    return None if table is None else [getattr(table, f.name).tobytes() for f in fields(table)]
+    """The message columns that every pass holds, as bytes (a failure-free
+    pass also records its waits, which a fork does not copy): NaN, "not
+    yet", is unequal to itself as a float, so equal tables compare unequal
+    as arrays."""
+    return None if table is None else [getattr(table, f.name).tobytes() for f in fields(_Messages)]
 
 
 def engine_state(engine):
@@ -447,8 +473,8 @@ def test_a_fork_shares_no_message_column(name):
     n = len(programs.modes)
     twin = snapshot.fork()
     before = engine_state(snapshot)
-    columns = [f.name for f in fields(_Messages)]
-    assert columns == ["send_post", "recv_post", "send_wait", "recv_wait", "transfer"]
+    columns = [f.name for f in fields(twin.messages)]
+    assert columns == ["send_post", "recv_post", "transfer"]
     for column in columns:
         mine, theirs = getattr(snapshot.messages, column), getattr(twin.messages, column)
         assert type(mine) is array and type(theirs) is array
@@ -456,6 +482,29 @@ def test_a_fork_shares_no_message_column(name):
         assert theirs is not mine
         theirs[:] = array("d", [-1.0]) * n
     assert engine_state(snapshot) == before
+
+
+@pytest.mark.parametrize("strategies", [True, False])
+def test_only_the_failure_free_pass_records_waits(strategies, monkeypatch):
+    """Pass 1's table also records when each side reached its non-blocking
+    wait, which the later passes and the analysis read through the
+    baseline; a forked pass's table holds only the posts and the transfer."""
+    s = replace(SHAPED["halo_chain_8"](), strategies_enabled=strategies)
+    tables = []
+    run = _Engine.run
+
+    def spied_run(engine, *args, **kwargs):
+        run(engine, *args, **kwargs)
+        tables.append((engine.baseline is not None, engine.messages))
+
+    monkeypatch.setattr(_Engine, "run", spied_run)
+    simulate_detailed(s)
+    assert [failed for failed, _ in tables] == [False, False, True] + [True] * strategies
+    waits = ["send_post", "recv_post", "transfer", "send_wait", "recv_wait"]
+    for failed, table in tables:
+        assert [f.name for f in fields(table)] == (waits[:3] if failed else waits)
+    baseline = tables[0][1]
+    assert any(not isnan(t) for t in baseline.send_wait)  # a non-blocking pattern
 
 
 @pytest.mark.parametrize("name, strategies", [
@@ -971,6 +1020,24 @@ def test_a_loaded_scenario_holds_at_most_64_bytes_per_op():
     assert ops >= 6_000
     assert held <= 64 * ops, held / ops
     assert peak < 2 * held, peak / held
+
+
+def test_writing_a_trace_peaks_at_most_64_bytes_per_record(tmp_path):
+    """A run's trace is a view over its final pass's state: writing it
+    builds each record as it is written, with no list of records and no
+    sort key per record (a key tuple per record took about 80 B)."""
+    r = simulate_detailed(loads_scenario(wide_halo_text(nodes=32, steps=50), "wide_halo"))
+    out = tmp_path / "wide_halo.trace"
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        write_trace(r.trace, out)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    records = out.read_bytes().count(b"\n") - 1
+    assert records >= 3_000
+    assert peak <= 64 * records, peak / records
 
 
 def test_the_run_path_builds_no_op_per_op(monkeypatch):
