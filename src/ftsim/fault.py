@@ -34,15 +34,26 @@ class CheckpointPolicy:
     def offset(self, proc: int) -> float:
         return self.phase_offsets.get(proc, 0.0)
 
-    def triggers(self, proc: int, horizon: float) -> Iterator[float]:
-        """The times ``proc``'s timer fires up to ``horizon``: its offset and
-        every interval after it, as a running sum; only times after 0 count.
-        :meth:`trigger_steps` bounds the work."""
+    def first_trigger(self, proc: int) -> float:
+        """When ``proc``'s timer first fires: the first sum of its offset and
+        whole intervals, added one at a time, that is after 0."""
         t = self.offset(proc)
-        while t <= horizon:
-            if t > 0:
-                yield t
+        while t <= 0:
             t += self.interval
+        return t
+
+    def next_trigger(self, t: float) -> float:
+        """When a timer that fired at ``t`` fires next."""
+        return t + self.interval
+
+    def triggers(self, proc: int, horizon: float) -> Iterator[float]:
+        """The times ``proc``'s timer fires up to ``horizon``: its first
+        trigger, then each next one, a running sum; the simulation's timer
+        follows the same rule. :meth:`trigger_steps` bounds the work."""
+        t = self.first_trigger(proc)
+        while t <= horizon:
+            yield t
+            t = self.next_trigger(t)
 
     def trigger_steps(self, proc: int, horizon: float) -> float:
         """How many sums :meth:`triggers` takes for ``proc``, up to rounding;

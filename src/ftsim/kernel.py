@@ -1,10 +1,13 @@
 """Minimal deterministic discrete-event kernel.
 
-A virtual clock plus a priority queue of timestamped events. Ties are broken
-by insertion order, which makes every run of the same schedule reproducible.
-A queue can be copied, and a copy run on from where the original stands;
-a sequence number reserved early keeps its place in the tie order for an
-event scheduled later.
+A virtual clock plus a priority queue of timestamped events, ordered by
+(time, seq). The queue numbers events 0, 1, 2, … as they are scheduled, so
+ties are broken by insertion order, which makes every run of the same
+schedule reproducible. A caller may instead give an event a negative
+``seq`` of its own: it goes before every same-time event the queue
+numbered, and negative numbers order by value. Such a number names one
+pending event at a time, and its event cannot be cancelled. A queue can be
+copied, and a copy run on from where the original stands.
 """
 
 from __future__ import annotations
@@ -65,32 +68,22 @@ class EventQueue:
     _heap: list[SimEvent] = field(default_factory=list)
     _counter: int = 0
     _pending: set[int] = field(default_factory=set)
-    _reserved: set[int] = field(default_factory=set)
 
     def schedule(
         self, time: float, kind: EventKind, node: int, payload: Any = None, seq: int | None = None
     ) -> int:
-        """Queue an event and return its sequence number: the next one, or
-        ``seq`` taken earlier from :meth:`reserve`."""
+        """Queue an event and return its sequence number: the next one the
+        queue hands out, or the caller's ``seq``, which must be negative and
+        not name a pending event."""
         if time < self.clock:
             raise PastTime(f"cannot schedule at t={time} before clock {self.clock}")
         if seq is None:
             seq = self._counter
             self._counter = seq + 1
-        elif seq in self._reserved:
-            self._reserved.discard(seq)
-        else:
-            raise ValueError(f"sequence number {seq} is not reserved")
+        elif seq >= 0 or seq in self._pending:
+            raise ValueError(f"sequence number {seq} is not a free negative number")
         heappush(self._heap, _new_event(SimEvent, (time, seq, kind, node, payload)))
         self._pending.add(seq)
-        return seq
-
-    def reserve(self) -> int:
-        """Take the next sequence number without scheduling anything: an
-        event scheduled with it later breaks ties as if scheduled now."""
-        seq = self._counter
-        self._counter = seq + 1
-        self._reserved.add(seq)
         return seq
 
     def advance(self, before: tuple[float, float] = _ALWAYS) -> SimEvent | None:
@@ -113,6 +106,10 @@ class EventQueue:
         raise EmptyQueue("no pending events")
 
     def cancel(self, event_id: int) -> bool:
+        if event_id < 0:
+            # its number may be given again while the cancelled entry is
+            # still in the heap, which would bring that entry back
+            raise ValueError(f"event {event_id} was numbered by its caller")
         if event_id in self._pending:
             self._pending.discard(event_id)
             return True
@@ -121,9 +118,7 @@ class EventQueue:
     def copy(self) -> EventQueue:
         """A queue that runs on independently from this one's state. The
         events' payloads are shared, not copied."""
-        return EventQueue(
-            self.clock, list(self._heap), self._counter, set(self._pending), set(self._reserved)
-        )
+        return EventQueue(self.clock, list(self._heap), self._counter, set(self._pending))
 
     def __len__(self) -> int:
         return len(self._pending)

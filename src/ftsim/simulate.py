@@ -12,12 +12,17 @@ Three deterministic passes:
    energy baseline);
 3. the final run with the selected strategies applied, when enabled.
 
+Events at one instant are handled in a fixed order: first the checkpoint
+triggers, by node; then the failure; then every other event, in the order
+it was scheduled. Each node has one pending trigger at a time: firing, it
+queues the node's next one, whatever the node is doing, and it starts a
+checkpoint only while the node computes.
+
 Until the failure the three passes are one run: the failure disturbs only
 what comes after it, and no strategy acts before it. So that prefix is
-simulated once. Pass 1 reserves the failure event's place in the tie order
-and is snapshotted right before the first event that would follow it; passes
-2 and 3 resume from copies of that state with the failure scheduled, and run
-exactly as if it had been injected at t = 0.
+simulated once. Pass 1 is snapshotted right before the first event that
+would follow the failure; passes 2 and 3 resume from that state with the
+failure scheduled, and run exactly as if it had been injected at t = 0.
 
 Only the failure-free pass records when each side reached a non-blocking
 wait: the later passes and the analysis read those times from its message
@@ -32,9 +37,11 @@ the pattern's offset column, and its direction, event kind and whether it
 blocks are read from the op's kind byte; all passes read the pattern's own
 columns, and each op's message id is stored once, in a per-process column.
 
-The trace is a view over the final pass's own state (each node's marks, the
-send-post and transfer columns and the strategy flags), which builds each
-record as it is read, in trace order.
+A node's state marks are two columns, their times in an ``array('d')`` and
+their labels as indices into ``_LABELS`` in a ``bytearray``. The trace is a
+view over the final pass's own state (each node's marks, the send-post and
+transfer columns and the strategy flags), which builds each record as it is
+read, in trace order.
 
 Strategy evaluation and application consume no virtual time. Applying a
 strategy never moves a block release: a slowed compute phase must fit inside
@@ -53,7 +60,6 @@ from copy import copy
 from dataclasses import dataclass, field, fields
 from itertools import chain, islice, pairwise
 from math import inf, isnan, nan
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .cascade import BlockEstimate, Exchange, estimate_block_times
@@ -96,10 +102,21 @@ class ProcStatus(enum.Enum):
 _POST_SEND, _POST_RECV, _WAIT_ENTER, _COMM_COMPLETE = (
     EventKind.POST_SEND, EventKind.POST_RECV, EventKind.WAIT_ENTER, EventKind.COMM_COMPLETE
 )
-_CKPT_END, _RESTART_END, _REEXEC_END, _WAKEUP_END = (
-    EventKind.CKPT_END, EventKind.RESTART_END, EventKind.REEXEC_END, EventKind.WAKEUP_END
+_CKPT_BEGIN, _CKPT_END, _RESTART_END, _REEXEC_END, _WAKEUP_END = (
+    EventKind.CKPT_BEGIN, EventKind.CKPT_END, EventKind.RESTART_END, EventKind.REEXEC_END,
+    EventKind.WAKEUP_END,
 )
 _COMPUTING, _BLOCKED_WAIT, _CHECKPOINTING, _SLEEPING, _RESTARTING, _REEXECUTING, _DONE = ProcStatus
+
+# the states a node's marks name, each stored as its index in this tuple
+_LABELS = (
+    "COMPUTE", "WAIT_ACTIVE", "WAIT_IDLE", "CKPT", "RESTART", "REEXEC",
+    "GO_SLEEP", "SLEEP", "WAKEUP",
+)
+(
+    _M_COMPUTE, _M_WAIT_ACTIVE, _M_WAIT_IDLE, _M_CKPT, _M_RESTART, _M_REEXEC,
+    _M_GO_SLEEP, _M_SLEEP, _M_WAKEUP,
+) = range(len(_LABELS))
 
 _Channel = tuple[int, int]  # (sender, receiver)
 
@@ -257,13 +274,18 @@ class _Proc:
     pos_at_failure: float = 0.0
     ckpt_span: tuple[float, float] = (0.0, 0.0)
     ckpt_spans: list[tuple[float, float]] = field(default_factory=list)
-    segments: list[tuple[float, str]] = field(default_factory=list)
+    mark_times: array = field(default_factory=lambda: array("d"))
+    mark_labels: bytearray = field(default_factory=bytearray)  # indices into _LABELS
 
-    def mark(self, t: float, label: str) -> None:
-        if self.segments and self.segments[-1][0] == t:
-            self.segments[-1] = (t, label)
+    def mark(self, t: float, label: int) -> None:
+        """The node enters state ``_LABELS[label]`` at ``t``; a mark at the
+        last mark's time replaces that one's label."""
+        times = self.mark_times
+        if times and times[-1] == t:
+            self.mark_labels[-1] = label
             return
-        self.segments.append((t, label))
+        times.append(t)
+        self.mark_labels.append(label)
 
     def checkpoint_taken(self) -> None:
         """Commit the current checkpoint: a restart resumes from here."""
@@ -275,7 +297,8 @@ class _Proc:
         # not dataclasses.replace: on CPython 3.11.7 each replace() of a
         # 20-field instance keeps a 200 B tuple that is never freed
         twin = copy(self)
-        twin.segments, twin.ckpt_spans = list(self.segments), list(self.ckpt_spans)
+        twin.mark_times, twin.mark_labels = self.mark_times[:], self.mark_labels[:]
+        twin.ckpt_spans = list(self.ckpt_spans)
         return twin
 
 
@@ -289,7 +312,7 @@ class _Engine:
         self.baseline: _Baseline | None = None
         self.plans: dict[int, tuple[NodePlan, _DelayedWait]] = {}
         self.delayed: dict[int, _DelayedWait] = {}  # filled only in a pass with a baseline
-        self.q = q = EventQueue()
+        self.q = EventQueue()
         self.buffered = s.pattern.buffered
         self.modes, self.ends = programs.modes, programs.ends  # shared by forks
         # only a failure-free pass records its waits; a fork copies none
@@ -300,18 +323,16 @@ class _Engine:
             for node, (ops, order, msgs) in enumerate(columns)
         ]
         for proc in self.procs:
-            proc.mark(0.0, "COMPUTE")
+            proc.mark(0.0, _M_COMPUTE)
         self.flags: list[FlagRecord] = []
         self._minfreq_open: set[int] = set()
-        self.wait_label = (
-            "WAIT_ACTIVE" if s.pattern.wait_mode is WaitMode.ACTIVE else "WAIT_IDLE"
-        )
+        self.wait_label = _M_WAIT_ACTIVE if s.pattern.wait_mode is WaitMode.ACTIVE else _M_WAIT_IDLE
         for node in range(s.nodes):
-            for t in s.ckpt.triggers(node, s.horizon):
-                q.schedule(t, EventKind.CKPT_BEGIN, node)
-        # the failure's (time, seq): a failure-free pass keeps its place in
-        # the tie order, so that a fork taken there can schedule it
-        self.failure_at = (s.failure.time, q.reserve())
+            self._schedule_trigger(node, s.ckpt.first_trigger(node))
+        # the failure's (time, seq): after the triggers, before every event
+        # the queue numbers itself; a fork of a failure-free pass stopped
+        # before it schedules it there
+        self.failure_at = (s.failure.time, -1)
         if inject_failure:
             self.inject()
         for proc in self.procs:
@@ -322,8 +343,8 @@ class _Engine:
         baseline: _Baseline | None = None,
         plans: dict[int, tuple[NodePlan, _DelayedWait]] | None = None,
     ) -> None:
-        """Schedule the failure at its reserved place, to be followed by
-        anticipation against ``baseline`` and by the strategies in ``plans``;
+        """Schedule the failure at its place in the tie order, to be followed
+        by anticipation against ``baseline`` and by the strategies in ``plans``;
         with a baseline, each node's first wait that ends after its
         completion there is recorded in this pass's own ``delayed``."""
         self.baseline = baseline
@@ -360,7 +381,7 @@ class _Engine:
             if proc.done_at is None:
                 proc.done_at = self.q.clock
                 proc.status = _DONE
-                proc.mark(self.q.clock, "WAIT_IDLE")
+                proc.mark(self.q.clock, _M_WAIT_IDLE)
             return
         code = proc.order[position]
         t = proc.resume_wall + (proc.offsets[code] - proc.position) * proc.freq.beta
@@ -513,7 +534,7 @@ class _Engine:
         proc.blocked_msg = None
         proc.status = _COMPUTING
         proc.resume_wall = now
-        proc.mark(now, "COMPUTE")
+        proc.mark(now, _M_COMPUTE)
         if proc.node in self._minfreq_open:
             self._minfreq_open.discard(proc.node)
             self.flags.append(FlagRecord(proc.node, now, "END", "MIN_FREQ"))
@@ -529,14 +550,21 @@ class _Engine:
         end = now + self.s.ckpt.duration * proc.freq.gamma
         proc.status = _CHECKPOINTING
         proc.ckpt_span = (now, end)
-        proc.mark(now, "CKPT")
+        proc.mark(now, _M_CKPT)
         self.q.schedule(end, _CKPT_END, proc.node, payload=position)
 
+    def _schedule_trigger(self, node: int, t: float) -> None:
+        """Queue ``node``'s checkpoint trigger at ``t``, unless it is past the
+        horizon; its seq puts the triggers at one instant first, by node."""
+        if t <= self.s.horizon:
+            self.q.schedule(t, _CKPT_BEGIN, node, seq=node - len(self.procs) - 1)
+
     def _on_ckpt_begin(self, ev) -> None:
+        now = ev.time
+        self._schedule_trigger(ev.node, self.s.ckpt.next_trigger(now))
         proc = self.procs[ev.node]
         if proc.status is not _COMPUTING:
             return
-        now = ev.time
         self._sync_position(proc, now)
         self._cancel_milestone(proc)
         self._start_checkpoint(proc, now)
@@ -551,7 +579,7 @@ class _Engine:
         if position is None:
             proc.status = _COMPUTING
             proc.resume_wall = now
-            proc.mark(now, "COMPUTE")
+            proc.mark(now, _M_COMPUTE)
             self._schedule_milestone(proc)
             return
         # anticipated checkpoint taken at the head of a wait
@@ -577,7 +605,7 @@ class _Engine:
         proc.done_at = None  # a finished program must re-execute too
         proc.blocked_msg = None
         proc.status = _RESTARTING
-        proc.mark(now, "RESTART")
+        proc.mark(now, _M_RESTART)
         self.q.schedule(now + self.s.failure.restart_duration, _RESTART_END, proc.node)
         self._start_strategies(now)
 
@@ -587,7 +615,7 @@ class _Engine:
         replay = proc.pos_at_failure - proc.pos_at_ckpt
         proc.status = _REEXECUTING
         if replay > 0:
-            proc.mark(now, "REEXEC")
+            proc.mark(now, _M_REEXEC)
         offsets, kinds, transfer = proc.offsets, proc.kinds, self.messages.transfer
         for index, msg in enumerate(proc.msgs):
             offset = offsets[2 * index]
@@ -605,7 +633,7 @@ class _Engine:
         proc.position = proc.pos_at_failure
         proc.resume_wall = now
         proc.cursor = proc.pc_at_failure
-        proc.mark(now, "COMPUTE")
+        proc.mark(now, _M_COMPUTE)
         transfer = self.messages.transfer
         while proc.cursor < len(proc.order):
             if proc.offsets[proc.order[proc.cursor]] > proc.pos_at_failure:
@@ -659,9 +687,9 @@ class _Engine:
         profile, release = self.s.profile, wait.end
         go_end = now + profile.t_go_sleep
         wake_start = release - profile.t_wakeup
-        proc.mark(now, "GO_SLEEP")
-        proc.mark(go_end, "SLEEP")
-        proc.mark(wake_start, "WAKEUP")
+        proc.mark(now, _M_GO_SLEEP)
+        proc.mark(go_end, _M_SLEEP)
+        proc.mark(wake_start, _M_WAKEUP)
         proc.status = _SLEEPING
         self.flags.append(FlagRecord(proc.node, now, "BEGIN", "SLEEP"))
         self.q.schedule(release, _WAKEUP_END, proc.node)
@@ -693,6 +721,11 @@ class _Engine:
         return _Trace(self, end)
 
 
+def _marks(times: array, labels: bytearray) -> Iterator[tuple[float, str]]:
+    """A node's marks from its two columns, as (time, label) pairs."""
+    return zip(times, map(_LABELS.__getitem__, labels))
+
+
 class _Trace:
     """A pass's trace read from its own state: the state records from each
     node's marks up to ``end``, one ``CommRecord`` per transferred message
@@ -703,7 +736,7 @@ class _Trace:
 
     def __init__(self, engine: _Engine, end: float):
         self.end = end
-        self.marks = [proc.segments for proc in engine.procs]
+        self.marks = [(proc.mark_times, proc.mark_labels) for proc in engine.procs]
         self.sends = [(proc.kinds, proc.msgs) for proc in engine.procs]
         self.ends, self.modes = engine.ends, engine.modes
         self.send_post, self.transfer = engine.messages.send_post, engine.messages.transfer
@@ -744,10 +777,11 @@ class _Trace:
         before the end, adjacent runs of one label merged. Marks come in time
         order but for a planned sleep, whose wake-up can be marked before
         its go-to-sleep ends; only such a node's records are sorted."""
-        marks, end = self.marks[node], self.end
-        if all(a[0] <= b[0] for a, b in pairwise(marks)):
-            return self._runs(node, islice(marks, bisect_left(marks, end, key=itemgetter(0))))
-        records = list(self._runs(node, [m for m in marks if m[0] < end]))
+        times, labels = self.marks[node]
+        end = self.end
+        if all(a <= b for a, b in pairwise(times)):
+            return self._runs(node, islice(_marks(times, labels), bisect_left(times, end)))
+        records = list(self._runs(node, [m for m in _marks(times, labels) if m[0] < end]))
         records.sort(key=_record_key)
         return records
 
@@ -868,7 +902,9 @@ def simulate_detailed(s: Scenario) -> SimulationResult:
     baseline = base.messages  # read-only from here on
     del base  # the later passes and the analysis need only its messages
 
-    ref = snapshot.fork()
+    # without strategies no pass 3 resumes from the snapshot, so pass 2 runs
+    # on the snapshot itself rather than on a copy
+    ref = snapshot.fork() if s.strategies_enabled else snapshot
     ref.inject(baseline)
     ref.run()
     ref_makespan = ref.makespan()
@@ -899,7 +935,7 @@ def simulate_detailed(s: Scenario) -> SimulationResult:
         final.run()
     else:
         final = ref
-        del snapshot  # no pass 3
+        del snapshot  # no pass 3; without strategies, this is ``ref``
     # the trace reads only the final pass's own state
     final.baseline = None
     del baseline

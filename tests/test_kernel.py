@@ -114,17 +114,36 @@ def test_deterministic_pop_sequence_and_conservation():
     assert run() == run()
 
 
-def test_reserved_seq_keeps_its_place_in_the_tie_order():
+def test_a_negative_seq_goes_before_the_queues_own_numbers():
     q = EventQueue()
-    q.schedule(5.0, EventKind.CKPT_BEGIN, 0)
-    reserved = q.reserve()
-    q.schedule(5.0, EventKind.CKPT_BEGIN, 2)
-    assert q.schedule(5.0, EventKind.FAILURE, 1, seq=reserved) == reserved
-    assert [q.advance().node for _ in range(3)] == [0, 1, 2]
+    q.schedule(5.0, EventKind.POST_SEND, 0)
+    assert q.schedule(5.0, EventKind.FAILURE, 1, seq=-1) == -1
+    q.schedule(4.0, EventKind.POST_SEND, 2)
+    assert [q.advance().node for _ in range(3)] == [2, 1, 0]
+
+
+def test_negative_seqs_order_by_value():
+    q = EventQueue()
+    q.schedule(5.0, EventKind.FAILURE, 0, seq=-1)
+    q.schedule(5.0, EventKind.CKPT_BEGIN, 1, seq=-3)
+    q.schedule(5.0, EventKind.CKPT_BEGIN, 2, seq=-2)
+    popped = [q.advance() for _ in range(3)]
+    assert [(ev.node, ev.seq) for ev in popped] == [(1, -3), (2, -2), (0, -1)]
+
+
+def test_a_pending_negative_seq_is_refused():
+    q = EventQueue()
+    q.schedule(5.0, EventKind.CKPT_BEGIN, 0, seq=-2)
     with pytest.raises(ValueError):
-        q.schedule(6.0, EventKind.FAILURE, 1, seq=reserved)  # already used
+        q.schedule(6.0, EventKind.CKPT_BEGIN, 0, seq=-2)
     with pytest.raises(ValueError):
-        q.schedule(6.0, EventKind.FAILURE, 1, seq=0)  # never reserved
+        q.schedule(6.0, EventKind.CKPT_BEGIN, 0, seq=0)  # the queue's own numbers
+    with pytest.raises(ValueError):
+        q.cancel(-2)  # a number given again would revive the cancelled entry
+    assert len(q) == 1
+    q.advance()
+    assert q.schedule(6.0, EventKind.CKPT_BEGIN, 0, seq=-2) == -2  # free once handled
+    assert q.advance().time == 6.0
 
 
 def test_advance_stops_before_a_key():
@@ -144,15 +163,13 @@ def test_copy_runs_on_independently():
     q = EventQueue()
     q.schedule(1.0, EventKind.CKPT_BEGIN, 0)
     q.schedule(2.0, EventKind.CKPT_BEGIN, 1)
-    reserved = q.reserve()
+    q.schedule(2.0, EventKind.CKPT_BEGIN, 2, seq=-2)
     q.advance()
     twin = q.copy()
     assert twin == q and twin._heap is not q._heap
-    assert q.advance().node == 1
-    twin.schedule(1.5, EventKind.FAILURE, 0, seq=reserved)
-    assert twin.clock == 1.0 and len(twin) == 2
-    assert [twin.advance().kind for _ in range(2)] == [EventKind.FAILURE, EventKind.CKPT_BEGIN]
-    assert len(q) == 0 and q.clock == 2.0
-    with pytest.raises(ValueError):
-        twin.schedule(3.0, EventKind.FAILURE, 0, seq=reserved)
-    q.schedule(3.0, EventKind.FAILURE, 0, seq=reserved)  # each copy keeps its reservation
+    assert [q.advance().node for _ in range(2)] == [2, 1]
+    twin.schedule(1.5, EventKind.FAILURE, 0, seq=-1)
+    q.schedule(3.0, EventKind.FAILURE, 0, seq=-1)  # pending in the copy, free here
+    assert twin.clock == 1.0 and len(twin) == 3
+    assert [twin.advance().node for _ in range(3)] == [0, 2, 1]  # the copy keeps node 2's event
+    assert len(q) == 1 and q.clock == 2.0

@@ -515,8 +515,10 @@ def test_only_the_failure_free_pass_records_waits(strategies, monkeypatch):
 def test_each_pass_is_freed_after_its_last_read(name, strategies, monkeypatch):
     """When pass 3 starts, the engine running it is the only one alive:
     pass 1 went once its messages were taken, pass 2 once the plans were
-    made. The final pass builds its trace without a baseline, so pass 1's
-    messages are gone by then too."""
+    made. Without strategies no pass 3 needs the snapshot, so pass 2 runs on
+    it, not on a fork, and is then the only engine alive. The final pass
+    builds its trace without a baseline, so pass 1's messages are gone by
+    then too."""
     s = replace(SHAPED[name](), strategies_enabled=strategies)
     engines = []
     init, fork, run, trace = _Engine.__init__, _Engine.fork, _Engine.run, _Engine.trace
@@ -535,11 +537,13 @@ def test_each_pass_is_freed_after_its_last_read(name, strategies, monkeypatch):
         engines.append(weakref.ref(twin))
         return twin
 
-    at_pass_3 = []
+    at_pass_2, at_pass_3 = [], []
 
     def spied_run(engine, *args, **kwargs):
         if engine.plans:  # only pass 3 runs with plans
             at_pass_3.append(alive(engine))
+        elif engine.baseline is not None:  # pass 2, the other pass with a baseline
+            at_pass_2.append(alive(engine))
         return run(engine, *args, **kwargs)
 
     at_trace = []
@@ -553,7 +557,9 @@ def test_each_pass_is_freed_after_its_last_read(name, strategies, monkeypatch):
     monkeypatch.setattr(_Engine, "run", spied_run)
     monkeypatch.setattr(_Engine, "trace", spied_trace)
     r = simulate_detailed(s)
-    assert len(engines) == 3
+    # pass 1, its snapshot and, with strategies, the fork pass 2 runs on
+    assert len(engines) == (3 if strategies else 2)
+    assert at_pass_2 == [not strategies]
     assert at_pass_3 == ([True] if strategies else [])
     assert r.plans
     assert at_trace == [(True, True)]
@@ -588,9 +594,9 @@ depth = 1
 
 
 def test_events_at_the_failure_instant_keep_their_order(monkeypatch):
-    # at 100 s: node 1's checkpoint trigger, scheduled at t = 0 before the
-    # failure's place, then the failure, node 2's send, scheduled at t = 0
-    # after it, and node 0's checkpoint end, scheduled at 80 s
+    # at 100 s: node 1's checkpoint trigger, as triggers go first, then the
+    # failure, then in the order they were scheduled node 2's send, at
+    # t = 0, and node 0's checkpoint end, at 80 s
     s = loads_scenario(TIES_AT_FAILURE)
     popped = []
     advance = EventQueue.advance
@@ -622,6 +628,74 @@ def test_events_at_the_failure_instant_keep_their_order(monkeypatch):
         (EventKind.POST_SEND, 2),
         (EventKind.CKPT_END, 0),
     ]
+
+
+def pending_triggers(engine):
+    """(node, time) of each checkpoint trigger pending in ``engine``'s queue."""
+    q = engine.q
+    pending = [ev for ev in q._heap if ev.seq in q._pending]
+    return sorted((ev.node, ev.time) for ev in pending if ev.kind is EventKind.CKPT_BEGIN)
+
+
+def test_a_pass_queues_one_checkpoint_trigger_per_node():
+    """A node's timer has one trigger pending at a time, which queues the
+    next as it fires: at the failure instant each node's is its first
+    trigger after the failure (those at the failure instant went before
+    it), and a pass run to the horizon has queued none past it."""
+    s = SHAPED["halo_chain_8"]()
+    base, snapshot = _failure_free_pass(s, _programs(s.pattern))
+    fail, horizon = s.failure.time, s.horizon
+    after = [(n, min(t for t in s.ckpt.triggers(n, horizon) if t > fail)) for n in range(s.nodes)]
+    assert pending_triggers(snapshot) == after
+    ref = snapshot.fork()
+    ref.inject(base.messages)
+    ref.run()
+    assert pending_triggers(base) == pending_triggers(ref) == []
+
+
+@pytest.mark.parametrize("name", ["halo_chain_8", "master_worker_6"])
+def test_checkpoints_begin_at_each_trigger_that_finds_the_node_computing(name):
+    """Without anticipation, a node's checkpoints begin exactly at the
+    policy's triggers at which it computes, in pass 1 and in pass 2."""
+    s = SHAPED[name]()
+    assert not s.ckpt.anticipation_enabled
+    base, snapshot = _failure_free_pass(s, _programs(s.pattern))
+    snapshot.inject(base.messages)
+    snapshot.run()
+    checkpoints = 0
+    for engine in (base, snapshot):
+        for node, proc in enumerate(engine.procs):
+            marks = list(simulate._marks(proc.mark_times, proc.mark_labels))
+            begun = [t for t, label in marks if label == "CKPT"]
+
+            def state_before(t):
+                return max((m for m in marks if m[0] < t), key=lambda m: m[0])[1]
+
+            triggers = s.ckpt.triggers(node, s.horizon)
+            computing = [t for t in triggers if state_before(t) == "COMPUTE"]
+            assert begun == computing, node
+            checkpoints += len(begun)
+    assert checkpoints
+
+
+def test_a_state_mark_holds_at_most_12_bytes():
+    """A mark is a time in an ``array('d')`` and a label byte (a (time,
+    label) tuple in a list took 88 B, with its boxed time); a mark at the
+    last mark's time replaces that one's label."""
+    s = SHAPED["master_worker_6"]()
+    proc = _Engine(s, _programs(s.pattern), inject_failure=False).procs[0]
+    n, labels = 20_000, len(simulate._LABELS)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(1, n + 1):
+            proc.mark(i * 0.5, i % labels)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 12 * n, held / n
+    proc.mark(n * 0.5, 0)
+    assert (len(proc.mark_times), len(proc.mark_labels), proc.mark_labels[-1]) == (n + 1, n + 1, 0)
 
 
 def blocked_workers_scenario():
