@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .pattern import KIND_RECV, CommOp, CommPattern, Direction
+from .pattern import KIND_RECV, CommPattern
 
-# an op's projected failure-free (post, block point) wall times and its peer op's post
-Exchange = Callable[[CommOp], tuple[float, float, float]]
+# for op ``index`` of process ``proc``: its projected failure-free (post,
+# block point) wall times and its peer op's post
+Exchange = Callable[[int, int], tuple[float, float, float]]
 
 
 @dataclass(frozen=True)
@@ -69,10 +70,11 @@ def _candidate_ops(
     and are dropped outright. Buffered send-side waits never block.
     """
     out = []
-    for op in pattern.ops_with(child, parent):
-        if pattern.buffered and op.direction is Direction.SEND:
+    kinds = pattern.processes[child].kinds
+    for index in pattern.ops_with(child, parent):
+        if pattern.buffered and not kinds[index] & KIND_RECV:
             continue
-        post, block_point, peer_post = exchange(op)
+        post, block_point, peer_post = exchange(child, index)
         if block_point <= fail_time or max(post, peer_post) <= fail_time:
             continue
         out.append((block_point, peer_post))
@@ -89,8 +91,9 @@ def estimate_block_times(
 ) -> list[BlockEstimate]:
     """Level-by-level expansion with per-level convergence.
 
-    ``exchange(op)`` gives the projected failure-free post and block point
-    wall times of ``op`` and the post of its peer op.
+    ``exchange(proc, index)`` gives the projected failure-free post and
+    block point wall times of op ``index`` of ``proc`` and the post of its
+    peer op.
     """
     analyzed: set[int] = {failed}
     level_procs: list[tuple[int, float]] = [(failed, fail_time)]

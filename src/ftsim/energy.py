@@ -15,10 +15,6 @@ import enum
 from dataclasses import dataclass
 
 
-class UnknownFrequency(KeyError):
-    """Frequency not present in the system profile."""
-
-
 class WaitTooShort(ValueError):
     """Wait shorter than the sleep plus wake transition time."""
 
@@ -84,12 +80,6 @@ class SystemProfile:
     @property
     def f_min(self) -> FrequencyLevel:
         return self.freqs[-1]
-
-    def level(self, ghz: float) -> FrequencyLevel:
-        for f in self.freqs:
-            if f.ghz == ghz:
-                return f
-        raise UnknownFrequency(f"{ghz} GHz not in profile")
 
 
 @dataclass(frozen=True)

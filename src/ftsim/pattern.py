@@ -5,10 +5,11 @@ Each process's ops are stored as columns (:class:`OpColumns`): the post and
 wait offsets interleaved in one ``array('d')``, so that entry
 ``2·index + is_wait`` is op ``index``'s post (0) or wait (1); the peers in an
 ``array('i')``; and each op's direction and mode as the bits ``KIND_RECV``
-and ``KIND_NONBLOCKING`` of one byte. A :class:`CommOp` is built from the
-columns on demand, by indexing or iterating them, only where a caller asks
-for an op: validation errors, the cascade's ``ops_with`` and ``message``, and
-tests. The simulation reads the columns.
+and ``KIND_NONBLOCKING`` of one byte. An op is named by its (process, index)
+position. A :class:`CommOp` is built from the columns on demand, by indexing
+or iterating them, only where a caller asks for an op: validation errors,
+``message`` and ``matching_op``, and tests. A run reads the columns and
+builds none.
 """
 
 from __future__ import annotations
@@ -28,15 +29,10 @@ class Direction(enum.Enum):
     SEND = "send"
     RECV = "recv"
 
-    # hashed in every CommOp hash: keep it in C
-    __hash__ = object.__hash__
-
 
 class OpMode(enum.Enum):
     BLOCKING = "blocking"
     NONBLOCKING = "nonblocking"
-
-    __hash__ = object.__hash__  # as Direction's
 
 
 # the bits of an op's kind byte
@@ -75,11 +71,6 @@ class CommOp(NamedTuple):
     mode: OpMode
     post_time_offset: float
     wait_offset: float
-
-    @property
-    def block_point(self) -> float:
-        """Compute offset at which this op can suspend the process."""
-        return self.wait_offset if self.mode is OpMode.NONBLOCKING else self.post_time_offset
 
 
 _new_op = tuple.__new__  # skips the NamedTuple's generated Python __new__
@@ -189,11 +180,9 @@ class CommPattern:
         """Processes ``proc`` communicates with, ascending."""
         return sorted({key >> 1 for key in self._streams[proc]})
 
-    def ops_with(self, proc: int, peer: int) -> list[CommOp]:
-        """The ops of ``proc`` with ``peer``, in program order."""
-        ops = self.processes[proc]
-        sends, recvs = self._stream(proc, 2 * peer), self._stream(proc, 2 * peer + KIND_RECV)
-        return [ops[index] for index in sorted(chain(sends, recvs))]
+    def ops_with(self, proc: int, peer: int) -> list[int]:
+        """The indices of ``proc``'s ops with ``peer``, in program order."""
+        return sorted(chain(self._stream(proc, 2 * peer), self._stream(proc, 2 * peer + KIND_RECV)))
 
     def message_at(self, proc: int, index: int) -> tuple[tuple[tuple[int, int], int], int]:
         """The message key ((sender, receiver), k) of op ``index`` of

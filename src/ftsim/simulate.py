@@ -73,7 +73,7 @@ from .energy import (
 )
 from .fault import should_anticipate
 from .kernel import EmptyQueue, EventKind, EventQueue
-from .pattern import KIND_NONBLOCKING, KIND_RECV, CommOp, CommPattern, Direction
+from .pattern import KIND_NONBLOCKING, KIND_RECV, CommPattern
 from .report import (
     CommRecord,
     FlagRecord,
@@ -118,26 +118,20 @@ _LABELS = (
     _M_GO_SLEEP, _M_SLEEP, _M_WAKEUP,
 ) = range(len(_LABELS))
 
-_Channel = tuple[int, int]  # (sender, receiver)
-
-
 _new_record = tuple.__new__  # skips the NamedTuples' generated Python __new__
 
 
 class _Programs(NamedTuple):
-    """Each process's program as columns, and per message id its mode and its
-    (sender, receiver). ``order[node][position]`` is the milestone code
-    ``2·op index + is_wait`` and ``msgs[node][index]`` the op's message id;
-    the op itself is in the pattern's columns. ``modes[msg]`` is
-    ``KIND_NONBLOCKING`` for a non-blocking message, else 0. ``first`` gives
-    each channel's first message id, so that the k-th message on a channel
-    has id ``first[channel] + k``."""
+    """Each process's program as columns, and per message id its mode.
+    ``order[node][position]`` is the milestone code ``2·op index + is_wait``
+    and ``msgs[node][index]`` the op's message id, the one FIFO numbering
+    that the passes, the analysis and the trace read; the op itself is in
+    the pattern's columns. ``modes[msg]`` is ``KIND_NONBLOCKING`` for a
+    non-blocking message, else 0."""
 
     order: list[array]
     msgs: list[array]
     modes: bytearray
-    ends: list[_Channel]
-    first: dict[_Channel, int]
 
 
 def _blocks(kind: int, is_wait: int, buffered: bool) -> bool:
@@ -159,18 +153,12 @@ def _programs(pattern: CommPattern) -> _Programs:
     processes = pattern.processes
     msgs = [array("i", [0]) * len(ops) for ops in processes]
     modes = bytearray()
-    ends: list[_Channel] = []
-    first: dict[_Channel, int] = {}
-    for msg, ((channel, k), send, recv) in enumerate(pattern.messages()):
-        if not k:
-            first[channel] = msg
-        sender, receiver = channel
+    for msg, (((sender, receiver), _), send, recv) in enumerate(pattern.messages()):
         msgs[sender][send] = msgs[receiver][recv] = msg
         if sender < receiver:
             modes.append(processes[sender].kinds[send] & KIND_NONBLOCKING)
         else:
             modes.append(processes[receiver].kinds[recv] & KIND_NONBLOCKING)
-        ends.append(channel)
     order = []
     for ops in processes:
         codes = []
@@ -182,7 +170,7 @@ def _programs(pattern: CommPattern) -> _Programs:
         # at one offset
         codes.sort(key=ops.offsets.__getitem__)
         order.append(array("i", codes))
-    return _new_record(_Programs, (order, msgs, modes, ends, first))
+    return _new_record(_Programs, (order, msgs, modes))
 
 
 @dataclass(slots=True)
@@ -314,7 +302,7 @@ class _Engine:
         self.delayed: dict[int, _DelayedWait] = {}  # filled only in a pass with a baseline
         self.q = EventQueue()
         self.buffered = s.pattern.buffered
-        self.modes, self.ends = programs.modes, programs.ends  # shared by forks
+        self.modes = programs.modes  # shared by forks
         # only a failure-free pass records its waits; a fork copies none
         self.messages = (_Messages if inject_failure else _Baseline).unsent(len(self.modes))
         columns = zip(s.pattern.processes, programs.order, programs.msgs)
@@ -732,13 +720,13 @@ class _Trace:
     from the message columns, and the strategy flags. It holds no engine,
     and iterates in trace order, each record built as it is read."""
 
-    __slots__ = ("end", "marks", "sends", "ends", "modes", "send_post", "transfer", "flags")
+    __slots__ = ("end", "marks", "sends", "modes", "send_post", "transfer", "flags")
 
     def __init__(self, engine: _Engine, end: float):
         self.end = end
         self.marks = [(proc.mark_times, proc.mark_labels) for proc in engine.procs]
-        self.sends = [(proc.kinds, proc.msgs) for proc in engine.procs]
-        self.ends, self.modes = engine.ends, engine.modes
+        self.sends = [(proc.kinds, proc.msgs, proc.peers) for proc in engine.procs]
+        self.modes = engine.modes
         self.send_post, self.transfer = engine.messages.send_post, engine.messages.transfer
         self.flags = engine.flags
 
@@ -759,18 +747,25 @@ class _Trace:
             yield self._states(node)
 
     def _comms(self, sender: int) -> Iterator[CommRecord]:
-        """``sender``'s transferred messages by (post, transfer, id)."""
-        kinds, msgs = self.sends[sender]
+        """``sender``'s transferred messages by (post, transfer, id), each
+        read from its send op: the receiver is the op's peer."""
+        kinds, msgs, peers = self.sends[sender]
         post, transfer = self.send_post, self.transfer
-        ids = [m for kind, m in zip(kinds, msgs) if not kind & KIND_RECV and not isnan(transfer[m])]
-        ids.sort()  # stable sorts, the least significant key first
-        ids.sort(key=transfer.__getitem__)
-        ids.sort(key=post.__getitem__)
-        ids = array("i", ids)  # 4 B an id while the stream is read, where a list holds 36
-        ends, modes = self.ends, self.modes
-        for msg in ids:
+        ops = [
+            i for i, kind in enumerate(kinds)
+            if not kind & KIND_RECV and not isnan(transfer[msgs[i]])
+        ]
+        # stable sorts, the least significant key first; a key is a plain
+        # number: a key tuple per op would stay in CPython's tuple free list
+        ops.sort(key=msgs.__getitem__)
+        ops.sort(key=lambda i: transfer[msgs[i]])
+        ops.sort(key=lambda i: post[msgs[i]])
+        ops = array("i", ops)  # 4 B an op while the stream is read, where a list holds 36
+        modes = self.modes
+        for index in ops:
+            msg = msgs[index]
             mode = "NB" if modes[msg] else "B"
-            yield _new_record(CommRecord, (sender, ends[msg][1], post[msg], transfer[msg], mode))
+            yield _new_record(CommRecord, (sender, peers[index], post[msg], transfer[msg], mode))
 
     def _states(self, node: int) -> Iterable[StateRecord]:
         """``node``'s state records by (t0, t1): one per run of its marks
@@ -800,35 +795,30 @@ class _Trace:
             yield _new_record(StateRecord, (node, t0, t1, label))
 
 
-def _failure_free_times(
-    pattern: CommPattern, first: dict[_Channel, int], baseline: _Baseline
-) -> Exchange:
-    """The analysis's exchange function: an op's (post, block point) wall
-    times and its peer op's post, both read from their one message in
-    ``baseline``, whose id is its channel's ``first`` id plus its place on
-    the channel. A non-blocking op blocks where its wait began. An op that
-    never posted, or whose wait never completed, has its pattern offsets; a
-    peer has its offset post only when it never posted."""
+def _failure_free_times(pattern: CommPattern, msgs: list[array], baseline: _Baseline) -> Exchange:
+    """The analysis's exchange function: op ``index`` of ``proc``'s (post,
+    block point) wall times and its peer op's post, both read from their one
+    message in ``baseline``, ``msgs[proc][index]``. A non-blocking op blocks
+    where its wait began. An op that never posted, or whose wait never
+    completed, has its pattern offsets, the post's and the block
+    milestone's; a peer has its offset post only when it never posted."""
 
-    def side(op: CommOp, msg: int) -> tuple[float, float]:
-        kind = pattern.processes[op.proc].kinds[op.index]
+    def exchange(proc: int, index: int) -> tuple[float, float, float]:
+        ops, msg = pattern.processes[proc], msgs[proc][index]
+        kind = ops.kinds[index]
         recv = kind & KIND_RECV
-        post = baseline.post(recv, msg)
-        if post is None:
-            return op.post_time_offset, op.block_point
-        if not kind & KIND_NONBLOCKING:
-            return post, post
-        if baseline.completion(recv, msg, 1, _blocks(kind, 1, pattern.buffered)) is None:
-            return op.post_time_offset, op.block_point
-        return post, baseline.reached(recv, msg, 1)
-
-    def exchange(op: CommOp) -> tuple[float, float, float]:
-        (channel, k), theirs = pattern.message_at(op.proc, op.index)
-        msg = first[channel] + k
-        peer_post = baseline.post(op.direction is Direction.SEND, msg)
+        peer_post = baseline.post(recv ^ KIND_RECV, msg)
         if peer_post is None:
-            peer_post = pattern.processes[op.peer].offsets[2 * theirs]
-        return (*side(op, msg), peer_post)
+            _, theirs = pattern.message_at(proc, index)
+            peer_post = pattern.processes[ops.peers[index]].offsets[2 * theirs]
+        post = baseline.post(recv, msg)
+        if post is not None and not kind & KIND_NONBLOCKING:
+            return post, post, peer_post
+        blocks = _blocks(kind, 1, pattern.buffered)
+        if post is not None and baseline.completion(recv, msg, 1, blocks) is not None:
+            return post, baseline.reached(recv, msg, 1), peer_post
+        # the block milestone is the wait of a non-blocking op, else the post
+        return ops.offsets[2 * index], ops.offsets[2 * index + (kind >> 1)], peer_post
 
     return exchange
 
@@ -911,7 +901,7 @@ def simulate_detailed(s: Scenario) -> SimulationResult:
 
     estimates = estimate_block_times(
         s.pattern, s.failure.node, s.failure.time, s.depth,
-        _failure_free_times(s.pattern, programs.first, baseline),
+        _failure_free_times(s.pattern, programs.msgs, baseline),
     )
 
     plans: list[NodePlan] = []

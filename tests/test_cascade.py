@@ -29,8 +29,10 @@ def offsets(pattern):
     """The exchange of an analysis without a failure-free run: each side of
     an op's message at its pattern offsets."""
 
-    def exchange(o):
-        return o.post_time_offset, o.block_point, pattern.matching_op(o).post_time_offset
+    def exchange(proc, index):
+        o = pattern.processes[proc][index]
+        block = o.wait_offset if o.mode is OpMode.NONBLOCKING else o.post_time_offset
+        return o.post_time_offset, block, pattern.matching_op(o).post_time_offset
 
     return exchange
 

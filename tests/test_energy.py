@@ -38,21 +38,21 @@ def test_t_comp_scaling():
     est = default_estimate(600.0, 1000.0)
     assert est.phase(PROFILE.f_max) == 600.0
     est2 = default_estimate(603.5, 1000.0)
-    assert est2.phase(PROFILE.level(2.1)) == pytest.approx(724.2)
+    assert est2.phase(PROFILE.freqs[1]) == pytest.approx(724.2)
     est3 = default_estimate(100.0, 1000.0)
-    assert est3.phase(PROFILE.level(1.2)) == pytest.approx(210.0)
+    assert est3.phase(PROFILE.freqs[3]) == pytest.approx(210.0)
 
 
 def test_compute_phase_energy():
     assert compute_phase_energy(PROFILE.f_max, default_estimate(60.0, 100.0)) == 9960.0
     est = default_estimate(0.0, 400.0, n_ckpt=1)
-    assert compute_phase_energy(PROFILE.level(1.2), est) == pytest.approx(21000.0)
-    assert compute_phase_energy(PROFILE.level(1.7), default_estimate(0.0, 10.0)) == 0.0
+    assert compute_phase_energy(PROFILE.freqs[3], est) == pytest.approx(21000.0)
+    assert compute_phase_energy(PROFILE.freqs[2], default_estimate(0.0, 10.0)) == 0.0
 
 
 def test_awake_wait_energy():
-    assert awake_wait_energy(PROFILE.level(1.2), 300.0, WaitMode.ACTIVE, PROFILE) == 37800.0
-    assert awake_wait_energy(PROFILE.level(1.7), 300.0, WaitMode.IDLE, PROFILE) == 18000.0
+    assert awake_wait_energy(PROFILE.freqs[3], 300.0, WaitMode.ACTIVE, PROFILE) == 37800.0
+    assert awake_wait_energy(PROFILE.freqs[2], 300.0, WaitMode.IDLE, PROFILE) == 18000.0
     assert awake_wait_energy(PROFILE.f_max, 0.0, WaitMode.ACTIVE, PROFILE) == 0.0
 
 

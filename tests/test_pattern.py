@@ -173,7 +173,7 @@ def test_matching_op_checks_the_op_at_its_position():
 def test_ops_with_and_peers_follow_program_order():
     pattern = mixed_mode_pattern()
     assert pattern.peers(0) == [1, 2]
-    assert [o.index for o in pattern.ops_with(0, 1)] == [0, 2, 3]
+    assert pattern.ops_with(0, 1) == [0, 2, 3]
     assert pattern.ops_with(1, 1) == []
     assert pattern.peers(2) == [0, 1]
 

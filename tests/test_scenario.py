@@ -45,7 +45,8 @@ def test_load_scenario1_fixture():
     s = load_scenario(FIXTURES / "scenario1_short.scn")
     assert s.nodes == 4
     assert s.pattern.wait_mode is WaitMode.ACTIVE
-    assert s.profile.level(1.2).p_active_wait == pytest.approx(94.5)
+    assert s.profile.freqs[3].ghz == 1.2
+    assert s.profile.freqs[3].p_active_wait == pytest.approx(94.5)
     assert s.ckpt.duration == pytest.approx(120.0)
     assert s.failure.node == 0
     assert len(s.pattern.processes[0]) == 15

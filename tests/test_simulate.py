@@ -383,8 +383,12 @@ depth = 1
     programs = _programs(s.pattern)
     engine = _Engine(s, programs, inject_failure=False)
     engine.run()
-    exchange = _failure_free_times(s.pattern, programs.first, engine.messages)
-    return {(o.proc, o.index): exchange(o) for ops in s.pattern.processes for o in ops}
+    exchange = _failure_free_times(s.pattern, programs.msgs, engine.messages)
+    return {
+        (proc, index): exchange(proc, index)
+        for proc, ops in enumerate(s.pattern.processes)
+        for index in range(len(ops))
+    }
 
 
 def test_op_schedule_blocks_where_the_wait_began():
@@ -808,17 +812,19 @@ def test_failure_free_times_equal_the_per_op_table(name, s, cut):
     programs = _programs(s.pattern)
     base, _ = _failure_free_pass(s, programs)
     table, posts = op_schedule_table(base), post_table(base)
-    exchange = _failure_free_times(s.pattern, programs.first, base.messages)
+    exchange = _failure_free_times(s.pattern, programs.msgs, base.messages)
 
     def times(o):  # the pass-1 times where the table has them, the offsets otherwise
-        return table.get((o.proc, o.index), (o.post_time_offset, o.block_point))
+        block = o.wait_offset if o.mode is OpMode.NONBLOCKING else o.post_time_offset
+        return table.get((o.proc, o.index), (o.post_time_offset, block))
 
     def post(o):  # a peer's recorded post, also where its wait never completed
         return posts.get((o.proc, o.index), o.post_time_offset)
 
     for ops in s.pattern.processes:
         for o in ops:
-            assert exchange(o) == (*times(o), post(s.pattern.matching_op(o))), (name, o)
+            want = (*times(o), post(s.pattern.matching_op(o)))
+            assert exchange(o.proc, o.index) == want, (name, o)
 
 
 def test_set_up_work_follows_the_analysed_pairs(monkeypatch):
@@ -870,9 +876,12 @@ def test_set_up_work_follows_the_analysed_pairs(monkeypatch):
     monkeypatch.setattr(simulate, "estimate_block_times", reads_times(simulate.estimate_block_times))
     simulate_detailed(s)
     assert read
-    ends = _programs(s.pattern).ends  # each message's (sender, receiver)
-    assert {frozenset(ends[msg]) for msg in read} <= pairs
-    assert len(set(read)) < len(ends)
+    sides = {}  # each message id's two processes, from its ops' columns
+    for proc, (ops, msgs) in enumerate(zip(s.pattern.processes, _programs(s.pattern).msgs)):
+        for peer, msg in zip(ops.peers, msgs):
+            assert sides.setdefault(msg, frozenset((proc, peer))) == frozenset((proc, peer))
+    assert {sides[msg] for msg in read} <= pairs
+    assert len(set(read)) < len(sides)
 
 
 SIBLINGS_TALK = TWO_LEVELS + """
@@ -1011,8 +1020,8 @@ def test_a_transfer_during_an_anticipated_checkpoint_queues_no_completion(monkey
 def test_programs_share_message_keys_and_sort_by_offset():
     s = SHAPED["halo_chain_8"]()
     programs = _programs(s.pattern)
+    assert programs._fields == ("order", "msgs", "modes")
     n = len(programs.modes)
-    assert len(programs.ends) == n
     # every pass reads the pattern's own columns, not a copy
     base, snapshot = _failure_free_pass(s, programs)
     for engine in (base, snapshot, snapshot.fork()):
@@ -1033,12 +1042,56 @@ def test_programs_share_message_keys_and_sort_by_offset():
         assert len(msgs) == len(ops)
         for op, msg in zip(ops, msgs):
             assert op.proc == node
-            (channel, k), _ = s.pattern.message(op)
-            assert msg == programs.first[channel] + k
-            assert ids.setdefault(msg, (channel, k)) == (channel, k)  # one id per message
-            assert programs.ends[msg] == channel
+            key, theirs = s.pattern.message(op)
+            assert ids.setdefault(msg, key) == key  # one id per message
+            assert programs.msgs[theirs.proc][theirs.index] == msg  # both sides carry it
+            assert sorted(key[0]) == sorted((node, ops.peers[op.index]))
     assert sorted(ids) == list(range(n))
     assert [key for key, _, _ in s.pattern.messages()] == [ids[msg] for msg in range(n)]
+
+
+def test_a_senders_records_break_time_ties_by_message_id():
+    """A sender's ``C`` records come by (post, transfer, message id), the
+    receiver read from the send op's peer. Messages are numbered channel by
+    channel, so on a tie the lower id is not always the earlier op: here
+    node 0's op 2, to node 1, has id 1 and its op 1, to node 2, has id 2."""
+    s = loads_scenario(TWO_LEVELS + """
+[pattern]
+nodes = 3
+op = 0 send 1 @ 10 s
+op = 0 send 2 @ 20 s
+op = 0 send 1 @ 30 s
+op = 1 recv 0 @ 10 s
+op = 1 recv 0 @ 30 s
+op = 2 recv 0 @ 20 s
+
+[checkpoint]
+interval = 1000 s
+duration = 10 s
+offset = 500 s
+
+[failure]
+node = 2
+time = 100 s
+restart = 5 s
+
+[run]
+horizon = 400 s
+depth = 1
+""")
+    assert _programs(s.pattern).msgs[0].tolist() == [0, 2, 1]
+    trace = simulate_detailed(s).trace
+
+    def sends():
+        return [(c.dst, c.t_post, c.t_complete) for c in trace if isinstance(c, CommRecord)]
+
+    assert sends() == [(1, 10.0, 10.0), (2, 20.0, 20.0), (1, 30.0, 30.0)]
+    # the view reads the final pass's columns: tie every post and transfer
+    for msg in range(3):
+        trace.send_post[msg], trace.transfer[msg] = 50.0, 60.0
+    assert sends() == [(1, 50.0, 60.0), (1, 50.0, 60.0), (2, 50.0, 60.0)]
+    trace.transfer[2] = 55.0  # then the transfer decides
+    assert [dst for dst, _, _ in sends()] == [2, 1, 1]
 
 
 def wide_halo_text(nodes, steps, step=60.0):
@@ -1062,7 +1115,9 @@ def wide_halo_text(nodes, steps, step=60.0):
 def test_programs_hold_at_most_40_bytes_per_milestone():
     """A milestone is one int in its process's column, and an op's message id
     one int in another: offsets, kinds and ops are read from the pattern, not
-    copied per milestone (an eight-field tuple per milestone held ~131 B)."""
+    copied per milestone (an eight-field tuple per milestone held ~131 B).
+    No table per message but the modes: a (sender, receiver) pointer per
+    message took another 2.4 B per milestone here."""
     s = loads_scenario(wide_halo_text(nodes=32, steps=50), "wide_halo")
     milestones = sum(2 * len(ops) for ops in s.pattern.processes)
     assert milestones >= 10_000
@@ -1074,6 +1129,7 @@ def test_programs_hold_at_most_40_bytes_per_milestone():
     finally:
         tracemalloc.stop()
     assert held <= 40 * milestones, held / milestones
+    assert held <= 8 * milestones, held / milestones
     assert sum(len(order) for order in programs.order) == milestones
 
 
@@ -1114,11 +1170,12 @@ def test_writing_a_trace_peaks_at_most_64_bytes_per_record(tmp_path):
     assert peak <= 64 * records, peak / records
 
 
-def test_the_run_path_builds_no_op_per_op(monkeypatch):
+def test_the_run_path_builds_no_op_per_op(monkeypatch, tmp_path):
     """A CommOp is built only where a caller asks for one, by indexing a
-    process's columns: loading, validation, the programs, the depth and the
-    engine passes build none, and a whole run builds one per op the analysis
-    examines, in ``ops_with``; its message lookups read positions."""
+    process's columns. A whole ``ftsim run`` builds none: loading,
+    validation, the programs, the depth, the engine passes, the analysis and
+    the trace name an op by its (process, index) position and read its
+    message id from the programs."""
     built = []
     getitem = OpColumns.__getitem__
 
@@ -1126,29 +1183,33 @@ def test_the_run_path_builds_no_op_per_op(monkeypatch):
         built.append((ops.proc, index))
         return getitem(ops, index)
 
-    monkeypatch.setattr(OpColumns, "__getitem__", counted)
-    s = loads_scenario(wide_halo_text(nodes=32, steps=50), "wide_halo")
-    s.validate()
-    assert cascade.pattern_depth(s.pattern) == 100  # messages per neighbour pair
-    programs = _programs(s.pattern)
-    base, snapshot = _failure_free_pass(s, programs)
-    ref = snapshot.fork()
-    ref.inject(base.messages)
-    ref.run()
-    assert built == []
-
     examined = []
     ops_with = CommPattern.ops_with
 
     def spied_ops_with(pattern, proc, peer):
-        ops = ops_with(pattern, proc, peer)
-        examined.extend(ops)
-        return ops
+        indices = ops_with(pattern, proc, peer)
+        examined.extend(indices)
+        return indices
 
+    estimates = []
+    estimate = simulate.estimate_block_times
+
+    def spied_estimate(*args):
+        found = estimate(*args)
+        estimates.extend(found)
+        return found
+
+    monkeypatch.setattr(OpColumns, "__getitem__", counted)
     monkeypatch.setattr(CommPattern, "ops_with", spied_ops_with)
-    r = simulate_detailed(s)
-    assert r.estimates and examined
-    assert len(built) == len(examined) < sum(len(ops) for ops in s.pattern.processes)
+    monkeypatch.setattr(simulate, "estimate_block_times", spied_estimate)
+    text = wide_halo_text(nodes=32, steps=50)
+    assert cascade.pattern_depth(loads_scenario(text, "wide_halo").pattern) == 100
+    scenario, trace = tmp_path / "wide_halo.scn", tmp_path / "wide_halo.trace"
+    scenario.write_text(text)
+    assert cli.main(["run", str(scenario), "--trace", str(trace),
+                     "--report", str(tmp_path / "wide_halo.csv")]) == 0
+    assert estimates and examined and trace.read_bytes().count(b"\nC ")
+    assert built == []
 
 
 SAME_INSTANT_POST = _SYSTEM + """
