@@ -38,10 +38,16 @@ blocks are read from the op's kind byte; all passes read the pattern's own
 columns, and each op's message id is stored once, in a per-process column.
 
 A node's state marks are two columns, their times in an ``array('d')`` and
-their labels as indices into ``_LABELS`` in a ``bytearray``. The trace is a
+their labels as indices into ``_LABELS`` in a ``bytearray``, one mark per
+state run: a mark at the last mark's time replaces it, and a mark that would
+repeat the label before it is not stored, so the times strictly increase and
+neighbouring labels differ. Each mark's state lasts until the next mark. A
+planned sleep marks its go-to-sleep, sleep and wake-up ahead of time, so it
+is taken only when its transitions fit before the release. The trace is a
 view over the final pass's own state (each node's marks, the send-post and
 transfer columns and the strategy flags), which builds each record as it is
-read, in trace order.
+read, in trace order, one ``S`` record per mark; the phase estimate reads
+pass 2's checkpoints as the CKPT runs of its marks.
 
 Strategy evaluation and application consume no virtual time. Applying a
 strategy never moves a block release: a slowed compute phase must fit inside
@@ -80,7 +86,6 @@ from .report import (
     SavingsReport,
     StateRecord,
     TraceRecord,
-    _record_key,
     _record_time,
 )
 from .scenario import Scenario
@@ -261,32 +266,31 @@ class _Proc:
     pc_at_failure: int = 0
     pos_at_failure: float = 0.0
     ckpt_span: tuple[float, float] = (0.0, 0.0)
-    ckpt_spans: list[tuple[float, float]] = field(default_factory=list)
     mark_times: array = field(default_factory=lambda: array("d"))
     mark_labels: bytearray = field(default_factory=bytearray)  # indices into _LABELS
 
     def mark(self, t: float, label: int) -> None:
-        """The node enters state ``_LABELS[label]`` at ``t``; a mark at the
-        last mark's time replaces that one's label."""
-        times = self.mark_times
+        """The node enters state ``_LABELS[label]`` at ``t``, no earlier than
+        its last mark: a mark at the last mark's time replaces it, and one
+        that would repeat the label before it is not stored, so a
+        replacement that matches the label before is merged into it."""
+        times, labels = self.mark_times, self.mark_labels
         if times and times[-1] == t:
-            self.mark_labels[-1] = label
-            return
-        times.append(t)
-        self.mark_labels.append(label)
+            del times[-1], labels[-1]
+        if not labels or labels[-1] != label:
+            times.append(t)
+            labels.append(label)
 
     def checkpoint_taken(self) -> None:
         """Commit the current checkpoint: a restart resumes from here."""
         self.last_ckpt = self.ckpt_span[1]
         self.pos_at_ckpt = self.position
-        self.ckpt_spans.append(self.ckpt_span)
 
     def copy(self) -> _Proc:
         # not dataclasses.replace: on CPython 3.11.7 each replace() of a
         # 20-field instance keeps a 200 B tuple that is never freed
         twin = copy(self)
         twin.mark_times, twin.mark_labels = self.mark_times[:], self.mark_labels[:]
-        twin.ckpt_spans = list(self.ckpt_spans)
         return twin
 
 
@@ -428,13 +432,13 @@ class _Engine:
             send_post[msg] = now
             other_post = recv_post[msg]
         if not isnan(other_post) and isnan(transfer[msg]):
-            transfer[msg] = t = max(now, other_post)
+            transfer[msg] = now  # at the second post
             # Only the side that posted first can be suspended on the message:
             # the side posting now is computing up to it or re-executing. A
             # wait anticipated with a checkpoint resumes at the checkpoint's end.
             other = self.procs[proc.peers[index]]
             if other.blocked_msg == msg and other.status is not _CHECKPOINTING:
-                self.q.schedule(t, _COMM_COMPLETE, other.node, payload=msg)
+                self.q.schedule(now, _COMM_COMPLETE, other.node, payload=msg)
 
     def _on_milestone(self, ev) -> None:
         position: int = ev.payload
@@ -489,7 +493,7 @@ class _Engine:
         if strategy is not None:
             self._end_compute_strategy(proc, now)
         self._block_on(proc, msg, now)
-        if strategy is not None and proc.status is _BLOCKED_WAIT:
+        if strategy is not None:
             self._apply_wait_action(proc, now)
 
     def _block_on(self, proc: _Proc, msg: int, now: float) -> None:
@@ -570,10 +574,10 @@ class _Engine:
             proc.mark(now, _M_COMPUTE)
             self._schedule_milestone(proc)
             return
-        # anticipated checkpoint taken at the head of a wait
-        transfer = self.messages.transfer[proc.blocked_msg]
-        if not isnan(transfer):
-            self._resume_from_wait(proc, max(now, transfer))
+        # anticipated checkpoint taken at the head of a wait; a transfer
+        # happens at a post, which is never later than now
+        if not isnan(self.messages.transfer[proc.blocked_msg]):
+            self._resume_from_wait(proc, now)
             return
         self._block_on(proc, proc.blocked_msg, now)
         if self._strategy_here(proc, position) is not None:
@@ -664,7 +668,9 @@ class _Engine:
             self.flags.append(FlagRecord(proc.node, now, "END", f"FREQ_{f.ghz:g}"))
 
     def _apply_wait_action(self, proc: _Proc, now: float) -> None:
-        """Apply the wait action of ``proc``'s plan at its planned wait."""
+        """Apply the wait action of ``proc``'s plan at its planned wait. A
+        sleep is taken only when its transitions fit before the release;
+        otherwise the node waits awake."""
         plan, wait = self.plans[proc.node]
         if plan.wait_action is WaitAction.NONE:
             return
@@ -673,6 +679,8 @@ class _Engine:
             self.flags.append(FlagRecord(proc.node, now, "BEGIN", "MIN_FREQ"))
             return
         profile, release = self.s.profile, wait.end
+        if release - now < profile.t_go_sleep + profile.t_wakeup:
+            return
         go_end = now + profile.t_go_sleep
         wake_start = release - profile.t_wakeup
         proc.mark(now, _M_GO_SLEEP)
@@ -707,11 +715,6 @@ class _Engine:
     def trace(self, end: float) -> _Trace:
         """The trace up to ``end``, as a view over this pass's own state."""
         return _Trace(self, end)
-
-
-def _marks(times: array, labels: bytearray) -> Iterator[tuple[float, str]]:
-    """A node's marks from its two columns, as (time, label) pairs."""
-    return zip(times, map(_LABELS.__getitem__, labels))
 
 
 class _Trace:
@@ -767,32 +770,15 @@ class _Trace:
             mode = "NB" if modes[msg] else "B"
             yield _new_record(CommRecord, (sender, peers[index], post[msg], transfer[msg], mode))
 
-    def _states(self, node: int) -> Iterable[StateRecord]:
-        """``node``'s state records by (t0, t1): one per run of its marks
-        before the end, adjacent runs of one label merged. Marks come in time
-        order but for a planned sleep, whose wake-up can be marked before
-        its go-to-sleep ends; only such a node's records are sorted."""
+    def _states(self, node: int) -> Iterator[StateRecord]:
+        """``node``'s state records, one per mark before the end: each lasts
+        until the next mark, the last until the end, so neighbouring records
+        share one boundary."""
         times, labels = self.marks[node]
         end = self.end
-        if all(a <= b for a, b in pairwise(times)):
-            return self._runs(node, islice(_marks(times, labels), bisect_left(times, end)))
-        records = list(self._runs(node, [m for m in _marks(times, labels) if m[0] < end]))
-        records.sort(key=_record_key)
-        return records
-
-    def _runs(self, node: int, marks: Iterable[tuple[float, str]]) -> Iterator[StateRecord]:
-        t0 = t1 = label = None
-        for (begin, state), (until, _) in pairwise(chain(marks, ((self.end, ""),))):
-            if until <= begin:
-                continue
-            if state == label and begin == t1:
-                t1 = until
-                continue
-            if label is not None:
-                yield _new_record(StateRecord, (node, t0, t1, label))
-            t0, t1, label = begin, until, state
-        if label is not None:
-            yield _new_record(StateRecord, (node, t0, t1, label))
+        spans = pairwise(chain(islice(times, bisect_left(times, end)), (end,)))
+        for (t0, t1), label in zip(spans, labels):
+            yield _new_record(StateRecord, (node, t0, t1, _LABELS[label]))
 
 
 def _failure_free_times(pattern: CommPattern, msgs: list[array], baseline: _Baseline) -> Exchange:
@@ -827,10 +813,12 @@ def _phase_estimate(s: Scenario, ref: _Engine, wait: _DelayedWait) -> PhaseEstim
     fail = s.failure.time
     block, release = max(wait.begin, fail), wait.end  # a wait may begin before the failure
     proc = ref.procs[wait.node]
-    mid_ckpt = sum(
-        max(0.0, min(end, block) - max(start, fail)) for start, end in proc.ckpt_spans
-    )
-    n_ckpt = sum(1 for start, _ in proc.ckpt_spans if fail <= start < release)
+    times, labels = proc.mark_times, proc.mark_labels
+    # the checkpoints begun before the release, as CKPT marks: each ended by
+    # the release, at the next mark
+    ckpts = [i for i in range(bisect_left(times, release)) if labels[i] == _M_CKPT]
+    mid_ckpt = sum(max(0.0, min(times[i + 1], block) - max(times[i], fail)) for i in ckpts)
+    n_ckpt = sum(1 for i in ckpts if fail <= times[i])
     return PhaseEstimate(
         node=wait.node,
         t_comp_fmax=(block - fail) - mid_ckpt,

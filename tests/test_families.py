@@ -8,7 +8,8 @@ the simulated results off stars.
 
 import pytest
 
-from ftsim.report import StateRecord, render_report, write_trace
+from ftsim.energy import WaitAction
+from ftsim.report import FlagRecord, StateRecord, render_report, write_trace
 from ftsim.simulate import simulate_detailed
 
 from families import family_scenario
@@ -23,11 +24,11 @@ SEEDS = range(400)
 # check. Kept here so that a fix shows as a failure of this test.
 EXTENDED = {79, 110, 379}
 
-# Seeds whose trace has overlapping ``S`` records: a planned sleep that
-# begins less than ``t_go_sleep + t_wakeup`` before its release marks its
-# WAKEUP before its GO_SLEEP ends (``_Engine._apply_wait_action``). Also
-# kept so that a fix shows.
-OVERLAPPED = {38}
+# Seeds whose trace has overlapping ``S`` records. None: a node's marks
+# strictly increase in time, since a planned sleep is taken only when its
+# transitions fit before the release (``_Engine._apply_wait_action``). Kept
+# so that a new overlap shows.
+OVERLAPPED = set()
 
 FAMILY_DIGESTS = {
     0: "bc3e160020a4d5a6a2be8e7284342e441efcfb3cb833dda71bb900b3f32c9ad8",
@@ -93,6 +94,23 @@ def test_state_records_tile_the_run(results):
             if any(a.t1 != b.t0 for a, b in zip(mine, mine[1:])):
                 overlapped.add(seed)
     assert overlapped == OVERLAPPED
+
+
+def test_a_sleep_that_does_not_fit_before_its_release_is_not_taken(results):
+    """Seed 38's node 2 is planned to sleep, but reaches its planned wait
+    23.8 s before the release, with 45.0 s of transitions: it waits awake
+    until the release, and no SLEEP flag is written."""
+    r = results[38]
+    wait, profile = r.reference_waits[2], r.scenario.profile
+    plan = next(p for p in r.plans if p.node == 2)
+    assert plan.wait_action is WaitAction.SLEEP
+    states = [(t.t0, t.t1, t.state) for t in r.trace if isinstance(t, StateRecord) and t.node == 2]
+    assert (1607.919, wait.end, "WAIT_ACTIVE") in states
+    assert wait.end - 1607.919 < profile.t_go_sleep + profile.t_wakeup
+    assert not {"GO_SLEEP", "SLEEP", "WAKEUP"} & {state for _, _, state in states}
+    flags = [t for t in r.trace if isinstance(t, FlagRecord) and t.node == 2]
+    assert all(f.label != "SLEEP" for f in flags)
+    assert r.makespan == r.reference_makespan
 
 
 @pytest.mark.parametrize("seed", range(0, 400, 8))

@@ -4,7 +4,7 @@ from ftsim.cascade import DepthConfig
 from ftsim.fault import CheckpointPolicy, FailureSpec, should_anticipate
 from ftsim.pattern import CommOp, CommPattern, Direction, OpMode
 from ftsim.scenario import Scenario
-from ftsim.simulate import _Engine, _marks, _programs
+from ftsim.simulate import _LABELS, _Engine, _programs
 
 from test_energy import PROFILE
 
@@ -39,7 +39,7 @@ def node0_marks(ckpt, horizon, failure=None):
     engine = _Engine(s, _programs(pattern), inject_failure=failure is not None)
     engine.run()
     proc = engine.procs[0]
-    return list(_marks(proc.mark_times, proc.mark_labels))
+    return list(zip(proc.mark_times, map(_LABELS.__getitem__, proc.mark_labels)))
 
 
 def checkpoint_times(p, horizon):

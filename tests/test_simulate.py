@@ -3,6 +3,7 @@ import weakref
 from array import array
 from copy import deepcopy
 from dataclasses import fields, replace
+from itertools import pairwise
 from math import isnan
 from pathlib import Path
 
@@ -202,7 +203,8 @@ def trace_order_scenarios(source):
         return [(name, load_scenario(FIXTURES / f"{name}.scn")) for name in ALL_FIXTURES]
     if source == "scengen":
         return [(seed, random_scenario(seed)) for seed in range(200)]
-    # every 8th family, and seed 38, whose planned sleep overlaps its wake-up
+    # every 8th family, and seed 38, whose planned sleep did not fit before
+    # its release and is not taken
     return [(seed, family_scenario(seed)) for seed in (*range(0, 400, 8), 38)]
 
 
@@ -669,7 +671,7 @@ def test_checkpoints_begin_at_each_trigger_that_finds_the_node_computing(name):
     checkpoints = 0
     for engine in (base, snapshot):
         for node, proc in enumerate(engine.procs):
-            marks = list(simulate._marks(proc.mark_times, proc.mark_labels))
+            marks = list(zip(proc.mark_times, map(simulate._LABELS.__getitem__, proc.mark_labels)))
             begun = [t for t, label in marks if label == "CKPT"]
 
             def state_before(t):
@@ -685,7 +687,9 @@ def test_checkpoints_begin_at_each_trigger_that_finds_the_node_computing(name):
 def test_a_state_mark_holds_at_most_12_bytes():
     """A mark is a time in an ``array('d')`` and a label byte (a (time,
     label) tuple in a list took 88 B, with its boxed time); a mark at the
-    last mark's time replaces that one's label."""
+    last mark's time replaces that one, a mark that repeats the label before
+    it is not stored, and a replacement that matches the label before is
+    merged into it."""
     s = SHAPED["master_worker_6"]()
     proc = _Engine(s, _programs(s.pattern), inject_failure=False).procs[0]
     n, labels = 20_000, len(simulate._LABELS)
@@ -698,8 +702,45 @@ def test_a_state_mark_holds_at_most_12_bytes():
     finally:
         tracemalloc.stop()
     assert held <= 12 * n, held / n
-    proc.mark(n * 0.5, 0)
+    before = (n - 1) % labels  # the label of the mark before the last
+    assert n % labels not in (0, before)  # so that each step below changes the marks
+    proc.mark(n * 0.5, 0)  # replaces the last mark
     assert (len(proc.mark_times), len(proc.mark_labels), proc.mark_labels[-1]) == (n + 1, n + 1, 0)
+    proc.mark(n * 0.5 + 1.0, 0)  # repeats the label before: not stored
+    assert (len(proc.mark_times), proc.mark_times[-1], proc.mark_labels[-1]) == (n + 1, n * 0.5, 0)
+    proc.mark(n * 0.5, before)  # a replacement with the label before: merged into it
+    assert (len(proc.mark_times), len(proc.mark_labels)) == (n, n)
+    assert (proc.mark_times[-1], proc.mark_labels[-1]) == ((n - 1) * 0.5, before)
+
+
+def every_pass_scenarios(source):
+    if source == "shaped":
+        return [(name, build()) for name, build in SHAPED.items()]
+    if source == "families":
+        return [(seed, family_scenario(seed)) for seed in range(400)]
+    return trace_order_scenarios(source)
+
+
+@pytest.mark.parametrize("source", ["fixtures", "scengen", "families", "shaped"])
+def test_every_pass_marks_each_state_run_once(source, monkeypatch):
+    """After each pass, every node's marks strictly increase in time and no
+    two neighbouring marks have one label: a mark is a state run, which the
+    trace writes as one ``S`` record."""
+    run = _Engine.run
+    passes, bad = [], []
+
+    def checked_run(engine, *args, **kwargs):
+        run(engine, *args, **kwargs)
+        passes.append(name)
+        for proc in engine.procs:
+            times, labels = proc.mark_times, proc.mark_labels
+            if any(a >= b for a, b in pairwise(times)) or any(a == b for a, b in pairwise(labels)):
+                bad.append((name, proc.node))
+
+    monkeypatch.setattr(_Engine, "run", checked_run)
+    for name, s in every_pass_scenarios(source):
+        simulate_detailed(s)
+    assert passes and bad == []
 
 
 def blocked_workers_scenario():
@@ -961,25 +1002,26 @@ def transfer_scenarios():
 
 @pytest.mark.parametrize("name, s", list(transfer_scenarios()))
 def test_no_post_comes_after_its_transfer(name, s, monkeypatch):
-    """After each pass, a transferred message's posts are no later than its
-    transfer: a replayed post whose message was transferred since the replay
-    was scheduled leaves the message as it was."""
+    """After each pass, a transferred message was transferred at its second
+    post, ``max(send_post, recv_post)``: no post is later than its transfer,
+    since a replayed post whose message was transferred since the replay was
+    scheduled leaves the message as it was."""
     run = _Engine.run
-    late = []
+    off = []
 
     def checked_run(engine, *args, **kwargs):
         run(engine, *args, **kwargs)
         table = engine.messages
-        late.append([
+        off.append([
             msg for msg, (send, recv, transfer) in enumerate(
                 zip(table.send_post, table.recv_post, table.transfer)
             )
-            if transfer is not None and max(send, recv) > transfer
+            if not isnan(transfer) and transfer != max(send, recv)
         ])
 
     monkeypatch.setattr(_Engine, "run", checked_run)
     simulate_detailed(s)
-    assert late and not any(late), name
+    assert off and not any(off), name
 
 
 @pytest.mark.parametrize("name, s", list(transfer_scenarios()))
