@@ -11,9 +11,10 @@ an error. Everything is converted to seconds at ingestion. ``nodes``, the op
 count once every ``every`` is expanded, and the checkpoint timer steps of all
 nodes up to the horizon are capped at ``SIZE_LIMIT``.
 
-The loader builds no op object: each process's ops go straight into columns
-(``pattern.OpColumns``), which are sorted by (post offset, file order) once
-the ``[pattern]`` section is read.
+Each process's ops go straight into columns (``pattern.OpColumns``), which
+are sorted by (post offset, file order) once the ``[pattern]`` section is
+read. An op's direction and mode become bits of its kind byte as its line is
+read; the choice keys map their text through one dict each.
 
 Every error names the line it is on, except a missing section; a missing key
 or ``freq`` row names its section's header. The structural checks of
@@ -23,7 +24,6 @@ ops, frequency table) run after parsing and name no line.
 
 from __future__ import annotations
 
-import enum
 import math
 from array import array
 from dataclasses import dataclass
@@ -33,7 +33,7 @@ from typing import Callable
 from .cascade import DepthConfig, pattern_depth
 from .energy import FrequencyLevel, SystemProfile, WaitMode
 from .fault import CheckpointPolicy, FailureSpec
-from .pattern import KIND_NONBLOCKING, CommPattern, Direction, OpColumns, OpMode, op_kind
+from .pattern import KIND_NONBLOCKING, KIND_RECV, CommPattern, OpColumns
 
 
 class ParseError(ValueError):
@@ -206,12 +206,14 @@ class _Section:
     def boolean(self, key: str, default: str | None = None) -> bool:
         return self.value(key, default, _boolean)
 
-    def choice(self, key: str, kind: type[enum.Enum], default: str | None = None):
-        def parse(text: str, line: int) -> enum.Enum:
+    def choice(self, key: str, values: dict[str, object], default: str | None = None):
+        """The value that ``values`` maps the key's lowercased text to."""
+
+        def parse(text: str, line: int) -> object:
             try:
-                return kind(text.strip().lower())
-            except ValueError:
-                allowed = " | ".join(member.value for member in kind)
+                return values[text.strip().lower()]
+            except KeyError:
+                allowed = " | ".join(values)
                 raise ParseError(
                     f"{key} must be one of {allowed}, got {text.strip()!r}", line
                 ) from None
@@ -252,7 +254,10 @@ def _parse_sections(text: str) -> dict[str, _Section]:
 
 
 # a blocking op's kind bits by its direction's token: one dict lookup per op line
-_DIRECTION_KINDS = {d.value: op_kind(d, OpMode.BLOCKING) for d in Direction}
+_DIRECTION_KINDS = {"send": 0, "recv": KIND_RECV}
+# the values of the choice keys: whether ops are non-blocking, and the wait mode
+_MPI_MODES = {"blocking": False, "nonblocking": True}
+_WAIT_MODES = {m.value: m for m in WaitMode}
 
 
 def _too_many_ops(line: int) -> ParseError:
@@ -377,7 +382,7 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
     )
 
     nodes = pat_sec.value("nodes", None, _node_count)
-    nonblocking = pat_sec.choice("mpi_mode", OpMode, "blocking") is OpMode.NONBLOCKING
+    nonblocking = pat_sec.choice("mpi_mode", _MPI_MODES, "blocking")
     per_proc: list = [None] * nodes
     order = 0
     for lineno, value in pat_sec.repeated("op"):
@@ -390,7 +395,7 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
     pattern = CommPattern(
         processes=processes,
         buffered=pat_sec.boolean("buffered", "false"),
-        wait_mode=pat_sec.choice("wait_mode", WaitMode, "active"),
+        wait_mode=pat_sec.choice("wait_mode", _WAIT_MODES, "active"),
         repetition=pat_sec.number("repetition", "0 s"),
     )
 

@@ -377,6 +377,9 @@ class _Engine:
             return
         code = proc.order[position]
         t = proc.resume_wall + (proc.offsets[code] - proc.position) * proc.freq.beta
+        if t < self.q.clock:  # due now, but a resynced position rounds it a few ulps early
+            assert self.q.clock - t <= 1e-9 * self.q.clock, (t, self.q.clock)
+            t = self.q.clock
         if code & 1:
             kind = _WAIT_ENTER
         else:
@@ -697,7 +700,7 @@ class _Engine:
         transfer = self.messages.transfer[proc.blocked_msg]
         proc.status = _BLOCKED_WAIT
         self.flags.append(FlagRecord(proc.node, now, "END", "SLEEP"))
-        if not isnan(transfer) and transfer <= now:
+        if not isnan(transfer):
             self._resume_from_wait(proc, now)
             return
         # The completing post lands at this very instant; the pending
@@ -795,7 +798,7 @@ def _failure_free_times(pattern: CommPattern, msgs: list[array], baseline: _Base
         recv = kind & KIND_RECV
         peer_post = baseline.post(recv ^ KIND_RECV, msg)
         if peer_post is None:
-            _, theirs = pattern.message_at(proc, index)
+            theirs = pattern.matching_op(proc, index)
             peer_post = pattern.processes[ops.peers[index]].offsets[2 * theirs]
         post = baseline.post(recv, msg)
         if post is not None and not kind & KIND_NONBLOCKING:

@@ -20,9 +20,9 @@ import random
 from ftsim.cascade import DepthConfig
 from ftsim.energy import WaitMode
 from ftsim.fault import CheckpointPolicy, FailureSpec
-from ftsim.pattern import CommOp, CommPattern, Direction, OpMode
 from ftsim.scenario import Scenario
 
+from oprows import op_pattern
 from test_energy import random_profile
 
 SHAPES = ("ring", "chain", "tree", "star", "random")
@@ -57,25 +57,17 @@ def family_scenario(seed: int) -> Scenario:
     period = rng.choice([60.0, 120.0, 300.0, 600.0])
     slot = period / (2 * len(edges))
 
-    mode = OpMode.NONBLOCKING if nonblocking else OpMode.BLOCKING
-    ops: list[list[tuple[float, float, int, Direction]]] = [[] for _ in range(nodes)]
+    rows: list[list[tuple]] = [[] for _ in range(nodes)]  # as ``oprows`` reads them
     for step in range(steps):
         base = step * period + 1.0
         for rank, (a, b) in enumerate(edges):
             sender, receiver = (a, b) if rng.random() < 0.5 else (b, a)
-            for proc, peer, direction in (
-                (sender, receiver, Direction.SEND),
-                (receiver, sender, Direction.RECV),
-            ):
+            for proc, peer, direction in ((sender, receiver, "send"), (receiver, sender, "recv")):
                 post = round(base + (rank + rng.uniform(0.05, 0.95)) * slot, 3)
                 wait = round(base + period / 2 + rng.uniform(0.0, 0.45) * period, 3)
-                ops[proc].append((post, wait if nonblocking else post, peer, direction))
-    processes = [
-        [CommOp(i, proc, peer, d, mode, post, wait) for i, (post, wait, peer, d) in enumerate(mine)]
-        for proc, mine in enumerate(ops)
-    ]
-    pattern = CommPattern(
-        processes=processes,
+                rows[proc].append((peer, direction, post, wait if nonblocking else None))
+    pattern = op_pattern(
+        rows,
         buffered=rng.random() < 0.3,
         wait_mode=rng.choice([WaitMode.ACTIVE, WaitMode.IDLE]),
         repetition=period,

@@ -10,22 +10,10 @@ import random
 from ftsim.cascade import DepthConfig
 from ftsim.energy import WaitMode
 from ftsim.fault import CheckpointPolicy, FailureSpec
-from ftsim.pattern import CommOp, CommPattern, Direction, OpMode
 from ftsim.scenario import Scenario
 
+from oprows import op_pattern
 from test_energy import random_profile
-
-
-def _op(index, proc, peer, direction, mode, post, wait=None):
-    return CommOp(
-        index=index,
-        proc=proc,
-        peer=peer,
-        direction=direction,
-        mode=mode,
-        post_time_offset=post,
-        wait_offset=post if wait is None else wait,
-    )
 
 
 def random_scenario(seed: int) -> Scenario:
@@ -46,8 +34,7 @@ def random_scenario(seed: int) -> Scenario:
     walls = [interval * (k + 1) for k in range(n_ex)]
     horizon = walls[-1] + restart + (fail_time - ckpt_end) + interval * 2 + 3000.0
 
-    processes: list[list[CommOp]] = [[] for _ in range(nodes)]
-    mode = OpMode.NONBLOCKING if nonblocking else OpMode.BLOCKING
+    processes: list[list[tuple]] = [[] for _ in range(nodes)]  # rows, as ``oprows`` reads them
     early = min(60.0, interval / 3.0)
     test_lag = round(rng.uniform(1.0, interval / 4.0), 1)
 
@@ -57,25 +44,17 @@ def random_scenario(seed: int) -> Scenario:
             w = wall + stagger
             p0_offset = w - duration if w > ckpt_end else w
             if nonblocking:
-                processes[0].append(
-                    _op(0, 0, i, Direction.SEND, mode, p0_offset, p0_offset + 2.0)
-                )
-                processes[i].append(
-                    _op(0, i, 0, Direction.RECV, mode, w - early, w + test_lag)
-                )
+                processes[0].append((i, "send", p0_offset, p0_offset + 2.0))
+                processes[i].append((0, "recv", w - early, w + test_lag))
             else:
-                processes[0].append(_op(0, 0, i, Direction.SEND, mode, p0_offset))
-                processes[i].append(_op(0, i, 0, Direction.RECV, mode, w))
+                processes[0].append((i, "send", p0_offset))
+                processes[i].append((0, "recv", w))
 
-    for proc in range(nodes):
-        processes[proc].sort(key=lambda o: o.post_time_offset)
-        processes[proc] = [
-            CommOp(i, proc, o.peer, o.direction, o.mode, o.post_time_offset, o.wait_offset)
-            for i, o in enumerate(processes[proc])
-        ]
+    for rows in processes:
+        rows.sort(key=lambda row: row[2])  # by post offset, stable
 
-    pattern = CommPattern(
-        processes=processes,
+    pattern = op_pattern(
+        processes,
         buffered=rng.random() < 0.3,
         wait_mode=rng.choice([WaitMode.ACTIVE, WaitMode.IDLE]),
         repetition=interval,

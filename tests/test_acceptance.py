@@ -11,11 +11,11 @@ import pytest
 
 from ftsim.cascade import DepthConfig, estimate_block_times
 from ftsim.energy import SystemProfile, WaitAction, WaitMode, node_best_plan, sleep_wait_energy
-from ftsim.pattern import CommOp, CommPattern, Direction, OpMode
 from ftsim.report import render_report, write_trace
 from ftsim.scenario import load_scenario
 from ftsim.simulate import simulate_detailed
 
+from oprows import op_pattern
 from scengen import random_scenario
 from test_cascade import offsets
 from test_energy import LEVELS, brute_force_plan, default_estimate, random_profile
@@ -210,17 +210,12 @@ def test_criterion_10_cascade_soundness():
 
     # worked three-process example: the sibling update lands strictly
     # between the two direct block times
-    def op(i, proc, peer, d, t):
-        return CommOp(i, proc, peer, d, OpMode.BLOCKING, t, t)
-
-    pattern = CommPattern(
-        processes=[
-            [],
-            [op(0, 1, 2, Direction.SEND, 10.0), op(1, 1, 3, Direction.SEND, 30.0)],
-            [op(0, 2, 1, Direction.RECV, 10.0), op(1, 2, 3, Direction.SEND, 20.0)],
-            [op(0, 3, 2, Direction.RECV, 20.0), op(1, 3, 1, Direction.RECV, 30.0)],
-        ]
-    )
+    pattern = op_pattern([
+        [],
+        [(2, "send", 10.0), (3, "send", 30.0)],
+        [(1, "recv", 10.0), (3, "send", 20.0)],
+        [(2, "recv", 20.0), (1, "recv", 30.0)],
+    ])
     estimates = estimate_block_times(pattern, 1, 0.0, DepthConfig(2), offsets(pattern))
     assert {(e.process, e.block_time) for e in estimates} == {(2, 10.0), (3, 20.0)}
     print("\nACCEPTANCE 10 PASS: predicted block times equal reference trace blocks; "

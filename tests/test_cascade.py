@@ -10,19 +10,8 @@ from ftsim.cascade import (
     estimate_block_times,
     pattern_depth,
 )
-from ftsim.pattern import CommOp, CommPattern, Direction, OpMode
 
-
-def op(index, proc, peer, direction, post):
-    return CommOp(
-        index=index,
-        proc=proc,
-        peer=peer,
-        direction=direction,
-        mode=OpMode.BLOCKING,
-        post_time_offset=post,
-        wait_offset=post,
-    )
+from oprows import op_pattern
 
 
 def offsets(pattern):
@@ -30,33 +19,26 @@ def offsets(pattern):
     an op's message at its pattern offsets."""
 
     def exchange(proc, index):
-        o = pattern.processes[proc][index]
-        block = o.wait_offset if o.mode is OpMode.NONBLOCKING else o.post_time_offset
-        return o.post_time_offset, block, pattern.matching_op(o).post_time_offset
+        ops = pattern.processes[proc]
+        theirs = pattern.processes[ops.peers[index]]
+        block = ops.offsets[2 * index + (ops.kinds[index] >> 1)]  # a non-blocking op's wait
+        return ops.offsets[2 * index], block, theirs.offsets[2 * pattern.matching_op(proc, index)]
 
     return exchange
 
 
 def build(processes, repetition=0.0):
-    # normalize per-process indices after sorting by time
-    normalized = []
-    for proc, ops in enumerate(processes):
-        ops = sorted(ops, key=lambda o: o.post_time_offset)
-        normalized.append(
-            [
-                CommOp(i, proc, o.peer, o.direction, o.mode, o.post_time_offset, o.wait_offset)
-                for i, o in enumerate(ops)
-            ]
-        )
-    return CommPattern(processes=normalized, repetition=repetition)
+    """The pattern of per-process rows, each process's sorted by post."""
+    by_post = [sorted(rows, key=lambda row: row[2]) for rows in processes]
+    return op_pattern(by_post, repetition=repetition)
 
 
 def three_process_case():
     """P1 fails at t0=0; P2 blocks with P1 at t1=10, P3 with P1 at t3=30,
     but P2 and P3 also talk to each other at t2=20."""
-    p1 = [op(0, 1, 2, Direction.SEND, 10.0), op(1, 1, 3, Direction.SEND, 30.0)]
-    p2 = [op(0, 2, 1, Direction.RECV, 10.0), op(1, 2, 3, Direction.SEND, 20.0)]
-    p3 = [op(0, 3, 2, Direction.RECV, 20.0), op(1, 3, 1, Direction.RECV, 30.0)]
+    p1 = [(2, "send", 10.0), (3, "send", 30.0)]
+    p2 = [(1, "recv", 10.0), (3, "send", 20.0)]
+    p3 = [(2, "recv", 20.0), (1, "recv", 30.0)]
     return build([[], p1, p2, p3])
 
 
@@ -98,8 +80,8 @@ def test_converge_level_matches_all_pairs_reference(seed):
     for _ in range(rng.randint(5, 40)):
         t += rng.choice([0.5, 1.0, 3.0])
         a, b = rng.sample(range(nodes), 2)
-        processes[a].append(op(0, a, b, Direction.SEND, t))
-        processes[b].append(op(0, b, a, Direction.RECV, t))
+        processes[a].append((b, "send", t))
+        processes[b].append((a, "recv", t))
     pattern = build(processes)
     pattern.validate()
     siblings = rng.sample(range(nodes), rng.randint(2, nodes))
@@ -114,21 +96,21 @@ def test_converge_level_matches_all_pairs_reference(seed):
 
 
 def test_failed_without_communications():
-    pattern = build([[], [op(0, 1, 2, Direction.SEND, 5.0)], [op(0, 2, 1, Direction.RECV, 5.0)]])
+    pattern = build([[], [(2, "send", 5.0)], [(1, "recv", 5.0)]])
     assert estimate_block_times(pattern, 0, 1.0, DepthConfig(2), offsets(pattern)) == []
 
 
 def chain_pattern():
     """P0 -> P1 once; P2 sends P1 five times, four of them before P1 blocks;
     P3 sends P2 three times, the first two before P2 blocks."""
-    p0 = [op(0, 0, 1, Direction.SEND, 270.0)]
-    p1 = [op(0, 1, 0, Direction.RECV, 270.0)] + [
-        op(0, 1, 2, Direction.RECV, 50.0 + 60.0 * k) for k in range(5)
+    p0 = [(1, "send", 270.0)]
+    p1 = [(0, "recv", 270.0)] + [
+        (2, "recv", 50.0 + 60.0 * k) for k in range(5)
     ]
-    p2 = [op(0, 2, 1, Direction.SEND, 50.0 + 60.0 * k) for k in range(5)] + [
-        op(0, 2, 3, Direction.RECV, t) for t in (100.0, 210.0, 420.0)
+    p2 = [(1, "send", 50.0 + 60.0 * k) for k in range(5)] + [
+        (3, "recv", t) for t in (100.0, 210.0, 420.0)
     ]
-    p3 = [op(0, 3, 2, Direction.SEND, t) for t in (100.0, 210.0, 420.0)]
+    p3 = [(2, "send", t) for t in (100.0, 210.0, 420.0)]
     return build([p0, p1, p2, p3])
 
 
@@ -172,24 +154,24 @@ def test_block_times_not_before_failure():
 
 
 def test_pattern_depth_single_comm_pairs():
-    p0 = [op(0, 0, 1, Direction.SEND, 10.0)]
-    p1 = [op(0, 1, 0, Direction.RECV, 10.0)]
+    p0 = [(1, "send", 10.0)]
+    p1 = [(0, "recv", 10.0)]
     assert pattern_depth(build([p0, p1], repetition=100.0)) == 1
 
 
 def test_pattern_depth_counts_both_directions():
-    p0 = [op(0, 0, 1, Direction.SEND, t) for t in (10.0, 20.0, 30.0)] + [
-        op(0, 0, 1, Direction.RECV, t) for t in (40.0, 50.0)
+    p0 = [(1, "send", t) for t in (10.0, 20.0, 30.0)] + [
+        (1, "recv", t) for t in (40.0, 50.0)
     ]
-    p1 = [op(0, 1, 0, Direction.RECV, t) for t in (10.0, 20.0, 30.0)] + [
-        op(0, 1, 0, Direction.SEND, t) for t in (40.0, 50.0)
+    p1 = [(0, "recv", t) for t in (10.0, 20.0, 30.0)] + [
+        (0, "send", t) for t in (40.0, 50.0)
     ]
     assert pattern_depth(build([p0, p1], repetition=60.0)) == 5
 
 
 def test_pattern_depth_respects_repetition():
-    p0 = [op(0, 0, 1, Direction.SEND, t) for t in (10.0, 110.0, 210.0)]
-    p1 = [op(0, 1, 0, Direction.RECV, t) for t in (10.0, 110.0, 210.0)]
+    p0 = [(1, "send", t) for t in (10.0, 110.0, 210.0)]
+    p1 = [(0, "recv", t) for t in (10.0, 110.0, 210.0)]
     assert pattern_depth(build([p0, p1], repetition=100.0)) == 1
     assert pattern_depth(build([p0, p1])) == 3
 

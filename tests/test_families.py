@@ -6,9 +6,12 @@ new violation and a fix fail a test. Pinned digests of a set of seeds guard
 the simulated results off stars.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from ftsim.energy import WaitAction
+from ftsim.pattern import KIND_NONBLOCKING
 from ftsim.report import FlagRecord, StateRecord, render_report, write_trace
 from ftsim.simulate import simulate_detailed
 
@@ -67,7 +70,7 @@ def test_the_generator_covers_every_shape_and_mode():
     scenarios = [family_scenario(seed) for seed in range(40)]
     shapes = {s.name.rsplit("-", 1)[1] for s in scenarios}
     assert shapes == {"ring", "chain", "tree", "star", "random"}
-    modes = {s.pattern.processes[0][0].mode for s in scenarios}
+    modes = {s.pattern.processes[0].kinds[0] & KIND_NONBLOCKING for s in scenarios}
     assert len(modes) == 2
     assert {s.pattern.buffered for s in scenarios} == {False, True}
     assert {s.ckpt.anticipation_enabled for s in scenarios} == {False, True}
@@ -111,6 +114,19 @@ def test_a_sleep_that_does_not_fit_before_its_release_is_not_taken(results):
     flags = [t for t in r.trace if isinstance(t, FlagRecord) and t.node == 2]
     assert all(f.label != "SLEEP" for f in flags)
     assert r.makespan == r.reference_makespan
+
+
+# Failure instants on a node's pending milestone: resyncing the node's
+# position at the failure rounds that milestone a few ulps before the clock,
+# and the queue used to refuse it (``kernel.PastTime``).
+ON_A_MILESTONE = [(78, 1, 682.96), (91, 2, 128.507), (100, 0, 85.44800000000001)]
+
+
+@pytest.mark.parametrize("seed, node, time", ON_A_MILESTONE)
+def test_a_failure_on_a_pending_milestone_runs(seed, node, time):
+    s = family_scenario(seed)
+    r = simulate_detailed(replace(s, failure=replace(s.failure, node=node, time=time)))
+    assert r.makespan <= r.reference_makespan
 
 
 @pytest.mark.parametrize("seed", range(0, 400, 8))

@@ -2,10 +2,10 @@ import pytest
 
 from ftsim.cascade import DepthConfig
 from ftsim.fault import CheckpointPolicy, FailureSpec, should_anticipate
-from ftsim.pattern import CommOp, CommPattern, Direction, OpMode
 from ftsim.scenario import Scenario
 from ftsim.simulate import _LABELS, _Engine, _programs
 
+from oprows import op_pattern
 from test_energy import PROFILE
 
 
@@ -20,12 +20,7 @@ def node0_marks(ckpt, horizon, failure=None):
     one message lies beyond it), from one engine pass; the failure is
     injected when given."""
     far = 10.0 * horizon
-    pattern = CommPattern(
-        processes=[
-            [CommOp(0, 0, 1, Direction.SEND, OpMode.BLOCKING, far, far)],
-            [CommOp(0, 1, 0, Direction.RECV, OpMode.BLOCKING, far, far)],
-        ]
-    )
+    pattern = op_pattern([[(1, "send", far)], [(0, "recv", far)]])
     s = Scenario(
         name="node0",
         profile=PROFILE,

@@ -6,10 +6,11 @@ import pytest
 
 from ftsim.cascade import DepthConfig, estimate_block_times
 from ftsim.fault import CheckpointPolicy, FailureSpec
-from ftsim.pattern import CommOp, CommPattern, Direction, OpMode, UnmatchedOp
+from ftsim.pattern import UnmatchedOp
 from ftsim.scenario import Scenario, ValidationError, load_scenario
 from ftsim.simulate import _Engine, _programs
 
+from oprows import op_columns, op_pattern, op_rows
 from scengen import random_scenario
 from test_cascade import offsets
 from test_energy import PROFILE
@@ -17,30 +18,17 @@ from test_energy import PROFILE
 FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def op(index, proc, peer, direction, post, mode=OpMode.BLOCKING, wait=None):
-    return CommOp(
-        index=index,
-        proc=proc,
-        peer=peer,
-        direction=direction,
-        mode=mode,
-        post_time_offset=post,
-        wait_offset=post if wait is None else wait,
-    )
-
-
-def reference_matching_op(pattern, op):
-    """FIFO matching by list scans: the k-th op of one direction on a
-    channel pairs with the k-th op of the other direction. O(ops) per call;
-    kept as an oracle for the channel index."""
-    mine = [o for o in pattern.processes[op.proc] if o.peer == op.peer and o.direction == op.direction]
-    k = mine.index(op)
-    want = Direction.RECV if op.direction is Direction.SEND else Direction.SEND
-    theirs = [o for o in pattern.processes[op.peer] if o.peer == op.proc and o.direction == want]
+def reference_matching_op(pattern, proc, index):
+    """FIFO matching by list scans over the rows: the k-th op of one
+    direction on a channel pairs with the k-th op of the other direction.
+    O(ops) per call; kept as an oracle for the channel index."""
+    peer, direction = op_rows(pattern.processes[proc])[index][:2]
+    mine = [i for i, row in enumerate(op_rows(pattern.processes[proc])) if row[:2] == (peer, direction)]
+    k = mine.index(index)
+    want = "recv" if direction == "send" else "send"
+    theirs = [i for i, row in enumerate(op_rows(pattern.processes[peer])) if row[:2] == (proc, want)]
     if k >= len(theirs):
-        raise UnmatchedOp(
-            f"op {op.index} of process {op.proc} ({op.direction.value} peer {op.peer}) has no match"
-        )
+        raise UnmatchedOp(f"op {index} of process {proc} ({direction} peer {peer}) has no match")
     return theirs[k]
 
 
@@ -54,35 +42,34 @@ def matched(match, *args):
 def mixed_mode_pattern():
     """Three processes; each channel mixes blocking and non-blocking ops and
     interleaves both directions and several peers."""
-    nb = OpMode.NONBLOCKING
     p0 = [
-        op(0, 0, 1, Direction.SEND, 10.0),
-        op(1, 0, 2, Direction.SEND, 11.0, nb, 15.0),
-        op(2, 0, 1, Direction.RECV, 20.0, nb, 40.0),
-        op(3, 0, 1, Direction.SEND, 30.0, nb, 31.0),
-        op(4, 0, 2, Direction.RECV, 50.0),
+        (1, "send", 10.0),
+        (2, "send", 11.0, 15.0),
+        (1, "recv", 20.0, 40.0),
+        (1, "send", 30.0, 31.0),
+        (2, "recv", 50.0),
     ]
     p1 = [
-        op(0, 1, 0, Direction.RECV, 5.0, nb, 12.0),
-        op(1, 1, 0, Direction.SEND, 25.0),
-        op(2, 1, 2, Direction.SEND, 26.0, nb, 60.0),
-        op(3, 1, 0, Direction.RECV, 35.0),
+        (0, "recv", 5.0, 12.0),
+        (0, "send", 25.0),
+        (2, "send", 26.0, 60.0),
+        (0, "recv", 35.0),
     ]
     p2 = [
-        op(0, 2, 0, Direction.RECV, 11.0),
-        op(1, 2, 1, Direction.RECV, 27.0, nb, 27.5),
-        op(2, 2, 0, Direction.SEND, 45.0, nb, 55.0),
+        (0, "recv", 11.0),
+        (1, "recv", 27.0, 27.5),
+        (0, "send", 45.0, 55.0),
     ]
-    return CommPattern(processes=[p0, p1, p2])
+    return op_pattern([p0, p1, p2])
 
 
 def unmatched_pattern():
     """Process 0 sends three messages to 1, which receives two; process 2
     receives from 1, which never sends to it."""
-    p0 = [op(i, 0, 1, Direction.SEND, 10.0 * (i + 1)) for i in range(3)]
-    p1 = [op(0, 1, 0, Direction.RECV, 10.0), op(1, 1, 0, Direction.RECV, 20.0)]
-    p2 = [op(0, 2, 1, Direction.RECV, 5.0)]
-    return CommPattern(processes=[p0, p1, p2])
+    p0 = [(1, "send", 10.0 * (i + 1)) for i in range(3)]
+    p1 = [(0, "recv", 10.0), (0, "recv", 20.0)]
+    p2 = [(1, "recv", 5.0)]
+    return op_pattern([p0, p1, p2])
 
 
 def patterns_under_test():
@@ -94,31 +81,32 @@ def patterns_under_test():
     yield "unmatched", unmatched_pattern()
 
 
+def every_op(pattern):
+    return [(proc, index) for proc, ops in enumerate(pattern.processes) for index in range(len(ops))]
+
+
 def test_matching_op_agrees_with_reference():
     for name, pattern in patterns_under_test():
-        for ops in pattern.processes:
-            for o in ops:
-                got = matched(pattern.matching_op, o)
-                assert got == matched(reference_matching_op, pattern, o), (name, o)
+        for proc, index in every_op(pattern):
+            got = matched(pattern.matching_op, proc, index)
+            assert got == matched(reference_matching_op, pattern, proc, index), (name, proc, index)
 
 
 def without_op(pattern, proc, position):
     """``pattern`` less the op at ``position`` of ``proc``, the indices after
     it renumbered."""
-    processes = [list(ops) for ops in pattern.processes]
-    rest = processes[proc][:position] + processes[proc][position + 1:]
-    processes[proc] = [o._replace(index=i) for i, o in enumerate(rest)]
-    return replace(pattern, processes=processes)
+    processes = [op_rows(ops) for ops in pattern.processes]
+    del processes[proc][position]
+    return replace(pattern, processes=[op_columns(p, rows) for p, rows in enumerate(processes)])
 
 
 def first_reference_error(pattern):
     """The text of the first unmatched op in (process, index) order by the
     list-scan oracle, or None."""
-    for ops in pattern.processes:
-        for o in ops:
-            got = matched(reference_matching_op, pattern, o)
-            if not isinstance(got, CommOp):
-                return got[1]
+    for proc, index in every_op(pattern):
+        got = matched(reference_matching_op, pattern, proc, index)
+        if not isinstance(got, int):
+            return got[1]
     return None
 
 
@@ -131,7 +119,7 @@ def test_validate_reports_reference_error():
         rng = random.Random(name)
         cases = [("as is", pattern)]
         for _ in range(3):
-            proc = rng.choice([p for p, ops in enumerate(pattern.processes) if ops])
+            proc = rng.choice([p for p, ops in enumerate(pattern.processes) if len(ops)])
             position = rng.randrange(len(pattern.processes[proc]))
             cases.append((f"less op {position} of {proc}", without_op(pattern, proc, position)))
         for case, variant in cases:
@@ -148,28 +136,6 @@ def test_validate_reports_reference_error():
     assert first_reference_error(unmatched_pattern()) == "op 2 of process 0 (send peer 1) has no match"
 
 
-def test_matching_op_rejects_foreign_op():
-    pattern = mixed_mode_pattern()
-    with pytest.raises(ValueError):
-        pattern.matching_op(op(9, 0, 1, Direction.SEND, 99.0))
-
-
-def test_matching_op_checks_the_op_at_its_position():
-    pattern = mixed_mode_pattern()
-    mine = pattern.processes[0][1]
-    # same process and index as an op of the pattern, but another offset
-    with pytest.raises(ValueError, match="not in the pattern"):
-        pattern.matching_op(mine._replace(post_time_offset=12.0))
-    with pytest.raises(ValueError, match="not in the pattern"):
-        pattern.message(mine._replace(proc=3))
-    with pytest.raises(ValueError, match="not in the pattern"):
-        pattern.message(mine._replace(index=-1))
-    # an equal copy stands for the op itself; ops are built on demand, so
-    # each call builds an equal peer op
-    assert pattern.matching_op(mine._replace()) == pattern.matching_op(mine)
-    assert pattern.message(mine._replace())[0] == pattern.message(mine)[0] == ((0, 2), 0)
-
-
 def test_ops_with_and_peers_follow_program_order():
     pattern = mixed_mode_pattern()
     assert pattern.peers(0) == [1, 2]
@@ -180,12 +146,13 @@ def test_ops_with_and_peers_follow_program_order():
 
 def test_replace_rebuilds_the_index():
     pattern = unmatched_pattern()
-    p1 = [*pattern.processes[1], op(2, 1, 0, Direction.RECV, 30.0)]
-    fixed = replace(pattern, processes=[pattern.processes[0], p1, []])
+    p1 = op_columns(1, [*op_rows(pattern.processes[1]), (0, "recv", 30.0)])
+    fixed = replace(pattern, processes=[pattern.processes[0], p1, op_columns(2, [])])
     fixed.validate()
-    assert fixed.matching_op(fixed.processes[0][2]) == p1[2]
+    assert fixed.matching_op(0, 2) == 2
+    assert fixed.matching_op(1, 2) == 2
     with pytest.raises(UnmatchedOp):
-        pattern.matching_op(pattern.processes[0][2])
+        pattern.matching_op(0, 2)
 
 
 def test_scenario_validation_wraps_the_unmatched_error():
@@ -206,10 +173,7 @@ def test_scenario_validation_wraps_the_unmatched_error():
 def exchange_times(send_at, recv_at, buffered):
     """When the sender and the receiver of one blocking message may go on,
     from a failure-free pass of the engine."""
-    pattern = CommPattern(
-        processes=[[op(0, 0, 1, Direction.SEND, send_at)], [op(0, 1, 0, Direction.RECV, recv_at)]],
-        buffered=buffered,
-    )
+    pattern = op_pattern([[(1, "send", send_at)], [(0, "recv", recv_at)]], buffered=buffered)
     s = Scenario(
         name="exchange",
         profile=PROFILE,
@@ -239,9 +203,9 @@ def test_synchronized_case():
 
 
 def test_unmatched_op_raises():
-    lonely = CommPattern(processes=[[op(0, 0, 1, Direction.SEND, 5.0)], []])
+    lonely = op_pattern([[(1, "send", 5.0)], []])
     with pytest.raises(UnmatchedOp, match="op 0 of process 0 \\(send peer 1\\) has no match"):
-        lonely.matching_op(lonely.processes[0][0])
+        lonely.matching_op(0, 0)
 
 
 def test_buffering_dominance():
@@ -253,9 +217,9 @@ def test_buffering_dominance():
 
 def repeating_pattern():
     # P1 sends to P2 every 60 s starting at 60.
-    sends = [op(i, 1, 2, Direction.SEND, 60.0 * (i + 1)) for i in range(10)]
-    recvs = [op(i, 2, 1, Direction.RECV, 60.0 * (i + 1)) for i in range(10)]
-    return CommPattern(processes=[[], sends, recvs], repetition=60.0)
+    sends = [(2, "send", 60.0 * (i + 1)) for i in range(10)]
+    recvs = [(1, "recv", 60.0 * (i + 1)) for i in range(10)]
+    return op_pattern([[], sends, recvs], repetition=60.0)
 
 
 def next_comm(pattern, child, parent, after):
@@ -276,32 +240,17 @@ def test_next_comm_exhausted_is_infinite():
 
 
 def test_next_comm_is_strict():
-    sends = [op(0, 1, 2, Direction.SEND, 0.0), op(1, 1, 2, Direction.SEND, 45.0)]
-    recvs = [op(0, 2, 1, Direction.RECV, 0.0), op(1, 2, 1, Direction.RECV, 45.0)]
-    pattern = CommPattern(processes=[[], sends, recvs])
+    sends = [(2, "send", 0.0), (2, "send", 45.0)]
+    recvs = [(1, "recv", 0.0), (1, "recv", 45.0)]
+    pattern = op_pattern([[], sends, recvs])
     assert next_comm(pattern, 2, 1, 0.0) == 45.0
 
 
 def test_fifo_validation_rejects_disorder():
-    bad = CommPattern(
-        processes=[
-            [op(0, 0, 1, Direction.SEND, 10.0), op(1, 0, 1, Direction.SEND, 10.0)],
-            [op(0, 1, 0, Direction.RECV, 10.0), op(1, 1, 0, Direction.RECV, 20.0)],
-        ]
-    )
+    bad = op_pattern([
+        [(1, "send", 10.0), (1, "send", 10.0)],
+        [(0, "recv", 10.0), (0, "recv", 20.0)],
+    ])
     with pytest.raises(ValueError):
         bad.validate()
 
-
-def test_op_index_must_be_its_position(monkeypatch, capsys):
-    from ftsim import cli
-
-    s = load_scenario(FIXTURES / "scenario1_short.scn")
-    shifted = [[o._replace(index=o.index + 10) for o in ops] for ops in s.pattern.processes]
-    s = replace(s, pattern=replace(s.pattern, processes=shifted))
-    with pytest.raises(ValidationError, match="process 0: op 10 at position 0"):
-        s.validate()
-    # the front end re-validates what it loaded, so it reports the error
-    monkeypatch.setattr(cli, "load_scenario", lambda path: s)
-    assert cli.main(["run", "scenario1_short.scn"]) == 1
-    assert capsys.readouterr().err.startswith("error: process 0: op 10 at position 0")

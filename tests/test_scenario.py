@@ -6,9 +6,9 @@ import pytest
 
 from ftsim import scenario
 from ftsim.energy import WaitMode
-from ftsim.pattern import CommOp, Direction, OpMode
 from ftsim.scenario import ParseError, ValidationError, load_scenario, loads_scenario
 
+from oprows import op_columns, op_rows
 from test_output_pins import FIXTURE_DIGESTS, output_digest
 
 FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
@@ -117,13 +117,12 @@ def test_every_until_expansion():
     ).replace(
         "op = 1 recv 0 @ 10 s", "op = 1 recv 0 @ 10 s every 10 s until 30 s"
     ))
-    assert [op.post_time_offset for op in s.pattern.processes[0]] == [10.0, 20.0, 30.0]
+    assert list(s.pattern.processes[0].offsets[::2]) == [10.0, 20.0, 30.0]
 
 
 def test_nonblocking_mode_without_wait_clause():
     s = loads_scenario(MINIMAL.replace("mpi_mode = blocking", "mpi_mode = nonblocking"))
-    op = s.pattern.processes[0][0]
-    assert op.wait_offset == op.post_time_offset
+    assert op_rows(s.pattern.processes[0]) == [(1, "send", 10.0, 10.0)]
 
 
 def test_unmatched_ops_rejected():
@@ -262,7 +261,7 @@ def test_ops_of_one_process_at_one_offset_are_rejected():
     with pytest.raises(ValueError, match="^process 0: post offsets not strictly increasing at op 1$"):
         loads_scenario(text)
     staggered = text.replace("op = 0 recv 1 @ 10 s", "op = 0 recv 1 @ 11 s")
-    assert [op.post_time_offset for op in loads_scenario(staggered).pattern.processes[0]] == [10.0, 11.0]
+    assert list(loads_scenario(staggered).pattern.processes[0].offsets[::2]) == [10.0, 11.0]
 
 
 def test_checkpoint_triggers_past_the_limit_are_refused(monkeypatch):
@@ -303,47 +302,22 @@ OP_TEXTS["every"] = EVERY
 
 @pytest.mark.parametrize("name", list(OP_TEXTS))
 def test_loaded_ops_are_whole_commops(name):
-    """Ops are built with ``tuple.__new__``: each must be a whole ``CommOp``,
-    equal to one built by keyword, and immutable."""
+    """Each process's ops load as whole columns, for the process at its
+    position: one post and one wait offset, one peer and one kind byte per
+    op, the kinds in immutable ``bytes``. The round trip through rows holds
+    only when every column has one entry per op, the kinds set no bit but
+    the two kind bits, and a blocking op waits at its post."""
     processes = loads_scenario(OP_TEXTS[name]).pattern.processes
     assert sum(map(len, processes)) >= 12
     for proc, ops in enumerate(processes):
-        for position, op in enumerate(ops):
-            assert type(op) is CommOp and len(op) == 7, (name, op)
-            assert op == CommOp(
-                index=op.index,
-                proc=op.proc,
-                peer=op.peer,
-                direction=op.direction,
-                mode=op.mode,
-                post_time_offset=op.post_time_offset,
-                wait_offset=op.wait_offset,
-            )
-            assert (op.index, op.proc) == (position, proc)
-            with pytest.raises(AttributeError):
-                op.wait_offset = 0.0
+        assert ops.proc == proc
+        assert (ops.offsets.typecode, ops.peers.typecode, type(ops.kinds)) == ("d", "i", bytes)
+        assert op_columns(proc, op_rows(ops)) == ops
     if name == "every":
         assert processes == [
-            [CommOp(i, 0, 1, Direction.SEND, OpMode.NONBLOCKING, 1.0 + i, 1.5 + i) for i in range(1500)],
-            [CommOp(i, 1, 0, Direction.RECV, OpMode.BLOCKING, 1.0 + i, 1.0 + i) for i in range(1500)],
+            op_columns(0, [(1, "send", 1.0 + i, 1.5 + i) for i in range(1500)]),
+            op_columns(1, [(0, "recv", 1.0 + i) for i in range(1500)]),
         ]
-
-
-def test_loading_never_calls_the_commop_constructor(monkeypatch):
-    calls = []
-    new = CommOp.__new__
-
-    def spied(cls, *args, **kwargs):
-        calls.append(args or kwargs)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(CommOp, "__new__", spied)
-    CommOp(0, 0, 1, Direction.SEND, OpMode.BLOCKING, 1.0, 1.0)
-    assert len(calls) == 1  # the spy sees a direct construction
-    calls.clear()
-    for name, text in OP_TEXTS.items():
-        loads_scenario(text)
-        assert calls == [], name
 
 
 PROCESS_0 = ("op = 0 send 1 @ 10 s", "op = 0 recv 1 @ 20 s wait @ 25 s", "op = 0 send 1 @ 30 s")
@@ -357,9 +331,5 @@ def test_a_process_loads_its_ops_in_post_order(order):
         "op = 1 recv 0 @ 10 s", "op = 1 recv 0 @ 10 s\nop = 1 send 0 @ 20 s\nop = 1 recv 0 @ 30 s"
     )
     ops = loads_scenario(text).pattern.processes[0]
-    assert list(ops) == [
-        CommOp(0, 0, 1, Direction.SEND, OpMode.BLOCKING, 10.0, 10.0),
-        CommOp(1, 0, 1, Direction.RECV, OpMode.NONBLOCKING, 20.0, 25.0),
-        CommOp(2, 0, 1, Direction.SEND, OpMode.BLOCKING, 30.0, 30.0),
-    ]
+    assert ops == op_columns(0, [(1, "send", 10.0), (1, "recv", 20.0, 25.0), (1, "send", 30.0)])
     assert (ops.offsets.typecode, ops.peers.typecode, type(ops.kinds)) == ("d", "i", bytes)

@@ -13,7 +13,7 @@ from ftsim import cascade, cli, simulate
 from ftsim.cascade import DepthConfig
 from ftsim.energy import WaitMode
 from ftsim.kernel import EventKind, EventQueue
-from ftsim.pattern import KIND_NONBLOCKING, KIND_RECV, CommPattern, OpColumns, OpMode
+from ftsim.pattern import KIND_NONBLOCKING, KIND_RECV, CommPattern
 from ftsim.report import (
     CommRecord,
     FlagRecord,
@@ -35,6 +35,7 @@ from ftsim.simulate import (
 from families import family_scenario
 from scengen import random_scenario
 from test_output_pins import _SYSTEM, SHAPED, pass_counts
+from test_pattern import reference_matching_op
 
 FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
 ALL_FIXTURES = sorted(p.stem for p in FIXTURES.glob("*.scn"))
@@ -855,17 +856,48 @@ def test_failure_free_times_equal_the_per_op_table(name, s, cut):
     table, posts = op_schedule_table(base), post_table(base)
     exchange = _failure_free_times(s.pattern, programs.msgs, base.messages)
 
-    def times(o):  # the pass-1 times where the table has them, the offsets otherwise
-        block = o.wait_offset if o.mode is OpMode.NONBLOCKING else o.post_time_offset
-        return table.get((o.proc, o.index), (o.post_time_offset, block))
+    def times(proc, index):  # the pass-1 times where the table has them, the offsets otherwise
+        ops = s.pattern.processes[proc]
+        block = ops.offsets[2 * index + (ops.kinds[index] >> 1)]  # a non-blocking op's wait
+        return table.get((proc, index), (ops.offsets[2 * index], block))
 
-    def post(o):  # a peer's recorded post, also where its wait never completed
-        return posts.get((o.proc, o.index), o.post_time_offset)
+    def post(proc, index):  # a peer's recorded post, also where its wait never completed
+        return posts.get((proc, index), s.pattern.processes[proc].offsets[2 * index])
 
-    for ops in s.pattern.processes:
-        for o in ops:
-            want = (*times(o), post(s.pattern.matching_op(o)))
-            assert exchange(o.proc, o.index) == want, (name, o)
+    for proc, ops in enumerate(s.pattern.processes):
+        for index, peer in enumerate(ops.peers):
+            want = (*times(proc, index), post(peer, reference_matching_op(s.pattern, proc, index)))
+            assert exchange(proc, index) == want, (name, proc, index)
+
+
+def test_failure_free_times_look_up_a_peer_only_through_matching_op(monkeypatch):
+    """Where a peer op never posted, the exchange reads its offset; it finds
+    that op with ``CommPattern.matching_op``, the one FIFO lookup, and makes
+    no lookup for an op whose peer posted. A horizon cut short, as in the
+    per-op table's ``cut`` cases, leaves ops unposted."""
+    calls = []
+    matching_op = CommPattern.matching_op
+
+    def spied(pattern, proc, index):
+        calls.append((proc, index))
+        return matching_op(pattern, proc, index)
+
+    monkeypatch.setattr(CommPattern, "matching_op", spied)
+    looked_up = 0
+    for name, s in forked_scenarios():
+        s = replace(s, horizon=s.failure.time + (s.horizon - s.failure.time) / 4)
+        programs = _programs(s.pattern)
+        base, _ = _failure_free_pass(s, programs)
+        posts = post_table(base)
+        exchange = _failure_free_times(s.pattern, programs.msgs, base.messages)
+        for proc, ops in enumerate(s.pattern.processes):
+            for index, peer in enumerate(ops.peers):
+                calls.clear()
+                exchange(proc, index)
+                posted = (peer, reference_matching_op(s.pattern, proc, index)) in posts
+                assert calls == ([] if posted else [(proc, index)]), (name, proc, index)
+                looked_up += not posted
+    assert looked_up >= 100, looked_up
 
 
 def test_set_up_work_follows_the_analysed_pairs(monkeypatch):
@@ -875,9 +907,9 @@ def test_set_up_work_follows_the_analysed_pairs(monkeypatch):
     matches = []
     matching_op = CommPattern.matching_op
 
-    def counted_matching_op(pattern, op):
-        matches.append(op)
-        return matching_op(pattern, op)
+    def counted_matching_op(pattern, proc, index):
+        matches.append((proc, index))
+        return matching_op(pattern, proc, index)
 
     monkeypatch.setattr(CommPattern, "matching_op", counted_matching_op)
     s = SHAPED["halo_chain_8"]()  # loads and validates
@@ -1070,26 +1102,23 @@ def test_programs_share_message_keys_and_sort_by_offset():
         for proc, ops in zip(engine.procs, s.pattern.processes, strict=True):
             assert proc.offsets is ops.offsets and proc.peers is ops.peers
             assert proc.kinds is ops.kinds
-    ids = {}  # message id -> its key ((sender, receiver), k)
     columns = zip(s.pattern.processes, programs.order, programs.msgs, strict=True)
     for node, (ops, order, msgs) in enumerate(columns):
         # each op's post, and a non-blocking op's wait, once, sorted by
         # (offset, op index, is_wait)
         milestones = [
-            (op.wait_offset if is_wait else op.post_time_offset, op.index, is_wait)
-            for op in ops
-            for is_wait in ((0, 1) if op.mode is OpMode.NONBLOCKING else (0,))
+            (ops.offsets[2 * index + is_wait], index, is_wait)
+            for index, kind in enumerate(ops.kinds)
+            for is_wait in ((0, 1) if kind & KIND_NONBLOCKING else (0,))
         ]
         assert [2 * index + is_wait for _, index, is_wait in sorted(milestones)] == list(order)
         assert len(msgs) == len(ops)
-        for op, msg in zip(ops, msgs):
-            assert op.proc == node
-            key, theirs = s.pattern.message(op)
-            assert ids.setdefault(msg, key) == key  # one id per message
-            assert programs.msgs[theirs.proc][theirs.index] == msg  # both sides carry it
-            assert sorted(key[0]) == sorted((node, ops.peers[op.index]))
-    assert sorted(ids) == list(range(n))
-    assert [key for key, _, _ in s.pattern.messages()] == [ids[msg] for msg in range(n)]
+        for index, (peer, msg) in enumerate(zip(ops.peers, msgs)):
+            # both sides of a message carry its id
+            assert programs.msgs[peer][s.pattern.matching_op(node, index)] == msg
+    # one id per message, numbered in the order ``messages`` gives them
+    ids = [programs.msgs[sender][send] for ((sender, _), _), send, _ in s.pattern.messages()]
+    assert ids == list(range(n))
 
 
 def test_a_senders_records_break_time_ties_by_message_id():
@@ -1210,48 +1239,6 @@ def test_writing_a_trace_peaks_at_most_64_bytes_per_record(tmp_path):
     records = out.read_bytes().count(b"\n") - 1
     assert records >= 3_000
     assert peak <= 64 * records, peak / records
-
-
-def test_the_run_path_builds_no_op_per_op(monkeypatch, tmp_path):
-    """A CommOp is built only where a caller asks for one, by indexing a
-    process's columns. A whole ``ftsim run`` builds none: loading,
-    validation, the programs, the depth, the engine passes, the analysis and
-    the trace name an op by its (process, index) position and read its
-    message id from the programs."""
-    built = []
-    getitem = OpColumns.__getitem__
-
-    def counted(ops, index):
-        built.append((ops.proc, index))
-        return getitem(ops, index)
-
-    examined = []
-    ops_with = CommPattern.ops_with
-
-    def spied_ops_with(pattern, proc, peer):
-        indices = ops_with(pattern, proc, peer)
-        examined.extend(indices)
-        return indices
-
-    estimates = []
-    estimate = simulate.estimate_block_times
-
-    def spied_estimate(*args):
-        found = estimate(*args)
-        estimates.extend(found)
-        return found
-
-    monkeypatch.setattr(OpColumns, "__getitem__", counted)
-    monkeypatch.setattr(CommPattern, "ops_with", spied_ops_with)
-    monkeypatch.setattr(simulate, "estimate_block_times", spied_estimate)
-    text = wide_halo_text(nodes=32, steps=50)
-    assert cascade.pattern_depth(loads_scenario(text, "wide_halo").pattern) == 100
-    scenario, trace = tmp_path / "wide_halo.scn", tmp_path / "wide_halo.trace"
-    scenario.write_text(text)
-    assert cli.main(["run", str(scenario), "--trace", str(trace),
-                     "--report", str(tmp_path / "wide_halo.csv")]) == 0
-    assert estimates and examined and trace.read_bytes().count(b"\nC ")
-    assert built == []
 
 
 SAME_INSTANT_POST = _SYSTEM + """
