@@ -20,9 +20,7 @@ from typing import Any, NamedTuple
 
 
 class EventKind(enum.Enum):
-    POST_SEND = "POST_SEND"
-    POST_RECV = "POST_RECV"
-    WAIT_ENTER = "WAIT_ENTER"
+    MILESTONE = "MILESTONE"
     COMM_COMPLETE = "COMM_COMPLETE"
     CKPT_BEGIN = "CKPT_BEGIN"
     CKPT_END = "CKPT_END"

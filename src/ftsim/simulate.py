@@ -31,9 +31,9 @@ table, the baseline, and a fork copies only the posts and the transfers.
 Each process's program is a column of milestones in execution order, one
 integer each: ``2·op index + is_wait`` for an op's post (is_wait 0) or a
 non-blocking op's wait (1). A milestone is named by its node and its
-position in that column, and milestone events carry the position (a replayed
-post carries its op's index, complemented). Its offset is entry ``code`` of
-the pattern's offset column, and its direction, event kind and whether it
+position in that column, and its MILESTONE event carries the position (a
+replayed post carries its op's index, complemented). Its offset is entry
+``code`` of the pattern's offset column, and its direction and whether it
 blocks are read from the op's kind byte; all passes read the pattern's own
 columns, and each op's message id is stored once, in a per-process column.
 
@@ -41,13 +41,16 @@ A node's state marks are two columns, their times in an ``array('d')`` and
 their labels as indices into ``_LABELS`` in a ``bytearray``, one mark per
 state run: a mark at the last mark's time replaces it, and a mark that would
 repeat the label before it is not stored, so the times strictly increase and
-neighbouring labels differ. Each mark's state lasts until the next mark. A
-planned sleep marks its go-to-sleep, sleep and wake-up ahead of time, so it
-is taken only when its transitions fit before the release. The trace is a
-view over the final pass's own state (each node's marks, the send-post and
-transfer columns and the strategy flags), which builds each record as it is
-read, in trace order, one ``S`` record per mark; the phase estimate reads
-pass 2's checkpoints as the CKPT runs of its marks.
+neighbouring labels differ. Each mark's state lasts until the next mark, and
+the last label is the node's state. A planned sleep marks its go-to-sleep,
+sleep and wake-up ahead of time, so it is taken only when its transitions fit
+before the release; a sleeping node is labelled WAKEUP. A node is suspended
+on ``blocked_msg`` while labelled with the wait label (a finished node is
+WAIT_IDLE too), asleep, and through a checkpoint anticipated at its wait. The
+trace is a view over the final pass's own state (each node's marks, the
+send-post and transfer columns and the strategy flags), which builds each
+record as it is read, in trace order, one ``S`` record per mark; the phase
+estimate reads pass 2's checkpoints as the CKPT runs of its marks.
 
 Strategy evaluation and application consume no virtual time. Applying a
 strategy never moves a block release: a slowed compute phase must fit inside
@@ -58,7 +61,6 @@ reference run.
 
 from __future__ import annotations
 
-import enum
 import heapq
 from array import array
 from bisect import bisect_left
@@ -91,27 +93,13 @@ from .report import (
 from .scenario import Scenario
 
 
-class ProcStatus(enum.Enum):
-    COMPUTING = "COMPUTING"
-    BLOCKED_WAIT = "BLOCKED_WAIT"
-    CHECKPOINTING = "CHECKPOINTING"
-    SLEEPING = "SLEEPING"
-    RESTARTING = "RESTARTING"
-    REEXECUTING = "REEXECUTING"
-    DONE = "DONE"
-
-
 # CPython 3.11's EnumType defines __getattr__, which sends every member read
-# through the class (``ProcStatus.DONE``) into a Python-level hook, about ten
-# times the cost of a global read: per-op and per-event code reads these names
-_POST_SEND, _POST_RECV, _WAIT_ENTER, _COMM_COMPLETE = (
-    EventKind.POST_SEND, EventKind.POST_RECV, EventKind.WAIT_ENTER, EventKind.COMM_COMPLETE
+# through the class (``EventKind.MILESTONE``) into a Python-level hook, about
+# ten times the cost of a global read: per-op and per-event code reads these
+_MILESTONE, _COMM_COMPLETE, _CKPT_BEGIN, _CKPT_END, _RESTART_END, _REEXEC_END, _WAKEUP_END = (
+    EventKind.MILESTONE, EventKind.COMM_COMPLETE, EventKind.CKPT_BEGIN, EventKind.CKPT_END,
+    EventKind.RESTART_END, EventKind.REEXEC_END, EventKind.WAKEUP_END,
 )
-_CKPT_BEGIN, _CKPT_END, _RESTART_END, _REEXEC_END, _WAKEUP_END = (
-    EventKind.CKPT_BEGIN, EventKind.CKPT_END, EventKind.RESTART_END, EventKind.REEXEC_END,
-    EventKind.WAKEUP_END,
-)
-_COMPUTING, _BLOCKED_WAIT, _CHECKPOINTING, _SLEEPING, _RESTARTING, _REEXECUTING, _DONE = ProcStatus
 
 # the states a node's marks name, each stored as its index in this tuple
 _LABELS = (
@@ -152,9 +140,9 @@ def _programs(pattern: CommPattern) -> _Programs:
     0..n-1 in ``pattern.messages()`` order, and both sides of a message carry
     its id. Built once per scenario and shared by all passes.
 
-    An op's milestones are its post, reached by a POST_SEND or POST_RECV
-    event, and for a non-blocking op its wait, reached by WAIT_ENTER. They
-    sort by offset, then by code, so by (op index, is_wait)."""
+    An op's milestones are its post and, for a non-blocking op, its wait,
+    each reached by a MILESTONE event. They sort by offset, then by code, so
+    by (op index, is_wait)."""
     processes = pattern.processes
     msgs = [array("i", [0]) * len(ops) for ops in processes]
     modes = bytearray()
@@ -256,7 +244,6 @@ class _Proc:
     cursor: int = 0
     position: float = 0.0
     resume_wall: float = 0.0
-    status: ProcStatus = _COMPUTING
     milestone_id: int | None = None
     last_ckpt: float = 0.0
     pos_at_ckpt: float = 0.0
@@ -265,7 +252,8 @@ class _Proc:
     wait_begin: float = 0.0  # when the process reached its current wait
     pc_at_failure: int = 0
     pos_at_failure: float = 0.0
-    ckpt_span: tuple[float, float] = (0.0, 0.0)
+    ckpt_end: float = 0.0  # when the current or last checkpoint ends
+    min_freq: bool = False  # waiting at the minimum frequency, its flag open
     mark_times: array = field(default_factory=lambda: array("d"))
     mark_labels: bytearray = field(default_factory=bytearray)  # indices into _LABELS
 
@@ -273,7 +261,8 @@ class _Proc:
         """The node enters state ``_LABELS[label]`` at ``t``, no earlier than
         its last mark: a mark at the last mark's time replaces it, and one
         that would repeat the label before it is not stored, so a
-        replacement that matches the label before is merged into it."""
+        replacement that matches the label before is merged into it. Either
+        way the last label is then ``label``: it is the node's state."""
         times, labels = self.mark_times, self.mark_labels
         if times and times[-1] == t:
             del times[-1], labels[-1]
@@ -283,12 +272,12 @@ class _Proc:
 
     def checkpoint_taken(self) -> None:
         """Commit the current checkpoint: a restart resumes from here."""
-        self.last_ckpt = self.ckpt_span[1]
+        self.last_ckpt = self.ckpt_end
         self.pos_at_ckpt = self.position
 
     def copy(self) -> _Proc:
         # not dataclasses.replace: on CPython 3.11.7 each replace() of a
-        # 20-field instance keeps a 200 B tuple that is never freed
+        # 22-field instance keeps a 200 B tuple that is never freed
         twin = copy(self)
         twin.mark_times, twin.mark_labels = self.mark_times[:], self.mark_labels[:]
         return twin
@@ -317,7 +306,6 @@ class _Engine:
         for proc in self.procs:
             proc.mark(0.0, _M_COMPUTE)
         self.flags: list[FlagRecord] = []
-        self._minfreq_open: set[int] = set()
         self.wait_label = _M_WAIT_ACTIVE if s.pattern.wait_mode is WaitMode.ACTIVE else _M_WAIT_IDLE
         for node in range(s.nodes):
             self._schedule_trigger(node, s.ckpt.first_trigger(node))
@@ -353,7 +341,6 @@ class _Engine:
         twin.messages = self.messages.copy()
         twin.procs = [proc.copy() for proc in self.procs]
         twin.flags = list(self.flags)
-        twin._minfreq_open = set(self._minfreq_open)
         return twin
 
     # -- scheduling helpers --------------------------------------------------
@@ -372,7 +359,6 @@ class _Engine:
         if position >= len(proc.order):
             if proc.done_at is None:
                 proc.done_at = self.q.clock
-                proc.status = _DONE
                 proc.mark(self.q.clock, _M_WAIT_IDLE)
             return
         code = proc.order[position]
@@ -380,11 +366,7 @@ class _Engine:
         if t < self.q.clock:  # due now, but a resynced position rounds it a few ulps early
             assert self.q.clock - t <= 1e-9 * self.q.clock, (t, self.q.clock)
             t = self.q.clock
-        if code & 1:
-            kind = _WAIT_ENTER
-        else:
-            kind = _POST_RECV if proc.kinds[code >> 1] & KIND_RECV else _POST_SEND
-        proc.milestone_id = self.q.schedule(t, kind, proc.node, position)
+        proc.milestone_id = self.q.schedule(t, _MILESTONE, proc.node, position)
 
     def _cancel_milestone(self, proc: _Proc) -> None:
         if proc.milestone_id is not None:
@@ -392,7 +374,7 @@ class _Engine:
             proc.milestone_id = None
 
     def _sync_position(self, proc: _Proc, now: float) -> None:
-        if proc.status is _COMPUTING:
+        if proc.mark_labels[-1] == _M_COMPUTE:
             proc.position += (now - proc.resume_wall) / proc.freq.beta
             proc.resume_wall = now
 
@@ -403,9 +385,7 @@ class _Engine:
         before the first event whose key is not before ``until``."""
         # bound methods: a table kept on the engine would be a reference cycle
         handlers = {
-            EventKind.POST_SEND: self._on_milestone,
-            EventKind.POST_RECV: self._on_milestone,
-            EventKind.WAIT_ENTER: self._on_milestone,
+            EventKind.MILESTONE: self._on_milestone,
             EventKind.COMM_COMPLETE: self._on_complete,
             EventKind.CKPT_BEGIN: self._on_ckpt_begin,
             EventKind.CKPT_END: self._on_ckpt_end,
@@ -440,7 +420,7 @@ class _Engine:
             # the side posting now is computing up to it or re-executing. A
             # wait anticipated with a checkpoint resumes at the checkpoint's end.
             other = self.procs[proc.peers[index]]
-            if other.blocked_msg == msg and other.status is not _CHECKPOINTING:
+            if other.blocked_msg == msg and other.mark_labels[-1] != _M_CKPT:
                 self.q.schedule(now, _COMM_COMPLETE, other.node, payload=msg)
 
     def _on_milestone(self, ev) -> None:
@@ -489,7 +469,7 @@ class _Engine:
         strategy = self._strategy_here(proc, position)
         if anticipated:
             proc.blocked_msg = msg
-            self._start_checkpoint(proc, now, position)
+            self._start_checkpoint(proc, now)
             if strategy is not None:
                 self._end_compute_strategy(proc, now)
             return
@@ -500,7 +480,6 @@ class _Engine:
             self._apply_wait_action(proc, now)
 
     def _block_on(self, proc: _Proc, msg: int, now: float) -> None:
-        proc.status = _BLOCKED_WAIT
         proc.blocked_msg = msg
         proc.mark(now, self.wait_label)
 
@@ -514,8 +493,9 @@ class _Engine:
 
     def _on_complete(self, ev) -> None:
         proc = self.procs[ev.node]
-        # a sleeping process is resumed by its wakeup event instead
-        if proc.status is _BLOCKED_WAIT and proc.blocked_msg == ev.payload:
+        # a sleeping process is resumed by its wakeup event instead, and a
+        # finished one is also labelled WAIT_IDLE but is suspended on nothing
+        if proc.blocked_msg == ev.payload and proc.mark_labels[-1] == self.wait_label:
             self._resume_from_wait(proc, ev.time)
 
     def _resume_from_wait(self, proc: _Proc, now: float) -> None:
@@ -527,26 +507,23 @@ class _Engine:
                     _DelayedWait, (proc.node, proc.order[position], proc.wait_begin, now)
                 )
         proc.blocked_msg = None
-        proc.status = _COMPUTING
         proc.resume_wall = now
         proc.mark(now, _M_COMPUTE)
-        if proc.node in self._minfreq_open:
-            self._minfreq_open.discard(proc.node)
+        if proc.min_freq:
+            proc.min_freq = False
             self.flags.append(FlagRecord(proc.node, now, "END", "MIN_FREQ"))
         proc.cursor += 1
         self._schedule_milestone(proc)
 
     # -- checkpoints -------------------------------------------------------------
 
-    def _start_checkpoint(self, proc: _Proc, now: float, position: int | None = None) -> None:
+    def _start_checkpoint(self, proc: _Proc, now: float) -> None:
         """Begin a checkpoint lasting the policy duration times the running
-        frequency's gamma; ``position`` is that of the wait it was anticipated
-        at, if any."""
-        end = now + self.s.ckpt.duration * proc.freq.gamma
-        proc.status = _CHECKPOINTING
-        proc.ckpt_span = (now, end)
+        frequency's gamma; one taken with ``blocked_msg`` set was anticipated
+        at the wait at the node's cursor."""
+        proc.ckpt_end = now + self.s.ckpt.duration * proc.freq.gamma
         proc.mark(now, _M_CKPT)
-        self.q.schedule(end, _CKPT_END, proc.node, payload=position)
+        self.q.schedule(proc.ckpt_end, _CKPT_END, proc.node)
 
     def _schedule_trigger(self, node: int, t: float) -> None:
         """Queue ``node``'s checkpoint trigger at ``t``, unless it is past the
@@ -558,7 +535,7 @@ class _Engine:
         now = ev.time
         self._schedule_trigger(ev.node, self.s.ckpt.next_trigger(now))
         proc = self.procs[ev.node]
-        if proc.status is not _COMPUTING:
+        if proc.mark_labels[-1] != _M_COMPUTE:
             return
         self._sync_position(proc, now)
         self._cancel_milestone(proc)
@@ -566,13 +543,11 @@ class _Engine:
 
     def _on_ckpt_end(self, ev) -> None:
         proc = self.procs[ev.node]
-        if proc.status is not _CHECKPOINTING:
-            return
+        if proc.mark_labels[-1] != _M_CKPT:
+            return  # a failure cut it short
         now = ev.time
         proc.checkpoint_taken()
-        position: int | None = ev.payload
-        if position is None:
-            proc.status = _COMPUTING
+        if proc.blocked_msg is None:
             proc.resume_wall = now
             proc.mark(now, _M_COMPUTE)
             self._schedule_milestone(proc)
@@ -583,7 +558,7 @@ class _Engine:
             self._resume_from_wait(proc, now)
             return
         self._block_on(proc, proc.blocked_msg, now)
-        if self._strategy_here(proc, position) is not None:
+        if self._strategy_here(proc, proc.cursor) is not None:
             self._apply_wait_action(proc, now)
 
     # -- failure and recovery ------------------------------------------------
@@ -591,7 +566,7 @@ class _Engine:
     def _on_failure(self, ev) -> None:
         proc = self.procs[ev.node]
         now = ev.time
-        if proc.status is _CHECKPOINTING and proc.ckpt_span[1] == now:
+        if proc.mark_labels[-1] == _M_CKPT and proc.ckpt_end == now:
             proc.checkpoint_taken()  # it ends at this very instant: nothing is lost
         self._sync_position(proc, now)
         self._cancel_milestone(proc)
@@ -599,7 +574,6 @@ class _Engine:
         proc.pc_at_failure = proc.cursor
         proc.done_at = None  # a finished program must re-execute too
         proc.blocked_msg = None
-        proc.status = _RESTARTING
         proc.mark(now, _M_RESTART)
         self.q.schedule(now + self.s.failure.restart_duration, _RESTART_END, proc.node)
         self._start_strategies(now)
@@ -608,23 +582,20 @@ class _Engine:
         proc = self.procs[ev.node]
         now = ev.time
         replay = proc.pos_at_failure - proc.pos_at_ckpt
-        proc.status = _REEXECUTING
         if replay > 0:
             proc.mark(now, _M_REEXEC)
-        offsets, kinds, transfer = proc.offsets, proc.kinds, self.messages.transfer
+        offsets, transfer = proc.offsets, self.messages.transfer
         for index, msg in enumerate(proc.msgs):
             offset = offsets[2 * index]
             if offset > proc.pos_at_failure:
                 break  # the posts are in offset order
             if offset > proc.pos_at_ckpt and isnan(transfer[msg]):
-                kind = _POST_RECV if kinds[index] & KIND_RECV else _POST_SEND
-                self.q.schedule(now + (offset - proc.pos_at_ckpt), kind, proc.node, ~index)
+                self.q.schedule(now + (offset - proc.pos_at_ckpt), _MILESTONE, proc.node, ~index)
         self.q.schedule(now + replay, _REEXEC_END, proc.node)
 
     def _on_reexec_end(self, ev) -> None:
         proc = self.procs[ev.node]
         now = ev.time
-        proc.status = _COMPUTING
         proc.position = proc.pos_at_failure
         proc.resume_wall = now
         proc.cursor = proc.pc_at_failure
@@ -649,7 +620,8 @@ class _Engine:
         for node in sorted(self.plans):
             plan, wait = self.plans[node]
             proc = self.procs[node]
-            if proc.status is _BLOCKED_WAIT and proc.order[proc.cursor] == wait.milestone:
+            blocked = proc.blocked_msg is not None and proc.mark_labels[-1] == self.wait_label
+            if blocked and proc.order[proc.cursor] == wait.milestone:
                 # blocked at the planned wait since before the failure: there
                 # is no compute phase left to slow down
                 self._apply_wait_action(proc, now)
@@ -659,7 +631,7 @@ class _Engine:
                 self._sync_position(proc, now)
                 proc.freq = f
                 self.flags.append(FlagRecord(node, now, "BEGIN", f"FREQ_{f.ghz:g}"))
-                if proc.status is _COMPUTING:
+                if proc.mark_labels[-1] == _M_COMPUTE:
                     self._cancel_milestone(proc)
                     self._schedule_milestone(proc)
 
@@ -678,7 +650,7 @@ class _Engine:
         if plan.wait_action is WaitAction.NONE:
             return
         if plan.wait_action is WaitAction.MIN_FREQ:
-            self._minfreq_open.add(proc.node)
+            proc.min_freq = True
             self.flags.append(FlagRecord(proc.node, now, "BEGIN", "MIN_FREQ"))
             return
         profile, release = self.s.profile, wait.end
@@ -688,17 +660,15 @@ class _Engine:
         wake_start = release - profile.t_wakeup
         proc.mark(now, _M_GO_SLEEP)
         proc.mark(go_end, _M_SLEEP)
-        proc.mark(wake_start, _M_WAKEUP)
-        proc.status = _SLEEPING
+        proc.mark(wake_start, _M_WAKEUP)  # the node's state while it sleeps
         self.flags.append(FlagRecord(proc.node, now, "BEGIN", "SLEEP"))
         self.q.schedule(release, _WAKEUP_END, proc.node)
 
     def _on_wakeup_end(self, ev) -> None:
         proc = self.procs[ev.node]
         now = ev.time
-        assert proc.status is _SLEEPING and proc.blocked_msg is not None
+        assert proc.mark_labels[-1] == _M_WAKEUP and proc.blocked_msg is not None
         transfer = self.messages.transfer[proc.blocked_msg]
-        proc.status = _BLOCKED_WAIT
         self.flags.append(FlagRecord(proc.node, now, "END", "SLEEP"))
         if not isnan(transfer):
             self._resume_from_wait(proc, now)

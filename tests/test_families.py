@@ -6,12 +6,14 @@ new violation and a fix fail a test. Pinned digests of a set of seeds guard
 the simulated results off stars.
 """
 
+from array import array
 from dataclasses import replace
+from operator import attrgetter
 
 import pytest
 
 from ftsim.energy import WaitAction
-from ftsim.pattern import KIND_NONBLOCKING
+from ftsim.pattern import KIND_NONBLOCKING, OpColumns
 from ftsim.report import FlagRecord, StateRecord, render_report, write_trace
 from ftsim.simulate import simulate_detailed
 
@@ -114,6 +116,86 @@ def test_a_sleep_that_does_not_fit_before_its_release_is_not_taken(results):
     flags = [t for t in r.trace if isinstance(t, FlagRecord) and t.node == 2]
     assert all(f.label != "SLEEP" for f in flags)
     assert r.makespan == r.reference_makespan
+
+
+def renumbered(s):
+    """``s`` with node ``k`` renamed ``n - 1 - k``, in its programs, its
+    checkpoint offsets and its failure."""
+    last = s.nodes - 1
+    processes = [
+        OpColumns(proc, ops.offsets, array("i", [last - peer for peer in ops.peers]), ops.kinds)
+        for proc, ops in enumerate(reversed(s.pattern.processes))
+    ]
+    offsets = {last - node: t for node, t in s.ckpt.phase_offsets.items()}
+    return replace(
+        s,
+        pattern=replace(s.pattern, processes=processes),
+        ckpt=replace(s.ckpt, phase_offsets=offsets),
+        failure=replace(s.failure, node=last - s.failure.node),
+    )
+
+
+def doubled(s):
+    """``s`` with every duration doubled: the op offsets, the repetition, the
+    checkpoint interval, duration and offsets, the failure time, the restart,
+    the horizon and the sleep transitions. Doubling is exact in binary
+    floating point, and rounding commutes with it: a sum or difference of
+    doubled values, or a doubled value times a power or a slowdown, rounds
+    to the double of what the undoubled values give."""
+    processes = [
+        OpColumns(ops.proc, array("d", [2 * t for t in ops.offsets]), ops.peers, ops.kinds)
+        for ops in s.pattern.processes
+    ]
+    profile, ckpt, failure = s.profile, s.ckpt, s.failure
+    return replace(
+        s,
+        profile=replace(profile, t_go_sleep=2 * profile.t_go_sleep, t_wakeup=2 * profile.t_wakeup),
+        pattern=replace(s.pattern, processes=processes, repetition=2 * s.pattern.repetition),
+        ckpt=replace(
+            ckpt,
+            interval=2 * ckpt.interval,
+            duration=2 * ckpt.duration,
+            phase_offsets={node: 2 * t for node, t in ckpt.phase_offsets.items()},
+        ),
+        failure=replace(failure, time=2 * failure.time, restart_duration=2 * failure.restart_duration),
+        horizon=2 * s.horizon,
+    )
+
+
+by_process, by_node = attrgetter("process"), attrgetter("node")
+
+
+def test_renumbering_the_nodes_changes_no_result(results):
+    """Bit-exact: the makespans, the estimates and the plans of a family do
+    not depend on how its nodes are numbered."""
+    for seed, r in results.items():
+        last = r.scenario.nodes - 1
+        mirror = simulate_detailed(renumbered(r.scenario))
+        assert (mirror.makespan, mirror.reference_makespan) == (r.makespan, r.reference_makespan)
+        estimates = [replace(e, process=last - e.process, cause=last - e.cause) for e in r.estimates]
+        assert sorted(mirror.estimates, key=by_process) == sorted(estimates, key=by_process), seed
+        plans = [replace(p, node=last - p.node) for p in r.plans]
+        assert sorted(mirror.plans, key=by_node) == sorted(plans, key=by_node), seed
+
+
+def test_doubling_every_duration_doubles_every_result(results):
+    """Bit-exact: doubling every duration doubles the makespans, the block
+    times and each plan's energies and times, and keeps its actions."""
+    for seed, r in results.items():
+        twice = simulate_detailed(doubled(r.scenario))
+        assert (twice.makespan, twice.reference_makespan) == (
+            2 * r.makespan, 2 * r.reference_makespan
+        ), seed
+        estimates = [replace(e, block_time=2 * e.block_time) for e in r.estimates]
+        assert sorted(twice.estimates, key=by_process) == sorted(estimates, key=by_process), seed
+        plans = [
+            replace(
+                p, eni_j=2 * p.eni_j, ei_j=2 * p.ei_j, saving_j=2 * p.saving_j,
+                t_comp=2 * p.t_comp, t_wait=2 * p.t_wait, tt=2 * p.tt,
+            )
+            for p in r.plans
+        ]
+        assert sorted(twice.plans, key=by_node) == sorted(plans, key=by_node), seed
 
 
 # Failure instants on a node's pending milestone: resyncing the node's

@@ -15,8 +15,8 @@ def test_schedule_keeps_clock():
 
 def test_tie_break_by_insertion_order():
     q = EventQueue()
-    first = q.schedule(5.0, EventKind.POST_SEND, 1)
-    second = q.schedule(5.0, EventKind.POST_RECV, 2)
+    first = q.schedule(5.0, EventKind.MILESTONE, 1)
+    second = q.schedule(5.0, EventKind.MILESTONE, 2)
     assert first != second
     assert q.advance().node == 1
     assert q.advance().node == 2
@@ -42,11 +42,11 @@ def test_tie_break_never_compares_payloads():
 def test_event_fields():
     q = EventQueue()
     payload = {"op": 3}
-    eid = q.schedule(2.5, EventKind.WAIT_ENTER, 7, payload=payload)
+    eid = q.schedule(2.5, EventKind.MILESTONE, 7, payload=payload)
     ev = q.advance()
     assert ev.time == 2.5
     assert ev.seq == eid
-    assert ev.kind is EventKind.WAIT_ENTER
+    assert ev.kind is EventKind.MILESTONE
     assert ev.node == 7
     assert ev.payload is payload
     assert q.schedule(3.0, EventKind.CKPT_BEGIN, 1) != eid
@@ -116,9 +116,9 @@ def test_deterministic_pop_sequence_and_conservation():
 
 def test_a_negative_seq_goes_before_the_queues_own_numbers():
     q = EventQueue()
-    q.schedule(5.0, EventKind.POST_SEND, 0)
+    q.schedule(5.0, EventKind.MILESTONE, 0)
     assert q.schedule(5.0, EventKind.FAILURE, 1, seq=-1) == -1
-    q.schedule(4.0, EventKind.POST_SEND, 2)
+    q.schedule(4.0, EventKind.MILESTONE, 2)
     assert [q.advance().node for _ in range(3)] == [2, 1, 0]
 
 

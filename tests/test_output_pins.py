@@ -171,7 +171,7 @@ def test_halo_chain_covers_waits_and_replay(monkeypatch):
 
     def spy(queue, time, kind, node, payload=None, **kwargs):
         # a replayed post carries its op's index, complemented
-        if kind in (EventKind.POST_SEND, EventKind.POST_RECV) and payload < 0:
+        if kind is EventKind.MILESTONE and payload < 0:
             replayed.append(node)
         return schedule(queue, time, kind, node, payload, **kwargs)
 

@@ -24,6 +24,7 @@ from ftsim.report import (
 )
 from ftsim.scenario import load_scenario, loads_scenario
 from ftsim.simulate import (
+    _LABELS,
     _Engine,
     _failure_free_pass,
     _failure_free_times,
@@ -602,7 +603,7 @@ depth = 1
 
 def test_events_at_the_failure_instant_keep_their_order(monkeypatch):
     # at 100 s: node 1's checkpoint trigger, as triggers go first, then the
-    # failure, then in the order they were scheduled node 2's send, at
+    # failure, then in the order they were scheduled node 2's send post, at
     # t = 0, and node 0's checkpoint end, at 80 s
     s = loads_scenario(TIES_AT_FAILURE)
     popped = []
@@ -611,7 +612,7 @@ def test_events_at_the_failure_instant_keep_their_order(monkeypatch):
     def spy(queue, *args):
         ev = advance(queue, *args)
         if ev is not None:
-            popped.append((queue, (ev.time, ev.seq, ev.kind, ev.node)))
+            popped.append((queue, (ev.time, ev.seq, ev.kind, ev.node, ev.payload)))
         return ev
 
     monkeypatch.setattr(EventQueue, "advance", spy)
@@ -628,13 +629,18 @@ def test_events_at_the_failure_instant_keep_their_order(monkeypatch):
         return [ev for q, ev in popped if q is queue]
 
     assert events(base.q) + events(ref.q) == events(scratch.q)
-    at_failure = [(kind, node) for t, _, kind, node in events(scratch.q) if t == 100.0]
-    assert at_failure == [
+    at_failure = [ev for ev in events(scratch.q) if ev[0] == 100.0]
+    assert [(kind, node) for _, _, kind, node, _ in at_failure] == [
         (EventKind.CKPT_BEGIN, 1),
         (EventKind.FAILURE, 0),
-        (EventKind.POST_SEND, 2),
+        (EventKind.MILESTONE, 2),
         (EventKind.CKPT_END, 0),
     ]
+    # node 2's milestone is the post of a send: its code, 2·op index, is even
+    position = at_failure[2][4]
+    code = programs.order[2][position]
+    assert position >= 0 and code % 2 == 0
+    assert not s.pattern.processes[2].kinds[code >> 1] & KIND_RECV
 
 
 def pending_triggers(engine):
@@ -742,6 +748,72 @@ def test_every_pass_marks_each_state_run_once(source, monkeypatch):
     for name, s in every_pass_scenarios(source):
         simulate_detailed(s)
     assert passes and bad == []
+
+
+def derived_state_scenarios():
+    for name in ALL_FIXTURES:
+        yield name, load_scenario(FIXTURES / f"{name}.scn")
+    for name, build in SHAPED.items():
+        yield name, build()
+    for seed in range(0, 400, 4):
+        yield seed, family_scenario(seed)
+
+
+def derived_state_violations(engine):
+    """Each node whose fields break a rule that lets the engine read the
+    node's state from its last mark: a milestone is pending exactly when the
+    node computes, is not done and has one left; a node suspended on a
+    message waits, checkpoints or sleeps; a done node is labelled WAIT_IDLE."""
+    pending, wait = engine.q._pending, _LABELS[engine.wait_label]
+    for proc in engine.procs:
+        label = _LABELS[proc.mark_labels[-1]]
+        due = label == "COMPUTE" and proc.done_at is None and proc.cursor < len(proc.order)
+        if (proc.milestone_id in pending) != due or (proc.milestone_id is None) == due:
+            yield proc.node, "milestone", label
+        if proc.blocked_msg is not None and label not in (wait, "CKPT", "WAKEUP"):
+            yield proc.node, "blocked", label
+        if proc.done_at is not None and label != "WAIT_IDLE":
+            yield proc.node, "done", label
+
+
+@pytest.mark.parametrize("strategies", [True, False])
+def test_a_nodes_last_mark_is_its_state_between_events(strategies, monkeypatch):
+    """The rules of ``derived_state_violations`` hold before each event of
+    every pass is popped, once the previous handler has returned (right after
+    a pop, the popped milestone is no longer pending but its id is still
+    set). A checkpoint end that finds its node checkpointing is the end of
+    that very checkpoint."""
+    run, advance = _Engine.run, EventQueue.advance
+    running, bad, suspended = [], [], set()
+
+    def tracked_run(engine, *args, **kwargs):
+        running.append(engine)
+        try:
+            run(engine, *args, **kwargs)
+        finally:
+            running.pop()
+
+    def checked_advance(queue, *args):
+        engine = running[-1]
+        assert engine.q is queue
+        bad.extend((name, *v) for v in derived_state_violations(engine))
+        suspended.update(
+            _LABELS[p.mark_labels[-1]] for p in engine.procs if p.blocked_msg is not None
+        )
+        ev = advance(queue, *args)
+        if ev is not None and ev.kind is EventKind.CKPT_END:
+            proc = engine.procs[ev.node]
+            if _LABELS[proc.mark_labels[-1]] == "CKPT" and proc.ckpt_end != ev.time:
+                bad.append((name, ev.node, "stale checkpoint end", ev.time))
+        return ev
+
+    monkeypatch.setattr(_Engine, "run", tracked_run)
+    monkeypatch.setattr(EventQueue, "advance", checked_advance)
+    for name, s in derived_state_scenarios():
+        simulate_detailed(replace(s, strategies_enabled=strategies))
+    assert bad == []
+    # every kind of suspension was checked: awake, anticipating and asleep
+    assert suspended == {"WAIT_ACTIVE", "WAIT_IDLE", "CKPT"} | ({"WAKEUP"} if strategies else set())
 
 
 def blocked_workers_scenario():
