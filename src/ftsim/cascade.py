@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .pattern import KIND_RECV, CommPattern
+from .pattern import KIND_RECV, CommPattern, can_suspend
 
 # for op ``index`` of process ``proc``: its projected failure-free (post,
 # block point) wall times and its peer op's post
@@ -72,7 +72,7 @@ def _candidate_ops(
     out = []
     kinds = pattern.processes[child].kinds
     for index in pattern.ops_with(child, parent):
-        if pattern.buffered and not kinds[index] & KIND_RECV:
+        if not can_suspend(kinds[index], 1, pattern.buffered):
             continue
         post, block_point, peer_post = exchange(child, index)
         if block_point <= fail_time or max(post, peer_post) <= fail_time:

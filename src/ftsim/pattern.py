@@ -25,6 +25,13 @@ KIND_RECV = 1  # it receives; else it sends
 KIND_NONBLOCKING = 2  # it is non-blocking; else blocking
 
 
+def can_suspend(kind: int, is_wait: int, buffered: bool) -> bool:
+    """Whether an op of ``kind`` can suspend its process at its post
+    (is_wait 0) or its wait (1): a blocking op's post or a non-blocking op's
+    wait, unless the op is a buffered send."""
+    return (is_wait or not kind & KIND_NONBLOCKING) and not (buffered and not kind & KIND_RECV)
+
+
 class UnmatchedOp(ValueError):
     """A send without a matching receive on the peer (or vice versa)."""
 

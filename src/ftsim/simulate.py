@@ -15,7 +15,7 @@ Three deterministic passes:
 Events at one instant are handled in a fixed order: first the checkpoint
 triggers, by node; then the failure; then every other event, in the order
 it was scheduled. Each node has one pending trigger at a time: firing, it
-queues the node's next one, whatever the node is doing, and it starts a
+queues the node's next one unless the node has finished, and it starts a
 checkpoint only while the node computes.
 
 Until the failure the three passes are one run: the failure disturbs only
@@ -81,7 +81,7 @@ from .energy import (
 )
 from .fault import should_anticipate
 from .kernel import EmptyQueue, EventKind, EventQueue
-from .pattern import KIND_NONBLOCKING, KIND_RECV, CommPattern
+from .pattern import KIND_NONBLOCKING, KIND_RECV, CommPattern, can_suspend
 from .report import (
     CommRecord,
     FlagRecord,
@@ -125,13 +125,6 @@ class _Programs(NamedTuple):
     order: list[array]
     msgs: list[array]
     modes: bytearray
-
-
-def _blocks(kind: int, is_wait: int, buffered: bool) -> bool:
-    """Whether a milestone of an op of ``kind`` can suspend its process: a
-    blocking op's post or a non-blocking op's wait, unless the op is a
-    buffered send."""
-    return (is_wait or not kind & KIND_NONBLOCKING) and not (buffered and not kind & KIND_RECV)
 
 
 def _programs(pattern: CommPattern) -> _Programs:
@@ -185,41 +178,15 @@ class _Messages:
     def copy(self) -> _Messages:
         return _Messages(self.send_post[:], self.recv_post[:], self.transfer[:])
 
-    def post(self, recv: int, msg: int) -> float | None:
-        """When the sending side of message ``msg`` posted, or with ``recv``
-        the receiving side."""
-        t = (self.recv_post if recv else self.send_post)[msg]
-        return None if isnan(t) else t
-
 
 @dataclass(slots=True)
 class _Baseline(_Messages):
     """The failure-free pass's messages, which also record when each side
     reached its non-blocking wait: the baseline that the later passes and
-    the analysis read, through the accessors, which give None for NaN."""
+    the analysis read, its columns directly, NaN still meaning "not yet"."""
 
     send_wait: array
     recv_wait: array
-
-    def reached(self, recv: int, msg: int, is_wait: int) -> float | None:
-        """When the sending (or with ``recv``, the receiving) process reached
-        its post of message ``msg`` or, with ``is_wait``, its wait; a
-        replayed post counts from its replay."""
-        if recv:
-            t = (self.recv_wait if is_wait else self.recv_post)[msg]
-        else:
-            t = (self.send_wait if is_wait else self.send_post)[msg]
-        return None if isnan(t) else t
-
-    def completion(self, recv: int, msg: int, is_wait: int, blocks: bool) -> float | None:
-        """When a failure-free pass let a milestone's process go on: on
-        reaching it, or for one that ``blocks``, once the message is also
-        transferred; None when either had not happened by the horizon."""
-        reach = self.reached(recv, msg, is_wait)
-        if reach is None or not blocks:
-            return reach
-        transfer = self.transfer[msg]
-        return None if isnan(transfer) else max(reach, transfer)
 
 
 class _DelayedWait(NamedTuple):
@@ -287,7 +254,7 @@ class _Engine:
     """One simulation pass over a scenario, from t = 0 or, through
     :meth:`fork`, from another pass's state."""
 
-    def __init__(self, s: Scenario, programs: _Programs, inject_failure: bool):
+    def __init__(self, s: Scenario, programs: _Programs):
         self.s = s
         # read from the failure on: the failure-free pass's messages and the strategies
         self.baseline: _Baseline | None = None
@@ -296,8 +263,8 @@ class _Engine:
         self.q = EventQueue()
         self.buffered = s.pattern.buffered
         self.modes = programs.modes  # shared by forks
-        # only a failure-free pass records its waits; a fork copies none
-        self.messages = (_Messages if inject_failure else _Baseline).unsent(len(self.modes))
+        # built failure-free, so it records its waits; a fork copies none
+        self.messages: _Messages = _Baseline.unsent(len(self.modes))
         columns = zip(s.pattern.processes, programs.order, programs.msgs)
         self.procs = [
             _Proc(node, ops.offsets, ops.peers, ops.kinds, order, msgs, s.profile.f_max)
@@ -310,11 +277,8 @@ class _Engine:
         for node in range(s.nodes):
             self._schedule_trigger(node, s.ckpt.first_trigger(node))
         # the failure's (time, seq): after the triggers, before every event
-        # the queue numbers itself; a fork of a failure-free pass stopped
-        # before it schedules it there
+        # the queue numbers itself, where :meth:`inject` schedules it
         self.failure_at = (s.failure.time, -1)
-        if inject_failure:
-            self.inject()
         for proc in self.procs:
             self._schedule_milestone(proc)
 
@@ -344,15 +308,6 @@ class _Engine:
         return twin
 
     # -- scheduling helpers --------------------------------------------------
-
-    def milestone(self, node: int, position: int) -> tuple[int, int, int, bool]:
-        """Milestone ``position`` of ``node``'s program: whether its op
-        receives, the op's message id, is_wait, and whether it can suspend
-        the process."""
-        proc = self.procs[node]
-        code = proc.order[position]
-        kind, is_wait, msg = proc.kinds[code >> 1], code & 1, proc.msgs[code >> 1]
-        return kind & KIND_RECV, msg, is_wait, _blocks(kind, is_wait, self.buffered)
 
     def _schedule_milestone(self, proc: _Proc) -> None:
         position = proc.cursor
@@ -445,7 +400,7 @@ class _Engine:
             self._register_post(proc, index, msg, now)
         elif table.__class__ is _Baseline:
             (table.recv_wait if kind & KIND_RECV else table.send_wait)[msg] = now
-        if isnan(table.transfer[msg]) and _blocks(kind, is_wait, self.buffered):
+        if isnan(table.transfer[msg]) and can_suspend(kind, is_wait, self.buffered):
             proc.wait_begin = now
             self._enter_wait(proc, position, msg, now)
             return
@@ -465,7 +420,7 @@ class _Engine:
         return entry if entry[1].milestone == proc.order[position] else None
 
     def _enter_wait(self, proc: _Proc, position: int, msg: int, now: float) -> None:
-        anticipated = self._wants_anticipation(proc, position, now)
+        anticipated = self._wants_anticipation(proc, now)
         strategy = self._strategy_here(proc, position)
         if anticipated:
             proc.blocked_msg = msg
@@ -483,13 +438,26 @@ class _Engine:
         proc.blocked_msg = msg
         proc.mark(now, self.wait_label)
 
-    def _wants_anticipation(self, proc: _Proc, position: int, now: float) -> bool:
-        if not self.s.ckpt.anticipation_enabled or self.baseline is None:
+    def _failure_free_end(self, proc: _Proc) -> float:
+        """When the failure-free pass let ``proc`` go on past the blocking
+        milestone at its cursor: once it had reached it and the message was
+        transferred; NaN when either had not happened by the horizon."""
+        code = proc.order[proc.cursor]
+        index, base = code >> 1, self.baseline
+        msg = proc.msgs[index]
+        transfer = base.transfer[msg]
+        if isnan(transfer):  # max() keeps a NaN only as its first argument
+            return transfer
+        if proc.kinds[index] & KIND_RECV:
+            reach = (base.recv_wait if code & 1 else base.recv_post)[msg]
+        else:
+            reach = (base.send_wait if code & 1 else base.send_post)[msg]
+        return max(reach, transfer)
+
+    def _wants_anticipation(self, proc: _Proc, now: float) -> bool:
+        if self.baseline is None or not should_anticipate(self.s.ckpt, now, proc.last_ckpt):
             return False
-        if not should_anticipate(self.s.ckpt, now, proc.last_ckpt):
-            return False
-        base = self.baseline.completion(*self.milestone(proc.node, position))
-        return base is not None and base <= now
+        return self._failure_free_end(proc) <= now
 
     def _on_complete(self, ev) -> None:
         proc = self.procs[ev.node]
@@ -499,12 +467,10 @@ class _Engine:
             self._resume_from_wait(proc, ev.time)
 
     def _resume_from_wait(self, proc: _Proc, now: float) -> None:
-        position = proc.cursor
         if self.baseline is not None and proc.node not in self.delayed:
-            done = self.baseline.completion(*self.milestone(proc.node, position))
-            if done is None or now > done:
+            if not now <= self._failure_free_end(proc):  # NaN: it never went on
                 self.delayed[proc.node] = _new_record(
-                    _DelayedWait, (proc.node, proc.order[position], proc.wait_begin, now)
+                    _DelayedWait, (proc.node, proc.order[proc.cursor], proc.wait_begin, now)
                 )
         proc.blocked_msg = None
         proc.resume_wall = now
@@ -533,8 +499,11 @@ class _Engine:
 
     def _on_ckpt_begin(self, ev) -> None:
         now = ev.time
-        self._schedule_trigger(ev.node, self.s.ckpt.next_trigger(now))
         proc = self.procs[ev.node]
+        # a finished node never computes again, even if it fails: its
+        # recovery ends finished, at REEXEC_END
+        if proc.done_at is None:
+            self._schedule_trigger(ev.node, self.s.ckpt.next_trigger(now))
         if proc.mark_labels[-1] != _M_COMPUTE:
             return
         self._sync_position(proc, now)
@@ -602,12 +571,13 @@ class _Engine:
         proc.mark(now, _M_COMPUTE)
         transfer = self.messages.transfer
         while proc.cursor < len(proc.order):
-            if proc.offsets[proc.order[proc.cursor]] > proc.pos_at_failure:
+            code = proc.order[proc.cursor]
+            if proc.offsets[code] > proc.pos_at_failure:
                 break
-            _, msg, _, blocks = self.milestone(proc.node, proc.cursor)
+            msg = proc.msgs[code >> 1]
             # the process was suspended at this op when it failed; the post
             # (if any) was already registered or replayed
-            if isnan(transfer[msg]) and blocks:
+            if isnan(transfer[msg]) and can_suspend(proc.kinds[code >> 1], code & 1, self.buffered):
                 proc.wait_begin = now
                 self._block_on(proc, msg, now)
                 return
@@ -761,21 +731,23 @@ def _failure_free_times(pattern: CommPattern, msgs: list[array], baseline: _Base
     where its wait began. An op that never posted, or whose wait never
     completed, has its pattern offsets, the post's and the block
     milestone's; a peer has its offset post only when it never posted."""
+    posts = (baseline.send_post, baseline.recv_post)  # indexed by ``kind & KIND_RECV``
+    waits = (baseline.send_wait, baseline.recv_wait)
 
     def exchange(proc: int, index: int) -> tuple[float, float, float]:
         ops, msg = pattern.processes[proc], msgs[proc][index]
         kind = ops.kinds[index]
         recv = kind & KIND_RECV
-        peer_post = baseline.post(recv ^ KIND_RECV, msg)
-        if peer_post is None:
+        post, wait, peer_post = posts[recv][msg], waits[recv][msg], posts[recv ^ KIND_RECV][msg]
+        if isnan(peer_post):
             theirs = pattern.matching_op(proc, index)
             peer_post = pattern.processes[ops.peers[index]].offsets[2 * theirs]
-        post = baseline.post(recv, msg)
-        if post is not None and not kind & KIND_NONBLOCKING:
+        if not isnan(post) and not kind & KIND_NONBLOCKING:
             return post, post, peer_post
-        blocks = _blocks(kind, 1, pattern.buffered)
-        if post is not None and baseline.completion(recv, msg, 1, blocks) is not None:
-            return post, baseline.reached(recv, msg, 1), peer_post
+        # a wait completed: reached (after its post) and, if it can suspend, transferred
+        untransferred = isnan(baseline.transfer[msg])
+        if not isnan(wait) and not (untransferred and can_suspend(kind, 1, pattern.buffered)):
+            return post, wait, peer_post
         # the block milestone is the wait of a non-blocking op, else the post
         return ops.offsets[2 * index], ops.offsets[2 * index + (kind >> 1)], peer_post
 
@@ -813,10 +785,11 @@ def _allowed_freqs(s: Scenario, ref: _Engine, wait: _DelayedWait) -> set[float]:
             continue
         if kind & KIND_RECV and s.pattern.buffered:
             continue
-        # only the failed node replays a post: a survivor's side holds its own
-        wall = table.post(kind & KIND_RECV, msg)
+        # only the failed node replays a post: a survivor's side holds its own;
+        # an unposted op's NaN fails the comparison
+        wall = (table.recv_post if kind & KIND_RECV else table.send_post)[msg]
         transfer = table.transfer[msg]
-        if wall is None or not (fail < wall < wait.begin) or isnan(transfer):
+        if not (fail < wall < wait.begin) or isnan(transfer):
             continue
         impactful.append((wall, transfer))
     for f in s.profile.freqs:
@@ -840,7 +813,7 @@ class SimulationResult:
 def _failure_free_pass(s: Scenario, programs: _Programs) -> tuple[_Engine, _Engine]:
     """Pass 1 run to the horizon, and a copy of its state at the failure
     instant, taken before the first event that follows the failure."""
-    base = _Engine(s, programs, inject_failure=False)
+    base = _Engine(s, programs)
     base.run(until=base.failure_at)
     snapshot = base.fork()
     base.run()

@@ -31,7 +31,9 @@ def node0_marks(ckpt, horizon, failure=None):
         horizon=horizon,
     )
     s.validate()
-    engine = _Engine(s, _programs(pattern), inject_failure=failure is not None)
+    engine = _Engine(s, _programs(pattern))
+    if failure is not None:
+        engine.inject()
     engine.run()
     proc = engine.procs[0]
     return list(zip(proc.mark_times, map(_LABELS.__getitem__, proc.mark_labels)))

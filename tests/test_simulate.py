@@ -13,7 +13,7 @@ from ftsim import cascade, cli, simulate
 from ftsim.cascade import DepthConfig
 from ftsim.energy import WaitMode
 from ftsim.kernel import EventKind, EventQueue
-from ftsim.pattern import KIND_NONBLOCKING, KIND_RECV, CommPattern
+from ftsim.pattern import KIND_NONBLOCKING, KIND_RECV, CommPattern, can_suspend
 from ftsim.report import (
     CommRecord,
     FlagRecord,
@@ -98,7 +98,7 @@ def test_no_failure_makespan_insensitive_to_wait_mode_and_buffering():
         for mode in (WaitMode.ACTIVE, WaitMode.IDLE):
             pattern = replace(s.pattern, buffered=buffered, wait_mode=mode)
             variant = replace(s, pattern=pattern)
-            engine = _Engine(variant, _programs(variant.pattern), inject_failure=False)
+            engine = _Engine(variant, _programs(variant.pattern))
             engine.run()
             makespans.append(engine.makespan())
     assert len(set(makespans)) == 1
@@ -357,6 +357,45 @@ depth = 1
     assert states[-2:] == [(850.0, 900.0, "RESTART"), (900.0, 1000.0, "REEXEC")]
 
 
+def test_node_that_fails_after_finishing_needs_no_checkpoint_trigger():
+    # node 1 checkpoints at its 50 s trigger and is done at 110 s, so its
+    # timer stops; failing at 800 s, it restarts for 20 s, re-executes the
+    # 50 s since that checkpoint and is done again, never computing (a
+    # running timer would fire at 850 s, during the re-execution, and skip)
+    s = loads_scenario(TWO_LEVELS + """
+[pattern]
+nodes = 3
+op = 0 send 1 @ 100 s
+op = 1 recv 0 @ 100 s
+op = 0 send 2 @ 900 s
+op = 2 recv 0 @ 900 s
+
+[checkpoint]
+interval = 200 s
+duration = 10 s
+offset = 0: 4000 s
+offset = 1: 50 s
+offset = 2: 4000 s
+
+[failure]
+node = 1
+time = 800 s
+restart = 20 s
+
+[run]
+horizon = 3000 s
+depth = 1
+""")
+    r = simulate_detailed(s)
+    assert r.makespan == r.reference_makespan == 910.0
+    states = [(t.t0, t.t1, t.state) for t in r.trace if isinstance(t, StateRecord) and t.node == 1]
+    assert states == [
+        (0.0, 50.0, "COMPUTE"), (50.0, 60.0, "CKPT"), (60.0, 110.0, "COMPUTE"),
+        (110.0, 800.0, "WAIT_IDLE"), (800.0, 820.0, "RESTART"), (820.0, 870.0, "REEXEC"),
+        (870.0, 910.0, "WAIT_IDLE"),
+    ]
+
+
 def nonblocking_exchange_schedule(send0, recv1, horizon):
     """``_failure_free_times`` of a failure-free pass over one non-blocking
     message from node 0 to node 1, as {(process, op index): exchange}; each
@@ -385,7 +424,7 @@ horizon = {horizon} s
 depth = 1
 """)
     programs = _programs(s.pattern)
-    engine = _Engine(s, programs, inject_failure=False)
+    engine = _Engine(s, programs)
     engine.run()
     exchange = _failure_free_times(s.pattern, programs.msgs, engine.messages)
     return {
@@ -433,7 +472,7 @@ def test_resumed_reference_pass_equals_a_run_from_t0(name, s):
     ref = snapshot.fork()
     ref.inject(base.messages)
     ref.run()
-    scratch = _Engine(s, programs, inject_failure=False)
+    scratch = _Engine(s, programs)
     scratch.inject(base.messages)  # the failure scheduled at t = 0
     scratch.run()
     end = max(ref.makespan(), scratch.makespan())
@@ -462,7 +501,7 @@ def test_running_pass_2_leaves_the_snapshot_unchanged(name):
     s = SHAPED[name]()
     programs = _programs(s.pattern)
     base, snapshot = _failure_free_pass(s, programs)
-    fresh = _Engine(s, programs, inject_failure=False)
+    fresh = _Engine(s, programs)
     fresh.run(until=fresh.failure_at)
     assert engine_state(snapshot) == engine_state(fresh)  # pass 1 went on without it
     before = engine_state(snapshot)
@@ -617,9 +656,10 @@ def test_events_at_the_failure_instant_keep_their_order(monkeypatch):
 
     monkeypatch.setattr(EventQueue, "advance", spy)
     programs = _programs(s.pattern)
-    scratch = _Engine(s, programs, inject_failure=True)
+    scratch = _Engine(s, programs)
+    scratch.inject()  # the failure scheduled at t = 0
     scratch.run()
-    base = _Engine(s, programs, inject_failure=False)
+    base = _Engine(s, programs)
     base.run(until=base.failure_at)
     ref = base.fork()
     ref.inject()
@@ -666,6 +706,23 @@ def test_a_pass_queues_one_checkpoint_trigger_per_node():
     assert pending_triggers(base) == pending_triggers(ref) == []
 
 
+def test_a_finished_node_queues_no_checkpoint_trigger(monkeypatch):
+    """A node's timer stops once the node has finished: the trigger pending
+    then still fires, but it queues no next one, in any pass."""
+    queued = []
+    schedule_trigger = _Engine._schedule_trigger
+
+    def spied(engine, node, t):
+        if t <= engine.s.horizon and engine.procs[node].done_at is not None:
+            queued.append((name, node, t))
+        schedule_trigger(engine, node, t)
+
+    monkeypatch.setattr(_Engine, "_schedule_trigger", spied)
+    for name, s in derived_state_scenarios():
+        simulate_detailed(s)
+    assert queued == []
+
+
 @pytest.mark.parametrize("name", ["halo_chain_8", "master_worker_6"])
 def test_checkpoints_begin_at_each_trigger_that_finds_the_node_computing(name):
     """Without anticipation, a node's checkpoints begin exactly at the
@@ -698,7 +755,7 @@ def test_a_state_mark_holds_at_most_12_bytes():
     it is not stored, and a replacement that matches the label before is
     merged into it."""
     s = SHAPED["master_worker_6"]()
-    proc = _Engine(s, _programs(s.pattern), inject_failure=False).procs[0]
+    proc = _Engine(s, _programs(s.pattern)).procs[0]
     n, labels = 20_000, len(simulate._LABELS)
     tracemalloc.start()
     try:
@@ -897,24 +954,30 @@ def op_schedule_table(engine):
     sched = {}
     table = engine.messages
     for proc in engine.procs:
-        for position, code in enumerate(proc.order):
-            recv, msg, is_wait, blocks = engine.milestone(proc.node, position)
-            if proc.kinds[code >> 1] & KIND_NONBLOCKING and not is_wait:
-                continue  # its wait gives both times
-            post = table.post(recv, msg)
-            if post is None or (is_wait and table.completion(recv, msg, is_wait, blocks) is None):
+        for index, (kind, msg) in enumerate(zip(proc.kinds, proc.msgs)):
+            recv = kind & KIND_RECV
+            post = (table.recv_post if recv else table.send_post)[msg]
+            if isnan(post):
                 continue
-            sched[(proc.node, code >> 1)] = (post, table.reached(recv, msg, is_wait))
+            if not kind & KIND_NONBLOCKING:
+                sched[(proc.node, index)] = (post, post)
+                continue
+            # a wait counts once reached and, if it can suspend, transferred
+            wait = (table.recv_wait if recv else table.send_wait)[msg]
+            if isnan(wait) or (can_suspend(kind, 1, engine.buffered) and isnan(table.transfer[msg])):
+                continue
+            sched[(proc.node, index)] = (post, wait)
     return sched
 
 
 def post_table(engine):
     """The pass-1 post of each op that posted."""
+    table = engine.messages
     return {
         (proc.node, index): post
         for proc in engine.procs
         for index, (kind, msg) in enumerate(zip(proc.kinds, proc.msgs))
-        if (post := engine.messages.post(kind & KIND_RECV, msg)) is not None
+        if not isnan(post := (table.recv_post if kind & KIND_RECV else table.send_post)[msg])
     }
 
 
@@ -973,9 +1036,9 @@ def test_failure_free_times_look_up_a_peer_only_through_matching_op(monkeypatch)
 
 
 def test_set_up_work_follows_the_analysed_pairs(monkeypatch):
-    """Validation makes no per-op matching call, and neither building the
-    failure-free times nor the analysis reads the pass-1 message of an op
-    outside the process pairs the analysis examined."""
+    """Validation makes no per-op matching call, and the analysis asks for
+    the pass-1 times of no op outside the process pairs it examined: each
+    ``exchange(proc, index)`` call reads op ``index``'s one message."""
     matches = []
     matching_op = CommPattern.matching_op
 
@@ -995,30 +1058,20 @@ def test_set_up_work_follows_the_analysed_pairs(monkeypatch):
         pairs.add(frozenset((child, parent)))
         return candidate_ops(pattern, child, parent, *args)
 
-    reading = False
-    read = []
-    post = _Messages.post
+    read = []  # the message id of each exchange call
+    failure_free_times = simulate._failure_free_times
 
-    def spied_post(table, recv, msg):
-        if reading:
-            read.append(msg)
-        return post(table, recv, msg)
+    def spied_failure_free_times(pattern, msgs, baseline):
+        exchange = failure_free_times(pattern, msgs, baseline)
 
-    def reads_times(fn):
-        def spied(*args, **kwargs):
-            nonlocal reading
-            reading = True
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                reading = False
+        def spied_exchange(proc, index):
+            read.append(msgs[proc][index])
+            return exchange(proc, index)
 
-        return spied
+        return spied_exchange
 
     monkeypatch.setattr(cascade, "_candidate_ops", spied_candidate_ops)
-    monkeypatch.setattr(_Messages, "post", spied_post)
-    monkeypatch.setattr(simulate, "_failure_free_times", reads_times(simulate._failure_free_times))
-    monkeypatch.setattr(simulate, "estimate_block_times", reads_times(simulate.estimate_block_times))
+    monkeypatch.setattr(simulate, "_failure_free_times", spied_failure_free_times)
     simulate_detailed(s)
     assert read
     sides = {}  # each message id's two processes, from its ops' columns
