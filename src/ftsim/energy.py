@@ -34,6 +34,14 @@ class WaitAction(enum.Enum):
 _ACTION_RANK = {WaitAction.NONE: 0, WaitAction.MIN_FREQ: 1, WaitAction.SLEEP: 2}
 
 
+def ghz_name(ghz: float) -> str:
+    """A frequency as flags and reports name it: ``f"{ghz:g}"`` when that
+    reads back as ``ghz``, else the exact ``repr``, so two levels never
+    share a name."""
+    short = f"{ghz:g}"
+    return short if float(short) == ghz else repr(ghz)
+
+
 @dataclass(frozen=True)
 class FrequencyLevel:
     """One P-state row: application and checkpoint power plus slowdowns."""

@@ -116,17 +116,17 @@ class CommPattern:
             raise UnmatchedOp.of(ops, index)
         return theirs[k]
 
-    def messages(self) -> Iterator[tuple[tuple[tuple[int, int], int], int, int]]:
-        """Every message of a validated pattern as (key, send op index,
-        receive op index), channel by channel: the k-th send of a directed
-        channel and its k-th receive share the key ((sender, receiver), k)."""
+    def messages(self) -> Iterator[tuple[int, int, int, int]]:
+        """Every message of a validated pattern as (sender, receiver, send op
+        index, receive op index), channel by channel, each directed channel's
+        in FIFO order: its k-th send pairs with its k-th receive."""
         for sender, streams in enumerate(self._streams):
             for key, sends in streams.items():
                 if not key & KIND_RECV:
-                    channel = (sender, key >> 1)
-                    recvs = self._streams[key >> 1][2 * sender + KIND_RECV]
-                    for k, (send, recv) in enumerate(zip(sends, recvs, strict=True)):
-                        yield (channel, k), send, recv
+                    receiver = key >> 1
+                    recvs = self._streams[receiver][2 * sender + KIND_RECV]
+                    for send, recv in zip(sends, recvs, strict=True):
+                        yield sender, receiver, send, recv
 
     def validate(self) -> None:
         nodes = self.nodes

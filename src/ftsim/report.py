@@ -2,8 +2,10 @@
 
 The trace is a plain text format: a ``TRACE v1`` header, then one record per
 line. ``S`` records tile each node's timeline with states, ``C`` records are
-message transfers, ``F`` records flag strategy begin/end points. Times are
-fixed-point with three decimals; reports round half-up to two decimals.
+message transfers, ``F`` records flag strategy begin/end points. A trace is
+in trace order: by begin time, then node, then kind (``C``, ``F``, ``S``),
+then end time. Times are fixed-point with three decimals; reports round
+half-up to two decimals.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Union
 
-from .energy import NodePlan, WaitAction
+from .energy import NodePlan, WaitAction, ghz_name
 
 
 # named tuples: immutable, and built and read in C, as a run makes thousands
@@ -57,16 +59,8 @@ def _round2(x: float) -> str:
     return str(Decimal(repr(x)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
-def _record_key(r: TraceRecord) -> tuple:
-    if isinstance(r, StateRecord):
-        return (r.t0, r.node, "S", r.t1)
-    if isinstance(r, CommRecord):
-        return (r.t_post, r.src, "C", r.t_complete)
-    return (r.t, r.node, "F", 0.0)
-
-
 def _record_time(r: TraceRecord) -> float:
-    """The first field of ``_record_key``: when the record begins."""
+    """When the record begins, the first key of the trace order."""
     return r[2] if r.__class__ is CommRecord else r[1]
 
 
@@ -111,11 +105,8 @@ def _trace_lines(records: Iterable[TraceRecord]) -> Iterator[str]:
 
 
 def write_trace(records: Iterable[TraceRecord], path: str | Path) -> None:
-    """Write the trace of ``records``, each line as it is formatted: a list
-    sorted by ``_record_key``, any other iterable (a run's trace, which
-    iterates in that order) as it iterates."""
-    if isinstance(records, list):
-        records = sorted(records, key=_record_key)
+    """Write the trace of ``records`` in the order given (a run's trace
+    iterates in trace order), each line as it is formatted."""
     _atomic_write(path, _trace_lines(records))
 
 
@@ -123,14 +114,14 @@ def _wait_action_label(plan: NodePlan, min_ghz: float) -> str:
     if plan.wait_action is WaitAction.SLEEP:
         return "sleep"
     if plan.wait_action is WaitAction.MIN_FREQ:
-        return f"{min_ghz:g} GHz"
+        return f"{ghz_name(min_ghz)} GHz"
     return "No action"
 
 
 def _compute_action_label(plan: NodePlan, max_ghz: float) -> str:
     if plan.compute_action.ghz == max_ghz:
         return "No action"
-    return f"{plan.compute_action.ghz:g} GHz"
+    return f"{ghz_name(plan.compute_action.ghz)} GHz"
 
 
 def report_rows(report: SavingsReport) -> list[list[str]]:

@@ -24,6 +24,9 @@ simulated once. Pass 1 is snapshotted right before the first event that
 would follow the failure; passes 2 and 3 resume from that state with the
 failure scheduled, and run exactly as if it had been injected at t = 0.
 
+A message's send side is entry ``2·msg`` of its pass's side columns and its
+receive side entry ``2·msg + 1``: an op of ``kind`` reads entry
+``2·msg + (kind & KIND_RECV)``, and its peer the other one, ``side ^ 1``.
 Only the failure-free pass records when each side reached a non-blocking
 wait: the later passes and the analysis read those times from its message
 table, the baseline, and a fork copies only the posts and the transfers.
@@ -48,7 +51,7 @@ before the release; a sleeping node is labelled WAKEUP. A node is suspended
 on ``blocked_msg`` while labelled with the wait label (a finished node is
 WAIT_IDLE too), asleep, and through a checkpoint anticipated at its wait. The
 trace is a view over the final pass's own state (each node's marks, the
-send-post and transfer columns and the strategy flags), which builds each
+post and transfer columns and the strategy flags), which builds each
 record as it is read, in trace order, one ``S`` record per mark; the phase
 estimate reads pass 2's checkpoints as the CKPT runs of its marks.
 
@@ -65,7 +68,7 @@ import heapq
 from array import array
 from bisect import bisect_left
 from copy import copy
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import chain, islice, pairwise
 from math import inf, isnan, nan
 from typing import Iterable, Iterator, NamedTuple
@@ -77,6 +80,7 @@ from .energy import (
     PhaseEstimate,
     WaitAction,
     WaitMode,
+    ghz_name,
     node_best_plan,
 )
 from .fault import should_anticipate
@@ -139,7 +143,7 @@ def _programs(pattern: CommPattern) -> _Programs:
     processes = pattern.processes
     msgs = [array("i", [0]) * len(ops) for ops in processes]
     modes = bytearray()
-    for msg, (((sender, receiver), _), send, recv) in enumerate(pattern.messages()):
+    for msg, (sender, receiver, send, recv) in enumerate(pattern.messages()):
         msgs[sender][send] = msgs[receiver][recv] = msg
         if sender < receiver:
             modes.append(processes[sender].kinds[send] & KIND_NONBLOCKING)
@@ -161,32 +165,23 @@ def _programs(pattern: CommPattern) -> _Programs:
 
 @dataclass(slots=True)
 class _Messages:
-    """A pass's messages, one ``array('d')`` column per fact indexed by
-    message id: when each side posted and when the message was transferred,
-    NaN until it happens (a column holds no float objects). A fork copies
-    these three columns."""
+    """A pass's messages as ``array('d')`` columns, an entry NaN until what
+    it records happens (a column holds no float objects): per side, ``2·msg
+    + (kind & KIND_RECV)``, when it posted and when it reached its
+    non-blocking wait; per message when it was transferred. A fork copies
+    the posts and transfers: only the failure-free pass has ``wait``."""
 
-    send_post: array
-    recv_post: array
+    post: array
     transfer: array
+    wait: array | None
 
     @classmethod
     def unsent(cls, n: int) -> _Messages:
-        column = array("d", [nan]) * n
-        return cls(column, *(column[:] for _ in fields(cls)[1:]))
+        unsent = array("d", [nan])
+        return cls(unsent * (2 * n), unsent * n, unsent * (2 * n))
 
     def copy(self) -> _Messages:
-        return _Messages(self.send_post[:], self.recv_post[:], self.transfer[:])
-
-
-@dataclass(slots=True)
-class _Baseline(_Messages):
-    """The failure-free pass's messages, which also record when each side
-    reached its non-blocking wait: the baseline that the later passes and
-    the analysis read, its columns directly, NaN still meaning "not yet"."""
-
-    send_wait: array
-    recv_wait: array
+        return _Messages(self.post[:], self.transfer[:], None)
 
 
 class _DelayedWait(NamedTuple):
@@ -257,14 +252,14 @@ class _Engine:
     def __init__(self, s: Scenario, programs: _Programs):
         self.s = s
         # read from the failure on: the failure-free pass's messages and the strategies
-        self.baseline: _Baseline | None = None
+        self.baseline: _Messages | None = None
         self.plans: dict[int, tuple[NodePlan, _DelayedWait]] = {}
         self.delayed: dict[int, _DelayedWait] = {}  # filled only in a pass with a baseline
         self.q = EventQueue()
         self.buffered = s.pattern.buffered
         self.modes = programs.modes  # shared by forks
         # built failure-free, so it records its waits; a fork copies none
-        self.messages: _Messages = _Baseline.unsent(len(self.modes))
+        self.messages = _Messages.unsent(len(self.modes))
         columns = zip(s.pattern.processes, programs.order, programs.msgs)
         self.procs = [
             _Proc(node, ops.offsets, ops.peers, ops.kinds, order, msgs, s.profile.f_max)
@@ -284,7 +279,7 @@ class _Engine:
 
     def inject(
         self,
-        baseline: _Baseline | None = None,
+        baseline: _Messages | None = None,
         plans: dict[int, tuple[NodePlan, _DelayedWait]] | None = None,
     ) -> None:
         """Schedule the failure at its place in the tie order, to be followed
@@ -361,15 +356,10 @@ class _Engine:
 
     def _register_post(self, proc: _Proc, index: int, msg: int, now: float) -> None:
         """Record the post of ``proc``'s op ``index``, of message ``msg``."""
-        table = self.messages
-        send_post, recv_post, transfer = table.send_post, table.recv_post, table.transfer
-        if proc.kinds[index] & KIND_RECV:
-            recv_post[msg] = now
-            other_post = send_post[msg]
-        else:
-            send_post[msg] = now
-            other_post = recv_post[msg]
-        if not isnan(other_post) and isnan(transfer[msg]):
+        post, transfer = self.messages.post, self.messages.transfer
+        side = 2 * msg + (proc.kinds[index] & KIND_RECV)
+        post[side] = now
+        if not isnan(post[side ^ 1]) and isnan(transfer[msg]):
             transfer[msg] = now  # at the second post
             # Only the side that posted first can be suspended on the message:
             # the side posting now is computing up to it or re-executing. A
@@ -398,8 +388,8 @@ class _Engine:
         proc.resume_wall = now
         if not is_wait:
             self._register_post(proc, index, msg, now)
-        elif table.__class__ is _Baseline:
-            (table.recv_wait if kind & KIND_RECV else table.send_wait)[msg] = now
+        elif table.wait is not None:
+            table.wait[2 * msg + (kind & KIND_RECV)] = now
         if isnan(table.transfer[msg]) and can_suspend(kind, is_wait, self.buffered):
             proc.wait_begin = now
             self._enter_wait(proc, position, msg, now)
@@ -448,10 +438,7 @@ class _Engine:
         transfer = base.transfer[msg]
         if isnan(transfer):  # max() keeps a NaN only as its first argument
             return transfer
-        if proc.kinds[index] & KIND_RECV:
-            reach = (base.recv_wait if code & 1 else base.recv_post)[msg]
-        else:
-            reach = (base.send_wait if code & 1 else base.send_post)[msg]
+        reach = (base.wait if code & 1 else base.post)[2 * msg + (proc.kinds[index] & KIND_RECV)]
         return max(reach, transfer)
 
     def _wants_anticipation(self, proc: _Proc, now: float) -> bool:
@@ -600,7 +587,7 @@ class _Engine:
             if f.beta != 1.0:
                 self._sync_position(proc, now)
                 proc.freq = f
-                self.flags.append(FlagRecord(node, now, "BEGIN", f"FREQ_{f.ghz:g}"))
+                self.flags.append(FlagRecord(node, now, "BEGIN", f"FREQ_{ghz_name(f.ghz)}"))
                 if proc.mark_labels[-1] == _M_COMPUTE:
                     self._cancel_milestone(proc)
                     self._schedule_milestone(proc)
@@ -610,7 +597,7 @@ class _Engine:
         f = plan.compute_action
         if f.beta != 1.0 and proc.freq == f:
             proc.freq = self.s.profile.f_max
-            self.flags.append(FlagRecord(proc.node, now, "END", f"FREQ_{f.ghz:g}"))
+            self.flags.append(FlagRecord(proc.node, now, "END", f"FREQ_{ghz_name(f.ghz)}"))
 
     def _apply_wait_action(self, proc: _Proc, now: float) -> None:
         """Apply the wait action of ``proc``'s plan at its planned wait. A
@@ -663,24 +650,25 @@ class _Engine:
 class _Trace:
     """A pass's trace read from its own state: the state records from each
     node's marks up to ``end``, one ``CommRecord`` per transferred message
-    from the message columns, and the strategy flags. It holds no engine,
-    and iterates in trace order, each record built as it is read."""
+    from the message columns (its post is the send side's, ``post[2·msg]``),
+    and the strategy flags. It holds no engine, and iterates in trace order,
+    each record built as it is read."""
 
-    __slots__ = ("end", "marks", "sends", "modes", "send_post", "transfer", "flags")
+    __slots__ = ("end", "marks", "sends", "modes", "post", "transfer", "flags")
 
     def __init__(self, engine: _Engine, end: float):
         self.end = end
         self.marks = [(proc.mark_times, proc.mark_labels) for proc in engine.procs]
         self.sends = [(proc.kinds, proc.msgs, proc.peers) for proc in engine.procs]
         self.modes = engine.modes
-        self.send_post, self.transfer = engine.messages.send_post, engine.messages.transfer
+        self.post, self.transfer = engine.messages.post, engine.messages.transfer
         self.flags = engine.flags
 
     def __iter__(self) -> Iterator[TraceRecord]:
         """One stream per node and kind, by node and then kind (C, F, S),
         each in trace order, merged by time: a tie goes to the earlier
-        stream, which is ``_record_key``'s (time, node, kind) order, so no
-        key tuple is built per record."""
+        stream, which is the trace's (time, node, kind) order, so no key
+        tuple is built per record."""
         return heapq.merge(*self._streams(), key=_record_time)
 
     def _streams(self) -> Iterator[Iterable[TraceRecord]]:
@@ -696,7 +684,7 @@ class _Trace:
         """``sender``'s transferred messages by (post, transfer, id), each
         read from its send op: the receiver is the op's peer."""
         kinds, msgs, peers = self.sends[sender]
-        post, transfer = self.send_post, self.transfer
+        post, transfer = self.post, self.transfer
         ops = [
             i for i, kind in enumerate(kinds)
             if not kind & KIND_RECV and not isnan(transfer[msgs[i]])
@@ -705,13 +693,13 @@ class _Trace:
         # number: a key tuple per op would stay in CPython's tuple free list
         ops.sort(key=msgs.__getitem__)
         ops.sort(key=lambda i: transfer[msgs[i]])
-        ops.sort(key=lambda i: post[msgs[i]])
+        ops.sort(key=lambda i: post[2 * msgs[i]])
         ops = array("i", ops)  # 4 B an op while the stream is read, where a list holds 36
         modes = self.modes
         for index in ops:
             msg = msgs[index]
             mode = "NB" if modes[msg] else "B"
-            yield _new_record(CommRecord, (sender, peers[index], post[msg], transfer[msg], mode))
+            yield _new_record(CommRecord, (sender, peers[index], post[2 * msg], transfer[msg], mode))
 
     def _states(self, node: int) -> Iterator[StateRecord]:
         """``node``'s state records, one per mark before the end: each lasts
@@ -724,21 +712,20 @@ class _Trace:
             yield _new_record(StateRecord, (node, t0, t1, _LABELS[label]))
 
 
-def _failure_free_times(pattern: CommPattern, msgs: list[array], baseline: _Baseline) -> Exchange:
+def _failure_free_times(pattern: CommPattern, msgs: list[array], baseline: _Messages) -> Exchange:
     """The analysis's exchange function: op ``index`` of ``proc``'s (post,
     block point) wall times and its peer op's post, both read from their one
     message in ``baseline``, ``msgs[proc][index]``. A non-blocking op blocks
     where its wait began. An op that never posted, or whose wait never
     completed, has its pattern offsets, the post's and the block
     milestone's; a peer has its offset post only when it never posted."""
-    posts = (baseline.send_post, baseline.recv_post)  # indexed by ``kind & KIND_RECV``
-    waits = (baseline.send_wait, baseline.recv_wait)
+    posts, waits = baseline.post, baseline.wait
 
     def exchange(proc: int, index: int) -> tuple[float, float, float]:
         ops, msg = pattern.processes[proc], msgs[proc][index]
         kind = ops.kinds[index]
-        recv = kind & KIND_RECV
-        post, wait, peer_post = posts[recv][msg], waits[recv][msg], posts[recv ^ KIND_RECV][msg]
+        side = 2 * msg + (kind & KIND_RECV)
+        post, wait, peer_post = posts[side], waits[side], posts[side ^ 1]
         if isnan(peer_post):
             theirs = pattern.matching_op(proc, index)
             peer_post = pattern.processes[ops.peers[index]].offsets[2 * theirs]
@@ -787,7 +774,7 @@ def _allowed_freqs(s: Scenario, ref: _Engine, wait: _DelayedWait) -> set[float]:
             continue
         # only the failed node replays a post: a survivor's side holds its own;
         # an unposted op's NaN fails the comparison
-        wall = (table.recv_post if kind & KIND_RECV else table.send_post)[msg]
+        wall = table.post[2 * msg + (kind & KIND_RECV)]
         transfer = table.transfer[msg]
         if not (fail < wall < wait.begin) or isnan(transfer):
             continue

@@ -52,7 +52,7 @@ FAMILY_DIGESTS = {
     13: "c54374a21e7d0ada0d0f8c26588bc987d4e87f45075ff0e2f34995562a276132",
     14: "086eb7e688f8cda54a56af701039df77942e8dacb174af94b2907c2fb2835742",
     15: "299a6804a591fe704f393f6898cbfa389046390deb8ca83c9d00d156a964cd40",
-    16: "d8ceaf1030d616eb10f14cd257b4a769850337e9661df5de7eb3d8c74b3c73c7",
+    16: "dc29dfdcb6602f408c81fa98169e8480b393d8cf0a4aa6aa37fc17ece0516407",  # an exact level name
     17: "b77f241cd6077aadb8bf2805d2fd0db55f8be96780a18e8582cf6f54230767aa",
     18: "7e6276049e7ca4ce70e87387dc60e14cc06749c60d5fb76f8812fb3c68f3c4ff",
     19: "9dec6993e3ca4fe0e4b996efebb8fffeb0b0acb40429f67973756562d62d15ac",

@@ -37,16 +37,17 @@ FIXTURE_DIGESTS = {
     "scenario7_short_nonblocking": "8202d7bcedafbc863b5eb4e0624c95d73e731fb15238b45ffd9751a45c72941e",
 }
 
-# seeds 0-1 are non-blocking, 3 and 5 buffered; depths 1, 2 and 5 all occur
+# seeds 0-1 are non-blocking, 3 and 5 buffered; depths 1, 2 and 5 all occur;
+# seeds 3, 5 and 7 name a slowed level's frequency exactly (``energy.ghz_name``)
 GENERATED_DIGESTS = {
     0: "b128ff1464ce16b0894d7e8868411e1597d8bcae5667171ab0b9aed812a1441a",
     1: "bcda30730be13079e69f3cd2e13d2dec6052f3fc233fc627b0973cb9ed8664c5",
     2: "08d52917a85830c307715b9c338980183a3006edf576e0f60faeaa2013d1b169",
-    3: "908f81fb1929d29af43eb00010853063334538777b0f23dbdd4eda0edcdd1cac",
+    3: "967159c882f1bbd548f267d9b45aca8fe8f6dc9abf346ea36b82f295680ced1a",
     4: "9a8ca8637fe9f8c06170fa8b5e82a5f18e8851146b9b6bac232907b9ae02048d",
-    5: "3faefb6472919e9d7240c9578b17bbaa6ef72d57cce494e06b2408271340edde",
+    5: "298b4f7239e47c9f2785ce80feae4c70eb75daa0858985731bf6194e55c8b32c",
     6: "7c21d86c8d92399356bc612d01b8aa113930f49444fb0ec9324e9e549408ad38",
-    7: "16d791605bc9c087b2b4448365193cc3b351ac9a825b972b8c37989debe6e28a",
+    7: "af0ece428c24c9899417c2394665c0565df155cfe3385b0d672a6803a6e42f43",
 }
 
 

@@ -50,14 +50,14 @@ def test_trace_empty(tmp_path):
 
 
 def test_trace_sorted_and_deterministic(tmp_path):
-    records = [
-        FlagRecord(2, 4.0, "BEGIN", "SLEEP"),
-        CommRecord(0, 1, 1.0, 2.0, "B"),
+    records = [  # in trace order, which the writer keeps
         StateRecord(0, 0.0, 3.0, "COMPUTE"),
+        CommRecord(0, 1, 1.0, 2.0, "B"),
+        FlagRecord(2, 4.0, "BEGIN", "SLEEP"),
     ]
     a, b = tmp_path / "a", tmp_path / "b"
     write_trace(records, a)
-    write_trace(list(records), b)
+    write_trace(iter(records), b)
     assert a.read_bytes() == b.read_bytes()
     lines = a.read_text().splitlines()
     assert lines[1].startswith("S 0")

@@ -18,7 +18,7 @@ from ftsim.report import (
     CommRecord,
     FlagRecord,
     StateRecord,
-    _record_key,
+    TraceRecord,
     render_report,
     write_trace,
 )
@@ -28,7 +28,6 @@ from ftsim.simulate import (
     _Engine,
     _failure_free_pass,
     _failure_free_times,
-    _Messages,
     _programs,
     simulate_detailed,
 )
@@ -210,6 +209,15 @@ def trace_order_scenarios(source):
     return [(seed, family_scenario(seed)) for seed in (*range(0, 400, 8), 38)]
 
 
+def _record_key(r: TraceRecord) -> tuple:
+    """Trace order: by begin time, then node, then kind, then end time."""
+    if isinstance(r, StateRecord):
+        return (r.t0, r.node, "S", r.t1)
+    if isinstance(r, CommRecord):
+        return (r.t_post, r.src, "C", r.t_complete)
+    return (r.t, r.node, "F", 0.0)
+
+
 @pytest.mark.parametrize("source", ["fixtures", "scengen", "families"])
 def test_a_run_trace_iterates_in_trace_order(source):
     for name, s in trace_order_scenarios(source):
@@ -300,6 +308,22 @@ def test_checkpoint_duration_uses_the_running_frequency_row():
     )
     assert ckpt.t0 == 618.0
     assert ckpt.t1 - ckpt.t0 == pytest.approx(144.0)
+
+
+def test_a_level_is_named_exactly_in_flags_and_reports():
+    """A level whose 6-digit name would round is named by its exact value:
+    the FREQ flag and the report label read back as the level itself."""
+    text = (FIXTURES / "scenario3_active.scn").read_text()
+    text = text.replace(
+        "freq = 2.1 ghz, 148 w, 1.2, 142 w, 1.1\nfreq = 1.7 ghz, 139 w, 1.5, 131 w, 1.2\n",
+        "freq = 1.2345678 ghz, 148 w, 1.2, 142 w, 1.1\n",
+    )
+    r = simulate_detailed(loads_scenario(text))
+    assert {p.compute_action.ghz for p in r.plans} == {1.2345678}
+    flags = {f.label for f in r.trace if isinstance(f, FlagRecord) and f.label.startswith("FREQ_")}
+    assert [float(label.removeprefix("FREQ_")) for label in flags] == [1.2345678]
+    rows = render_report(r.report, "csv").splitlines()[1:-1]
+    assert rows and {float(row.split(",")[1].removesuffix(" GHz")) for row in rows} == {1.2345678}
 
 
 def test_plans_charge_the_policy_checkpoint_duration():
@@ -483,11 +507,12 @@ def test_resumed_reference_pass_equals_a_run_from_t0(name, s):
 
 
 def table_bytes(table):
-    """The message columns that every pass holds, as bytes (a failure-free
-    pass also records its waits, which a fork does not copy): NaN, "not
-    yet", is unequal to itself as a float, so equal tables compare unequal
-    as arrays."""
-    return None if table is None else [getattr(table, f.name).tobytes() for f in fields(_Messages)]
+    """The message columns that every pass holds, the posts and the
+    transfers, as bytes (a failure-free pass also records its waits, which a
+    fork does not copy, so a ``None`` ``wait`` is skipped): NaN, "not yet",
+    is unequal to itself as a float, so equal tables compare unequal as
+    arrays."""
+    return None if table is None else [table.post.tobytes(), table.transfer.tobytes()]
 
 
 def engine_state(engine):
@@ -520,14 +545,14 @@ def test_a_fork_shares_no_message_column(name):
     n = len(programs.modes)
     twin = snapshot.fork()
     before = engine_state(snapshot)
-    columns = [f.name for f in fields(twin.messages)]
-    assert columns == ["send_post", "recv_post", "transfer"]
-    for column in columns:
+    assert [f.name for f in fields(twin.messages)] == ["post", "transfer", "wait"]
+    assert snapshot.messages.wait is None and twin.messages.wait is None
+    for column, length in (("post", 2 * n), ("transfer", n)):  # one post per side
         mine, theirs = getattr(snapshot.messages, column), getattr(twin.messages, column)
         assert type(mine) is array and type(theirs) is array
-        assert len(mine) == len(theirs) == n
+        assert len(mine) == len(theirs) == length
         assert theirs is not mine
-        theirs[:] = array("d", [-1.0]) * n
+        theirs[:] = array("d", [-1.0]) * length
     assert engine_state(snapshot) == before
 
 
@@ -547,11 +572,15 @@ def test_only_the_failure_free_pass_records_waits(strategies, monkeypatch):
     monkeypatch.setattr(_Engine, "run", spied_run)
     simulate_detailed(s)
     assert [failed for failed, _ in tables] == [False, False, True] + [True] * strategies
-    waits = ["send_post", "recv_post", "transfer", "send_wait", "recv_wait"]
+    n = len(_programs(s.pattern).modes)
     for failed, table in tables:
-        assert [f.name for f in fields(table)] == (waits[:3] if failed else waits)
+        assert [f.name for f in fields(table)] == ["post", "transfer", "wait"]
+        assert (len(table.post), len(table.transfer)) == (2 * n, n)
+        assert (table.wait is None) if failed else (len(table.wait) == 2 * n)
     baseline = tables[0][1]
-    assert any(not isnan(t) for t in baseline.send_wait)  # a non-blocking pattern
+    # a non-blocking pattern: both sides reach waits
+    assert any(not isnan(t) for t in baseline.wait[0::2])
+    assert any(not isnan(t) for t in baseline.wait[1::2])
 
 
 @pytest.mark.parametrize("name, strategies", [
@@ -955,15 +984,15 @@ def op_schedule_table(engine):
     table = engine.messages
     for proc in engine.procs:
         for index, (kind, msg) in enumerate(zip(proc.kinds, proc.msgs)):
-            recv = kind & KIND_RECV
-            post = (table.recv_post if recv else table.send_post)[msg]
+            side = 2 * msg + (kind & KIND_RECV)
+            post = table.post[side]
             if isnan(post):
                 continue
             if not kind & KIND_NONBLOCKING:
                 sched[(proc.node, index)] = (post, post)
                 continue
             # a wait counts once reached and, if it can suspend, transferred
-            wait = (table.recv_wait if recv else table.send_wait)[msg]
+            wait = table.wait[side]
             if isnan(wait) or (can_suspend(kind, 1, engine.buffered) and isnan(table.transfer[msg])):
                 continue
             sched[(proc.node, index)] = (post, wait)
@@ -977,7 +1006,7 @@ def post_table(engine):
         (proc.node, index): post
         for proc in engine.procs
         for index, (kind, msg) in enumerate(zip(proc.kinds, proc.msgs))
-        if not isnan(post := (table.recv_post if kind & KIND_RECV else table.send_post)[msg])
+        if not isnan(post := table.post[2 * msg + (kind & KIND_RECV)])
     }
 
 
@@ -1160,7 +1189,7 @@ def transfer_scenarios():
 @pytest.mark.parametrize("name, s", list(transfer_scenarios()))
 def test_no_post_comes_after_its_transfer(name, s, monkeypatch):
     """After each pass, a transferred message was transferred at its second
-    post, ``max(send_post, recv_post)``: no post is later than its transfer,
+    post, ``max(post[2·msg], post[2·msg + 1])``: no post is later than its transfer,
     since a replayed post whose message was transferred since the replay was
     scheduled leaves the message as it was."""
     run = _Engine.run
@@ -1171,7 +1200,7 @@ def test_no_post_comes_after_its_transfer(name, s, monkeypatch):
         table = engine.messages
         off.append([
             msg for msg, (send, recv, transfer) in enumerate(
-                zip(table.send_post, table.recv_post, table.transfer)
+                zip(table.post[0::2], table.post[1::2], table.transfer)
             )
             if not isnan(transfer) and transfer != max(send, recv)
         ])
@@ -1242,7 +1271,7 @@ def test_programs_share_message_keys_and_sort_by_offset():
             # both sides of a message carry its id
             assert programs.msgs[peer][s.pattern.matching_op(node, index)] == msg
     # one id per message, numbered in the order ``messages`` gives them
-    ids = [programs.msgs[sender][send] for ((sender, _), _), send, _ in s.pattern.messages()]
+    ids = [programs.msgs[sender][send] for sender, _, send, _ in s.pattern.messages()]
     assert ids == list(range(n))
 
 
@@ -1284,7 +1313,7 @@ depth = 1
     assert sends() == [(1, 10.0, 10.0), (2, 20.0, 20.0), (1, 30.0, 30.0)]
     # the view reads the final pass's columns: tie every post and transfer
     for msg in range(3):
-        trace.send_post[msg], trace.transfer[msg] = 50.0, 60.0
+        trace.post[2 * msg], trace.transfer[msg] = 50.0, 60.0
     assert sends() == [(1, 50.0, 60.0), (1, 50.0, 60.0), (2, 50.0, 60.0)]
     trace.transfer[2] = 55.0  # then the transfer decides
     assert [dst for dst, _, _ in sends()] == [2, 1, 1]
