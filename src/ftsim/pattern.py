@@ -7,6 +7,12 @@ is op ``index``'s post (0) or wait (1); the peers in an ``array('i')``; and
 each op's direction and mode as the bits ``KIND_RECV`` and
 ``KIND_NONBLOCKING`` of one byte. An op is named by its (process, index)
 position; there is no op object.
+
+The FIFO channel index holds, per process, one ``array('i')`` of op indices
+per directed stream, keyed ``2·peer + (kind & KIND_RECV)``.
+``matching_op(proc, index)`` is the one FIFO lookup, and validation checks
+FIFO matching per directed channel from its two streams' lengths, with no
+per-op lookup.
 """
 
 from __future__ import annotations

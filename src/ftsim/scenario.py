@@ -1,11 +1,14 @@
 """Scenario files: a line-oriented ``key = value`` format with sections
 ``[system] [pattern] [checkpoint] [failure] [run]``.
 
-Durations accept ``s`` and ``min`` suffixes; powers take ``w``; frequencies
-``ghz``. Every number must be finite; integer keys (``nodes``, ``node``,
-``depth``) take integral values only. ``[pattern]`` accepts ``interval`` (a
-duration) and ``message_size`` (an integer) and checks them, but does not
-model them: a transfer takes no time. ``freq``, ``op`` and ``offset`` keys
+Each number has a kind: durations accept ``s`` and ``min`` suffixes, powers
+take ``w``, frequencies ``ghz``, and plain numbers (``mu1``, ``mu2``,
+``alpha``, a ``freq`` row's beta and gamma, and the integer keys) none; a
+unit of another kind is an error. Every number must be finite; integer keys
+(``nodes``, ``node``, ``depth``, ``message_size``) take integral values
+only. ``[pattern]`` accepts ``interval`` (a duration) and ``message_size``
+(an integer) and checks them, but does not model them: a transfer takes no
+time. ``freq``, ``op`` and ``offset`` keys
 may repeat, all others may not; an unknown section or key is
 an error. Everything is converted to seconds at ingestion. ``nodes``, the op
 count once every ``every`` is expanded, and the checkpoint timer steps of all
@@ -101,7 +104,9 @@ class Scenario:
 # Also the most checkpoint timer steps of all nodes up to the horizon.
 SIZE_LIMIT = 1_000_000
 
-_UNITS = {"s": 1.0, "min": 60.0, "ghz": 1.0, "w": 1.0}
+# a value's kind, and each unit's kind and scale: a unit fits only its kind
+_TIME, _POWER, _FREQUENCY, _PLAIN = "time", "power", "frequency", "plain"
+_UNITS = {"s": (_TIME, 1.0), "min": (_TIME, 60.0), "w": (_POWER, 1.0), "ghz": (_FREQUENCY, 1.0)}
 _REPEATABLE = {"freq", "op", "offset"}
 _KEYS = {  # section -> its keys
     "system": {"freq", "t_go_sleep", "t_wakeup", "p_go_sleep", "p_wakeup", "p_sleep",
@@ -114,9 +119,9 @@ _KEYS = {  # section -> its keys
 }
 
 
-def _take_number(tokens: list[str], i: int, line: int | None) -> tuple[float, int]:
-    """The finite number at ``tokens[i]``, scaled by the unit after it if
-    that token is one, and the index of the next unread token."""
+def _take_number(tokens: list[str], i: int, line: int | None, kind: str) -> tuple[float, int]:
+    """The finite number of ``kind`` at ``tokens[i]``, scaled by the unit
+    after it if that token is one, and the index of the next unread token."""
     if i >= len(tokens):
         raise ParseError("expected a number", line)
     text = tokens[i]
@@ -126,16 +131,19 @@ def _take_number(tokens: list[str], i: int, line: int | None) -> tuple[float, in
         raise ParseError(f"bad number {text!r}", line) from None
     i += 1
     if i < len(tokens) and tokens[i].lower() in _UNITS:
-        value *= _UNITS[tokens[i].lower()]
+        unit_kind, scale = _UNITS[tokens[i].lower()]
+        if unit_kind != kind:
+            raise ParseError(f"a {kind} value cannot take the {unit_kind} unit {tokens[i]!r}", line)
+        value *= scale
         i += 1
     if not math.isfinite(value):
         raise ParseError(f"number {text!r} is not finite", line)
     return value, i
 
 
-def _number(text: str, line: int | None) -> float:
+def _number(text: str, line: int | None, kind: str = _PLAIN) -> float:
     tokens = text.split()
-    value, i = _take_number(tokens, 0, line)
+    value, i = _take_number(tokens, 0, line, kind)
     if i == 1 and len(tokens) > 1:
         raise ParseError(f"unknown unit {tokens[1]!r}", line)
     if i < len(tokens):
@@ -197,8 +205,8 @@ class _Section:
             line, text = self.header, default
         return parse(text, line)
 
-    def number(self, key: str, default: str | None = None) -> float:
-        return self.value(key, default, _number)
+    def number(self, key: str, default: str | None = None, kind: str = _PLAIN) -> float:
+        return self.value(key, default, lambda text, line: _number(text, line, kind))
 
     def integer(self, key: str, default: str | None = None) -> int:
         return self.value(key, default, _integer)
@@ -284,21 +292,21 @@ def _parse_op(text: str, line: int, order: int, per_proc: list, nonblocking: boo
             raise ParseError(f"op {role} {node} outside 0..{nodes - 1}", line)
     if len(tokens) < 5 or tokens[3] != "@":
         raise ParseError(f"op needs '@ <time>' {text!r}", line)
-    post, i = _take_number(tokens, 4, line)
+    post, i = _take_number(tokens, 4, line, _TIME)
     wait = every = until = None
     while i < len(tokens):
         word = tokens[i].lower()
         if word == "wait":
             if i + 1 >= len(tokens) or tokens[i + 1] != "@":
                 raise ParseError("wait needs '@ <time>'", line)
-            wait, i = _take_number(tokens, i + 2, line)
+            wait, i = _take_number(tokens, i + 2, line, _TIME)
         elif word == "every":
-            every, i = _take_number(tokens, i + 1, line)
+            every, i = _take_number(tokens, i + 1, line, _TIME)
             if every <= 0:
                 raise ParseError(f"'every' needs a positive step, got {every}", line)
             if i >= len(tokens) or tokens[i].lower() != "until":
                 raise ParseError("'every' needs 'until <time>'", line)
-            until, i = _take_number(tokens, i + 1, line)
+            until, i = _take_number(tokens, i + 1, line, _TIME)
         else:
             raise ParseError(f"unexpected token {tokens[i]!r}", line)
     if every is not None and order + 1 + max(0.0, (until - post) / every) > SIZE_LIMIT:
@@ -348,25 +356,28 @@ def _columns(per_proc: list, proc: int) -> OpColumns:
     return OpColumns(proc, offsets, peers, bytes([kinds[i] for i in by_post]))
 
 
+# the kinds of a ``freq`` row's fields: ghz, p_comp, beta, p_ckpt, gamma [, p_active_wait]
+_FREQ_KINDS = (_FREQUENCY, _POWER, _PLAIN, _POWER, _PLAIN, _POWER)
+
+
 def _parse_profile(sec: _Section) -> SystemProfile:
     freqs = []
     for lineno, value in sec.repeated("freq"):
         fields = value.split(",")
         if len(fields) not in (5, 6):
             raise ParseError("freq needs: ghz, p_comp, beta, p_ckpt, gamma [, p_active_wait]", lineno)
-        # ghz, p_comp, beta, p_ckpt, gamma [, p_active_wait]
-        freqs.append(FrequencyLevel(*(_number(f, lineno) for f in fields)))
+        freqs.append(FrequencyLevel(*(_number(f, lineno, k) for f, k in zip(fields, _FREQ_KINDS))))
     if not freqs:
         raise ParseError(f"[{sec.name}] needs at least one freq row", sec.header)
     freqs.sort(key=lambda f: -f.ghz)
     return SystemProfile(
         freqs=tuple(freqs),
-        t_go_sleep=sec.number("t_go_sleep", "25 s"),
-        t_wakeup=sec.number("t_wakeup", "5 s"),
-        p_go_sleep=sec.number("p_go_sleep", "51 w"),
-        p_wakeup=sec.number("p_wakeup", "91 w"),
-        p_sleep=sec.number("p_sleep", "12 w"),
-        p_idle_wait=sec.number("p_idle_wait", "60 w"),
+        t_go_sleep=sec.number("t_go_sleep", "25 s", _TIME),
+        t_wakeup=sec.number("t_wakeup", "5 s", _TIME),
+        p_go_sleep=sec.number("p_go_sleep", "51 w", _POWER),
+        p_wakeup=sec.number("p_wakeup", "91 w", _POWER),
+        p_sleep=sec.number("p_sleep", "12 w", _POWER),
+        p_idle_wait=sec.number("p_idle_wait", "60 w", _POWER),
         mu1=sec.number("mu1", "2.0"),
         mu2=sec.number("mu2", "0.9"),
     )
@@ -390,13 +401,13 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
     processes = [_columns(per_proc, proc) for proc in range(nodes)]
 
     # checked but not modelled: a transfer takes no time
-    pat_sec.number("interval", "0 s")
+    pat_sec.number("interval", "0 s", _TIME)
     pat_sec.integer("message_size", "0")
     pattern = CommPattern(
         processes=processes,
         buffered=pat_sec.boolean("buffered", "false"),
         wait_mode=pat_sec.choice("wait_mode", _WAIT_MODES, "active"),
-        repetition=pat_sec.number("repetition", "0 s"),
+        repetition=pat_sec.number("repetition", "0 s", _TIME),
     )
 
     offsets: dict[int, float] = {}
@@ -409,21 +420,21 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
                 raise ParseError(f"bad offset process {proc_text!r}", lineno) from None
             if not (0 <= proc < nodes):
                 raise ParseError(f"offset process {proc} outside 0..{nodes - 1}", lineno)
-            offsets[proc] = _number(time_text, lineno)
+            offsets[proc] = _number(time_text, lineno, _TIME)
         else:
-            offsets.update(dict.fromkeys(range(nodes), _number(value, lineno)))
+            offsets.update(dict.fromkeys(range(nodes), _number(value, lineno, _TIME)))
     try:
         ckpt = CheckpointPolicy(
-            interval=ck_sec.number("interval"),
-            duration=ck_sec.number("duration"),
+            interval=ck_sec.number("interval", kind=_TIME),
+            duration=ck_sec.number("duration", kind=_TIME),
             anticipation_enabled=ck_sec.boolean("anticipation", "off"),
             anticipation_fraction=ck_sec.number("alpha", "0.5"),
             phase_offsets=offsets,
         )
         failure = FailureSpec(
             node=fail_sec.integer("node"),
-            time=fail_sec.number("time"),
-            restart_duration=fail_sec.number("restart"),
+            time=fail_sec.number("time", kind=_TIME),
+            restart_duration=fail_sec.number("restart", kind=_TIME),
         )
     except ParseError:
         raise
@@ -439,7 +450,7 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
         ckpt=ckpt,
         failure=failure,
         depth=run_sec.value("depth", "auto", lambda text, line: parse_depth(text, pattern, line)),
-        horizon=run_sec.number("horizon"),
+        horizon=run_sec.number("horizon", kind=_TIME),
         strategies_enabled=run_sec.boolean("strategies", "on"),
     )
     scenario.validate()

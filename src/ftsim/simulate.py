@@ -2,14 +2,12 @@
 
 Three deterministic passes:
 
-1. a failure-free run, whose message record gives every operation's
-   undisturbed post, wait and completion times (used to recognize
-   failure-induced waits and to decide anticipation; the block-time
-   analysis reads its projected post and block times from these messages
-   directly, only for the ops it examines);
+1. a failure-free run, whose messages give every op's undisturbed post,
+   wait and transfer times: the later passes read them to recognize
+   failure-induced waits and to decide anticipation, and the block-time
+   analysis reads them for the ops it examines;
 2. the reference run: the failure happens and nothing is done about it
-   (defines the deadline, the phase durations and the no-intervention
-   energy baseline);
+   (the deadline, the phase durations and the energy baseline);
 3. the final run with the selected strategies applied, when enabled.
 
 Events at one instant are handled in a fixed order: first the checkpoint
@@ -40,26 +38,32 @@ replayed post carries its op's index, complemented). Its offset is entry
 blocks are read from the op's kind byte; all passes read the pattern's own
 columns, and each op's message id is stored once, in a per-process column.
 
-A node's state marks are two columns, their times in an ``array('d')`` and
-their labels as indices into ``_LABELS`` in a ``bytearray``, one mark per
-state run: a mark at the last mark's time replaces it, and a mark that would
-repeat the label before it is not stored, so the times strictly increase and
-neighbouring labels differ. Each mark's state lasts until the next mark, and
-the last label is the node's state. A planned sleep marks its go-to-sleep,
-sleep and wake-up ahead of time, so it is taken only when its transitions fit
-before the release; a sleeping node is labelled WAKEUP. A node is suspended
-on ``blocked_msg`` while labelled with the wait label (a finished node is
-WAIT_IDLE too), asleep, and through a checkpoint anticipated at its wait. The
-trace is a view over the final pass's own state (each node's marks, the
-post and transfer columns and the strategy flags), which builds each
-record as it is read, in trace order, one ``S`` record per mark; the phase
-estimate reads pass 2's checkpoints as the CKPT runs of its marks.
+A node's state marks are two columns, times in an ``array('d')`` and labels
+(indices into ``_LABELS``) in a ``bytearray``, one mark per state run: a mark
+at the last mark's time replaces it, and one repeating the label before it
+is not stored. So the times strictly increase, neighbouring labels differ,
+each mark's state lasts until the next mark and the last label is the node's
+state. A planned sleep marks its go-to-sleep, sleep and wake-up ahead of
+time, so it is taken only when its transitions fit before the release; a
+sleeping node is labelled WAKEUP. A node is suspended on ``blocked_msg``
+while labelled with the wait label (a finished node is WAIT_IDLE too),
+asleep, and through a checkpoint anticipated at its wait. The trace is a view
+over the final pass's marks, post and transfer columns and flags, building
+each record as it is read, in trace order, one ``S`` record per mark; the
+phase estimate reads pass 2's checkpoints as the CKPT runs of its marks.
 
-Strategy evaluation and application consume no virtual time. Applying a
-strategy never moves a block release: a slowed compute phase must fit inside
-the reference window and must not delay any operation a live peer depends
-on, and sleeping nodes are woken exactly at the release known from the
-reference run.
+Strategy evaluation and application consume no virtual time. A plan starts
+at the failure with its compute level, or with its wait action for a node
+already blocked at its planned wait. It then acts at two hooks:
+``_on_milestone`` ends the compute level at the planned wait (after an
+anticipated checkpoint begins there, so that one runs at the planned gamma),
+and ``_block_on``, where every wait begins, starts the wait action. A plan never
+moves a block release: a slowed compute phase must fit inside the reference
+window and must not delay any op a live peer depends on, and a sleeping node
+is woken exactly at the release known from the reference run.
+
+Recovery re-executes the failed node from its last checkpoint up to the
+position and cursor its failure left, replaying the untransferred posts.
 """
 
 from __future__ import annotations
@@ -211,9 +215,7 @@ class _Proc:
     pos_at_ckpt: float = 0.0
     done_at: float | None = None
     blocked_msg: int | None = None  # the message it is suspended on, at its cursor
-    wait_begin: float = 0.0  # when the process reached its current wait
-    pc_at_failure: int = 0
-    pos_at_failure: float = 0.0
+    wait_begin: float = 0.0  # when its current wait began: its last milestone or recovery end
     ckpt_end: float = 0.0  # when the current or last checkpoint ends
     min_freq: bool = False  # waiting at the minimum frequency, its flag open
     mark_times: array = field(default_factory=lambda: array("d"))
@@ -239,7 +241,7 @@ class _Proc:
 
     def copy(self) -> _Proc:
         # not dataclasses.replace: on CPython 3.11.7 each replace() of a
-        # 22-field instance keeps a 200 B tuple that is never freed
+        # 20-field instance keeps a 200 B tuple that is never freed
         twin = copy(self)
         twin.mark_times, twin.mark_labels = self.mark_times[:], self.mark_labels[:]
         return twin
@@ -385,48 +387,38 @@ class _Engine:
         kind, msg = proc.kinds[index], proc.msgs[index]
         proc.milestone_id = None
         proc.position = proc.offsets[code]
-        proc.resume_wall = now
+        proc.resume_wall = proc.wait_begin = now
         if not is_wait:
             self._register_post(proc, index, msg, now)
         elif table.wait is not None:
             table.wait[2 * msg + (kind & KIND_RECV)] = now
-        if isnan(table.transfer[msg]) and can_suspend(kind, is_wait, self.buffered):
-            proc.wait_begin = now
-            self._enter_wait(proc, position, msg, now)
-            return
-        if proc.node in self.plans and self._strategy_here(proc, position) is not None:
-            # zero-length wait: the compute intervention still ends here
-            self._end_compute_strategy(proc, now)
-        proc.cursor += 1
-        self._schedule_milestone(proc)
+        blocks = isnan(table.transfer[msg]) and can_suspend(kind, is_wait, self.buffered)
+        anticipated = blocks and self._wants_anticipation(proc, now)
+        if anticipated:
+            proc.blocked_msg = msg
+            self._start_checkpoint(proc, now)  # before the level ends: at the planned gamma
+        if self.plans and self._strategy_here(proc) is not None:
+            self._end_compute_strategy(proc, now)  # also at a zero-length wait
+        if not blocks:
+            proc.cursor += 1
+            self._schedule_milestone(proc)
+        elif not anticipated:
+            self._block_on(proc, msg, now)
 
     # -- waits and strategies --------------------------------------------------
 
-    def _strategy_here(self, proc: _Proc, position: int) -> tuple[NodePlan, _DelayedWait] | None:
+    def _strategy_here(self, proc: _Proc) -> tuple[NodePlan, _DelayedWait] | None:
+        """``proc``'s plan when its cursor is at the planned wait: all passes
+        share the programs, so that wait is a milestone code."""
         entry = self.plans.get(proc.node)
-        if entry is None:
-            return None
-        # all passes share the programs, so the planned wait is this milestone
-        return entry if entry[1].milestone == proc.order[position] else None
-
-    def _enter_wait(self, proc: _Proc, position: int, msg: int, now: float) -> None:
-        anticipated = self._wants_anticipation(proc, now)
-        strategy = self._strategy_here(proc, position)
-        if anticipated:
-            proc.blocked_msg = msg
-            self._start_checkpoint(proc, now)
-            if strategy is not None:
-                self._end_compute_strategy(proc, now)
-            return
-        if strategy is not None:
-            self._end_compute_strategy(proc, now)
-        self._block_on(proc, msg, now)
-        if strategy is not None:
-            self._apply_wait_action(proc, now)
+        return entry if entry and entry[1].milestone == proc.order[proc.cursor] else None
 
     def _block_on(self, proc: _Proc, msg: int, now: float) -> None:
+        """Suspend ``proc`` on ``msg``, and start a planned wait's action."""
         proc.blocked_msg = msg
         proc.mark(now, self.wait_label)
+        if self.plans and self._strategy_here(proc) is not None:
+            self._apply_wait_action(proc, now)
 
     def _failure_free_end(self, proc: _Proc) -> float:
         """When the failure-free pass let ``proc`` go on past the blocking
@@ -514,8 +506,6 @@ class _Engine:
             self._resume_from_wait(proc, now)
             return
         self._block_on(proc, proc.blocked_msg, now)
-        if self._strategy_here(proc, proc.cursor) is not None:
-            self._apply_wait_action(proc, now)
 
     # -- failure and recovery ------------------------------------------------
 
@@ -526,8 +516,6 @@ class _Engine:
             proc.checkpoint_taken()  # it ends at this very instant: nothing is lost
         self._sync_position(proc, now)
         self._cancel_milestone(proc)
-        proc.pos_at_failure = proc.position
-        proc.pc_at_failure = proc.cursor
         proc.done_at = None  # a finished program must re-execute too
         proc.blocked_msg = None
         proc.mark(now, _M_RESTART)
@@ -537,13 +525,17 @@ class _Engine:
     def _on_restart_end(self, ev) -> None:
         proc = self.procs[ev.node]
         now = ev.time
-        replay = proc.pos_at_failure - proc.pos_at_ckpt
+        # the position and cursor the failure left: nothing moves them before
+        # REEXEC_END, as ``_sync_position`` acts only on COMPUTE, the milestone
+        # was cancelled at the failure, a replayed post returns before touching
+        # either, triggers skip a node not computing, and it has no plan
+        replay = proc.position - proc.pos_at_ckpt
         if replay > 0:
             proc.mark(now, _M_REEXEC)
         offsets, transfer = proc.offsets, self.messages.transfer
         for index, msg in enumerate(proc.msgs):
             offset = offsets[2 * index]
-            if offset > proc.pos_at_failure:
+            if offset > proc.position:
                 break  # the posts are in offset order
             if offset > proc.pos_at_ckpt and isnan(transfer[msg]):
                 self.q.schedule(now + (offset - proc.pos_at_ckpt), _MILESTONE, proc.node, ~index)
@@ -552,14 +544,12 @@ class _Engine:
     def _on_reexec_end(self, ev) -> None:
         proc = self.procs[ev.node]
         now = ev.time
-        proc.position = proc.pos_at_failure
         proc.resume_wall = now
-        proc.cursor = proc.pc_at_failure
         proc.mark(now, _M_COMPUTE)
         transfer = self.messages.transfer
         while proc.cursor < len(proc.order):
             code = proc.order[proc.cursor]
-            if proc.offsets[code] > proc.pos_at_failure:
+            if proc.offsets[code] > proc.position:
                 break
             msg = proc.msgs[code >> 1]
             # the process was suspended at this op when it failed; the post
@@ -574,11 +564,10 @@ class _Engine:
     # -- strategy application ----------------------------------------------
 
     def _start_strategies(self, now: float) -> None:
-        for node in sorted(self.plans):
-            plan, wait = self.plans[node]
+        for node, (plan, _) in sorted(self.plans.items()):
             proc = self.procs[node]
             blocked = proc.blocked_msg is not None and proc.mark_labels[-1] == self.wait_label
-            if blocked and proc.order[proc.cursor] == wait.milestone:
+            if blocked and self._strategy_here(proc) is not None:
                 # blocked at the planned wait since before the failure: there
                 # is no compute phase left to slow down
                 self._apply_wait_action(proc, now)

@@ -6,8 +6,10 @@ new violation and a fix fail a test. Pinned digests of a set of seeds guard
 the simulated results off stars.
 """
 
+import hashlib
 from array import array
 from dataclasses import replace
+from math import inf, nextafter
 from operator import attrgetter
 
 import pytest
@@ -15,7 +17,7 @@ import pytest
 from ftsim.energy import WaitAction
 from ftsim.pattern import KIND_NONBLOCKING, OpColumns
 from ftsim.report import FlagRecord, StateRecord, render_report, write_trace
-from ftsim.simulate import simulate_detailed
+from ftsim.simulate import _Engine, _programs, simulate_detailed
 
 from families import family_scenario
 from test_output_pins import output_digest
@@ -209,6 +211,59 @@ def test_a_failure_on_a_pending_milestone_runs(seed, node, time):
     s = family_scenario(seed)
     r = simulate_detailed(replace(s, failure=replace(s.failure, node=node, time=time)))
     assert r.makespan <= r.reference_makespan
+
+
+# The failure-instant sweep: on every 8th seed, the shipped failed node fails
+# at each of its failure-free state boundaries in (0, horizon), and one ulp
+# before and after each, 1,788 runs. A run is named (seed, boundary index,
+# ulp step). The runs that end after their reference run are listed exactly,
+# as ``EXTENDED`` lists the shipped instants; none crashes. One digest covers
+# every run's makespans, plans, estimates, reference waits and trace records.
+SWEEP_SEEDS = range(0, 400, 8)
+SWEEP_RUNS = 1788
+SWEEP_EXTENDED = {
+    (72, 2, -1), (72, 2, 0), (72, 2, 1),
+    (152, 4, -1), (152, 4, 0), (152, 6, -1), (152, 6, 0),
+    (176, 0, -1), (176, 0, 0),
+    (264, 13, 0), (264, 13, 1), (264, 16, -1), (264, 16, 0), (264, 16, 1),
+    (264, 30, -1), (264, 30, 0), (264, 30, 1), (264, 31, -1), (264, 31, 0), (264, 31, 1),
+    (264, 32, -1), (264, 32, 0), (264, 32, 1), (264, 33, -1), (264, 33, 0), (264, 33, 1),
+    (264, 34, -1), (264, 34, 0),
+    (296, 6, -1), (296, 6, 0),
+}
+SWEEP_DIGEST = "107028d7e2f05e2a986ad15d568ad3dca3487ade7937fbbb40d0e16789a2e0c2"
+
+
+def failure_instants(s):
+    """``(index, step, time)`` for each state boundary of the failed node's
+    failure-free marks inside (0, horizon), at the boundary (step 0) and one
+    ulp before (-1) and after (+1) it."""
+    engine = _Engine(s, _programs(s.pattern))
+    engine.run()
+    boundaries = [t for t in engine.procs[s.failure.node].mark_times if 0.0 < t < s.horizon]
+    for index, t in enumerate(boundaries):
+        for step in (-1, 0, 1):
+            yield index, step, nextafter(t, step * inf) if step else t
+
+
+def test_every_failure_instant_of_the_failed_node():
+    digest, runs, crashed, extended = hashlib.sha256(), 0, [], set()
+    for seed in SWEEP_SEEDS:
+        s = family_scenario(seed)
+        for index, step, time in failure_instants(s):
+            runs += 1
+            try:
+                r = simulate_detailed(replace(s, failure=replace(s.failure, time=time)))
+            except Exception as exc:  # a crash on valid input is a finding: list them all
+                crashed.append((seed, index, step, repr(exc)))
+                continue
+            if r.makespan > r.reference_makespan:
+                extended.add((seed, index, step))
+            result = (r.makespan, r.reference_makespan, r.plans, r.estimates, r.reference_waits)
+            digest.update(repr((*result, list(r.trace))).encode())
+    assert (runs, crashed) == (SWEEP_RUNS, [])
+    assert extended == SWEEP_EXTENDED
+    assert digest.hexdigest() == SWEEP_DIGEST
 
 
 @pytest.mark.parametrize("seed", range(0, 400, 8))

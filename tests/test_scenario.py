@@ -164,6 +164,46 @@ def test_bad_value_names_its_line(old, new, message):
 
 
 @pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("[system]", "[system]\np_sleep = 12 min", "a power value cannot take the time unit 'min'"),
+        ("[system]", "[system]\nt_wakeup = 5 w", "a time value cannot take the power unit 'w'"),
+        ("[system]", "[system]\nmu1 = 2 w", "a plain value cannot take the power unit 'w'"),
+        ("freq = 1.2 ghz, 126 w, 2.1, 125 w, 1.4", "freq = 1.2 w, 126 w, 2.1, 125 w, 1.4",
+         "a frequency value cannot take the power unit 'w'"),
+        ("freq = 1.2 ghz, 126 w, 2.1, 125 w, 1.4", "freq = 1.2 ghz, 126 ghz, 2.1, 125 w, 1.4",
+         "a power value cannot take the frequency unit 'ghz'"),
+        ("freq = 1.2 ghz, 126 w, 2.1, 125 w, 1.4", "freq = 1.2 ghz, 126 w, 2.1 s, 125 w, 1.4",
+         "a plain value cannot take the time unit 's'"),
+        ("freq = 1.2 ghz, 126 w, 2.1, 125 w, 1.4", "freq = 1.2 ghz, 126 w, 2.1, 125 w, 1.4 min",
+         "a plain value cannot take the time unit 'min'"),
+        ("nodes = 2", "nodes = 4 s", "a plain value cannot take the time unit 's'"),
+        ("wait_mode = active", "wait_mode = active\ninterval = 60 w",
+         "a time value cannot take the power unit 'w'"),
+        ("wait_mode = active", "wait_mode = active\nmessage_size = 4096 s",
+         "a plain value cannot take the time unit 's'"),
+        ("op = 0 send 1 @ 10 s", "op = 0 send 1 @ 10 w", "a time value cannot take the power unit 'w'"),
+        ("op = 0 send 1 @ 10 s", "op = 0 send 1 @ 10 s every 10 GHz until 30 s",
+         "a time value cannot take the frequency unit 'GHz'"),
+        ("offset = 0: 20 s", "offset = 0: 20 w", "a time value cannot take the power unit 'w'"),
+        ("offset = 0: 20 s", "offset = 20 ghz", "a time value cannot take the frequency unit 'ghz'"),
+        ("[checkpoint]", "[checkpoint]\nalpha = 0.5 s", "a plain value cannot take the time unit 's'"),
+        ("restart = 5 s", "restart = 199.8 w", "a time value cannot take the power unit 'w'"),
+        ("horizon = 200 s", "horizon = 200 W", "a time value cannot take the power unit 'W'"),
+        ("depth = 1", "depth = 2 min", "a plain value cannot take the time unit 'min'"),
+    ],
+)
+def test_a_unit_of_another_kind_names_its_line(old, new, message):
+    """A number takes only a unit of its own kind (time, power, frequency)
+    or, when plain, none: a wrong-kind unit is not silently read as 1."""
+    assert MINIMAL.count(old) == 1
+    text = MINIMAL.replace(old, new)
+    line = text.splitlines().index(new.splitlines()[-1]) + 1
+    with pytest.raises(ParseError, match=f"^line {line}: {message}$"):
+        loads_scenario(text)
+
+
+@pytest.mark.parametrize(
     "drop, header, message",
     [
         ("restart = 5 s\n", "[failure]", "missing key 'restart' in \\[failure\\]"),

@@ -868,9 +868,17 @@ def test_a_nodes_last_mark_is_its_state_between_events(strategies, monkeypatch):
     every pass is popped, once the previous handler has returned (right after
     a pop, the popped milestone is no longer pending but its id is still
     set). A checkpoint end that finds its node checkpointing is the end of
-    that very checkpoint."""
-    run, advance = _Engine.run, EventQueue.advance
+    that very checkpoint. At its re-execution's end, the failed node's
+    position and cursor are still those its failure left: recovery reads
+    them as the point to re-execute up to."""
+    run, advance, on_failure = _Engine.run, EventQueue.advance, _Engine._on_failure
     running, bad, suspended = [], [], set()
+    at_failure, recoveries = {}, []  # id(engine) -> (node, position, cursor)
+
+    def recorded_failure(engine, ev):
+        on_failure(engine, ev)
+        proc = engine.procs[ev.node]
+        at_failure[id(engine)] = (ev.node, proc.position, proc.cursor)
 
     def tracked_run(engine, *args, **kwargs):
         running.append(engine)
@@ -891,13 +899,20 @@ def test_a_nodes_last_mark_is_its_state_between_events(strategies, monkeypatch):
             proc = engine.procs[ev.node]
             if _LABELS[proc.mark_labels[-1]] == "CKPT" and proc.ckpt_end != ev.time:
                 bad.append((name, ev.node, "stale checkpoint end", ev.time))
+        if ev is not None and ev.kind is EventKind.REEXEC_END:
+            proc = engine.procs[ev.node]
+            recoveries.append(name)
+            if at_failure[id(engine)] != (ev.node, proc.position, proc.cursor):
+                bad.append((name, ev.node, "moved during recovery", ev.time))
         return ev
 
     monkeypatch.setattr(_Engine, "run", tracked_run)
+    monkeypatch.setattr(_Engine, "_on_failure", recorded_failure)
     monkeypatch.setattr(EventQueue, "advance", checked_advance)
     for name, s in derived_state_scenarios():
         simulate_detailed(replace(s, strategies_enabled=strategies))
     assert bad == []
+    assert len(set(recoveries)) > 100
     # every kind of suspension was checked: awake, anticipating and asleep
     assert suspended == {"WAIT_ACTIVE", "WAIT_IDLE", "CKPT"} | ({"WAKEUP"} if strategies else set())
 
