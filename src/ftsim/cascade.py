@@ -3,9 +3,11 @@
 Starting from the failed process, the analysis expands level by level: the
 children of the current level (the processes that communicate with it) are
 assigned the time of their first communication that can no longer succeed,
-searching at most ``depth`` communications per pair. Within a level, a
-sibling that communicates with an already-blocked sibling earlier than its
-current estimate has its block time lowered until the level converges.
+searching at most ``depth`` communications per pair. The cut applies only to
+an explicit depth: ``auto`` resolves to the most ops any process holds, which
+no pair's candidates exceed. Within a level, a sibling that communicates with
+an already-blocked sibling earlier than its current estimate has its block
+time lowered until the level converges.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .pattern import KIND_RECV, CommPattern, can_suspend
+from .pattern import CommPattern, can_suspend
 
 # for op ``index`` of process ``proc``: its projected failure-free (post,
 # block point) wall times and its peer op's post
@@ -35,25 +37,6 @@ class DepthConfig:
     def __post_init__(self) -> None:
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-
-
-def pattern_depth(pattern: CommPattern) -> int:
-    """The depth ``auto`` resolves to: the most messages any process pair
-    exchanges within one pattern repetition, or 1 when no process sends.
-
-    This does not guarantee that every cascade block is found: a child whose
-    exchanges with its parent keep succeeding for more than this many
-    communications after the failure (as down a long chain) gets no estimate."""
-    limit = pattern.repetition if pattern.repetition > 0 else float("inf")
-    counts: dict[tuple[int, int], int] = {}
-    for proc, ops in enumerate(pattern.processes):
-        for peer, kind, post in zip(ops.peers, ops.kinds, ops.offsets[::2]):
-            # one message per send; counting both sides would double it
-            if kind & KIND_RECV or post >= limit:
-                continue
-            pair = (proc, peer) if proc < peer else (peer, proc)
-            counts[pair] = counts.get(pair, 0) + 1
-    return max(counts.values(), default=1)
 
 
 def _candidate_ops(

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -46,17 +45,10 @@ class CheckpointPolicy:
         """When a timer that fired at ``t`` fires next."""
         return t + self.interval
 
-    def triggers(self, proc: int, horizon: float) -> Iterator[float]:
-        """The times ``proc``'s timer fires up to ``horizon``: its first
-        trigger, then each next one, a running sum; the simulation's timer
-        follows the same rule. :meth:`trigger_steps` bounds the work."""
-        t = self.first_trigger(proc)
-        while t <= horizon:
-            yield t
-            t = self.next_trigger(t)
-
     def trigger_steps(self, proc: int, horizon: float) -> float:
-        """How many sums :meth:`triggers` takes for ``proc``, up to rounding;
+        """How many sums ``proc``'s timer takes up to ``horizon``, up to
+        rounding: from its offset, those of :meth:`first_trigger` and then of
+        each :meth:`next_trigger`, the rule the simulation's timer runs;
         raises ValueError where adding the interval may not move the sum."""
         start = self.offset(proc)
         if start > horizon:

@@ -78,7 +78,6 @@ class CommPattern:
     processes: list[OpColumns]
     buffered: bool = False
     wait_mode: WaitMode = WaitMode.ACTIVE
-    repetition: float = 0.0  # one pattern repetition, seconds; 0 = whole program
 
     def __post_init__(self) -> None:
         # per process, its streams keyed 2·peer + (kind & KIND_RECV), each in

@@ -6,13 +6,15 @@ take ``w``, frequencies ``ghz``, and plain numbers (``mu1``, ``mu2``,
 ``alpha``, a ``freq`` row's beta and gamma, and the integer keys) none; a
 unit of another kind is an error. Every number must be finite; integer keys
 (``nodes``, ``node``, ``depth``, ``message_size``) take integral values
-only. ``[pattern]`` accepts ``interval`` (a duration) and ``message_size``
-(an integer) and checks them, but does not model them: a transfer takes no
-time. ``freq``, ``op`` and ``offset`` keys
-may repeat, all others may not; an unknown section or key is
-an error. Everything is converted to seconds at ingestion. ``nodes``, the op
-count once every ``every`` is expanded, and the checkpoint timer steps of all
-nodes up to the horizon are capped at ``SIZE_LIMIT``.
+only. ``[pattern]`` accepts ``interval`` and ``repetition`` (durations) and
+``message_size`` (an integer) and checks them, but does not model them: a
+transfer takes no time, and the program is the ops as written. A ``depth``
+of ``auto`` is the exhaustive search, the most ops any process holds.
+``freq``, ``op`` and ``offset`` keys may repeat, all others may not; an
+unknown section or key is an error. Everything is converted to seconds at
+ingestion. ``nodes``, the op count once every ``every`` is expanded, and the
+checkpoint timer steps of all nodes up to the horizon are capped at
+``SIZE_LIMIT``.
 
 Each process's ops go straight into columns (``pattern.OpColumns``), which
 are sorted by (post offset, file order) once the ``[pattern]`` section is
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .cascade import DepthConfig, pattern_depth
+from .cascade import DepthConfig
 from .energy import FrequencyLevel, SystemProfile, WaitMode
 from .fault import CheckpointPolicy, FailureSpec
 from .pattern import KIND_NONBLOCKING, KIND_RECV, CommPattern, OpColumns
@@ -176,9 +178,11 @@ def _boolean(text: str, line: int) -> bool:
 
 def parse_depth(text: str, pattern: CommPattern, line: int | None = None) -> DepthConfig:
     """The analysis depth, ``auto`` or an integer >= 1, as the ``depth`` key
-    and ``ftsim run --depth`` give it."""
+    and ``ftsim run --depth`` give it. ``auto`` is no cut: the most ops any
+    process of ``pattern`` holds, more than a child can have with any one
+    parent (and 1 when there are no ops)."""
     if text.strip().lower() == "auto":
-        return DepthConfig(pattern_depth(pattern))
+        return DepthConfig(max([1, *map(len, pattern.processes)]))
     depth = _integer(text, line)
     if depth < 1:
         raise ParseError(f"depth must be 'auto' or an integer >= 1, got {depth}", line)
@@ -400,14 +404,15 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
         order = _parse_op(value, lineno, order, per_proc, nonblocking)
     processes = [_columns(per_proc, proc) for proc in range(nodes)]
 
-    # checked but not modelled: a transfer takes no time
+    # checked but not modelled: a transfer takes no time, and the program is
+    # the ops as written
     pat_sec.number("interval", "0 s", _TIME)
+    pat_sec.number("repetition", "0 s", _TIME)
     pat_sec.integer("message_size", "0")
     pattern = CommPattern(
         processes=processes,
         buffered=pat_sec.boolean("buffered", "false"),
         wait_mode=pat_sec.choice("wait_mode", _WAIT_MODES, "active"),
-        repetition=pat_sec.number("repetition", "0 s", _TIME),
     )
 
     offsets: dict[int, float] = {}

@@ -70,7 +70,6 @@ def family_scenario(seed: int) -> Scenario:
         rows,
         buffered=rng.random() < 0.3,
         wait_mode=rng.choice([WaitMode.ACTIVE, WaitMode.IDLE]),
-        repetition=period,
     )
 
     profile, duration = random_profile(rng)

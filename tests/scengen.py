@@ -57,7 +57,6 @@ def random_scenario(seed: int) -> Scenario:
         processes,
         buffered=rng.random() < 0.3,
         wait_mode=rng.choice([WaitMode.ACTIVE, WaitMode.IDLE]),
-        repetition=interval,
     )
 
     profile, _ = random_profile(rng)

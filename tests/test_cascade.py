@@ -8,7 +8,6 @@ from ftsim.cascade import (
     _candidate_ops,
     _converge_level,
     estimate_block_times,
-    pattern_depth,
 )
 
 from oprows import op_pattern
@@ -27,10 +26,10 @@ def offsets(pattern):
     return exchange
 
 
-def build(processes, repetition=0.0):
+def build(processes):
     """The pattern of per-process rows, each process's sorted by post."""
     by_post = [sorted(rows, key=lambda row: row[2]) for rows in processes]
-    return op_pattern(by_post, repetition=repetition)
+    return op_pattern(by_post)
 
 
 def three_process_case():
@@ -151,29 +150,6 @@ def test_block_times_not_before_failure():
     pattern = chain_pattern()
     estimates = estimate_block_times(pattern, 0, 100.0, DepthConfig(6), offsets(pattern))
     assert all(e.block_time >= 100.0 for e in estimates)
-
-
-def test_pattern_depth_single_comm_pairs():
-    p0 = [(1, "send", 10.0)]
-    p1 = [(0, "recv", 10.0)]
-    assert pattern_depth(build([p0, p1], repetition=100.0)) == 1
-
-
-def test_pattern_depth_counts_both_directions():
-    p0 = [(1, "send", t) for t in (10.0, 20.0, 30.0)] + [
-        (1, "recv", t) for t in (40.0, 50.0)
-    ]
-    p1 = [(0, "recv", t) for t in (10.0, 20.0, 30.0)] + [
-        (0, "send", t) for t in (40.0, 50.0)
-    ]
-    assert pattern_depth(build([p0, p1], repetition=60.0)) == 5
-
-
-def test_pattern_depth_respects_repetition():
-    p0 = [(1, "send", t) for t in (10.0, 110.0, 210.0)]
-    p1 = [(0, "recv", t) for t in (10.0, 110.0, 210.0)]
-    assert pattern_depth(build([p0, p1], repetition=100.0)) == 1
-    assert pattern_depth(build([p0, p1])) == 3
 
 
 def test_depth_config_invariant():

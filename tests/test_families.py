@@ -138,8 +138,8 @@ def renumbered(s):
 
 
 def doubled(s):
-    """``s`` with every duration doubled: the op offsets, the repetition, the
-    checkpoint interval, duration and offsets, the failure time, the restart,
+    """``s`` with every duration doubled: the op offsets, the checkpoint
+    interval, duration and offsets, the failure time, the restart,
     the horizon and the sleep transitions. Doubling is exact in binary
     floating point, and rounding commutes with it: a sum or difference of
     doubled values, or a doubled value times a power or a slowdown, rounds
@@ -152,7 +152,7 @@ def doubled(s):
     return replace(
         s,
         profile=replace(profile, t_go_sleep=2 * profile.t_go_sleep, t_wakeup=2 * profile.t_wakeup),
-        pattern=replace(s.pattern, processes=processes, repetition=2 * s.pattern.repetition),
+        pattern=replace(s.pattern, processes=processes),
         ckpt=replace(
             ckpt,
             interval=2 * ckpt.interval,

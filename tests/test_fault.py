@@ -39,6 +39,16 @@ def node0_marks(ckpt, horizon, failure=None):
     return list(zip(proc.mark_times, map(_LABELS.__getitem__, proc.mark_labels)))
 
 
+def trigger_times(p, proc, horizon):
+    """The times ``proc``'s timer fires up to ``horizon``, by the rule the
+    engine runs: its first trigger, then each next one, a running sum."""
+    times, t = [], p.first_trigger(proc)
+    while t <= horizon:
+        times.append(t)
+        t = p.next_trigger(t)
+    return times
+
+
 def checkpoint_times(p, horizon):
     """Wall times at which node 0 begins a checkpoint up to the horizon."""
     return [t for t, label in node0_marks(p, horizon) if label == "CKPT"]
@@ -133,6 +143,6 @@ def test_failure_spec_invariants():
     ],
 )
 def test_the_engine_checkpoints_at_the_policy_triggers(p, horizon):
-    fired = list(p.triggers(0, horizon))
+    fired = trigger_times(p, 0, horizon)
     assert checkpoint_times(p, horizon) == fired
     assert len(fired) <= p.trigger_steps(0, horizon) < len(fired) + 2

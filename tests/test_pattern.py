@@ -220,7 +220,7 @@ def repeating_pattern():
     # P1 sends to P2 every 60 s starting at 60.
     sends = [(2, "send", 60.0 * (i + 1)) for i in range(10)]
     recvs = [(1, "recv", 60.0 * (i + 1)) for i in range(10)]
-    return op_pattern([[], sends, recvs], repetition=60.0)
+    return op_pattern([[], sends, recvs])
 
 
 def next_comm(pattern, child, parent, after):

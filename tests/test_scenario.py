@@ -9,6 +9,7 @@ from ftsim.energy import WaitMode
 from ftsim.scenario import ParseError, ValidationError, load_scenario, loads_scenario
 
 from oprows import op_columns, op_rows
+from test_fault import trigger_times
 from test_output_pins import FIXTURE_DIGESTS, output_digest
 
 FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
@@ -107,8 +108,17 @@ def test_bad_beta_monotonicity():
 
 
 def test_auto_depth_resolves():
-    s = loads_scenario(MINIMAL.replace("depth = 1", "depth = auto"))
-    assert s.depth.depth == 1
+    """``auto`` is the most ops any process holds, which no pair's
+    candidates exceed: node 0's four, not the three of its densest pair."""
+    auto = MINIMAL.replace("depth = 1", "depth = auto")
+    assert loads_scenario(auto).depth.depth == 1
+    s = loads_scenario(auto.replace("nodes = 2", "nodes = 3").replace(
+        "op = 0 send 1 @ 10 s", "op = 0 send 1 @ 10 s every 10 s until 30 s\nop = 0 recv 2 @ 35 s"
+    ).replace(
+        "op = 1 recv 0 @ 10 s", "op = 1 recv 0 @ 10 s every 10 s until 30 s\nop = 2 send 0 @ 35 s"
+    ))
+    assert [len(ops) for ops in s.pattern.processes] == [4, 3, 1]
+    assert s.depth.depth == 4
 
 
 def test_every_until_expansion():
@@ -218,12 +228,15 @@ def test_missing_value_names_its_section_header(drop, header, message):
         loads_scenario(text)
 
 
-# [pattern] keys that are parsed and checked but not modelled: transfers take no time
-UNMODELLED = ("interval", "message_size")
+# [pattern] keys that are parsed and checked but not modelled: transfers take
+# no time, and the program is the ops as written
+UNMODELLED = ("interval", "message_size", "repetition")
 
 
 def test_unmodelled_pattern_keys_are_accepted():
-    text = MINIMAL.replace("wait_mode = active", "wait_mode = active\ninterval = 60 s\nmessage_size = 4096")
+    text = MINIMAL.replace(
+        "wait_mode = active", "wait_mode = active\ninterval = 60 s\nmessage_size = 4096\nrepetition = 1 min"
+    )
     assert loads_scenario(text) == loads_scenario(MINIMAL)
 
 
@@ -232,6 +245,7 @@ def test_unmodelled_pattern_keys_are_accepted():
     [
         ("message_size = 2.5", "expected an integer, got '2.5'"),
         ("interval = nan s", "number 'nan' is not finite"),
+        ("repetition = 60 w", "a time value cannot take the power unit 'w'"),
     ],
 )
 def test_unmodelled_pattern_keys_are_checked_on_their_line(new, message):
@@ -309,7 +323,7 @@ def test_checkpoint_triggers_past_the_limit_are_refused(monkeypatch):
     monkeypatch.setattr(scenario, "SIZE_LIMIT", 1000)
     text = MINIMAL.replace("interval = 100 s", "interval = 10 s").replace("duration = 10 s", "duration = 1 s")
     s = loads_scenario(text)  # 2 x (200 s / 10 s + 1) steps
-    assert [t for node in range(2) for t in s.ckpt.triggers(node, s.horizon)][:3] == [20.0, 30.0, 40.0]
+    assert [t for node in range(2) for t in trigger_times(s.ckpt, node, s.horizon)][:3] == [20.0, 30.0, 40.0]
     message = "^the checkpoint triggers up to the horizon are past the limit of 1000$"
     with pytest.raises(ValidationError, match=message):
         loads_scenario(text.replace("horizon = 200 s", "horizon = 10000 s"))

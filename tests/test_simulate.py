@@ -34,6 +34,7 @@ from ftsim.simulate import (
 
 from families import family_scenario
 from scengen import random_scenario
+from test_fault import trigger_times
 from test_output_pins import _SYSTEM, SHAPED, pass_counts
 from test_pattern import reference_matching_op
 
@@ -727,7 +728,7 @@ def test_a_pass_queues_one_checkpoint_trigger_per_node():
     s = SHAPED["halo_chain_8"]()
     base, snapshot = _failure_free_pass(s, _programs(s.pattern))
     fail, horizon = s.failure.time, s.horizon
-    after = [(n, min(t for t in s.ckpt.triggers(n, horizon) if t > fail)) for n in range(s.nodes)]
+    after = [(n, min(t for t in trigger_times(s.ckpt, n, horizon) if t > fail)) for n in range(s.nodes)]
     assert pending_triggers(snapshot) == after
     ref = snapshot.fork()
     ref.inject(base.messages)
@@ -770,7 +771,7 @@ def test_checkpoints_begin_at_each_trigger_that_finds_the_node_computing(name):
             def state_before(t):
                 return max((m for m in marks if m[0] < t), key=lambda m: m[0])[1]
 
-            triggers = s.ckpt.triggers(node, s.horizon)
+            triggers = trigger_times(s.ckpt, node, s.horizon)
             computing = [t for t in triggers if state_before(t) == "COMPUTE"]
             assert begun == computing, node
             checkpoints += len(begun)
@@ -1350,6 +1351,23 @@ def wide_halo_text(nodes, steps, step=60.0):
               "[failure]", "node = 1", "time = 300 s", "restart = 30 s",
               "[run]", f"horizon = {step * steps * 3} s", "depth = 2"]
     return "\n".join(lines)
+
+
+def test_auto_depth_is_the_exhaustive_search():
+    """``depth = auto`` cuts no search: on a 16-node halo whose node 8
+    fails, it finds every block that the most ops any process holds finds,
+    15, where depth 2 (the densest pair's messages in one 60 s repetition)
+    finds 2, and the plans do not extend the run."""
+    text = wide_halo_text(nodes=16, steps=20).replace(
+        "interval = 60.0 s", "interval = 60.0 s\nrepetition = 60 s"
+    ).replace("[failure]\nnode = 1", "[failure]\nnode = 8").replace("depth = 2", "depth = auto")
+    s = loads_scenario(text, "wide_halo")
+    most_ops = max(len(ops) for ops in s.pattern.processes)
+    r = simulate_detailed(s)
+    assert r.estimates == simulate_detailed(replace(s, depth=DepthConfig(most_ops))).estimates
+    assert (len(r.estimates), len(r.plans)) == (15, 10)
+    assert len(simulate_detailed(replace(s, depth=DepthConfig(2))).estimates) == 2
+    assert r.makespan <= r.reference_makespan
 
 
 def test_programs_hold_at_most_40_bytes_per_milestone():
