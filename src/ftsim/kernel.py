@@ -1,13 +1,15 @@
 """Minimal deterministic discrete-event kernel.
 
 A virtual clock plus a priority queue of timestamped events, ordered by
-(time, seq). The queue numbers events 0, 1, 2, … as they are scheduled, so
-ties are broken by insertion order, which makes every run of the same
+(time, band, seq). A band is the caller's class of event: at one instant a
+lower band goes first, and an event scheduled without one is in band 0. The
+queue numbers events 0, 1, 2, … as they are scheduled, so ties within a
+band are broken by insertion order, which makes every run of the same
 schedule reproducible. A caller may instead give an event a negative
-``seq`` of its own: it goes before every same-time event the queue
-numbered, and negative numbers order by value. Such a number names one
-pending event at a time, and its event cannot be cancelled. A queue can be
-copied, and a copy run on from where the original stands.
+``seq`` of its own: it goes before every same-time event of its band that
+the queue numbered, and negative numbers order by value. Such a number
+names one pending event at a time, and its event cannot be cancelled. A
+queue can be copied, and a copy run on from where the original stands.
 """
 
 from __future__ import annotations
@@ -42,10 +44,11 @@ class EmptyQueue(LookupError):
 
 
 class SimEvent(NamedTuple):
-    """An event, and also its heap entry: tuples order by (time, seq), and
-    seq is unique, so kinds and payloads are never compared."""
+    """An event, and also its heap entry: tuples order by (time, band, seq),
+    and seq is unique, so kinds and payloads are never compared."""
 
     time: float
+    band: int
     seq: int
     kind: EventKind
     node: int
@@ -55,12 +58,12 @@ class SimEvent(NamedTuple):
 _new_event = tuple.__new__  # skips the NamedTuple's generated Python __new__
 
 
-_ALWAYS = (inf, inf)  # a (time, seq) key no event reaches
+_ALWAYS = (inf, inf)  # a key no event reaches
 
 
 @dataclass
 class EventQueue:
-    """Time-ordered event queue; (time, seq) is a strict total order."""
+    """Time-ordered event queue; (time, band, seq) is a strict total order."""
 
     clock: float = 0.0
     _heap: list[SimEvent] = field(default_factory=list)
@@ -68,11 +71,17 @@ class EventQueue:
     _pending: set[int] = field(default_factory=set)
 
     def schedule(
-        self, time: float, kind: EventKind, node: int, payload: Any = None, seq: int | None = None
+        self,
+        time: float,
+        kind: EventKind,
+        node: int,
+        payload: Any = None,
+        seq: int | None = None,
+        band: int = 0,
     ) -> int:
-        """Queue an event and return its sequence number: the next one the
-        queue hands out, or the caller's ``seq``, which must be negative and
-        not name a pending event."""
+        """Queue an event in ``band`` and return its sequence number: the
+        next one the queue hands out, or the caller's ``seq``, which must be
+        negative and not name a pending event."""
         if time < self.clock:
             raise PastTime(f"cannot schedule at t={time} before clock {self.clock}")
         if seq is None:
@@ -80,22 +89,22 @@ class EventQueue:
             self._counter = seq + 1
         elif seq >= 0 or seq in self._pending:
             raise ValueError(f"sequence number {seq} is not a free negative number")
-        heappush(self._heap, _new_event(SimEvent, (time, seq, kind, node, payload)))
+        heappush(self._heap, _new_event(SimEvent, (time, band, seq, kind, node, payload)))
         self._pending.add(seq)
         return seq
 
-    def advance(self, before: tuple[float, float] = _ALWAYS) -> SimEvent | None:
+    def advance(self, before: tuple[float, ...] = _ALWAYS) -> SimEvent | None:
         """Pop the first pending event and move the clock to it. Return None
-        instead, and leave the queue as it is, when that event's (time, seq)
-        is not before ``before``."""
+        instead, and leave the queue as it is, when that event's (time, band,
+        seq) is not before ``before``."""
         heap, pending = self._heap, self._pending
         while heap:
             event = heap[0]
-            seq = event[1]
+            seq = event[2]
             if seq not in pending:  # a cancelled event is no longer pending
                 heappop(heap)
                 continue
-            if event >= before:  # by (time, seq): an event with ``before``'s key is not before it
+            if event >= before:  # an event with ``before``'s key is not before it
                 return None
             heappop(heap)
             pending.discard(seq)

@@ -10,11 +10,38 @@ Three deterministic passes:
    (the deadline, the phase durations and the energy baseline);
 3. the final run with the selected strategies applied, when enabled.
 
-Events at one instant are handled in a fixed order: first the checkpoint
-triggers, by node; then the failure; then every other event, in the order
-it was scheduled. Each node has one pending trigger at a time: firing, it
+Events at one instant are handled in a fixed order. The kernel band
+``_FIRST`` holds, in this order, the checkpoint triggers, by node; the
+failure; and the posts of non-blocking ops, in the order they were queued
+(a replayed post is not among them). Every other event follows in band 0,
+in the order it was scheduled. So a wait at the instant of its peer's
+non-blocking post finds the message transferred, whichever way the post was
+made (below). Each node has one pending trigger at a time: firing, it
 queues the node's next one unless the node has finished, and it starts a
 checkpoint only while the node computes.
+
+A milestone costs no event when nothing can interrupt its node before it,
+a conservative lookahead (Chandy & Misra, IEEE TSE 1979). Once a node's
+next milestone is known, ``_run_ahead`` reaches in place, through the
+``_reach`` that the milestone's event would call at its instant ``t``, each
+non-blocking milestone from there that is neither the node's last (its
+event finishes the node) nor its planned one (its compute level ends
+there), lies at or before the horizon, and lies strictly before the node's
+pending trigger and, while the pass still has the failure ahead, the
+failure: the prefix that passes 2 and 3 share stops short of it. A wait is
+passed so only once its message is transferred by ``t``. A post is thus
+registered at ``t``, ahead of the clock, and the first milestone it cannot
+handle gets its event. The output equals that of an event per milestone.
+Only a trigger, the failure and a plan move a computing node, and those
+bounds leave them out, so the node reaches each such milestone at ``t`` in
+the same state. A non-blocking post goes before every event at its instant
+but the triggers and the failure. And every test of a message during a pass
+asks whether it was transferred by now (``not transfer <= now``, as a NaN
+transfer, "not yet", compares false), so a post registered ahead is seen
+by no event before its instant: a later post of the peer transfers the
+message at the later instant, and a node that blocks on a message whose
+transfer lies ahead queues its own completion, as no post event will come
+to wake it.
 
 Until the failure the three passes are one run: the failure disturbs only
 what comes after it, and no strategy acts before it. So that prefix is
@@ -63,7 +90,8 @@ window and must not delay any op a live peer depends on, and a sleeping node
 is woken exactly at the release known from the reference run.
 
 Recovery re-executes the failed node from its last checkpoint up to the
-position and cursor its failure left, replaying the untransferred posts.
+position and cursor its failure left, replaying the posts not transferred
+by the restart; a replay finds its message transferred by then, or posts.
 """
 
 from __future__ import annotations
@@ -120,6 +148,11 @@ _LABELS = (
 ) = range(len(_LABELS))
 
 _new_record = tuple.__new__  # skips the NamedTuples' generated Python __new__
+
+# the kernel band of the events that go first at their instant: the checkpoint
+# triggers by node, then the failure (both by their own negative seqs), then
+# the non-blocking posts in the order queued; every other event is in band 0
+_FIRST = -1
 
 
 class _Programs(NamedTuple):
@@ -217,6 +250,7 @@ class _Proc:
     blocked_msg: int | None = None  # the message it is suspended on, at its cursor
     wait_begin: float = 0.0  # when its current wait began: its last milestone or recovery end
     ckpt_end: float = 0.0  # when the current or last checkpoint ends
+    trigger: float = inf  # when its next checkpoint trigger is due; once finished, its last one
     min_freq: bool = False  # waiting at the minimum frequency, its flag open
     mark_times: array = field(default_factory=lambda: array("d"))
     mark_labels: bytearray = field(default_factory=bytearray)  # indices into _LABELS
@@ -273,9 +307,12 @@ class _Engine:
         self.wait_label = _M_WAIT_ACTIVE if s.pattern.wait_mode is WaitMode.ACTIVE else _M_WAIT_IDLE
         for node in range(s.nodes):
             self._schedule_trigger(node, s.ckpt.first_trigger(node))
-        # the failure's (time, seq): after the triggers, before every event
-        # the queue numbers itself, where :meth:`inject` schedules it
-        self.failure_at = (s.failure.time, -1)
+        # the failure's (time, band, seq): after the triggers, before every
+        # event the queue numbers itself, where :meth:`inject` schedules it
+        self.failure_at = (s.failure.time, _FIRST, -1)
+        # the failure's instant while this pass has it ahead, else inf: no
+        # milestone at or after it is handled in place before it
+        self.failure_ahead = s.failure.time
         for proc in self.procs:
             self._schedule_milestone(proc)
 
@@ -291,8 +328,8 @@ class _Engine:
         self.baseline = baseline
         self.delayed = {}
         self.plans = plans or {}
-        time, seq = self.failure_at
-        self.q.schedule(time, EventKind.FAILURE, self.s.failure.node, seq=seq)
+        time, band, seq = self.failure_at
+        self.q.schedule(time, EventKind.FAILURE, self.s.failure.node, seq=seq, band=band)
 
     def fork(self) -> _Engine:
         """A copy of this pass's state that runs on independently. The
@@ -307,18 +344,56 @@ class _Engine:
     # -- scheduling helpers --------------------------------------------------
 
     def _schedule_milestone(self, proc: _Proc) -> None:
-        position = proc.cursor
-        if position >= len(proc.order):
+        """Queue the event of the milestone at ``proc``'s cursor, once the
+        non-blocking milestones from there that nothing can interrupt are
+        handled in place; past its last milestone the node has finished."""
+        clock = self.q.clock
+        if proc.cursor >= len(proc.order):
             if proc.done_at is None:
-                proc.done_at = self.q.clock
-                proc.mark(self.q.clock, _M_WAIT_IDLE)
+                proc.done_at = clock
+                proc.mark(clock, _M_WAIT_IDLE)
             return
-        code = proc.order[position]
+        code = proc.order[proc.cursor]
         t = proc.resume_wall + (proc.offsets[code] - proc.position) * proc.freq.beta
-        if t < self.q.clock:  # due now, but a resynced position rounds it a few ulps early
-            assert self.q.clock - t <= 1e-9 * self.q.clock, (t, self.q.clock)
-            t = self.q.clock
-        proc.milestone_id = self.q.schedule(t, _MILESTONE, proc.node, position)
+        if t < clock:  # due now, but a resynced position rounds it a few ulps early
+            assert clock - t <= 1e-9 * clock, (t, clock)
+            t = clock
+        if proc.kinds[code >> 1] & KIND_NONBLOCKING:
+            t, band = self._run_ahead(proc, code, t)
+            proc.milestone_id = self.q.schedule(t, _MILESTONE, proc.node, proc.cursor, band=band)
+        else:  # a blocking milestone pays only the kind test
+            proc.milestone_id = self.q.schedule(t, _MILESTONE, proc.node, proc.cursor)
+
+    def _run_ahead(self, proc: _Proc, code: int, t: float) -> tuple[float, int]:
+        """Reach in place (:meth:`_reach`, as the milestone's event would)
+        each milestone from ``proc``'s cursor (``code``, due at ``t``) that
+        nothing can interrupt: a non-blocking one, not the node's last nor
+        its planned one, at or before the horizon, strictly before its
+        pending trigger and, while the pass has it ahead, the failure; a
+        wait only once its message is transferred by then. Return the
+        instant and kernel band of the milestone it stops at."""
+        order, offsets, kinds, msgs = proc.order, proc.offsets, proc.kinds, proc.msgs
+        transfer = self.messages.transfer
+        last, beta, horizon = len(order) - 1, proc.freq.beta, self.s.horizon
+        limit = min(proc.trigger, self.failure_ahead)
+        entry = self.plans.get(proc.node)
+        planned = entry[1].milestone if entry else -1
+        position = proc.cursor
+        kind = kinds[code >> 1]
+        while (
+            kind & KIND_NONBLOCKING and position < last and code != planned
+            and t < limit and t <= horizon
+        ):
+            if code & 1 and not transfer[msgs[code >> 1]] <= t:
+                break  # the wait may block: its event decides
+            self._reach(proc, code, t)
+            position += 1
+            code = order[position]
+            kind = kinds[code >> 1]
+            # the sum _schedule_milestone takes, so that both ways give one instant
+            t += (offsets[code] - proc.position) * beta
+        proc.cursor = position
+        return t, (_FIRST if kind & KIND_NONBLOCKING and not code & 1 else 0)
 
     def _cancel_milestone(self, proc: _Proc) -> None:
         if proc.milestone_id is not None:
@@ -332,9 +407,9 @@ class _Engine:
 
     # -- main loop -----------------------------------------------------------
 
-    def run(self, until: tuple[float, float] = (inf, inf)) -> None:
-        """Handle events in (time, seq) order up to the horizon; stop early,
-        before the first event whose key is not before ``until``."""
+    def run(self, until: tuple[float, ...] = (inf, inf)) -> None:
+        """Handle events in (time, band, seq) order up to the horizon; stop
+        early, before the first event whose key is not before ``until``."""
         # bound methods: a table kept on the engine would be a reference cycle
         handlers = {
             EventKind.MILESTONE: self._on_milestone,
@@ -361,14 +436,17 @@ class _Engine:
         post, transfer = self.messages.post, self.messages.transfer
         side = 2 * msg + (proc.kinds[index] & KIND_RECV)
         post[side] = now
-        if not isnan(post[side ^ 1]) and isnan(transfer[msg]):
-            transfer[msg] = now  # at the second post
+        theirs = post[side ^ 1]
+        if not isnan(theirs) and isnan(transfer[msg]):
+            # at the later post: the peer's is later only when it was
+            # handled in place, ahead of the clock
+            transfer[msg] = at = theirs if theirs > now else now
             # Only the side that posted first can be suspended on the message:
             # the side posting now is computing up to it or re-executing. A
             # wait anticipated with a checkpoint resumes at the checkpoint's end.
             other = self.procs[proc.peers[index]]
             if other.blocked_msg == msg and other.mark_labels[-1] != _M_CKPT:
-                self.q.schedule(now, _COMM_COMPLETE, other.node, payload=msg)
+                self.q.schedule(at, _COMM_COMPLETE, other.node, payload=msg)
 
     def _on_milestone(self, ev) -> None:
         position: int = ev.payload
@@ -379,20 +457,15 @@ class _Engine:
             # the replayed post of op ~position: a message transferred since
             # the replay was scheduled keeps the post it was transferred with
             msg = proc.msgs[~position]
-            if isnan(table.transfer[msg]):
+            if not table.transfer[msg] <= now:
                 self._register_post(proc, ~position, msg, now)
             return
         code = proc.order[position]
         index, is_wait = code >> 1, code & 1
         kind, msg = proc.kinds[index], proc.msgs[index]
         proc.milestone_id = None
-        proc.position = proc.offsets[code]
-        proc.resume_wall = proc.wait_begin = now
-        if not is_wait:
-            self._register_post(proc, index, msg, now)
-        elif table.wait is not None:
-            table.wait[2 * msg + (kind & KIND_RECV)] = now
-        blocks = isnan(table.transfer[msg]) and can_suspend(kind, is_wait, self.buffered)
+        self._reach(proc, code, now)
+        blocks = not table.transfer[msg] <= now and can_suspend(kind, is_wait, self.buffered)
         anticipated = blocks and self._wants_anticipation(proc, now)
         if anticipated:
             proc.blocked_msg = msg
@@ -405,6 +478,18 @@ class _Engine:
         elif not anticipated:
             self._block_on(proc, msg, now)
 
+    def _reach(self, proc: _Proc, code: int, now: float) -> None:
+        """``proc`` reaches milestone ``code`` at ``now``, by its event or in
+        place: its position moves there, and it posts or, in the failure-free
+        pass, records when it reached the wait."""
+        index = code >> 1
+        proc.position = proc.offsets[code]
+        proc.resume_wall = proc.wait_begin = now
+        if not code & 1:
+            self._register_post(proc, index, proc.msgs[index], now)
+        elif self.messages.wait is not None:
+            self.messages.wait[2 * proc.msgs[index] + (proc.kinds[index] & KIND_RECV)] = now
+
     # -- waits and strategies --------------------------------------------------
 
     def _strategy_here(self, proc: _Proc) -> tuple[NodePlan, _DelayedWait] | None:
@@ -414,11 +499,15 @@ class _Engine:
         return entry if entry and entry[1].milestone == proc.order[proc.cursor] else None
 
     def _block_on(self, proc: _Proc, msg: int, now: float) -> None:
-        """Suspend ``proc`` on ``msg``, and start a planned wait's action."""
+        """Suspend ``proc`` on ``msg``, not transferred by ``now``, and start
+        a planned wait's action."""
         proc.blocked_msg = msg
         proc.mark(now, self.wait_label)
         if self.plans and self._strategy_here(proc) is not None:
             self._apply_wait_action(proc, now)
+        transfer = self.messages.transfer[msg]
+        if transfer > now:  # its peer posted in place, ahead of the clock: no post event wakes it
+            self.q.schedule(transfer, _COMM_COMPLETE, proc.node, payload=msg)
 
     def _failure_free_end(self, proc: _Proc) -> float:
         """When the failure-free pass let ``proc`` go on past the blocking
@@ -473,8 +562,9 @@ class _Engine:
     def _schedule_trigger(self, node: int, t: float) -> None:
         """Queue ``node``'s checkpoint trigger at ``t``, unless it is past the
         horizon; its seq puts the triggers at one instant first, by node."""
+        self.procs[node].trigger = t
         if t <= self.s.horizon:
-            self.q.schedule(t, _CKPT_BEGIN, node, seq=node - len(self.procs) - 1)
+            self.q.schedule(t, _CKPT_BEGIN, node, seq=node - len(self.procs) - 1, band=_FIRST)
 
     def _on_ckpt_begin(self, ev) -> None:
         now = ev.time
@@ -500,9 +590,8 @@ class _Engine:
             proc.mark(now, _M_COMPUTE)
             self._schedule_milestone(proc)
             return
-        # anticipated checkpoint taken at the head of a wait; a transfer
-        # happens at a post, which is never later than now
-        if not isnan(self.messages.transfer[proc.blocked_msg]):
+        # anticipated checkpoint taken at the head of a wait
+        if self.messages.transfer[proc.blocked_msg] <= now:
             self._resume_from_wait(proc, now)
             return
         self._block_on(proc, proc.blocked_msg, now)
@@ -512,6 +601,7 @@ class _Engine:
     def _on_failure(self, ev) -> None:
         proc = self.procs[ev.node]
         now = ev.time
+        self.failure_ahead = inf
         if proc.mark_labels[-1] == _M_CKPT and proc.ckpt_end == now:
             proc.checkpoint_taken()  # it ends at this very instant: nothing is lost
         self._sync_position(proc, now)
@@ -537,7 +627,8 @@ class _Engine:
             offset = offsets[2 * index]
             if offset > proc.position:
                 break  # the posts are in offset order
-            if offset > proc.pos_at_ckpt and isnan(transfer[msg]):
+            # not transferred by the restart, though perhaps by the replay
+            if offset > proc.pos_at_ckpt and not transfer[msg] <= now:
                 self.q.schedule(now + (offset - proc.pos_at_ckpt), _MILESTONE, proc.node, ~index)
         self.q.schedule(now + replay, _REEXEC_END, proc.node)
 
@@ -551,10 +642,11 @@ class _Engine:
             code = proc.order[proc.cursor]
             if proc.offsets[code] > proc.position:
                 break
-            msg = proc.msgs[code >> 1]
+            index = code >> 1
+            msg = proc.msgs[index]
             # the process was suspended at this op when it failed; the post
             # (if any) was already registered or replayed
-            if isnan(transfer[msg]) and can_suspend(proc.kinds[code >> 1], code & 1, self.buffered):
+            if not transfer[msg] <= now and can_suspend(proc.kinds[index], code & 1, self.buffered):
                 proc.wait_begin = now
                 self._block_on(proc, msg, now)
                 return
@@ -616,11 +708,10 @@ class _Engine:
         assert proc.mark_labels[-1] == _M_WAKEUP and proc.blocked_msg is not None
         transfer = self.messages.transfer[proc.blocked_msg]
         self.flags.append(FlagRecord(proc.node, now, "END", "SLEEP"))
-        if not isnan(transfer):
+        if transfer <= now:
             self._resume_from_wait(proc, now)
             return
-        # The completing post lands at this very instant; the pending
-        # completion event resumes the process right after it.
+        # a completion event resumes the process at the transfer
         proc.mark(now, self.wait_label)
 
     # -- results ----------------------------------------------------------------
@@ -792,6 +883,7 @@ def _failure_free_pass(s: Scenario, programs: _Programs) -> tuple[_Engine, _Engi
     base = _Engine(s, programs)
     base.run(until=base.failure_at)
     snapshot = base.fork()
+    base.failure_ahead = inf  # the failure-free pass goes on without it
     base.run()
     return base, snapshot
 

@@ -17,10 +17,12 @@ import pytest
 from ftsim.energy import WaitAction
 from ftsim.pattern import KIND_NONBLOCKING, OpColumns
 from ftsim.report import FlagRecord, StateRecord, render_report, write_trace
-from ftsim.simulate import _Engine, _programs, simulate_detailed
+from ftsim.scenario import load_scenario, loads_scenario
+from ftsim.simulate import _FIRST, _Engine, _programs, simulate_detailed
 
 from families import family_scenario
-from test_output_pins import output_digest
+from test_output_pins import FIXTURES, output_digest
+from test_simulate import SAME_INSTANT_POST
 
 SEEDS = range(400)
 
@@ -264,6 +266,32 @@ def test_every_failure_instant_of_the_failed_node():
     assert (runs, crashed) == (SWEEP_RUNS, [])
     assert extended == SWEEP_EXTENDED
     assert digest.hexdigest() == SWEEP_DIGEST
+
+
+def queue_every_milestone(engine, proc, code, t):
+    """``_Engine._run_ahead`` handling no milestone in place: each is an
+    event, in the band the engine gives a queued milestone."""
+    nonblocking_post = proc.kinds[code >> 1] & KIND_NONBLOCKING and not code & 1
+    return t, (_FIRST if nonblocking_post else 0)
+
+
+def test_handling_milestones_in_place_changes_no_output(tmp_path, monkeypatch):
+    """A node runs through the non-blocking milestones nothing can interrupt
+    with no event: the same bytes as with every milestone an event, on the
+    fixtures, the same-instant post at both its failure instants, every 8th
+    family and every failure instant of every 32nd."""
+    runs = [load_scenario(path) for path in sorted(FIXTURES.glob("*.scn"))]
+    runs += [
+        loads_scenario(SAME_INSTANT_POST.replace("time = 3.0 s", f"time = {failure} s"))
+        for failure in ("3.0", "1.8")
+    ]
+    runs += [family_scenario(seed) for seed in SWEEP_SEEDS]
+    for seed in SWEEP_SEEDS[::4]:
+        s = family_scenario(seed)
+        runs += [replace(s, failure=replace(s.failure, time=t)) for _, _, t in failure_instants(s)]
+    shipped = [output_digest(s, tmp_path) for s in runs]
+    monkeypatch.setattr(_Engine, "_run_ahead", queue_every_milestone)
+    assert [output_digest(s, tmp_path) for s in runs] == shipped
 
 
 @pytest.mark.parametrize("seed", range(0, 400, 8))

@@ -152,11 +152,31 @@ def test_advance_stops_before_a_key():
     second = q.schedule(5.0, EventKind.CKPT_BEGIN, 1)
     q.schedule(4.0, EventKind.CKPT_BEGIN, 2)
     q.cancel(q.schedule(4.5, EventKind.CKPT_BEGIN, 3))
-    assert q.advance((5.0, second)).node == 2
-    assert q.advance((5.0, second)).seq == first
-    assert q.advance((5.0, second)) is None  # an equal key is not before it
+    assert q.advance((5.0, 0, second)).node == 2
+    assert q.advance((5.0, 0, second)).seq == first
+    assert q.advance((5.0, 0, second)) is None  # an equal key is not before it
     assert (len(q), q.clock) == (1, 5.0)
-    assert q.advance((5.0, second + 0.5)).seq == second
+    assert q.advance((5.0, 0, second + 0.5)).seq == second
+
+
+def test_a_lower_band_goes_first_at_an_instant():
+    q = EventQueue()
+    q.schedule(5.0, EventKind.MILESTONE, 0)
+    q.schedule(5.0, EventKind.MILESTONE, 1, band=-1)
+    q.schedule(5.0, EventKind.FAILURE, 2, seq=-1, band=-1)
+    q.schedule(5.0, EventKind.CKPT_BEGIN, 3, seq=-2)
+    q.schedule(4.0, EventKind.MILESTONE, 4, band=1)
+    popped = [q.advance() for _ in range(5)]
+    assert [(ev.node, ev.band) for ev in popped] == [(4, 1), (2, -1), (1, -1), (3, 0), (0, 0)]
+
+
+def test_an_event_the_queue_numbered_is_cancellable_in_any_band():
+    q = EventQueue()
+    early = q.schedule(5.0, EventKind.MILESTONE, 0, band=-1)
+    q.schedule(5.0, EventKind.MILESTONE, 1)
+    assert q.cancel(early) is True
+    assert q.advance().node == 1
+    assert len(q) == 0
 
 
 def test_copy_runs_on_independently():

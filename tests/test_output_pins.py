@@ -6,6 +6,7 @@ results on purpose updates them here and says why.
 """
 
 import hashlib
+import importlib.util
 from dataclasses import replace
 from pathlib import Path
 
@@ -166,6 +167,50 @@ def test_shaped_output_bytes(name, tmp_path):
     assert output_digest(SHAPED[name](), tmp_path) == SHAPED_DIGESTS[name]
 
 
+# The benchmark's own scenarios (``perfbench/workloads.py``, read as it is):
+# report plus trace of the 64-node halo_chain and of each master_worker
+# scenario, at seeds 1 and 2.
+BENCHMARK_DIGESTS = {
+    "halo_chain-1": "d5e47d4b73f179f3e52359ec0612bda962f6dcbec52701264c1717212184e2b8",
+    "halo_chain-2": "61efc464b66a62cf3207f366c63950c9b8eb0cf2f9b7aca687da120ad9bac00e",
+    "master_worker-1-0": "f56129969f5c381f4bfc121934276cfc9c1d43fd9f57bf97e963b7f19d9fff47",
+    "master_worker-1-1": "5bccae179420736b479f99fe490ad377dbb0490390709cd346092d22de77c397",
+    "master_worker-1-2": "d1339d47b301c128d8d05fd5e4d121a44deb51fe9d33deff97043635d34120a0",
+    "master_worker-1-3": "93a7a48654c114d62e75761b1962ec340e464738c7ccafb464ceb1ec0ad4a50e",
+    "master_worker-2-0": "e6894a79cbdd3560b938ae234f0831c30f63ee464013799965661d0da3369be5",
+    "master_worker-2-1": "d3324e2f50913649aa3af59935d8f18d708c66a89f2644e781986a2110aab13f",
+    "master_worker-2-2": "a3c654954b2f7e162c743bb51c9c513b0b93cb8a462ba2c8c2cef4b087a2efee",
+    "master_worker-2-3": "02cace3e4b4e0db2d16e33b25705c1d2979e59e637e5287e716de8be5e07ac3a",
+}
+
+
+def benchmark_workloads():
+    """``perfbench/workloads.py`` as a module of its own, not on the path."""
+    path = FIXTURES.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_scenario_is_pinned():
+    batch = benchmark_workloads().MASTER_WORKER["batch"]
+    names = [f"halo_chain-{seed}" for seed in (1, 2)]
+    names += [f"master_worker-{seed}-{j}" for seed in (1, 2) for j in range(batch)]
+    assert sorted(BENCHMARK_DIGESTS) == sorted(names)
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_DIGESTS))
+def test_benchmark_output_bytes(name, tmp_path):
+    workloads = benchmark_workloads()
+    workload, seed, *j = name.split("-")
+    if workload == "halo_chain":
+        text = workloads.halo_chain(int(seed))
+    else:  # the benchmark numbers seed's scenarios seed·1000 + j
+        text = workloads.master_worker(int(seed) * 1000 + int(j[0]))
+    assert output_digest(loads_scenario(text, name), tmp_path) == BENCHMARK_DIGESTS[name]
+
+
 def test_halo_chain_covers_waits_and_replay(monkeypatch):
     replayed = []
     schedule = EventQueue.schedule
@@ -251,28 +296,28 @@ EVENT_COUNTS = {
     "scenario1_long": [(61, 60, 1), (73, 67, 6), (76, 70, 6)],
     "scenario1_short": [(57, 53, 4), (61, 56, 5), (64, 56, 8)],
     "scenario2_blocking": [(57, 56, 1), (61, 59, 2), (62, 60, 2)],
-    "scenario2_nonblocking": [(27, 26, 1), (32, 30, 2), (33, 30, 3)],
+    "scenario2_nonblocking": [(14, 13, 1), (17, 15, 2), (17, 14, 3)],
     "scenario3_active": [(267, 266, 1), (271, 269, 2), (274, 269, 5)],
     "scenario3_idle": [(267, 266, 1), (271, 269, 2), (274, 269, 5)],
-    "scenario4_buffered": [(78, 77, 1), (82, 80, 2)],
-    "scenario4_unbuffered": [(78, 77, 1), (87, 85, 2), (90, 88, 2)],
+    "scenario4_buffered": [(21, 20, 1), (26, 24, 2)],
+    "scenario4_unbuffered": [(21, 20, 1), (27, 25, 2), (30, 28, 2)],
     "scenario5": [(114, 113, 1), (118, 116, 2), (120, 118, 2)],
     "scenario6_anticipated": [(61, 60, 1), (76, 70, 6), (79, 73, 6)],
     "scenario6_plain": [(61, 60, 1), (73, 67, 6), (76, 70, 6)],
     "scenario7_long": [(78, 77, 1), (82, 80, 2), (85, 83, 2)],
     "scenario7_short_blocking": [(78, 77, 1), (82, 80, 2), (85, 80, 5)],
-    "scenario7_short_nonblocking": [(54, 53, 1), (63, 61, 2), (66, 61, 5)],
-    "seed0": [(51, 50, 1), (59, 57, 2), (62, 60, 2)],
-    "seed1": [(51, 50, 1), (60, 58, 2), (60, 58, 2)],
+    "scenario7_short_nonblocking": [(19, 18, 1), (25, 23, 2), (28, 23, 5)],
+    "seed0": [(16, 15, 1), (22, 20, 2), (25, 23, 2)],
+    "seed1": [(14, 13, 1), (23, 21, 2), (23, 21, 2)],
     "seed2": [(27, 26, 1), (31, 29, 2), (31, 29, 2)],
     "seed3": [(38, 37, 1), (41, 39, 2), (45, 41, 4)],
     "seed4": [(27, 26, 1), (31, 29, 2), (33, 31, 2)],
     "seed5": [(74, 73, 1), (74, 72, 2), (78, 72, 6)],
     "seed6": [(87, 86, 1), (91, 89, 2), (91, 89, 2)],
     "seed7": [(66, 65, 1), (70, 68, 2), (73, 68, 5)],
-    "halo_chain_8": [(731, 725, 6), (753, 748, 5), (753, 748, 5)],
+    "halo_chain_8": [(120, 114, 6), (149, 144, 5), (149, 144, 5)],
     "master_worker_6": [(194, 193, 1), (198, 197, 1), (204, 203, 1)],
-    "horizon_cut": [(51, 50, 1), (53, 47, 2), (56, 47, 5)],
+    "horizon_cut": [(16, 15, 1), (21, 15, 2), (24, 15, 5)],
 }
 
 
@@ -297,14 +342,14 @@ def test_event_counts_per_pass(name, monkeypatch):
 def test_forked_passes_hand_out_the_prefix_once(monkeypatch):
     """The kernel handles the events before the failure once, in pass 1: on
     halo_chain_8, passes 2 and 3 each hand out their logical count less that
-    prefix (249 scheduled, 233 processed, 2 cancelled). A node's next
+    prefix (48 scheduled, 32 processed, 2 cancelled). A node's next
     checkpoint trigger is queued when its last one fires, so a fork queues
-    the triggers after the failure itself: the prefix schedules 22 fewer."""
+    the triggers after the failure itself."""
     physical = pass_counts(halo_chain_scenario(), monkeypatch, physical=True)
-    assert physical == [(731, 725, 6), (504, 515, 3), (504, 515, 3)]
+    assert physical == [(120, 114, 6), (101, 112, 3), (101, 112, 3)]
     logical = EVENT_COUNTS["halo_chain_8"]
     for (s, p, c), (s1, p1, c1) in zip(logical[1:], physical[1:]):
-        assert (s - s1, p - p1, c - c1) == (249, 233, 2)
+        assert (s - s1, p - p1, c - c1) == (48, 32, 2)
 
 
 # -- the reference run's output: ``ftsim run --no-strategies`` --------------

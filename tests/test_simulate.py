@@ -1459,34 +1459,78 @@ depth = auto
 """
 
 
-def test_a_wait_runs_before_the_post_it_meets_at_the_same_instant(tmp_path):
-    """Node 1 reaches its wait at 5.0 s, the instant node 0 posts that
-    message. The wait was scheduled first, so it runs first: the message is
-    not yet transferred, and anticipation takes a checkpoint there."""
-    scn = tmp_path / "same_instant.scn"
-    scn.write_text(SAME_INSTANT_POST)
-    report, trace = tmp_path / "r.csv", tmp_path / "t.trace"
-    assert cli.main(["run", str(scn), "--report", str(report), "--trace", str(trace)]) == 0
-    assert report.read_bytes() == (
-        b"node,compute_action,t_comp_min,wait_action,t_wait_min,tt_min,save_j,save_rate_j_s,save_pct\n"
+# Node 1 reaches its wait at 5.0 s, the instant node 0 posts that message.
+# With the failure at 3.0 s, node 0's post is an event queued while the
+# failure is still ahead; with it at 1.8 s, node 0 handles the post in place,
+# ahead of the clock. Either way a non-blocking post goes before every other
+# event at its instant but the triggers and the failure, so the wait finds the
+# message transferred: node 1 finishes there, and takes no anticipated
+# checkpoint. Its records are the same in both runs but for the run's end.
+SAME_INSTANT_RUNS = {
+    "3.0": (
         b"0,No action,0.95,1.2 GHz,0.22,1.17,929.50,13.28,8.11\n"
-        b"TOTAL,,,,,,929.50,,\n"
-    )
-    assert trace.read_bytes() == (
-        b"TRACE v1\n"
+        b"TOTAL,,,,,,929.50,,\n",
         b"S 0 0.000 50.000 COMPUTE\n"
         b"S 1 0.000 5.000 COMPUTE\n"
         b"S 2 0.000 3.000 COMPUTE\n"
         b"C 0 1 0.500 0.500 NB\n"
         b"S 2 3.000 23.000 RESTART\n"
         b"C 0 1 5.000 5.000 NB\n"
-        b"S 1 5.000 15.000 CKPT\n"
-        b"S 1 15.000 73.000 WAIT_IDLE\n"
+        b"S 1 5.000 73.000 WAIT_IDLE\n"
         b"S 2 23.000 26.000 REEXEC\n"
         b"S 2 26.000 73.000 COMPUTE\n"
         b"C 0 2 50.000 73.000 NB\n"
         b"S 0 50.000 60.000 CKPT\n"
         b"F 0 60.000 BEGIN MIN_FREQ\n"
         b"S 0 60.000 73.000 WAIT_ACTIVE\n"
-        b"F 0 73.000 END MIN_FREQ\n"
+        b"F 0 73.000 END MIN_FREQ\n",
+    ),
+    "1.8": (
+        b"0,No action,0.97,1.2 GHz,0.20,1.17,843.70,12.05,7.36\n"
+        b"TOTAL,,,,,,843.70,,\n",
+        b"S 0 0.000 50.000 COMPUTE\n"
+        b"S 1 0.000 5.000 COMPUTE\n"
+        b"S 2 0.000 1.800 COMPUTE\n"
+        b"C 0 1 0.500 0.500 NB\n"
+        b"S 2 1.800 21.800 RESTART\n"
+        b"C 0 1 5.000 5.000 NB\n"
+        b"S 1 5.000 71.800 WAIT_IDLE\n"
+        b"S 2 21.800 23.600 REEXEC\n"
+        b"S 2 23.600 71.800 COMPUTE\n"
+        b"C 0 2 50.000 71.800 NB\n"
+        b"S 0 50.000 60.000 CKPT\n"
+        b"F 0 60.000 BEGIN MIN_FREQ\n"
+        b"S 0 60.000 71.800 WAIT_ACTIVE\n"
+        b"F 0 71.800 END MIN_FREQ\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("failure, queued", [
+    pytest.param("3.0", True, id="queued-post"),
+    pytest.param("1.8", False, id="post-in-place"),
+])
+def test_a_wait_sees_a_post_made_at_its_instant(failure, queued, tmp_path, monkeypatch):
+    handled = []
+    on_milestone = _Engine._on_milestone
+
+    def spied(engine, ev):
+        handled.append((ev.node, ev.time))
+        on_milestone(engine, ev)
+
+    monkeypatch.setattr(_Engine, "_on_milestone", spied)
+    scn = tmp_path / "same_instant.scn"
+    scn.write_text(SAME_INSTANT_POST.replace("time = 3.0 s", f"time = {failure} s"))
+    report, trace = tmp_path / "r.csv", tmp_path / "t.trace"
+    assert cli.main(["run", str(scn), "--report", str(report), "--trace", str(trace)]) == 0
+    assert ((0, 5.0) in handled) is queued  # node 0's post: an event, or handled in place
+    rows, records = SAME_INSTANT_RUNS[failure]
+    assert report.read_bytes() == (
+        b"node,compute_action,t_comp_min,wait_action,t_wait_min,tt_min,save_j,save_rate_j_s,save_pct\n"
+        + rows
     )
+    assert trace.read_bytes() == b"TRACE v1\n" + records
+    node_1 = [line.rsplit(b" ", 2) for line in records.splitlines() if line.startswith(b"S 1 ")]
+    assert [(begin, label) for begin, _, label in node_1] == [
+        (b"S 1 0.000", b"COMPUTE"), (b"S 1 5.000", b"WAIT_IDLE"),
+    ]
