@@ -4,16 +4,10 @@ for the surviving nodes."""
 
 __version__ = "0.1.0"
 
-from .kernel import EventQueue, SimEvent, EventKind, PastTime, EmptyQueue
 from .energy import FrequencyLevel, SystemProfile, PhaseEstimate, NodePlan, WaitAction
 from .scenario import Scenario, load_scenario, ParseError, ValidationError
 
 __all__ = [
-    "EventQueue",
-    "SimEvent",
-    "EventKind",
-    "PastTime",
-    "EmptyQueue",
     "FrequencyLevel",
     "SystemProfile",
     "PhaseEstimate",

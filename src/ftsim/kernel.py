@@ -5,42 +5,21 @@ A virtual clock plus a priority queue of timestamped events, ordered by
 lower band goes first, and an event scheduled without one is in band 0. The
 queue numbers events 0, 1, 2, … as they are scheduled, so ties within a
 band are broken by insertion order, which makes every run of the same
-schedule reproducible. A caller may instead give an event a negative
-``seq`` of its own: it goes before every same-time event of its band that
-the queue numbered, and negative numbers order by value. Such a number
-names one pending event at a time, and its event cannot be cancelled. A
-queue can be copied, and a copy run on from where the original stands.
+schedule reproducible. An event's kind is whatever the caller passes; the
+kernel never reads it. A queue can be copied, and a copy run on from where
+the original stands.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from math import inf
 from typing import Any, NamedTuple
 
 
-class EventKind(enum.Enum):
-    MILESTONE = "MILESTONE"
-    COMM_COMPLETE = "COMM_COMPLETE"
-    CKPT_BEGIN = "CKPT_BEGIN"
-    CKPT_END = "CKPT_END"
-    FAILURE = "FAILURE"
-    RESTART_END = "RESTART_END"
-    REEXEC_END = "REEXEC_END"
-    WAKEUP_END = "WAKEUP_END"
-
-    # members are singletons: hash them in C, not through Enum's Python __hash__
-    __hash__ = object.__hash__
-
-
 class PastTime(ValueError):
     """Raised when an event is scheduled before the current clock."""
-
-
-class EmptyQueue(LookupError):
-    """Raised when advancing an empty queue."""
 
 
 class SimEvent(NamedTuple):
@@ -50,7 +29,7 @@ class SimEvent(NamedTuple):
     time: float
     band: int
     seq: int
-    kind: EventKind
+    kind: Any
     node: int
     payload: Any = None
 
@@ -71,32 +50,21 @@ class EventQueue:
     _pending: set[int] = field(default_factory=set)
 
     def schedule(
-        self,
-        time: float,
-        kind: EventKind,
-        node: int,
-        payload: Any = None,
-        seq: int | None = None,
-        band: int = 0,
+        self, time: float, kind: Any, node: int, payload: Any = None, band: int = 0
     ) -> int:
-        """Queue an event in ``band`` and return its sequence number: the
-        next one the queue hands out, or the caller's ``seq``, which must be
-        negative and not name a pending event."""
+        """Queue an event in ``band`` and return its sequence number."""
         if time < self.clock:
             raise PastTime(f"cannot schedule at t={time} before clock {self.clock}")
-        if seq is None:
-            seq = self._counter
-            self._counter = seq + 1
-        elif seq >= 0 or seq in self._pending:
-            raise ValueError(f"sequence number {seq} is not a free negative number")
+        seq = self._counter
+        self._counter = seq + 1
         heappush(self._heap, _new_event(SimEvent, (time, band, seq, kind, node, payload)))
         self._pending.add(seq)
         return seq
 
     def advance(self, before: tuple[float, ...] = _ALWAYS) -> SimEvent | None:
         """Pop the first pending event and move the clock to it. Return None
-        instead, and leave the queue as it is, when that event's (time, band,
-        seq) is not before ``before``."""
+        instead, and leave the queue as it is, when no event is pending or
+        the first one's (time, band, seq) is not before ``before``."""
         heap, pending = self._heap, self._pending
         while heap:
             event = heap[0]
@@ -110,13 +78,9 @@ class EventQueue:
             pending.discard(seq)
             self.clock = event[0]
             return event
-        raise EmptyQueue("no pending events")
+        return None
 
     def cancel(self, event_id: int) -> bool:
-        if event_id < 0:
-            # its number may be given again while the cancelled entry is
-            # still in the heap, which would bring that entry back
-            raise ValueError(f"event {event_id} was numbered by its caller")
         if event_id in self._pending:
             self._pending.discard(event_id)
             return True

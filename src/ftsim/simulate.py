@@ -10,15 +10,16 @@ Three deterministic passes:
    (the deadline, the phase durations and the energy baseline);
 3. the final run with the selected strategies applied, when enabled.
 
-Events at one instant are handled in a fixed order. The kernel band
-``_FIRST`` holds, in this order, the checkpoint triggers, by node; the
-failure; and the posts of non-blocking ops, in the order they were queued
-(a replayed post is not among them). Every other event follows in band 0,
-in the order it was scheduled. So a wait at the instant of its peer's
-non-blocking post finds the message transferred, whichever way the post was
-made (below). Each node has one pending trigger at a time: firing, it
-queues the node's next one unless the node has finished, and it starts a
-checkpoint only while the node computes.
+Events at one instant are handled in a fixed order, written once as the
+kernel bands of ``_schedule_trigger``, ``_FAILURE`` and ``_FIRST``: node n's
+checkpoint trigger in band ``n - nodes + _FAILURE``, so the triggers go by
+node; the failure in ``_FAILURE``; the posts of non-blocking ops in
+``_FIRST`` (a replayed post is not among them); and every other event in
+band 0. Within a band, events go in the order they were queued. So a wait
+at the instant of its peer's non-blocking post finds the message
+transferred, whichever way the post was made (below). Each node has one
+pending trigger at a time: firing, it queues the node's next one unless the
+node has finished, and it starts a checkpoint only while the node computes.
 
 A milestone costs no event when nothing can interrupt its node before it,
 a conservative lookahead (Chandy & Misra, IEEE TSE 1979). Once a node's
@@ -29,7 +30,8 @@ event finishes the node) nor its planned one (its compute level ends
 there), lies at or before the horizon, and lies strictly before the node's
 pending trigger and, while the pass still has the failure ahead, the
 failure: the prefix that passes 2 and 3 share stops short of it. A wait is
-passed so only once its message is transferred by ``t``. A post is thus
+passed so only once its message is transferred by ``t`` or when it cannot
+suspend, as a buffered send's cannot. A post is thus
 registered at ``t``, ahead of the clock, and the first milestone it cannot
 handle gets its event. The output equals that of an event per milestone.
 Only a trigger, the failure and a plan move a computing node, and those
@@ -59,11 +61,12 @@ table, the baseline, and a fork copies only the posts and the transfers.
 Each process's program is a column of milestones in execution order, one
 integer each: ``2·op index + is_wait`` for an op's post (is_wait 0) or a
 non-blocking op's wait (1). A milestone is named by its node and its
-position in that column, and its MILESTONE event carries the position (a
-replayed post carries its op's index, complemented). Its offset is entry
-``code`` of the pattern's offset column, and its direction and whether it
-blocks are read from the op's kind byte; all passes read the pattern's own
-columns, and each op's message id is stored once, in a per-process column.
+position in that column, and its ``_on_milestone`` event carries the
+position (a replayed post carries its op's index, complemented). Its offset
+is entry ``code`` of the pattern's offset column, and its direction and
+whether it blocks are read from the op's kind byte; all passes read the
+pattern's own columns, and each op's message id is stored once, in a
+per-process column.
 
 A node's state marks are two columns, times in an ``array('d')`` and labels
 (indices into ``_LABELS``) in a ``bytearray``, one mark per state run: a mark
@@ -116,7 +119,7 @@ from .energy import (
     node_best_plan,
 )
 from .fault import should_anticipate
-from .kernel import EmptyQueue, EventKind, EventQueue
+from .kernel import EventQueue
 from .pattern import KIND_NONBLOCKING, KIND_RECV, CommPattern, can_suspend
 from .report import (
     CommRecord,
@@ -128,14 +131,6 @@ from .report import (
 )
 from .scenario import Scenario
 
-
-# CPython 3.11's EnumType defines __getattr__, which sends every member read
-# through the class (``EventKind.MILESTONE``) into a Python-level hook, about
-# ten times the cost of a global read: per-op and per-event code reads these
-_MILESTONE, _COMM_COMPLETE, _CKPT_BEGIN, _CKPT_END, _RESTART_END, _REEXEC_END, _WAKEUP_END = (
-    EventKind.MILESTONE, EventKind.COMM_COMPLETE, EventKind.CKPT_BEGIN, EventKind.CKPT_END,
-    EventKind.RESTART_END, EventKind.REEXEC_END, EventKind.WAKEUP_END,
-)
 
 # the states a node's marks name, each stored as its index in this tuple
 _LABELS = (
@@ -149,9 +144,10 @@ _LABELS = (
 
 _new_record = tuple.__new__  # skips the NamedTuples' generated Python __new__
 
-# the kernel band of the events that go first at their instant: the checkpoint
-# triggers by node, then the failure (both by their own negative seqs), then
-# the non-blocking posts in the order queued; every other event is in band 0
+# the kernel bands at one instant: the checkpoint triggers, by node, below
+# the failure's, then the failure, then the non-blocking posts in the order
+# queued; every other event is in band 0
+_FAILURE = -2
 _FIRST = -1
 
 
@@ -175,8 +171,8 @@ def _programs(pattern: CommPattern) -> _Programs:
     its id. Built once per scenario and shared by all passes.
 
     An op's milestones are its post and, for a non-blocking op, its wait,
-    each reached by a MILESTONE event. They sort by offset, then by code, so
-    by (op index, is_wait)."""
+    each reached by an ``_on_milestone`` event. They sort by offset, then by
+    code, so by (op index, is_wait)."""
     processes = pattern.processes
     msgs = [array("i", [0]) * len(ops) for ops in processes]
     modes = bytearray()
@@ -307,9 +303,8 @@ class _Engine:
         self.wait_label = _M_WAIT_ACTIVE if s.pattern.wait_mode is WaitMode.ACTIVE else _M_WAIT_IDLE
         for node in range(s.nodes):
             self._schedule_trigger(node, s.ckpt.first_trigger(node))
-        # the failure's (time, band, seq): after the triggers, before every
-        # event the queue numbers itself, where :meth:`inject` schedules it
-        self.failure_at = (s.failure.time, _FIRST, -1)
+        # the failure's instant and band, where :meth:`inject` schedules it
+        self.failure_at = (s.failure.time, _FAILURE)
         # the failure's instant while this pass has it ahead, else inf: no
         # milestone at or after it is handled in place before it
         self.failure_ahead = s.failure.time
@@ -328,8 +323,8 @@ class _Engine:
         self.baseline = baseline
         self.delayed = {}
         self.plans = plans or {}
-        time, band, seq = self.failure_at
-        self.q.schedule(time, EventKind.FAILURE, self.s.failure.node, seq=seq, band=band)
+        time, band = self.failure_at
+        self.q.schedule(time, _Engine._on_failure, self.s.failure.node, band=band)
 
     def fork(self) -> _Engine:
         """A copy of this pass's state that runs on independently. The
@@ -360,9 +355,11 @@ class _Engine:
             t = clock
         if proc.kinds[code >> 1] & KIND_NONBLOCKING:
             t, band = self._run_ahead(proc, code, t)
-            proc.milestone_id = self.q.schedule(t, _MILESTONE, proc.node, proc.cursor, band=band)
         else:  # a blocking milestone pays only the kind test
-            proc.milestone_id = self.q.schedule(t, _MILESTONE, proc.node, proc.cursor)
+            band = 0
+        proc.milestone_id = self.q.schedule(
+            t, _Engine._on_milestone, proc.node, proc.cursor, band=band
+        )
 
     def _run_ahead(self, proc: _Proc, code: int, t: float) -> tuple[float, int]:
         """Reach in place (:meth:`_reach`, as the milestone's event would)
@@ -370,10 +367,10 @@ class _Engine:
         nothing can interrupt: a non-blocking one, not the node's last nor
         its planned one, at or before the horizon, strictly before its
         pending trigger and, while the pass has it ahead, the failure; a
-        wait only once its message is transferred by then. Return the
-        instant and kernel band of the milestone it stops at."""
+        wait that can suspend only once its message is transferred by then.
+        Return the instant and kernel band of the milestone it stops at."""
         order, offsets, kinds, msgs = proc.order, proc.offsets, proc.kinds, proc.msgs
-        transfer = self.messages.transfer
+        transfer, buffered = self.messages.transfer, self.buffered
         last, beta, horizon = len(order) - 1, proc.freq.beta, self.s.horizon
         limit = min(proc.trigger, self.failure_ahead)
         entry = self.plans.get(proc.node)
@@ -384,7 +381,7 @@ class _Engine:
             kind & KIND_NONBLOCKING and position < last and code != planned
             and t < limit and t <= horizon
         ):
-            if code & 1 and not transfer[msgs[code >> 1]] <= t:
+            if code & 1 and not transfer[msgs[code >> 1]] <= t and can_suspend(kind, 1, buffered):
                 break  # the wait may block: its event decides
             self._reach(proc, code, t)
             position += 1
@@ -409,25 +406,13 @@ class _Engine:
 
     def run(self, until: tuple[float, ...] = (inf, inf)) -> None:
         """Handle events in (time, band, seq) order up to the horizon; stop
-        early, before the first event whose key is not before ``until``."""
-        # bound methods: a table kept on the engine would be a reference cycle
-        handlers = {
-            EventKind.MILESTONE: self._on_milestone,
-            EventKind.COMM_COMPLETE: self._on_complete,
-            EventKind.CKPT_BEGIN: self._on_ckpt_begin,
-            EventKind.CKPT_END: self._on_ckpt_end,
-            EventKind.FAILURE: self._on_failure,
-            EventKind.RESTART_END: self._on_restart_end,
-            EventKind.REEXEC_END: self._on_reexec_end,
-            EventKind.WAKEUP_END: self._on_wakeup_end,
-        }
+        early, before the first event whose key is not before ``until``. An
+        event's kind is its handler, a plain function of the class: a queued
+        event holds no engine, so a fork's copied queue stays valid."""
         q = self.q
         before = min(until, (self.s.horizon, inf))
-        try:
-            while (ev := q.advance(before)) is not None:
-                handlers[ev.kind](ev)
-        except EmptyQueue:
-            pass
+        while (ev := q.advance(before)) is not None:
+            ev.kind(self, ev)
 
     # -- op handling -----------------------------------------------------------
 
@@ -446,7 +431,7 @@ class _Engine:
             # wait anticipated with a checkpoint resumes at the checkpoint's end.
             other = self.procs[proc.peers[index]]
             if other.blocked_msg == msg and other.mark_labels[-1] != _M_CKPT:
-                self.q.schedule(at, _COMM_COMPLETE, other.node, payload=msg)
+                self.q.schedule(at, _Engine._on_complete, other.node, payload=msg)
 
     def _on_milestone(self, ev) -> None:
         position: int = ev.payload
@@ -507,7 +492,7 @@ class _Engine:
             self._apply_wait_action(proc, now)
         transfer = self.messages.transfer[msg]
         if transfer > now:  # its peer posted in place, ahead of the clock: no post event wakes it
-            self.q.schedule(transfer, _COMM_COMPLETE, proc.node, payload=msg)
+            self.q.schedule(transfer, _Engine._on_complete, proc.node, payload=msg)
 
     def _failure_free_end(self, proc: _Proc) -> float:
         """When the failure-free pass let ``proc`` go on past the blocking
@@ -557,20 +542,21 @@ class _Engine:
         at the wait at the node's cursor."""
         proc.ckpt_end = now + self.s.ckpt.duration * proc.freq.gamma
         proc.mark(now, _M_CKPT)
-        self.q.schedule(proc.ckpt_end, _CKPT_END, proc.node)
+        self.q.schedule(proc.ckpt_end, _Engine._on_ckpt_end, proc.node)
 
     def _schedule_trigger(self, node: int, t: float) -> None:
         """Queue ``node``'s checkpoint trigger at ``t``, unless it is past the
-        horizon; its seq puts the triggers at one instant first, by node."""
+        horizon, in a band of its own below the failure's: the triggers at
+        one instant go first, by node."""
         self.procs[node].trigger = t
         if t <= self.s.horizon:
-            self.q.schedule(t, _CKPT_BEGIN, node, seq=node - len(self.procs) - 1, band=_FIRST)
+            self.q.schedule(t, _Engine._on_ckpt_begin, node, band=node - len(self.procs) + _FAILURE)
 
     def _on_ckpt_begin(self, ev) -> None:
         now = ev.time
         proc = self.procs[ev.node]
         # a finished node never computes again, even if it fails: its
-        # recovery ends finished, at REEXEC_END
+        # recovery ends finished, at ``_on_reexec_end``
         if proc.done_at is None:
             self._schedule_trigger(ev.node, self.s.ckpt.next_trigger(now))
         if proc.mark_labels[-1] != _M_COMPUTE:
@@ -609,16 +595,17 @@ class _Engine:
         proc.done_at = None  # a finished program must re-execute too
         proc.blocked_msg = None
         proc.mark(now, _M_RESTART)
-        self.q.schedule(now + self.s.failure.restart_duration, _RESTART_END, proc.node)
+        self.q.schedule(now + self.s.failure.restart_duration, _Engine._on_restart_end, proc.node)
         self._start_strategies(now)
 
     def _on_restart_end(self, ev) -> None:
         proc = self.procs[ev.node]
         now = ev.time
         # the position and cursor the failure left: nothing moves them before
-        # REEXEC_END, as ``_sync_position`` acts only on COMPUTE, the milestone
-        # was cancelled at the failure, a replayed post returns before touching
-        # either, triggers skip a node not computing, and it has no plan
+        # ``_on_reexec_end``, as ``_sync_position`` acts only on COMPUTE, the
+        # milestone was cancelled at the failure, a replayed post returns
+        # before touching either, triggers skip a node not computing, and it
+        # has no plan
         replay = proc.position - proc.pos_at_ckpt
         if replay > 0:
             proc.mark(now, _M_REEXEC)
@@ -629,8 +616,9 @@ class _Engine:
                 break  # the posts are in offset order
             # not transferred by the restart, though perhaps by the replay
             if offset > proc.pos_at_ckpt and not transfer[msg] <= now:
-                self.q.schedule(now + (offset - proc.pos_at_ckpt), _MILESTONE, proc.node, ~index)
-        self.q.schedule(now + replay, _REEXEC_END, proc.node)
+                t = now + (offset - proc.pos_at_ckpt)
+                self.q.schedule(t, _Engine._on_milestone, proc.node, ~index)
+        self.q.schedule(now + replay, _Engine._on_reexec_end, proc.node)
 
     def _on_reexec_end(self, ev) -> None:
         proc = self.procs[ev.node]
@@ -700,7 +688,7 @@ class _Engine:
         proc.mark(go_end, _M_SLEEP)
         proc.mark(wake_start, _M_WAKEUP)  # the node's state while it sleeps
         self.flags.append(FlagRecord(proc.node, now, "BEGIN", "SLEEP"))
-        self.q.schedule(release, _WAKEUP_END, proc.node)
+        self.q.schedule(release, _Engine._on_wakeup_end, proc.node)
 
     def _on_wakeup_end(self, ev) -> None:
         proc = self.procs[ev.node]

@@ -88,3 +88,25 @@ def test_benchmark_calls_the_analysis_with_its_positional_parameters():
 
     params = list(inspect.signature(estimate_block_times).parameters)
     assert params[:4] == ["pattern", "failed", "fail_time", "depth"]
+
+
+def test_a_run_calls_the_kernel_methods_the_benchmark_counts(monkeypatch, tmp_path):
+    """The benchmark reads ``kernel.events``, ``kernel.scheduled`` and
+    ``kernel.cancelled`` off wrappers on these three methods: a run that
+    stopped calling one would read 0 there and still pass its gates."""
+    from ftsim import cli
+    from ftsim.kernel import EventQueue
+
+    calls = dict.fromkeys(["schedule", "advance", "cancel"], 0)
+    for name in calls:
+        method = getattr(EventQueue, name)
+
+        def counted(queue, *args, name=name, method=method, **kwargs):
+            calls[name] += 1
+            return method(queue, *args, **kwargs)
+
+        monkeypatch.setattr(EventQueue, name, counted)
+    scenario = BENCHMARK.parent.parent / "scenarios" / "scenario1_long.scn"
+    out = ["--report", str(tmp_path / "r.csv"), "--trace", str(tmp_path / "t")]
+    assert cli.main(["run", str(scenario), *out]) == 0
+    assert all(calls.values()), calls

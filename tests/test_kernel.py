@@ -2,21 +2,24 @@ import random
 
 import pytest
 
-from ftsim.kernel import EmptyQueue, EventKind, EventQueue, PastTime
+from ftsim.kernel import EventQueue, PastTime
 from ftsim.simulate import _Messages
+
+# an event's kind is whatever its caller passes: the queue never reads it
+MILESTONE, COMM_COMPLETE, CKPT_BEGIN = object(), object(), object()
 
 
 def test_schedule_keeps_clock():
     q = EventQueue()
-    q.schedule(5.0, EventKind.CKPT_BEGIN, 0)
+    q.schedule(5.0, CKPT_BEGIN, 0)
     assert len(q) == 1
     assert q.clock == 0.0
 
 
 def test_tie_break_by_insertion_order():
     q = EventQueue()
-    first = q.schedule(5.0, EventKind.MILESTONE, 1)
-    second = q.schedule(5.0, EventKind.MILESTONE, 2)
+    first = q.schedule(5.0, MILESTONE, 1)
+    second = q.schedule(5.0, MILESTONE, 2)
     assert first != second
     assert q.advance().node == 1
     assert q.advance().node == 2
@@ -33,7 +36,7 @@ class Incomparable:
 def test_tie_break_never_compares_payloads():
     q = EventQueue()
     payloads = [{"a": 1}, _Messages.unsent(1), Incomparable()] * 2
-    ids = [q.schedule(5.0, EventKind.COMM_COMPLETE, 0, payload=p) for p in payloads]
+    ids = [q.schedule(5.0, COMM_COMPLETE, 0, payload=p) for p in payloads]
     popped = [q.advance() for _ in payloads]
     assert [ev.seq for ev in popped] == ids
     assert all(ev.payload is p for ev, p in zip(popped, payloads))
@@ -42,47 +45,50 @@ def test_tie_break_never_compares_payloads():
 def test_event_fields():
     q = EventQueue()
     payload = {"op": 3}
-    eid = q.schedule(2.5, EventKind.MILESTONE, 7, payload=payload)
+    eid = q.schedule(2.5, MILESTONE, 7, payload=payload)
     ev = q.advance()
     assert ev.time == 2.5
     assert ev.seq == eid
-    assert ev.kind is EventKind.MILESTONE
+    assert ev.kind is MILESTONE
     assert ev.node == 7
     assert ev.payload is payload
-    assert q.schedule(3.0, EventKind.CKPT_BEGIN, 1) != eid
+    assert q.schedule(3.0, CKPT_BEGIN, 1) != eid
     assert q.advance().payload is None
 
 
 def test_past_time_rejected():
     q = EventQueue()
-    q.schedule(10.0, EventKind.CKPT_BEGIN, 0)
+    q.schedule(10.0, CKPT_BEGIN, 0)
     q.advance()
     assert q.clock == 10.0
     with pytest.raises(PastTime):
-        q.schedule(3.0, EventKind.CKPT_BEGIN, 0)
+        q.schedule(3.0, CKPT_BEGIN, 0)
 
 
 def test_min_extraction_sets_clock():
     q = EventQueue()
-    q.schedule(2.0, EventKind.CKPT_BEGIN, 0)
-    q.schedule(1.0, EventKind.CKPT_BEGIN, 1)
+    q.schedule(2.0, CKPT_BEGIN, 0)
+    q.schedule(1.0, CKPT_BEGIN, 1)
     ev = q.advance()
     assert ev.time == 1.0 and ev.node == 1
     assert q.clock == 1.0
 
 
-def test_advance_empty_raises():
-    with pytest.raises(EmptyQueue):
-        EventQueue().advance()
+def test_advance_empty_returns_none():
+    q = EventQueue()
+    assert q.advance() is None
+    q.schedule(1.0, CKPT_BEGIN, 0)
+    q.advance()
+    assert q.advance() is None and q.clock == 1.0
 
 
 def test_cancel_semantics():
     q = EventQueue()
-    eid = q.schedule(4.0, EventKind.CKPT_BEGIN, 0)
+    eid = q.schedule(4.0, CKPT_BEGIN, 0)
     assert q.cancel(eid) is True
     assert len(q) == 0
     assert q.cancel(eid) is False
-    fired = q.schedule(1.0, EventKind.CKPT_BEGIN, 0)
+    fired = q.schedule(1.0, CKPT_BEGIN, 0)
     q.advance()
     assert q.cancel(fired) is False
 
@@ -93,7 +99,7 @@ def test_deterministic_pop_sequence_and_conservation():
 
     def run():
         q = EventQueue()
-        ids = [q.schedule(t, EventKind.CKPT_BEGIN, i) for i, t in enumerate(times)]
+        ids = [q.schedule(t, CKPT_BEGIN, i) for i, t in enumerate(times)]
         cancelled = set()
         for i in ids[::7]:
             if q.cancel(i):
@@ -114,44 +120,12 @@ def test_deterministic_pop_sequence_and_conservation():
     assert run() == run()
 
 
-def test_a_negative_seq_goes_before_the_queues_own_numbers():
-    q = EventQueue()
-    q.schedule(5.0, EventKind.MILESTONE, 0)
-    assert q.schedule(5.0, EventKind.FAILURE, 1, seq=-1) == -1
-    q.schedule(4.0, EventKind.MILESTONE, 2)
-    assert [q.advance().node for _ in range(3)] == [2, 1, 0]
-
-
-def test_negative_seqs_order_by_value():
-    q = EventQueue()
-    q.schedule(5.0, EventKind.FAILURE, 0, seq=-1)
-    q.schedule(5.0, EventKind.CKPT_BEGIN, 1, seq=-3)
-    q.schedule(5.0, EventKind.CKPT_BEGIN, 2, seq=-2)
-    popped = [q.advance() for _ in range(3)]
-    assert [(ev.node, ev.seq) for ev in popped] == [(1, -3), (2, -2), (0, -1)]
-
-
-def test_a_pending_negative_seq_is_refused():
-    q = EventQueue()
-    q.schedule(5.0, EventKind.CKPT_BEGIN, 0, seq=-2)
-    with pytest.raises(ValueError):
-        q.schedule(6.0, EventKind.CKPT_BEGIN, 0, seq=-2)
-    with pytest.raises(ValueError):
-        q.schedule(6.0, EventKind.CKPT_BEGIN, 0, seq=0)  # the queue's own numbers
-    with pytest.raises(ValueError):
-        q.cancel(-2)  # a number given again would revive the cancelled entry
-    assert len(q) == 1
-    q.advance()
-    assert q.schedule(6.0, EventKind.CKPT_BEGIN, 0, seq=-2) == -2  # free once handled
-    assert q.advance().time == 6.0
-
-
 def test_advance_stops_before_a_key():
     q = EventQueue()
-    first = q.schedule(5.0, EventKind.CKPT_BEGIN, 0)
-    second = q.schedule(5.0, EventKind.CKPT_BEGIN, 1)
-    q.schedule(4.0, EventKind.CKPT_BEGIN, 2)
-    q.cancel(q.schedule(4.5, EventKind.CKPT_BEGIN, 3))
+    first = q.schedule(5.0, CKPT_BEGIN, 0)
+    second = q.schedule(5.0, CKPT_BEGIN, 1)
+    q.schedule(4.0, CKPT_BEGIN, 2)
+    q.cancel(q.schedule(4.5, CKPT_BEGIN, 3))
     assert q.advance((5.0, 0, second)).node == 2
     assert q.advance((5.0, 0, second)).seq == first
     assert q.advance((5.0, 0, second)) is None  # an equal key is not before it
@@ -161,19 +135,22 @@ def test_advance_stops_before_a_key():
 
 def test_a_lower_band_goes_first_at_an_instant():
     q = EventQueue()
-    q.schedule(5.0, EventKind.MILESTONE, 0)
-    q.schedule(5.0, EventKind.MILESTONE, 1, band=-1)
-    q.schedule(5.0, EventKind.FAILURE, 2, seq=-1, band=-1)
-    q.schedule(5.0, EventKind.CKPT_BEGIN, 3, seq=-2)
-    q.schedule(4.0, EventKind.MILESTONE, 4, band=1)
-    popped = [q.advance() for _ in range(5)]
-    assert [(ev.node, ev.band) for ev in popped] == [(4, 1), (2, -1), (1, -1), (3, 0), (0, 0)]
+    q.schedule(5.0, MILESTONE, 0)
+    q.schedule(5.0, MILESTONE, 1, band=-1)
+    q.schedule(5.0, CKPT_BEGIN, 2, band=-3)
+    q.schedule(5.0, MILESTONE, 3, band=-1)
+    q.schedule(5.0, CKPT_BEGIN, 4, band=-4)
+    q.schedule(4.0, MILESTONE, 5, band=1)
+    popped = [q.advance() for _ in range(6)]
+    assert [(ev.node, ev.band) for ev in popped] == [
+        (5, 1), (4, -4), (2, -3), (1, -1), (3, -1), (0, 0),
+    ]
 
 
 def test_an_event_the_queue_numbered_is_cancellable_in_any_band():
     q = EventQueue()
-    early = q.schedule(5.0, EventKind.MILESTONE, 0, band=-1)
-    q.schedule(5.0, EventKind.MILESTONE, 1)
+    early = q.schedule(5.0, MILESTONE, 0, band=-1)
+    q.schedule(5.0, MILESTONE, 1)
     assert q.cancel(early) is True
     assert q.advance().node == 1
     assert len(q) == 0
@@ -181,15 +158,15 @@ def test_an_event_the_queue_numbered_is_cancellable_in_any_band():
 
 def test_copy_runs_on_independently():
     q = EventQueue()
-    q.schedule(1.0, EventKind.CKPT_BEGIN, 0)
-    q.schedule(2.0, EventKind.CKPT_BEGIN, 1)
-    q.schedule(2.0, EventKind.CKPT_BEGIN, 2, seq=-2)
+    q.schedule(1.0, CKPT_BEGIN, 0)
+    q.schedule(2.0, CKPT_BEGIN, 1)
+    q.schedule(2.0, CKPT_BEGIN, 2, band=-1)
     q.advance()
     twin = q.copy()
     assert twin == q and twin._heap is not q._heap
     assert [q.advance().node for _ in range(2)] == [2, 1]
-    twin.schedule(1.5, EventKind.FAILURE, 0, seq=-1)
-    q.schedule(3.0, EventKind.FAILURE, 0, seq=-1)  # pending in the copy, free here
+    twin.schedule(1.5, MILESTONE, 0, band=-2)
+    q.schedule(3.0, MILESTONE, 3, band=-2)  # numbered alike in each queue
     assert twin.clock == 1.0 and len(twin) == 3
     assert [twin.advance().node for _ in range(3)] == [0, 2, 1]  # the copy keeps node 2's event
     assert len(q) == 1 and q.clock == 2.0

@@ -12,7 +12,7 @@ import pytest
 from ftsim import cascade, cli, simulate
 from ftsim.cascade import DepthConfig
 from ftsim.energy import WaitMode
-from ftsim.kernel import EventKind, EventQueue
+from ftsim.kernel import EventQueue
 from ftsim.pattern import KIND_NONBLOCKING, KIND_RECV, CommPattern, can_suspend
 from ftsim.report import (
     CommRecord,
@@ -673,7 +673,9 @@ depth = 1
 def test_events_at_the_failure_instant_keep_their_order(monkeypatch):
     # at 100 s: node 1's checkpoint trigger, as triggers go first, then the
     # failure, then in the order they were scheduled node 2's send post, at
-    # t = 0, and node 0's checkpoint end, at 80 s
+    # t = 0, and node 0's checkpoint end, at 80 s. The failure takes a queue
+    # number, so the forked pass numbers later events one apart from the run
+    # from t = 0: their order is compared, not their numbers
     s = loads_scenario(TIES_AT_FAILURE)
     popped = []
     advance = EventQueue.advance
@@ -681,7 +683,7 @@ def test_events_at_the_failure_instant_keep_their_order(monkeypatch):
     def spy(queue, *args):
         ev = advance(queue, *args)
         if ev is not None:
-            popped.append((queue, (ev.time, ev.seq, ev.kind, ev.node, ev.payload)))
+            popped.append((queue, (ev.time, ev.band, ev.kind, ev.node, ev.payload)))
         return ev
 
     monkeypatch.setattr(EventQueue, "advance", spy)
@@ -701,10 +703,10 @@ def test_events_at_the_failure_instant_keep_their_order(monkeypatch):
     assert events(base.q) + events(ref.q) == events(scratch.q)
     at_failure = [ev for ev in events(scratch.q) if ev[0] == 100.0]
     assert [(kind, node) for _, _, kind, node, _ in at_failure] == [
-        (EventKind.CKPT_BEGIN, 1),
-        (EventKind.FAILURE, 0),
-        (EventKind.MILESTONE, 2),
-        (EventKind.CKPT_END, 0),
+        (_Engine._on_ckpt_begin, 1),
+        (_Engine._on_failure, 0),
+        (_Engine._on_milestone, 2),
+        (_Engine._on_ckpt_end, 0),
     ]
     # node 2's milestone is the post of a send: its code, 2·op index, is even
     position = at_failure[2][4]
@@ -713,11 +715,53 @@ def test_events_at_the_failure_instant_keep_their_order(monkeypatch):
     assert not s.pattern.processes[2].kinds[code >> 1] & KIND_RECV
 
 
+TRIGGERS_AT_ONE_INSTANT = TWO_LEVELS + """
+[pattern]
+nodes = 2
+op = 0 send 1 @ 400 s
+op = 1 recv 0 @ 400 s
+
+[checkpoint]
+interval = 100 s
+duration = 10 s
+offset = 0: 50 s
+offset = 1: 150 s
+
+[failure]
+node = 0
+time = 300 s
+restart = 5 s
+
+[run]
+horizon = 2000 s
+depth = 1
+"""
+
+
+def test_triggers_at_one_instant_go_by_node(monkeypatch):
+    """At 150 s node 1's first trigger, queued at t = 0, meets node 0's
+    second, queued at 50 s: node 0's goes first all the same."""
+    s = loads_scenario(TRIGGERS_AT_ONE_INSTANT)
+    popped = []
+    advance = EventQueue.advance
+
+    def spy(queue, *args):
+        ev = advance(queue, *args)
+        if ev is not None and ev.kind is _Engine._on_ckpt_begin and ev.time == 150.0:
+            popped.append(ev)
+        return ev
+
+    monkeypatch.setattr(EventQueue, "advance", spy)
+    _Engine(s, _programs(s.pattern)).run()
+    assert [ev.node for ev in popped] == [0, 1]
+    assert popped[1].seq < popped[0].seq  # queued first, handled second
+
+
 def pending_triggers(engine):
     """(node, time) of each checkpoint trigger pending in ``engine``'s queue."""
     q = engine.q
     pending = [ev for ev in q._heap if ev.seq in q._pending]
-    return sorted((ev.node, ev.time) for ev in pending if ev.kind is EventKind.CKPT_BEGIN)
+    return sorted((ev.node, ev.time) for ev in pending if ev.kind is _Engine._on_ckpt_begin)
 
 
 def test_a_pass_queues_one_checkpoint_trigger_per_node():
@@ -896,11 +940,11 @@ def test_a_nodes_last_mark_is_its_state_between_events(strategies, monkeypatch):
             _LABELS[p.mark_labels[-1]] for p in engine.procs if p.blocked_msg is not None
         )
         ev = advance(queue, *args)
-        if ev is not None and ev.kind is EventKind.CKPT_END:
+        if ev is not None and ev.kind is _Engine._on_ckpt_end:
             proc = engine.procs[ev.node]
             if _LABELS[proc.mark_labels[-1]] == "CKPT" and proc.ckpt_end != ev.time:
                 bad.append((name, ev.node, "stale checkpoint end", ev.time))
-        if ev is not None and ev.kind is EventKind.REEXEC_END:
+        if ev is not None and ev.kind is _Engine._on_reexec_end:
             proc = engine.procs[ev.node]
             recoveries.append(name)
             if at_failure[id(engine)] != (ev.node, proc.position, proc.cursor):
