@@ -53,6 +53,10 @@ class FrequencyLevel:
     gamma: float
     p_active_wait: float | None = None
 
+    def checkpoint_time(self, duration: float) -> float:
+        """The one checkpoint length: ``duration`` at f_max, taken at this level."""
+        return duration * self.gamma
+
     @property
     def active_wait_power(self) -> float:
         # Busy polling dissipates application-level power unless the profile
@@ -104,9 +108,17 @@ class PhaseEstimate:
     n_ckpt: int = 0
     t_ckpt: float = 0.0
 
+    def compute_time(self, f: FrequencyLevel) -> float:
+        """The pure compute of the phase at frequency f."""
+        return self.t_comp_fmax * f.beta
+
+    def ckpt_time(self, f: FrequencyLevel) -> float:
+        """The checkpoints of the phase at frequency f."""
+        return self.n_ckpt * f.checkpoint_time(self.t_ckpt)
+
     def phase(self, f: FrequencyLevel) -> float:
         """Compute-phase duration at frequency f: slowed compute plus checkpoints."""
-        return self.t_comp_fmax * f.beta + self.n_ckpt * self.t_ckpt * f.gamma
+        return self.compute_time(f) + self.ckpt_time(f)
 
     def wait(self, f: FrequencyLevel) -> float:
         """Wait left in the window after the compute phase at frequency f."""
@@ -136,7 +148,7 @@ class NodePlan:
 
 def compute_phase_energy(f: FrequencyLevel, est: PhaseEstimate) -> float:
     """Compute-phase energy: slowed compute plus any checkpoints in the phase."""
-    return est.t_comp_fmax * f.beta * f.p_comp + est.n_ckpt * (est.t_ckpt * f.gamma) * f.p_ckpt
+    return est.compute_time(f) * f.p_comp + est.ckpt_time(f) * f.p_ckpt
 
 
 def awake_wait_energy(
@@ -193,7 +205,7 @@ def node_best_plan(
     est: PhaseEstimate,
     profile: SystemProfile,
     mode: WaitMode,
-    allowed: set[float] | None = None,
+    allowed: set[FrequencyLevel],
 ) -> NodePlan:
     """Minimum-energy plan for one node that never delays the block release.
 
@@ -201,8 +213,8 @@ def node_best_plan(
     intervention window is a candidate; for each, the waiting phase may stay
     untouched, poll at the minimum frequency (active waits only), or sleep
     when feasible. Ties prefer higher frequency, then less intervention.
-    ``allowed`` optionally restricts the candidate compute frequencies; the
-    maximum frequency is always admissible.
+    ``allowed`` holds the admissible levels of ``profile.freqs``; the
+    maximum frequency is admissible whether it is there or not.
     """
     fmax = profile.f_max
     eni = compute_phase_energy(fmax, est) + awake_wait_energy(fmax, est.wait(fmax), mode, profile)
@@ -211,9 +223,7 @@ def node_best_plan(
     best: tuple[float, float, WaitAction, FrequencyLevel, float] | None = None
     for f in profile.freqs:
         phase = est.phase(f)
-        if phase > est.window and f is not fmax:
-            continue
-        if allowed is not None and f is not fmax and f.ghz not in allowed:
+        if f is not fmax and (phase > est.window or f not in allowed):
             continue
         t_wait = est.wait(f)
         for wait_energy, action in _wait_options(f, t_wait, mode, profile):

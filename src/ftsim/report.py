@@ -18,7 +18,7 @@ from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Union
 
-from .energy import NodePlan, WaitAction, ghz_name
+from .energy import FrequencyLevel, NodePlan, WaitAction, ghz_name
 
 
 # named tuples: immutable, and built and read in C, as a run makes thousands
@@ -49,10 +49,15 @@ TraceRecord = Union[StateRecord, CommRecord, FlagRecord]
 
 @dataclass
 class SavingsReport:
+    """A run's plans and its profile's ``freqs``: a row at ``levels[0]``,
+    f_max, takes no compute action, and one of ``levels[-1]`` polls at it."""
+
     rows: list[NodePlan]
-    total_j: float
-    max_ghz: float = 0.0
-    min_ghz: float = 0.0
+    levels: tuple[FrequencyLevel, ...]
+
+    @property
+    def total_j(self) -> float:
+        return sum(p.saving_j for p in self.rows)
 
 
 def _round2(x: float) -> str:
@@ -110,16 +115,16 @@ def write_trace(records: Iterable[TraceRecord], path: str | Path) -> None:
     _atomic_write(path, _trace_lines(records))
 
 
-def _wait_action_label(plan: NodePlan, min_ghz: float) -> str:
+def _wait_action_label(plan: NodePlan, f_min: FrequencyLevel) -> str:
     if plan.wait_action is WaitAction.SLEEP:
         return "sleep"
     if plan.wait_action is WaitAction.MIN_FREQ:
-        return f"{ghz_name(min_ghz)} GHz"
+        return f"{ghz_name(f_min.ghz)} GHz"
     return "No action"
 
 
-def _compute_action_label(plan: NodePlan, max_ghz: float) -> str:
-    if plan.compute_action.ghz == max_ghz:
+def _compute_action_label(plan: NodePlan, f_max: FrequencyLevel) -> str:
+    if plan.compute_action is f_max:
         return "No action"
     return f"{ghz_name(plan.compute_action.ghz)} GHz"
 
@@ -130,9 +135,9 @@ def report_rows(report: SavingsReport) -> list[list[str]]:
         rows.append(
             [
                 str(plan.node),
-                _compute_action_label(plan, report.max_ghz),
+                _compute_action_label(plan, report.levels[0]),
                 _round2(plan.t_comp / 60.0),
-                _wait_action_label(plan, report.min_ghz),
+                _wait_action_label(plan, report.levels[-1]),
                 _round2(plan.t_wait / 60.0),
                 _round2(plan.tt / 60.0),
                 _round2(plan.saving_j),

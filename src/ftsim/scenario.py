@@ -110,9 +110,12 @@ SIZE_LIMIT = 1_000_000
 _TIME, _POWER, _FREQUENCY, _PLAIN = "time", "power", "frequency", "plain"
 _UNITS = {"s": (_TIME, 1.0), "min": (_TIME, 60.0), "w": (_POWER, 1.0), "ghz": (_FREQUENCY, 1.0)}
 _REPEATABLE = {"freq", "op", "offset"}
+_PROFILE_KINDS = {  # the kind of each optional [system] key, named as its SystemProfile field
+    "t_go_sleep": _TIME, "t_wakeup": _TIME, "p_go_sleep": _POWER, "p_wakeup": _POWER,
+    "p_sleep": _POWER, "p_idle_wait": _POWER, "mu1": _PLAIN, "mu2": _PLAIN,
+}
 _KEYS = {  # section -> its keys
-    "system": {"freq", "t_go_sleep", "t_wakeup", "p_go_sleep", "p_wakeup", "p_sleep",
-               "p_idle_wait", "mu1", "mu2"},
+    "system": {"freq", *_PROFILE_KINDS},
     "pattern": {"nodes", "mpi_mode", "op", "interval", "buffered", "wait_mode",
                 "message_size", "repetition"},
     "checkpoint": {"interval", "duration", "anticipation", "alpha", "offset"},
@@ -151,6 +154,10 @@ def _number(text: str, line: int | None, kind: str = _PLAIN) -> float:
     if i < len(tokens):
         raise ParseError(f"unexpected {tokens[i]!r} after the number", line)
     return value
+
+
+def _seconds(text: str, line: int | None) -> float:
+    return _number(text, line, _TIME)
 
 
 def _integer(text: str, line: int | None) -> int:
@@ -192,8 +199,8 @@ def parse_depth(text: str, pattern: CommPattern, line: int | None = None) -> Dep
 class _Section:
     """One section's values: each key's ``(line, text)`` pairs in file order.
 
-    The accessors parse a key's value, or ``default`` (text, as a file would
-    give it) when the key is absent; without a default the key is required."""
+    A key is required, or defaults to text the loader gives (:meth:`value`),
+    or is left to its field's dataclass default when absent (:meth:`given`)."""
 
     def __init__(self, name: str, header: int):
         self.name = name
@@ -209,31 +216,28 @@ class _Section:
             line, text = self.header, default
         return parse(text, line)
 
-    def number(self, key: str, default: str | None = None, kind: str = _PLAIN) -> float:
-        return self.value(key, default, lambda text, line: _number(text, line, kind))
+    def number(self, key: str, kind: str = _PLAIN) -> float:
+        return self.value(key, None, lambda text, line: _number(text, line, kind))
 
-    def integer(self, key: str, default: str | None = None) -> int:
-        return self.value(key, default, _integer)
-
-    def boolean(self, key: str, default: str | None = None) -> bool:
-        return self.value(key, default, _boolean)
-
-    def choice(self, key: str, values: dict[str, object], default: str | None = None):
-        """The value that ``values`` maps the key's lowercased text to."""
-
-        def parse(text: str, line: int) -> object:
-            try:
-                return values[text.strip().lower()]
-            except KeyError:
-                allowed = " | ".join(values)
-                raise ParseError(
-                    f"{key} must be one of {allowed}, got {text.strip()!r}", line
-                ) from None
-
-        return self.value(key, default, parse)
+    def given(self, **fields: tuple[str, Callable[[str, int], object]]) -> dict[str, object]:
+        """``{field: value}`` of each ``field=(key, parse)`` whose key is set, in order."""
+        return {f: self.value(key, None, parse) for f, (key, parse) in fields.items() if key in self.values}
 
     def repeated(self, key: str) -> list[tuple[int, str]]:
         return self.values.get(key, [])
+
+
+def _choice(key: str, values: dict[str, object]) -> Callable[[str, int], object]:
+    """The parser of a choice key: the value ``values`` maps its lowercased text to."""
+
+    def parse(text: str, line: int) -> object:
+        try:
+            return values[text.strip().lower()]
+        except KeyError:
+            allowed = " | ".join(values)
+            raise ParseError(f"{key} must be one of {allowed}, got {text.strip()!r}", line) from None
+
+    return parse
 
 
 def _parse_sections(text: str) -> dict[str, _Section]:
@@ -374,17 +378,8 @@ def _parse_profile(sec: _Section) -> SystemProfile:
     if not freqs:
         raise ParseError(f"[{sec.name}] needs at least one freq row", sec.header)
     freqs.sort(key=lambda f: -f.ghz)
-    return SystemProfile(
-        freqs=tuple(freqs),
-        t_go_sleep=sec.number("t_go_sleep", "25 s", _TIME),
-        t_wakeup=sec.number("t_wakeup", "5 s", _TIME),
-        p_go_sleep=sec.number("p_go_sleep", "51 w", _POWER),
-        p_wakeup=sec.number("p_wakeup", "91 w", _POWER),
-        p_sleep=sec.number("p_sleep", "12 w", _POWER),
-        p_idle_wait=sec.number("p_idle_wait", "60 w", _POWER),
-        mu1=sec.number("mu1", "2.0"),
-        mu2=sec.number("mu2", "0.9"),
-    )
+    numbers = {key: sec.number(key, kind) for key, kind in _PROFILE_KINDS.items() if key in sec.values}
+    return SystemProfile(freqs=tuple(freqs), **numbers)
 
 
 def loads_scenario(text: str, name: str = "scenario") -> Scenario:
@@ -397,23 +392,20 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
     )
 
     nodes = pat_sec.value("nodes", None, _node_count)
-    nonblocking = pat_sec.choice("mpi_mode", _MPI_MODES, "blocking")
+    nonblocking = pat_sec.value("mpi_mode", "blocking", _choice("mpi_mode", _MPI_MODES))
     per_proc: list = [None] * nodes
     order = 0
     for lineno, value in pat_sec.repeated("op"):
         order = _parse_op(value, lineno, order, per_proc, nonblocking)
     processes = [_columns(per_proc, proc) for proc in range(nodes)]
 
-    # checked but not modelled: a transfer takes no time, and the program is
-    # the ops as written
-    pat_sec.number("interval", "0 s", _TIME)
-    pat_sec.number("repetition", "0 s", _TIME)
-    pat_sec.integer("message_size", "0")
-    pattern = CommPattern(
-        processes=processes,
-        buffered=pat_sec.boolean("buffered", "false"),
-        wait_mode=pat_sec.choice("wait_mode", _WAIT_MODES, "active"),
-    )
+    # checked when set but not modelled: a transfer takes no time, and the
+    # program is the ops as written
+    pat_sec.given(interval=("interval", _seconds), repetition=("repetition", _seconds),
+                  message_size=("message_size", _integer))
+    pattern = CommPattern(processes, **pat_sec.given(
+        buffered=("buffered", _boolean), wait_mode=("wait_mode", _choice("wait_mode", _WAIT_MODES))
+    ))
 
     offsets: dict[int, float] = {}
     for lineno, value in ck_sec.repeated("offset"):
@@ -430,16 +422,16 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
             offsets.update(dict.fromkeys(range(nodes), _number(value, lineno, _TIME)))
     try:
         ckpt = CheckpointPolicy(
-            interval=ck_sec.number("interval", kind=_TIME),
-            duration=ck_sec.number("duration", kind=_TIME),
-            anticipation_enabled=ck_sec.boolean("anticipation", "off"),
-            anticipation_fraction=ck_sec.number("alpha", "0.5"),
+            interval=ck_sec.number("interval", _TIME),
+            duration=ck_sec.number("duration", _TIME),
+            **ck_sec.given(anticipation_enabled=("anticipation", _boolean),
+                           anticipation_fraction=("alpha", _number)),
             phase_offsets=offsets,
         )
         failure = FailureSpec(
-            node=fail_sec.integer("node"),
-            time=fail_sec.number("time", kind=_TIME),
-            restart_duration=fail_sec.number("restart", kind=_TIME),
+            node=fail_sec.value("node", None, _integer),
+            time=fail_sec.number("time", _TIME),
+            restart_duration=fail_sec.number("restart", _TIME),
         )
     except ParseError:
         raise
@@ -455,8 +447,8 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
         ckpt=ckpt,
         failure=failure,
         depth=run_sec.value("depth", "auto", lambda text, line: parse_depth(text, pattern, line)),
-        horizon=run_sec.number("horizon", kind=_TIME),
-        strategies_enabled=run_sec.boolean("strategies", "on"),
+        horizon=run_sec.number("horizon", _TIME),
+        **run_sec.given(strategies_enabled=("strategies", _boolean)),
     )
     scenario.validate()
     return scenario

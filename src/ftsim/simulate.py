@@ -62,11 +62,11 @@ Each process's program is a column of milestones in execution order, one
 integer each: ``2·op index + is_wait`` for an op's post (is_wait 0) or a
 non-blocking op's wait (1). A milestone is named by its node and its
 position in that column, and its ``_on_milestone`` event carries the
-position (a replayed post carries its op's index, complemented). Its offset
-is entry ``code`` of the pattern's offset column, and its direction and
-whether it blocks are read from the op's kind byte; all passes read the
-pattern's own columns, and each op's message id is stored once, in a
-per-process column.
+position; a replayed post is an ``_on_replay`` event, which carries its
+op's index. A milestone's offset is entry ``code`` of the pattern's offset
+column, and its direction and whether it blocks are read from the op's kind
+byte; all passes read the pattern's own columns, and each op's message id is
+stored once, in a per-process column.
 
 A node's state marks are two columns, times in an ``array('d')`` and labels
 (indices into ``_LABELS``) in a ``bytearray``, one mark per state run: a mark
@@ -84,17 +84,23 @@ phase estimate reads pass 2's checkpoints as the CKPT runs of its marks.
 
 Strategy evaluation and application consume no virtual time. A plan starts
 at the failure with its compute level, or with its wait action for a node
-already blocked at its planned wait. It then acts at two hooks:
-``_on_milestone`` ends the compute level at the planned wait (after an
-anticipated checkpoint begins there, so that one runs at the planned gamma),
-and ``_block_on``, where every wait begins, starts the wait action. A plan never
-moves a block release: a slowed compute phase must fit inside the reference
-window and must not delay any op a live peer depends on, and a sleeping node
-is woken exactly at the release known from the reference run.
+already blocked at its planned wait; any level but ``profile.f_max`` runs,
+whatever its beta (``level is f_max`` is the one test of a level). It then
+acts at two hooks: ``_on_milestone`` ends the compute level at the planned
+wait (after an anticipated checkpoint begins there, so that one runs at the
+planned gamma), and ``_block_on``, where every wait begins, starts the wait
+action. A plan never moves a block release: a slowed compute phase must fit
+inside the reference window and must not delay any op a live peer depends
+on, and a sleeping node is woken exactly at the release known from the
+reference run.
 
 Recovery re-executes the failed node from its last checkpoint up to the
 position and cursor its failure left, replaying the posts not transferred
 by the restart; a replay finds its message transferred by then, or posts.
+The replays are queued before the re-execution's end, so go first at its
+instant. A node is at ``position`` at ``resume_wall``: a wait begins at a
+milestone or at recovery's end, which set it, and nothing moves it while
+the node waits, so a delayed wait's ``begin`` is its ``resume_wall``.
 """
 
 from __future__ import annotations
@@ -244,7 +250,6 @@ class _Proc:
     pos_at_ckpt: float = 0.0
     done_at: float | None = None
     blocked_msg: int | None = None  # the message it is suspended on, at its cursor
-    wait_begin: float = 0.0  # when its current wait began: its last milestone or recovery end
     ckpt_end: float = 0.0  # when the current or last checkpoint ends
     trigger: float = inf  # when its next checkpoint trigger is due; once finished, its last one
     min_freq: bool = False  # waiting at the minimum frequency, its flag open
@@ -434,18 +439,10 @@ class _Engine:
                 self.q.schedule(at, _Engine._on_complete, other.node, payload=msg)
 
     def _on_milestone(self, ev) -> None:
-        position: int = ev.payload
         now = ev.time
         table = self.messages
         proc = self.procs[ev.node]
-        if position < 0:
-            # the replayed post of op ~position: a message transferred since
-            # the replay was scheduled keeps the post it was transferred with
-            msg = proc.msgs[~position]
-            if not table.transfer[msg] <= now:
-                self._register_post(proc, ~position, msg, now)
-            return
-        code = proc.order[position]
+        code = proc.order[ev.payload]
         index, is_wait = code >> 1, code & 1
         kind, msg = proc.kinds[index], proc.msgs[index]
         proc.milestone_id = None
@@ -455,8 +452,11 @@ class _Engine:
         if anticipated:
             proc.blocked_msg = msg
             self._start_checkpoint(proc, now)  # before the level ends: at the planned gamma
-        if self.plans and self._strategy_here(proc) is not None:
-            self._end_compute_strategy(proc, now)  # also at a zero-length wait
+        f = proc.freq
+        if self.plans and f is not self.s.profile.f_max and self._strategy_here(proc):
+            # the planned wait, also when zero-length: the level ends
+            proc.freq = self.s.profile.f_max
+            self.flags.append(FlagRecord(proc.node, now, "END", f"FREQ_{ghz_name(f.ghz)}"))
         if not blocks:
             proc.cursor += 1
             self._schedule_milestone(proc)
@@ -469,7 +469,7 @@ class _Engine:
         pass, records when it reached the wait."""
         index = code >> 1
         proc.position = proc.offsets[code]
-        proc.resume_wall = proc.wait_begin = now
+        proc.resume_wall = now
         if not code & 1:
             self._register_post(proc, index, proc.msgs[index], now)
         elif self.messages.wait is not None:
@@ -523,7 +523,7 @@ class _Engine:
         if self.baseline is not None and proc.node not in self.delayed:
             if not now <= self._failure_free_end(proc):  # NaN: it never went on
                 self.delayed[proc.node] = _new_record(
-                    _DelayedWait, (proc.node, proc.order[proc.cursor], proc.wait_begin, now)
+                    _DelayedWait, (proc.node, proc.order[proc.cursor], proc.resume_wall, now)
                 )
         proc.blocked_msg = None
         proc.resume_wall = now
@@ -537,10 +537,10 @@ class _Engine:
     # -- checkpoints -------------------------------------------------------------
 
     def _start_checkpoint(self, proc: _Proc, now: float) -> None:
-        """Begin a checkpoint lasting the policy duration times the running
-        frequency's gamma; one taken with ``blocked_msg`` set was anticipated
-        at the wait at the node's cursor."""
-        proc.ckpt_end = now + self.s.ckpt.duration * proc.freq.gamma
+        """Begin a checkpoint of the policy duration at the running level
+        (``FrequencyLevel.checkpoint_time``); one taken with ``blocked_msg``
+        set was anticipated at the wait at the node's cursor."""
+        proc.ckpt_end = now + proc.freq.checkpoint_time(self.s.ckpt.duration)
         proc.mark(now, _M_CKPT)
         self.q.schedule(proc.ckpt_end, _Engine._on_ckpt_end, proc.node)
 
@@ -617,8 +617,17 @@ class _Engine:
             # not transferred by the restart, though perhaps by the replay
             if offset > proc.pos_at_ckpt and not transfer[msg] <= now:
                 t = now + (offset - proc.pos_at_ckpt)
-                self.q.schedule(t, _Engine._on_milestone, proc.node, ~index)
+                self.q.schedule(t, _Engine._on_replay, proc.node, index)
         self.q.schedule(now + replay, _Engine._on_reexec_end, proc.node)
+
+    def _on_replay(self, ev) -> None:
+        """The replayed post of op ``ev.payload``: a message transferred since
+        the replay was scheduled keeps the post it was transferred with."""
+        proc = self.procs[ev.node]
+        index = ev.payload
+        msg = proc.msgs[index]
+        if not self.messages.transfer[msg] <= ev.time:
+            self._register_post(proc, index, msg, ev.time)
 
     def _on_reexec_end(self, ev) -> None:
         proc = self.procs[ev.node]
@@ -635,7 +644,6 @@ class _Engine:
             # the process was suspended at this op when it failed; the post
             # (if any) was already registered or replayed
             if not transfer[msg] <= now and can_suspend(proc.kinds[index], code & 1, self.buffered):
-                proc.wait_begin = now
                 self._block_on(proc, msg, now)
                 return
             proc.cursor += 1
@@ -653,20 +661,13 @@ class _Engine:
                 self._apply_wait_action(proc, now)
                 continue
             f = plan.compute_action
-            if f.beta != 1.0:
+            if f is not self.s.profile.f_max:
                 self._sync_position(proc, now)
                 proc.freq = f
                 self.flags.append(FlagRecord(node, now, "BEGIN", f"FREQ_{ghz_name(f.ghz)}"))
                 if proc.mark_labels[-1] == _M_COMPUTE:
                     self._cancel_milestone(proc)
                     self._schedule_milestone(proc)
-
-    def _end_compute_strategy(self, proc: _Proc, now: float) -> None:
-        plan, _ = self.plans[proc.node]
-        f = plan.compute_action
-        if f.beta != 1.0 and proc.freq == f:
-            proc.freq = self.s.profile.f_max
-            self.flags.append(FlagRecord(proc.node, now, "END", f"FREQ_{ghz_name(f.ghz)}"))
 
     def _apply_wait_action(self, proc: _Proc, now: float) -> None:
         """Apply the wait action of ``proc``'s plan at its planned wait. A
@@ -828,13 +829,11 @@ def _phase_estimate(s: Scenario, ref: _Engine, wait: _DelayedWait) -> PhaseEstim
     )
 
 
-def _allowed_freqs(s: Scenario, ref: _Engine, wait: _DelayedWait) -> set[float]:
-    """Compute frequencies that cannot delay any op a live peer depends on."""
+def _allowed_freqs(s: Scenario, ref: _Engine, wait: _DelayedWait) -> set[FrequencyLevel]:
+    """The levels of ``s.profile`` that cannot delay any op a live peer depends on."""
     fail = s.failure.time
-    node = wait.node
-    allowed = set()
     impactful: list[tuple[float, float]] = []
-    table, proc = ref.messages, ref.procs[node]
+    table, proc = ref.messages, ref.procs[wait.node]
     for peer, kind, msg in zip(proc.peers, proc.kinds, proc.msgs):  # each op's post
         if peer == s.failure.node:
             continue
@@ -847,10 +846,10 @@ def _allowed_freqs(s: Scenario, ref: _Engine, wait: _DelayedWait) -> set[float]:
         if not (fail < wall < wait.begin) or isnan(transfer):
             continue
         impactful.append((wall, transfer))
-    for f in s.profile.freqs:
-        if all(fail + f.beta * (wall - fail) <= transfer for wall, transfer in impactful):
-            allowed.add(f.ghz)
-    return allowed
+    return {
+        f for f in s.profile.freqs
+        if all(fail + f.beta * (wall - fail) <= transfer for wall, transfer in impactful)
+    }
 
 
 @dataclass
@@ -904,7 +903,7 @@ def simulate_detailed(s: Scenario) -> SimulationResult:
         ref_waits[est.process] = wait
         phase = _phase_estimate(s, ref, wait)
         allowed = _allowed_freqs(s, ref, wait)
-        plan = node_best_plan(phase, s.profile, s.pattern.wait_mode, allowed=allowed)
+        plan = node_best_plan(phase, s.profile, s.pattern.wait_mode, allowed)
         plans.append(plan)
         plan_map[est.process] = (plan, wait)
 
@@ -921,15 +920,8 @@ def simulate_detailed(s: Scenario) -> SimulationResult:
     del baseline
 
     end = max(final.makespan(), ref_makespan)
-    report_rows = plans if s.strategies_enabled else []
-    report = SavingsReport(
-        rows=report_rows,
-        total_j=sum(p.saving_j for p in report_rows),
-        max_ghz=s.profile.f_max.ghz,
-        min_ghz=s.profile.f_min.ghz,
-    )
     return SimulationResult(
-        report=report,
+        report=SavingsReport(plans if s.strategies_enabled else [], s.profile.freqs),
         trace=final.trace(end),
         makespan=final.makespan(),
         reference_makespan=ref_makespan,

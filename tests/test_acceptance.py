@@ -174,7 +174,7 @@ def test_criterion_8_oracle_equivalence():
         window = t_fmax + n_ckpt * t_ckpt + rng.uniform(0, 4000)
         mode = rng.choice([WaitMode.ACTIVE, WaitMode.IDLE])
         est = default_estimate(t_fmax, window, n_ckpt=n_ckpt, t_ckpt=t_ckpt)
-        plan = node_best_plan(est, profile, mode)
+        plan = node_best_plan(est, profile, mode, set(profile.freqs))
         _, _, _, f, action = brute_force_plan(est, profile, mode)
         cases += 1
         if (plan.compute_action.ghz, plan.wait_action) != (f.ghz, action):

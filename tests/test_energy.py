@@ -77,7 +77,7 @@ def test_sleep_feasible():
 
 def test_zero_wait_means_no_action():
     est = default_estimate(100.0, 100.0)
-    plan = node_best_plan(est, PROFILE, WaitMode.ACTIVE)
+    plan = node_best_plan(est, PROFILE, WaitMode.ACTIVE, set(PROFILE.freqs))
     assert plan.compute_action.ghz == 2.8
     assert plan.wait_action is WaitAction.NONE
     assert plan.saving_j == 0.0
@@ -165,7 +165,7 @@ def test_oracle_equivalence_randomized():
         window = base + rng.uniform(0, 4000)
         mode = rng.choice([WaitMode.ACTIVE, WaitMode.IDLE])
         est = default_estimate(t_fmax, window, n_ckpt=n_ckpt, t_ckpt=t_ckpt)
-        plan = node_best_plan(est, profile, mode)
+        plan = node_best_plan(est, profile, mode, set(profile.freqs))
         ei, _, _, f, action = brute_force_plan(est, profile, mode)
         if (plan.compute_action.ghz, plan.wait_action) != (f.ghz, action):
             mismatches += 1
@@ -180,7 +180,7 @@ def test_sleep_dominates_when_feasible():
         profile, _ = random_profile(rng)
         est = default_estimate(rng.uniform(0, 500), rng.uniform(500, 5000))
         mode = rng.choice([WaitMode.ACTIVE, WaitMode.IDLE])
-        plan = node_best_plan(est, profile, mode)
+        plan = node_best_plan(est, profile, mode, set(profile.freqs))
         if sleep_feasible(plan.t_wait, mode, profile):
             assert plan.wait_action is WaitAction.SLEEP
 

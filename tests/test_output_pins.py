@@ -216,8 +216,7 @@ def test_halo_chain_covers_waits_and_replay(monkeypatch):
     schedule = EventQueue.schedule
 
     def spy(queue, time, kind, node, payload=None, **kwargs):
-        # a replayed post carries its op's index, complemented
-        if kind is _Engine._on_milestone and payload < 0:
+        if kind is _Engine._on_replay:
             replayed.append(node)
         return schedule(queue, time, kind, node, payload, **kwargs)
 

@@ -2,6 +2,7 @@ import os
 import stat
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,8 @@ from ftsim.report import (
 FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
 FMAX = FrequencyLevel(2.8, 166.0, 1.0, 150.0, 1.0)
 F21 = FrequencyLevel(2.1, 148.0, 1.2, 142.0, 1.1)
+F12 = FrequencyLevel(1.2, 126.0, 2.1, 125.0, 1.4, 94.5)
+LEVELS = (FMAX, F21, F12)
 
 
 def plan(node=1, f=F21, action=WaitAction.MIN_FREQ):
@@ -66,7 +69,7 @@ def test_trace_sorted_and_deterministic(tmp_path):
 
 
 def test_csv_report_layout(tmp_path):
-    report = SavingsReport(rows=[plan()], total_j=18698.4, max_ghz=2.8, min_ghz=1.2)
+    report = SavingsReport(rows=[plan()], levels=LEVELS)
     out = tmp_path / "r.csv"
     write_report(report, out, "csv")
     lines = out.read_text().splitlines()
@@ -76,21 +79,21 @@ def test_csv_report_layout(tmp_path):
 
 
 def test_empty_report(tmp_path):
-    report = SavingsReport(rows=[], total_j=0.0, max_ghz=2.8, min_ghz=1.2)
+    report = SavingsReport(rows=[], levels=LEVELS)
     out = tmp_path / "r.csv"
     write_report(report, out, "csv")
     assert out.read_text().splitlines()[1] == "TOTAL,,,,,,0.00,,"
 
 
 def test_text_format_same_values():
-    report = SavingsReport(rows=[plan(action=WaitAction.SLEEP, f=FMAX)], total_j=18698.4, max_ghz=2.8, min_ghz=1.2)
+    report = SavingsReport(rows=[plan(action=WaitAction.SLEEP, f=FMAX)], levels=LEVELS)
     text = render_report(report, "text")
     assert "No action" in text and "sleep" in text and "18698.40" in text
 
 
 def test_rounding_is_half_up():
-    p = plan()
-    report = SavingsReport(rows=[p], total_j=0.005, max_ghz=2.8, min_ghz=1.2)
+    p = replace(plan(), saving_j=0.005)
+    report = SavingsReport(rows=[p], levels=LEVELS)
     text = render_report(report, "csv")
     assert text.splitlines()[-1] == "TOTAL,,,,,,0.01,,"
 
@@ -110,7 +113,7 @@ def file_mode(path):
 
 def test_outputs_are_created_with_the_umask_mode(tmp_path, umask_027):
     report, trace = tmp_path / "r.csv", tmp_path / "t.trace"
-    write_report(SavingsReport(rows=[plan()], total_j=1.0), report, "csv")
+    write_report(SavingsReport(rows=[plan()], levels=LEVELS), report, "csv")
     write_trace([StateRecord(1, 0.0, 5.0, "COMPUTE")], trace)
     assert file_mode(report) == file_mode(trace) == 0o640
 
@@ -120,7 +123,7 @@ def test_replaced_outputs_keep_their_mode(tmp_path, umask_027):
     for path in (report, trace):
         path.write_text("old\n")
         path.chmod(0o604)
-    write_report(SavingsReport(rows=[plan()], total_j=1.0), report, "csv")
+    write_report(SavingsReport(rows=[plan()], levels=LEVELS), report, "csv")
     write_trace([StateRecord(1, 0.0, 5.0, "COMPUTE")], trace)
     assert file_mode(report) == file_mode(trace) == 0o604
     assert report.read_text().startswith("node,") and trace.read_text().startswith("TRACE v1")
@@ -131,7 +134,7 @@ def test_outputs_are_written_through_a_symlink(tmp_path):
     real, link = tmp_path / "real.csv", tmp_path / "out.csv"
     real.write_text("old\n")
     link.symlink_to("real.csv")
-    write_report(SavingsReport(rows=[plan()], total_j=1.0), link, "csv")
+    write_report(SavingsReport(rows=[plan()], levels=LEVELS), link, "csv")
     assert link.is_symlink() and os.readlink(link) == "real.csv"
     assert real.read_text().startswith("node,")
 

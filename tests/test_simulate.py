@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import weakref
 from array import array
@@ -11,7 +12,7 @@ import pytest
 
 from ftsim import cascade, cli, simulate
 from ftsim.cascade import DepthConfig
-from ftsim.energy import WaitMode
+from ftsim.energy import WaitMode, ghz_name
 from ftsim.kernel import EventQueue
 from ftsim.pattern import KIND_NONBLOCKING, KIND_RECV, CommPattern, can_suspend
 from ftsim.report import (
@@ -325,6 +326,65 @@ def test_a_level_is_named_exactly_in_flags_and_reports():
     assert [float(label.removeprefix("FREQ_")) for label in flags] == [1.2345678]
     rows = render_report(r.report, "csv").splitlines()[1:-1]
     assert rows and {float(row.split(",")[1].removesuffix(" GHz")) for row in rows} == {1.2345678}
+
+
+# sha256 of the S and C lines of ``test_a_slower_level_of_beta_1_is_applied``'s
+# trace: those of the run that never applied the level, as one as fast as
+# f_max moves no state and no transfer
+BETA_1_STATES_AND_COMMS = "e6c9a541af1562d99058708124d2a9496da9e632a70686b295344df3dae08a77"
+
+
+def test_a_slower_level_of_beta_1_is_applied(tmp_path):
+    """A level below f_max is applied whatever its beta. With its 2.1 GHz row
+    as fast as f_max and cheaper, ``scenario7_long`` plans nodes 1-3 at
+    2.1 GHz: each begins it at the failure and ends it at its planned wait,
+    where its sleep begins, and no S or C line moves."""
+    text = (FIXTURES / "scenario7_long.scn").read_text()
+    slow = "freq = 2.1 ghz, 148 w, 1.2, 142 w, 1.1\n"
+    assert slow in text
+    s = loads_scenario(text.replace(slow, "freq = 2.1 ghz, 120 w, 1.0, 142 w, 1.0\n"))
+    r = simulate_detailed(s)
+    assert {p.node: p.compute_action for p in r.plans} == dict.fromkeys((1, 2, 3), s.profile.freqs[1])
+    flags = [(f.node, f.t, f.edge) for f in r.trace if isinstance(f, FlagRecord) and f.label == "FREQ_2.1"]
+    fail = s.failure.time
+    assert fail == 1194.6
+    assert flags == [
+        (1, fail, "BEGIN"), (2, fail, "BEGIN"), (3, fail, "BEGIN"),
+        (1, 1200.0, "END"), (2, 1200.2, "END"), (3, 1200.4, "END"),
+    ]
+    sleeps = [(f.node, f.t) for f in r.trace if isinstance(f, FlagRecord) and f.label == "SLEEP"]
+    assert sleeps[:3] == [(node, t) for node, t, edge in flags if edge == "END"]
+    assert [(n, r.reference_waits[n].begin) for n in (1, 2, 3)] == sleeps[:3]
+    path = tmp_path / "run.trace"
+    write_trace(r.trace, path)
+    lines = [line for line in path.read_bytes().splitlines(keepends=True) if line[:2] in (b"S ", b"C ")]
+    assert hashlib.sha256(b"".join(lines)).hexdigest() == BETA_1_STATES_AND_COMMS
+
+
+@pytest.mark.parametrize("source", [*ALL_FIXTURES, *range(0, 400, 8)])
+def test_a_planned_level_below_f_max_is_flagged(source):
+    """Each ``BEGIN FREQ_x`` flag names its node's planned level, which is not
+    f_max; and a node planned below f_max that computes at the failure gets
+    one, at the failure."""
+    if isinstance(source, str):
+        s = load_scenario(FIXTURES / f"{source}.scn")
+    else:
+        s = family_scenario(source)
+    r = simulate_detailed(s)
+    f_max, fail = s.profile.f_max, s.failure.time
+    planned = {p.node: p.compute_action for p in r.plans} if s.strategies_enabled else {}
+    begun, computing = {}, set()
+    for record in r.trace:
+        if isinstance(record, FlagRecord) and record.label.startswith("FREQ_") and record.edge == "BEGIN":
+            level = planned[record.node]
+            assert level is not f_max and record.label == f"FREQ_{ghz_name(level.ghz)}"
+            assert record.node not in begun
+            begun[record.node] = record.t
+        elif isinstance(record, StateRecord) and record.state == "COMPUTE" and record.t0 < fail < record.t1:
+            computing.add(record.node)
+    slowed = {node for node, level in planned.items() if level is not f_max}
+    assert slowed & computing <= begun.keys()
+    assert set(begun.values()) <= {fail}
 
 
 def test_plans_charge_the_policy_checkpoint_duration():
