@@ -50,7 +50,7 @@ TraceRecord = Union[StateRecord, CommRecord, FlagRecord]
 @dataclass
 class SavingsReport:
     """A run's plans and its profile's ``freqs``: a row at ``levels[0]``,
-    f_max, takes no compute action, and one of ``levels[-1]`` polls at it."""
+    f_max, takes no compute action, and a ``MIN_FREQ`` wait polls at ``levels[-1]``."""
 
     rows: list[NodePlan]
     levels: tuple[FrequencyLevel, ...]
