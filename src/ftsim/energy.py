@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import pairwise
 
 
 class WaitTooShort(ValueError):
@@ -66,7 +67,8 @@ class FrequencyLevel:
 
 @dataclass(frozen=True)
 class SystemProfile:
-    """Node-level energy constants and the frequency table (descending GHz)."""
+    """Node-level energy constants and the frequency table (strictly
+    descending GHz)."""
 
     freqs: tuple[FrequencyLevel, ...]
     t_go_sleep: float = 25.0
@@ -81,9 +83,9 @@ class SystemProfile:
     def __post_init__(self) -> None:
         if not self.freqs:
             raise ValueError("profile needs at least one frequency level")
-        ghz = [f.ghz for f in self.freqs]
-        if ghz != sorted(ghz, reverse=True):
-            raise ValueError("frequency table must be ordered by descending GHz")
+        # strictly: a level is named by its GHz, so two rows of one GHz would share a name
+        if any(a.ghz <= b.ghz for a, b in pairwise(self.freqs)):
+            raise ValueError("frequency table must be ordered by strictly descending GHz")
 
     @property
     def f_max(self) -> FrequencyLevel:

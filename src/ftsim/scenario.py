@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Callable
 
 from .cascade import DepthConfig
-from .energy import FrequencyLevel, SystemProfile, WaitMode
+from .energy import FrequencyLevel, SystemProfile, WaitMode, ghz_name
 from .fault import CheckpointPolicy, FailureSpec
 from .pattern import KIND_NONBLOCKING, KIND_RECV, CommPattern, OpColumns
 
@@ -370,11 +370,18 @@ _FREQ_KINDS = (_FREQUENCY, _POWER, _PLAIN, _POWER, _PLAIN, _POWER)
 
 def _parse_profile(sec: _Section) -> SystemProfile:
     freqs = []
+    rows: dict[float, int] = {}  # each row's GHz -> its line: a level is named by its GHz
     for lineno, value in sec.repeated("freq"):
         fields = value.split(",")
         if len(fields) not in (5, 6):
             raise ParseError("freq needs: ghz, p_comp, beta, p_ckpt, gamma [, p_active_wait]", lineno)
-        freqs.append(FrequencyLevel(*(_number(f, lineno, k) for f, k in zip(fields, _FREQ_KINDS))))
+        level = FrequencyLevel(*(_number(f, lineno, k) for f, k in zip(fields, _FREQ_KINDS)))
+        if level.ghz in rows:
+            raise ParseError(
+                f"freq {ghz_name(level.ghz)} GHz repeats the row on line {rows[level.ghz]}", lineno
+            )
+        rows[level.ghz] = lineno
+        freqs.append(level)
     if not freqs:
         raise ParseError(f"[{sec.name}] needs at least one freq row", sec.header)
     freqs.sort(key=lambda f: -f.ghz)

@@ -21,29 +21,58 @@ transferred, whichever way the post was made (below). Each node has one
 pending trigger at a time: firing, it queues the node's next one unless the
 node has finished, and it starts a checkpoint only while the node computes.
 
-A milestone costs no event when nothing can interrupt its node before it,
-a conservative lookahead (Chandy & Misra, IEEE TSE 1979). Once a node's
-next milestone is known, ``_run_ahead`` reaches in place, through the
-``_reach`` that the milestone's event would call at its instant ``t``, each
-non-blocking milestone from there that is neither the node's last (its
-event finishes the node) nor its planned one (its compute level ends
-there), lies at or before the horizon, and lies strictly before the node's
-pending trigger and, while the pass still has the failure ahead, the
-failure: the prefix that passes 2 and 3 share stops short of it. A wait is
-passed so only once its message is transferred by ``t`` or when it cannot
-suspend, as a buffered send's cannot. A post is thus
-registered at ``t``, ahead of the clock, and the first milestone it cannot
-handle gets its event. The output equals that of an event per milestone.
-Only a trigger, the failure and a plan move a computing node, and those
-bounds leave them out, so the node reaches each such milestone at ``t`` in
-the same state. A non-blocking post goes before every event at its instant
-but the triggers and the failure. And every test of a message during a pass
-asks whether it was transferred by now (``not transfer <= now``, as a NaN
-transfer, "not yet", compares false), so a post registered ahead is seen
-by no event before its instant: a later post of the peer transfers the
-message at the later instant, and a node that blocks on a message whose
-transfer lies ahead queues its own completion, as no post event will come
-to wake it.
+A milestone costs no event when nothing can interrupt its node before it, a
+conservative lookahead (Chandy & Misra, IEEE TSE 1979). Once a node's next
+milestone is known, ``_run_ahead`` reaches in place, through the ``_reach``
+that the milestone's event would call at its instant ``t``, each milestone
+from there that is neither the node's last (its event finishes the node)
+nor its planned one (its compute level ends there), lies at or before the
+horizon, lies strictly before the node's pending trigger and, while the
+pass still has the failure ahead, the failure (the prefix that passes 2 and
+3 share stops short of it), and cannot block: a non-blocking post; a wait
+whose message is transferred by ``t`` or that cannot suspend, as a buffered
+send's cannot; or a blocking post whose peer is suspended on its message. A
+suspended peer's post is final, where a posted one's may not be: a failed
+node's replay overwrites its pre-failure post at the replay's instant. A
+post is thus registered at ``t``, ahead of the clock, and the first
+milestone it cannot handle gets its event. Only a trigger, the failure and
+a plan move a computing node, and those bounds leave them out, so the node
+reaches each such milestone at ``t`` in the same state. A non-blocking
+post's event goes before every event at its instant but the triggers and
+the failure, so one made in place goes where its event would, unless a
+band-0 milestone passed in place at ``t`` comes before it: a wait at the
+post's offset (below). A blocking post made in place is seen only by its
+suspended peer. And every test of a message during a pass asks whether it
+was transferred by now (``not transfer <= now``, as a NaN transfer, "not
+yet", compares false), so a post registered ahead is seen by no event
+before its instant: a later post of the peer transfers the message at the
+later instant, and a node that blocks on a message whose transfer lies
+ahead queues its own completion, as no post event will come to wake it.
+
+A post that transfers a message its peer is suspended on at the wait label
+resumes that peer in place at the transfer, with no ``_on_complete`` event,
+when nothing can interrupt the peer first, the transfer lying strictly
+before its pending trigger, and the peer is due at no milestone at the
+transfer itself (``_Proc.next_due_at``): such a milestone goes at the
+completion event's turn among the events at that instant, so a blocking
+post to such a peer is not made in place either. Otherwise, and for a peer
+that checkpoints (the checkpoint's end resumes it) or sleeps, the post
+queues the event (``_release``). A resume runs the peer's own lookahead,
+whose posts may release further peers, so resumes do not nest: they go on a
+FIFO worklist that ``run`` drains after each handler, and an entry whose
+node is no longer suspended on that message at the wait label gets the
+event instead. A fork starts with an empty worklist.
+
+The output equals that of an event per milestone and per completion but
+for the order of band-0 events at one instant, which is queued order. The
+milestone a lookahead stops at is queued when the lookahead runs, earlier
+than an event per milestone would queue it; and a post after a wait passed
+in place at the same offset is made at once, where with an event per
+milestone it waits for the wait's event. Two events that meet on one
+message at one instant, a blocking post and its peer's receive, say, can
+so swap, and which node then blocks first, and perhaps takes an
+anticipated checkpoint, changes. A fixed class per event kind in the key,
+in place of queued order, would end both.
 
 Until the failure the three passes are one run: the failure disturbs only
 what comes after it, and no strategy acts before it. So that prefix is
@@ -108,6 +137,7 @@ from __future__ import annotations
 import heapq
 from array import array
 from bisect import bisect_left
+from collections import deque
 from copy import copy
 from dataclasses import dataclass, field
 from itertools import chain, islice, pairwise
@@ -274,6 +304,15 @@ class _Proc:
         self.last_ckpt = self.ckpt_end
         self.pos_at_ckpt = self.position
 
+    def next_due_at(self, at: float) -> bool:
+        """Whether the node, going on at ``at`` past the milestone at its
+        cursor, is due at its next one at ``at`` too, by the sum (and clamp)
+        ``_Engine._schedule_milestone`` takes; past its last one it is not."""
+        following = self.cursor + 1
+        if following == len(self.order):
+            return False
+        return not at + (self.offsets[self.order[following]] - self.position) * self.freq.beta > at
+
     def copy(self) -> _Proc:
         # not dataclasses.replace: on CPython 3.11.7 each replace() of a
         # 20-field instance keeps a 200 B tuple that is never freed
@@ -293,6 +332,9 @@ class _Engine:
         self.plans: dict[int, tuple[NodePlan, _DelayedWait]] = {}
         self.delayed: dict[int, _DelayedWait] = {}  # filled only in a pass with a baseline
         self.q = EventQueue()
+        # (node, message, transfer) of each node to resume in place once the
+        # handler returns, in order; empty between events
+        self.resumes: deque[tuple[int, int, float]] = deque()
         self.buffered = s.pattern.buffered
         self.modes = programs.modes  # shared by forks
         # built failure-free, so it records its waits; a fork copies none
@@ -314,7 +356,7 @@ class _Engine:
         # milestone at or after it is handled in place before it
         self.failure_ahead = s.failure.time
         for proc in self.procs:
-            self._schedule_milestone(proc)
+            self._schedule_milestone(proc, 0.0)
 
     def inject(
         self,
@@ -336,6 +378,7 @@ class _Engine:
         scenario, the programs, the baseline and the plans are shared."""
         twin = copy(self)
         twin.q = self.q.copy()
+        twin.resumes = deque()
         twin.messages = self.messages.copy()
         twin.procs = [proc.copy() for proc in self.procs]
         twin.flags = list(self.flags)
@@ -343,25 +386,22 @@ class _Engine:
 
     # -- scheduling helpers --------------------------------------------------
 
-    def _schedule_milestone(self, proc: _Proc) -> None:
-        """Queue the event of the milestone at ``proc``'s cursor, once the
-        non-blocking milestones from there that nothing can interrupt are
-        handled in place; past its last milestone the node has finished."""
-        clock = self.q.clock
+    def _schedule_milestone(self, proc: _Proc, now: float) -> None:
+        """Queue the event of the milestone at ``proc``'s cursor, the node
+        being there at ``now``, once the milestones from there that nothing
+        can interrupt are handled in place; past its last milestone the node
+        has finished at ``now``."""
         if proc.cursor >= len(proc.order):
             if proc.done_at is None:
-                proc.done_at = clock
-                proc.mark(clock, _M_WAIT_IDLE)
+                proc.done_at = now
+                proc.mark(now, _M_WAIT_IDLE)
             return
         code = proc.order[proc.cursor]
         t = proc.resume_wall + (proc.offsets[code] - proc.position) * proc.freq.beta
-        if t < clock:  # due now, but a resynced position rounds it a few ulps early
-            assert clock - t <= 1e-9 * clock, (t, clock)
-            t = clock
-        if proc.kinds[code >> 1] & KIND_NONBLOCKING:
-            t, band = self._run_ahead(proc, code, t)
-        else:  # a blocking milestone pays only the kind test
-            band = 0
+        if t < now:  # due now, but a resynced position rounds it a few ulps early
+            assert now - t <= 1e-9 * now, (t, now)
+            t = now
+        t, band = self._run_ahead(proc, code, t)
         proc.milestone_id = self.q.schedule(
             t, _Engine._on_milestone, proc.node, proc.cursor, band=band
         )
@@ -369,33 +409,44 @@ class _Engine:
     def _run_ahead(self, proc: _Proc, code: int, t: float) -> tuple[float, int]:
         """Reach in place (:meth:`_reach`, as the milestone's event would)
         each milestone from ``proc``'s cursor (``code``, due at ``t``) that
-        nothing can interrupt: a non-blocking one, not the node's last nor
+        nothing can interrupt and that cannot block: not the node's last nor
         its planned one, at or before the horizon, strictly before its
         pending trigger and, while the pass has it ahead, the failure; a
-        wait that can suspend only once its message is transferred by then.
-        Return the instant and kernel band of the milestone it stops at."""
-        order, offsets, kinds, msgs = proc.order, proc.offsets, proc.kinds, proc.msgs
+        non-blocking post, a wait whose message is transferred by then or
+        that cannot suspend, or a blocking post whose peer is suspended on
+        its message and due at nothing at that instant. Return the instant
+        and kernel band of the milestone it stops at."""
+        kinds, msgs, peers, procs = proc.kinds, proc.msgs, proc.peers, self.procs
+        index = code >> 1
+        if not kinds[index] & KIND_NONBLOCKING and procs[peers[index]].blocked_msg != msgs[index]:
+            return t, 0  # the common blocking post, its peer not waiting: no set-up paid
+        order, offsets = proc.order, proc.offsets
         transfer, buffered = self.messages.transfer, self.buffered
         last, beta, horizon = len(order) - 1, proc.freq.beta, self.s.horizon
         limit = min(proc.trigger, self.failure_ahead)
         entry = self.plans.get(proc.node)
         planned = entry[1].milestone if entry else -1
         position = proc.cursor
-        kind = kinds[code >> 1]
-        while (
-            kind & KIND_NONBLOCKING and position < last and code != planned
-            and t < limit and t <= horizon
-        ):
-            if code & 1 and not transfer[msgs[code >> 1]] <= t and can_suspend(kind, 1, buffered):
+        while position < last and code != planned and t < limit and t <= horizon:
+            index = code >> 1
+            kind = kinds[index]
+            if not kind & KIND_NONBLOCKING:
+                # a suspended peer has posted for good: not "has posted", as
+                # a failed node's replay overwrites its post at one instant
+                peer = procs[peers[index]]
+                if peer.blocked_msg != msgs[index]:
+                    break  # the post may block: its event decides
+                if peer.next_due_at(t):
+                    break  # the peer goes on by a completion queued at this post's event
+            elif code & 1 and not transfer[msgs[index]] <= t and can_suspend(kind, 1, buffered):
                 break  # the wait may block: its event decides
             self._reach(proc, code, t)
             position += 1
             code = order[position]
-            kind = kinds[code >> 1]
             # the sum _schedule_milestone takes, so that both ways give one instant
             t += (offsets[code] - proc.position) * beta
         proc.cursor = position
-        return t, (_FIRST if kind & KIND_NONBLOCKING and not code & 1 else 0)
+        return t, (_FIRST if kinds[code >> 1] & KIND_NONBLOCKING and not code & 1 else 0)
 
     def _cancel_milestone(self, proc: _Proc) -> None:
         if proc.milestone_id is not None:
@@ -413,11 +464,21 @@ class _Engine:
         """Handle events in (time, band, seq) order up to the horizon; stop
         early, before the first event whose key is not before ``until``. An
         event's kind is its handler, a plain function of the class: a queued
-        event holds no engine, so a fork's copied queue stays valid."""
-        q = self.q
+        event holds no engine, so a fork's copied queue stays valid. After
+        each handler, the nodes it let go on in place resume, in order (so no
+        resume recurses into another); one no longer suspended on its message
+        at the wait label gets an ``_on_complete`` event instead."""
+        q, resumes, procs = self.q, self.resumes, self.procs
         before = min(until, (self.s.horizon, inf))
         while (ev := q.advance(before)) is not None:
             ev.kind(self, ev)
+            while resumes:
+                node, msg, at = resumes.popleft()
+                proc = procs[node]
+                if proc.blocked_msg == msg and proc.mark_labels[-1] == self.wait_label:
+                    self._resume_from_wait(proc, at)
+                else:
+                    q.schedule(at, _Engine._on_complete, node, payload=msg)
 
     # -- op handling -----------------------------------------------------------
 
@@ -436,7 +497,22 @@ class _Engine:
             # wait anticipated with a checkpoint resumes at the checkpoint's end.
             other = self.procs[proc.peers[index]]
             if other.blocked_msg == msg and other.mark_labels[-1] != _M_CKPT:
-                self.q.schedule(at, _Engine._on_complete, other.node, payload=msg)
+                self._release(other, msg, at)
+
+    def _release(self, proc: _Proc, msg: int, at: float) -> None:
+        """``proc``, suspended on ``msg``, goes on at ``at``, the transfer:
+        in place, through the worklist :meth:`run` drains, when nothing can
+        interrupt it first (it waits at the wait label, and ``at`` is
+        strictly before its pending trigger) and it is due at no milestone
+        at ``at`` itself; else at an ``_on_complete`` event, which a sleeping
+        node ignores, and whose turn among the events at ``at`` is where
+        such a milestone goes."""
+        # ``at`` is the post's own instant, which the queue and _run_ahead
+        # keep at or before the horizon and before the failure ahead
+        if proc.mark_labels[-1] == self.wait_label and at < proc.trigger and not proc.next_due_at(at):
+            self.resumes.append((proc.node, msg, at))
+        else:
+            self.q.schedule(at, _Engine._on_complete, proc.node, payload=msg)
 
     def _on_milestone(self, ev) -> None:
         now = ev.time
@@ -459,7 +535,7 @@ class _Engine:
             self.flags.append(FlagRecord(proc.node, now, "END", f"FREQ_{ghz_name(f.ghz)}"))
         if not blocks:
             proc.cursor += 1
-            self._schedule_milestone(proc)
+            self._schedule_milestone(proc, now)
         elif not anticipated:
             self._block_on(proc, msg, now)
 
@@ -532,7 +608,7 @@ class _Engine:
             proc.min_freq = False
             self.flags.append(FlagRecord(proc.node, now, "END", "MIN_FREQ"))
         proc.cursor += 1
-        self._schedule_milestone(proc)
+        self._schedule_milestone(proc, now)
 
     # -- checkpoints -------------------------------------------------------------
 
@@ -574,7 +650,7 @@ class _Engine:
         if proc.blocked_msg is None:
             proc.resume_wall = now
             proc.mark(now, _M_COMPUTE)
-            self._schedule_milestone(proc)
+            self._schedule_milestone(proc, now)
             return
         # anticipated checkpoint taken at the head of a wait
         if self.messages.transfer[proc.blocked_msg] <= now:
@@ -647,7 +723,7 @@ class _Engine:
                 self._block_on(proc, msg, now)
                 return
             proc.cursor += 1
-        self._schedule_milestone(proc)
+        self._schedule_milestone(proc, now)
 
     # -- strategy application ----------------------------------------------
 
@@ -667,7 +743,7 @@ class _Engine:
                 self.flags.append(FlagRecord(node, now, "BEGIN", f"FREQ_{ghz_name(f.ghz)}"))
                 if proc.mark_labels[-1] == _M_COMPUTE:
                     self._cancel_milestone(proc)
-                    self._schedule_milestone(proc)
+                    self._schedule_milestone(proc, now)
 
     def _apply_wait_action(self, proc: _Proc, now: float) -> None:
         """Apply the wait action of ``proc``'s plan at its planned wait. A

@@ -33,6 +33,13 @@ def default_estimate(t_comp_fmax, window, n_ckpt=0, t_ckpt=120.0):
     )
 
 
+@pytest.mark.parametrize("order", [LEVELS[::-1], (LEVELS[0], LEVELS[1], LEVELS[1], LEVELS[3])])
+def test_a_profile_needs_strictly_descending_ghz(order):
+    """Two levels of one GHz would share a name in the report and the trace."""
+    with pytest.raises(ValueError, match="^frequency table must be ordered by strictly descending GHz$"):
+        SystemProfile(freqs=order)
+
+
 def test_t_comp_scaling():
     # with no checkpoint in the phase, its duration is the slowed compute alone
     est = default_estimate(600.0, 1000.0)

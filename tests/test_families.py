@@ -18,11 +18,17 @@ from ftsim.energy import WaitAction
 from ftsim.pattern import KIND_NONBLOCKING, OpColumns
 from ftsim.report import FlagRecord, StateRecord, render_report, write_trace
 from ftsim.scenario import load_scenario, loads_scenario
-from ftsim.simulate import _FIRST, _Engine, _programs, simulate_detailed
+from ftsim.simulate import _Engine, _programs, simulate_detailed
 
 from families import family_scenario
-from test_output_pins import FIXTURES, output_digest
-from test_simulate import SAME_INSTANT_POST
+from test_output_pins import FIXTURES, SHAPED, output_digest
+from test_simulate import (
+    SAME_INSTANT_POST,
+    SAME_INSTANT_RESUME,
+    SAME_INSTANT_RESUME_DIGESTS,
+    queue_every_completion,
+    queue_every_milestone,
+)
 
 SEEDS = range(400)
 
@@ -268,29 +274,30 @@ def test_every_failure_instant_of_the_failed_node():
     assert digest.hexdigest() == SWEEP_DIGEST
 
 
-def queue_every_milestone(engine, proc, code, t):
-    """``_Engine._run_ahead`` handling no milestone in place: each is an
-    event, in the band the engine gives a queued milestone."""
-    nonblocking_post = proc.kinds[code >> 1] & KIND_NONBLOCKING and not code & 1
-    return t, (_FIRST if nonblocking_post else 0)
-
-
 def test_handling_milestones_in_place_changes_no_output(tmp_path, monkeypatch):
-    """A node runs through the non-blocking milestones nothing can interrupt
-    with no event: the same bytes as with every milestone an event, on the
-    fixtures, the same-instant post at both its failure instants, every 8th
-    family and every failure instant of every 32nd."""
+    """A node runs through the milestones nothing can interrupt with no
+    event, and a node a post releases resumes in place: the same bytes as
+    with every milestone and every completion an event, on the fixtures,
+    the same-instant post and the same-instant resume at both their failure
+    instants, every 8th family, and every failure instant of every 32nd
+    family, of the blocking fixture and of the master-worker star."""
     runs = [load_scenario(path) for path in sorted(FIXTURES.glob("*.scn"))]
     runs += [
         loads_scenario(SAME_INSTANT_POST.replace("time = 3.0 s", f"time = {failure} s"))
         for failure in ("3.0", "1.8")
     ]
+    runs += [
+        loads_scenario(SAME_INSTANT_RESUME.replace("time = 2.0 s", f"time = {failure} s"))
+        for failure in SAME_INSTANT_RESUME_DIGESTS
+    ]
     runs += [family_scenario(seed) for seed in SWEEP_SEEDS]
-    for seed in SWEEP_SEEDS[::4]:
-        s = family_scenario(seed)
+    swept = [family_scenario(seed) for seed in SWEEP_SEEDS[::4]]
+    swept += [load_scenario(FIXTURES / "scenario2_blocking.scn"), SHAPED["master_worker_6"]()]
+    for s in swept:
         runs += [replace(s, failure=replace(s.failure, time=t)) for _, _, t in failure_instants(s)]
     shipped = [output_digest(s, tmp_path) for s in runs]
     monkeypatch.setattr(_Engine, "_run_ahead", queue_every_milestone)
+    monkeypatch.setattr(_Engine, "_release", queue_every_completion)
     assert [output_digest(s, tmp_path) for s in runs] == shipped
 
 

@@ -292,31 +292,31 @@ def pass_counts(scenario, monkeypatch, physical=False) -> list[tuple[int, int, i
 
 # (scheduled, processed, cancelled) for pass 1, pass 2 and, with plans, pass 3
 EVENT_COUNTS = {
-    "scenario1_long": [(61, 60, 1), (73, 67, 6), (76, 70, 6)],
-    "scenario1_short": [(57, 53, 4), (61, 56, 5), (64, 56, 8)],
-    "scenario2_blocking": [(57, 56, 1), (61, 59, 2), (62, 60, 2)],
-    "scenario2_nonblocking": [(14, 13, 1), (17, 15, 2), (17, 14, 3)],
-    "scenario3_active": [(267, 266, 1), (271, 269, 2), (274, 269, 5)],
-    "scenario3_idle": [(267, 266, 1), (271, 269, 2), (274, 269, 5)],
+    "scenario1_long": [(43, 42, 1), (52, 46, 6), (58, 52, 6)],
+    "scenario1_short": [(42, 38, 4), (44, 39, 5), (47, 39, 8)],
+    "scenario2_blocking": [(39, 38, 1), (41, 39, 2), (43, 41, 2)],
+    "scenario2_nonblocking": [(14, 13, 1), (16, 14, 2), (16, 13, 3)],
+    "scenario3_active": [(180, 179, 1), (181, 179, 2), (184, 179, 5)],
+    "scenario3_idle": [(180, 179, 1), (181, 179, 2), (184, 179, 5)],
     "scenario4_buffered": [(14, 13, 1), (17, 15, 2)],
-    "scenario4_unbuffered": [(21, 20, 1), (27, 25, 2), (30, 28, 2)],
-    "scenario5": [(114, 113, 1), (118, 116, 2), (120, 118, 2)],
-    "scenario6_anticipated": [(61, 60, 1), (76, 70, 6), (79, 73, 6)],
-    "scenario6_plain": [(61, 60, 1), (73, 67, 6), (76, 70, 6)],
-    "scenario7_long": [(78, 77, 1), (82, 80, 2), (85, 83, 2)],
-    "scenario7_short_blocking": [(78, 77, 1), (82, 80, 2), (85, 80, 5)],
-    "scenario7_short_nonblocking": [(19, 18, 1), (25, 23, 2), (28, 23, 5)],
-    "seed0": [(16, 15, 1), (22, 20, 2), (25, 23, 2)],
-    "seed1": [(14, 13, 1), (23, 21, 2), (23, 21, 2)],
-    "seed2": [(27, 26, 1), (31, 29, 2), (31, 29, 2)],
-    "seed3": [(38, 37, 1), (41, 39, 2), (45, 41, 4)],
-    "seed4": [(27, 26, 1), (31, 29, 2), (33, 31, 2)],
-    "seed5": [(74, 73, 1), (74, 72, 2), (78, 72, 6)],
-    "seed6": [(87, 86, 1), (91, 89, 2), (91, 89, 2)],
-    "seed7": [(66, 65, 1), (70, 68, 2), (73, 68, 5)],
-    "halo_chain_8": [(120, 114, 6), (149, 144, 5), (149, 144, 5)],
-    "master_worker_6": [(194, 193, 1), (198, 197, 1), (204, 203, 1)],
-    "horizon_cut": [(16, 15, 1), (21, 15, 2), (24, 15, 5)],
+    "scenario4_unbuffered": [(21, 20, 1), (24, 22, 2), (30, 28, 2)],
+    "scenario5": [(78, 77, 1), (81, 79, 2), (85, 83, 2)],
+    "scenario6_anticipated": [(43, 42, 1), (55, 49, 6), (61, 55, 6)],
+    "scenario6_plain": [(43, 42, 1), (52, 46, 6), (58, 52, 6)],
+    "scenario7_long": [(54, 53, 1), (55, 53, 2), (61, 59, 2)],
+    "scenario7_short_blocking": [(54, 53, 1), (55, 53, 2), (58, 53, 5)],
+    "scenario7_short_nonblocking": [(19, 18, 1), (22, 20, 2), (25, 20, 5)],
+    "seed0": [(16, 15, 1), (19, 17, 2), (25, 23, 2)],
+    "seed1": [(14, 13, 1), (21, 19, 2), (21, 19, 2)],
+    "seed2": [(19, 18, 1), (22, 20, 2), (22, 20, 2)],
+    "seed3": [(27, 26, 1), (29, 27, 2), (35, 31, 4)],
+    "seed4": [(19, 18, 1), (21, 19, 2), (25, 23, 2)],
+    "seed5": [(51, 50, 1), (51, 49, 2), (55, 49, 6)],
+    "seed6": [(59, 58, 1), (59, 57, 2), (59, 57, 2)],
+    "seed7": [(45, 44, 1), (46, 44, 2), (50, 45, 5)],
+    "halo_chain_8": [(113, 107, 6), (136, 131, 5), (136, 131, 5)],
+    "master_worker_6": [(84, 83, 1), (90, 89, 1), (102, 101, 1)],
+    "horizon_cut": [(16, 15, 1), (18, 12, 2), (21, 12, 5)],
 }
 
 
@@ -341,14 +341,14 @@ def test_event_counts_per_pass(name, monkeypatch):
 def test_forked_passes_hand_out_the_prefix_once(monkeypatch):
     """The kernel handles the events before the failure once, in pass 1: on
     halo_chain_8, passes 2 and 3 each hand out their logical count less that
-    prefix (48 scheduled, 32 processed, 2 cancelled). A node's next
+    prefix (46 scheduled, 30 processed, 2 cancelled). A node's next
     checkpoint trigger is queued when its last one fires, so a fork queues
     the triggers after the failure itself."""
     physical = pass_counts(halo_chain_scenario(), monkeypatch, physical=True)
-    assert physical == [(120, 114, 6), (101, 112, 3), (101, 112, 3)]
+    assert physical == [(113, 107, 6), (90, 101, 3), (90, 101, 3)]
     logical = EVENT_COUNTS["halo_chain_8"]
     for (s, p, c), (s1, p1, c1) in zip(logical[1:], physical[1:]):
-        assert (s - s1, p - p1, c - c1) == (48, 32, 2)
+        assert (s - s1, p - p1, c - c1) == (46, 30, 2)
 
 
 # -- the reference run's output: ``ftsim run --no-strategies`` --------------

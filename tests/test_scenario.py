@@ -107,6 +107,19 @@ def test_bad_beta_monotonicity():
         loads_scenario(bad)
 
 
+def test_a_repeated_frequency_names_both_rows():
+    """A level is named by its GHz, so two rows of one GHz would load, run
+    and print under one name: ``scenario3_active`` with its 1.7 GHz row
+    moved to 2.1 GHz is refused on that row, naming the first."""
+    text = (FIXTURES / "scenario3_active.scn").read_text()
+    old, new = "freq = 1.7 ghz, 139 w, 1.5, 131 w, 1.2", "freq = 2.1 ghz, 139 w, 1.5, 131 w, 1.2"
+    assert text.count(old) == 1
+    lines = text.replace(old, new).splitlines()
+    first, repeat = lines.index("freq = 2.1 ghz, 148 w, 1.2, 142 w, 1.1") + 1, lines.index(new) + 1
+    with pytest.raises(ParseError, match=f"^line {repeat}: freq 2.1 GHz repeats the row on line {first}$"):
+        loads_scenario("\n".join(lines))
+
+
 def test_auto_depth_resolves():
     """``auto`` is the most ops any process holds, which no pair's
     candidates exceed: node 0's four, not the three of its densest pair."""

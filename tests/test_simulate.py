@@ -25,6 +25,7 @@ from ftsim.report import (
 )
 from ftsim.scenario import load_scenario, loads_scenario
 from ftsim.simulate import (
+    _FIRST,
     _LABELS,
     _Engine,
     _failure_free_pass,
@@ -36,7 +37,7 @@ from ftsim.simulate import (
 from families import family_scenario
 from scengen import random_scenario
 from test_fault import trigger_times
-from test_output_pins import _SYSTEM, SHAPED, pass_counts
+from test_output_pins import _SYSTEM, SHAPED, output_digest, pass_counts
 from test_pattern import reference_matching_op
 
 FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
@@ -1361,8 +1362,9 @@ def test_a_transfer_during_an_anticipated_checkpoint_queues_no_completion(monkey
     assert [(t.src, t.dst, t.t_complete) for t in r.trace if isinstance(t, CommRecord)] == [
         (1, 0, 80.0)
     ]
-    # (scheduled, processed, cancelled) per pass
-    assert pass_counts(s, monkeypatch) == [(3, 3, 0), (7, 6, 1), (7, 6, 1)]
+    # (scheduled, processed, cancelled) per pass; in pass 1, node 0's post
+    # resumes node 1, suspended at its send, in place
+    assert pass_counts(s, monkeypatch) == [(2, 2, 0), (7, 6, 1), (7, 6, 1)]
 
 
 def test_programs_share_message_keys_and_sort_by_offset():
@@ -1638,3 +1640,152 @@ def test_a_wait_sees_a_post_made_at_its_instant(failure, queued, tmp_path, monke
     assert [(begin, label) for begin, _, label in node_1] == [
         (b"S 1 0.000", b"COMPUTE"), (b"S 1 5.000", b"WAIT_IDLE"),
     ]
+
+
+SAME_INSTANT_RESUME = _SYSTEM + """
+[pattern]
+nodes = 4
+wait_mode = active
+mpi_mode = blocking
+buffered = off
+op = 0 send 3 @ 6 s wait @ 50 s
+op = 0 send 1 @ 7 s
+op = 0 recv 3 @ 30 s
+op = 1 recv 0 @ 1 s wait @ 5 s
+op = 1 send 2 @ 5 s wait @ 6 s
+op = 2 send 3 @ 6.5 s wait @ 60 s
+op = 2 recv 1 @ 7 s
+op = 3 recv 0 @ 8 s
+op = 3 recv 2 @ 9 s
+op = 3 send 0 @ 20 s
+
+[checkpoint]
+interval = 1000 s
+duration = 10 s
+anticipation = on
+alpha = 0.001
+offset = 900 s
+
+[failure]
+node = 3
+time = 2.0 s
+restart = 20 s
+
+[run]
+horizon = 500 s
+depth = auto
+"""
+
+
+# sha256 of the csv report and trace (output_digest) at each failure
+# instant: the bytes of the run with every milestone and every completion
+# an event
+SAME_INSTANT_RESUME_DIGESTS = {
+    "2.0": "a1008b9dfc472f01bbee19c92139ca902b19328d087d3ceb7b6b1b333b0bfec8",
+    "6.2": "363445cd296aff1560c061e2fe6598776222dbc88b7ab431eadf476db111fcde",
+}
+
+
+@pytest.mark.parametrize("failure", [
+    pytest.param("2.0", id="send-reached-in-place"),
+    pytest.param("6.2", id="send-an-event"),
+])
+def test_a_released_node_posts_at_its_completion_turn(failure, tmp_path):
+    """Node 1 waits from 5 s on node 0's blocking send of 7 s and posts to
+    node 2 at the instant it goes on, its next op sharing the wait's offset.
+    Node 2 reaches its blocking receive of that post at 7 s by an event
+    queued at 6.5 s, after node 0's send was queued, and node 1's completion
+    is queued only when the send transfers: node 2's receive blocks first
+    and, after the failure, takes an anticipated checkpoint. So node 1 is
+    not resumed in place, and node 0's send to it is an event, whether node
+    0 reaches it from its post at 6 s (failure at 2 s) or by the send's own
+    event (at 6.2 s)."""
+    s = loads_scenario(SAME_INSTANT_RESUME.replace("time = 2.0 s", f"time = {failure} s"))
+    assert StateRecord(2, 7.0, 17.0, "CKPT") in simulate_detailed(s).trace
+    assert output_digest(s, tmp_path) == SAME_INSTANT_RESUME_DIGESTS[failure]
+
+
+def queue_every_milestone(engine, proc, code, t):
+    """``_Engine._run_ahead`` handling no milestone in place: each is an
+    event, in the band the engine gives a queued milestone."""
+    nonblocking_post = proc.kinds[code >> 1] & KIND_NONBLOCKING and not code & 1
+    return t, (_FIRST if nonblocking_post else 0)
+
+
+def queue_every_completion(engine, proc, msg, at):
+    """``_Engine._release`` resuming no node in place: each goes on at an
+    ``_on_complete`` event."""
+    engine.q.schedule(at, _Engine._on_complete, proc.node, payload=msg)
+
+
+def blocking_pipeline_scenario(nodes):
+    """Node i receives from node i - 1 and sends to node i + 1, twice, all
+    blocking. Each node after the first is suspended at its receive when its
+    sender posts, and sends 0.01 s of work later, so one post of node 0
+    releases the whole chain, each node in place. Node 0 fails between its
+    two sends."""
+    lines = [_SYSTEM, "[pattern]", f"nodes = {nodes}", "wait_mode = active",
+             "mpi_mode = blocking", "buffered = off"]
+    lines += ["op = 0 send 1 @ 2 s", "op = 0 send 1 @ 20 s"]
+    for i in range(1, nodes):
+        for offset in (1, 10):
+            lines.append(f"op = {i} recv {i - 1} @ {offset} s")
+            if i < nodes - 1:
+                lines.append(f"op = {i} send {i + 1} @ {offset + 0.01} s")
+    lines += ["[checkpoint]", "interval = 1000 s", "duration = 10 s", "anticipation = off",
+              "[failure]", "node = 0", "time = 8 s", "restart = 1 s",
+              "[run]", "horizon = 100 s", "depth = 1"]
+    return loads_scenario("\n".join(lines), "blocking_pipeline")
+
+
+def test_a_chain_of_releases_does_not_recurse(tmp_path, monkeypatch):
+    """A post releases a suspended peer in place, whose own post releases
+    the next one: the engine resumes them one after another from its
+    worklist, not by nested calls, so a chain of 400 nodes runs (a nested
+    call per node would pass Python's recursion limit) and writes the bytes
+    of the run with every milestone and every completion an event."""
+    s = blocking_pipeline_scenario(400)
+    r = simulate_detailed(s)
+    # every message is transferred, and every node finishes
+    assert len([t for t in r.trace if isinstance(t, CommRecord)]) == 2 * 399
+    assert r.makespan < s.horizon
+    shipped = output_digest(s, tmp_path)
+    monkeypatch.setattr(_Engine, "_run_ahead", queue_every_milestone)
+    monkeypatch.setattr(_Engine, "_release", queue_every_completion)
+    assert output_digest(s, tmp_path) == shipped
+
+
+def test_a_blocking_post_runs_ahead_only_to_a_suspended_peer():
+    """Node 0 posts its send at 10 s and fails at 20 s while blocked on it;
+    it replays the send at 35 s, the instant node 1, out of a checkpoint
+    since 26 s, reaches its receive. Node 0 has posted, but its post is
+    stale: only a suspended peer's post is final. So node 1's receive is an
+    event, queued after the replay, and the message carries the replayed
+    post."""
+    s = loads_scenario(TWO_LEVELS + """
+[pattern]
+nodes = 2
+op = 0 send 1 @ 10 s
+op = 0 recv 1 @ 40 s
+op = 1 recv 0 @ 25 s
+op = 1 send 0 @ 40 s
+
+[checkpoint]
+interval = 1000 s
+duration = 10 s
+anticipation = off
+offset = 0: 900 s
+offset = 1: 16 s
+
+[failure]
+node = 0
+time = 20 s
+restart = 5 s
+
+[run]
+horizon = 400 s
+depth = 1
+""", "stale_post")
+    r = simulate_detailed(s)
+    comms = [(t.src, t.dst, t.t_post, t.t_complete) for t in r.trace if isinstance(t, CommRecord)]
+    assert comms == [(0, 1, 35.0, 35.0), (1, 0, 50.0, 65.0)]
