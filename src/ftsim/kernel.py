@@ -7,7 +7,7 @@ queue numbers events 0, 1, 2, … as they are scheduled, so ties within a
 band are broken by insertion order, which makes every run of the same
 schedule reproducible. An event's kind is whatever the caller passes; the
 kernel never reads it. A queue can be copied, and a copy run on from where
-the original stands.
+the original stands; its pending events can be listed in key order.
 """
 
 from __future__ import annotations
@@ -85,6 +85,11 @@ class EventQueue:
             self._pending.discard(event_id)
             return True
         return False
+
+    def pending(self) -> list[SimEvent]:
+        """The pending events, in (time, band, seq) order."""
+        pending = self._pending
+        return sorted(event for event in self._heap if event[2] in pending)
 
     def copy(self) -> EventQueue:
         """A queue that runs on independently from this one's state. The

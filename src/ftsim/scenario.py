@@ -357,8 +357,13 @@ def _columns(per_proc: list, proc: int) -> OpColumns:
     # lists, not tuples: freed small tuples stay on CPython's free lists and
     # would raise the peak memory of the simulation that follows
     by_post = sorted(range(len(keys)), key=keys.__getitem__)
+    sorted_keys = [keys[i] for i in by_post]
     offsets = array("d", bytes(16 * len(by_post)))
-    offsets[0::2] = array("d", [keys[i] for i in by_post])
+    if sorted_keys == keys:
+        # the sort moved no op, as in most processes: the raw columns serve
+        offsets[0::2], offsets[1::2] = posts, waits
+        return OpColumns(proc, offsets, peers, bytes(kinds))
+    offsets[0::2] = array("d", sorted_keys)
     offsets[1::2] = array("d", [waits[i] for i in by_post])
     peers = array("i", [peers[i] for i in by_post])
     return OpColumns(proc, offsets, peers, bytes([kinds[i] for i in by_post]))

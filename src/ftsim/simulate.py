@@ -8,7 +8,8 @@ Three deterministic passes:
    analysis reads them for the ops it examines;
 2. the reference run: the failure happens and nothing is done about it
    (the deadline, the phase durations and the energy baseline);
-3. the final run with the selected strategies applied, when enabled.
+3. the final run with the selected strategies applied, when enabled, up to
+   the last planned release, where it rejoins pass 2 (below).
 
 Events at one instant are handled in a fixed order, written once as the
 kernel bands of ``_schedule_trigger``, ``_FAILURE`` and ``_FIRST``: node n's
@@ -80,6 +81,25 @@ simulated once. Pass 1 is snapshotted right before the first event that
 would follow the failure; passes 2 and 3 resume from that state with the
 failure scheduled, and run exactly as if it had been injected at t = 0.
 
+After the last planned release, pass 3 is pass 2 again, and it takes pass
+2's rest instead of simulating it. The analysis reads only pass 1's
+messages, so it runs before pass 2, which watches the processes it
+estimates (only those get plans). Once each has recorded its first delayed
+wait, the rejoin instant T* is the latest ``end`` among those waits (a
+resume made in place may set one ahead of the clock), and after every event
+at T* an ``_on_rejoin`` event records a digest of the pass's state
+(``_Engine._state_digest``): per node its fields, its last mark and, when
+that lies after T*, the label before it (a later mark at that time would
+replace the last one, and may merge into that label); the pending events in
+key order; and the post and transfer columns, as bytes. Pass 2 runs on to
+its end and hands over its tail: each node's marks from its last one at T*
+on, its ``done_at``, and the final post and transfer columns. Pass 3 runs to
+the same key, (T*, inf). Where its state's digest is pass 2's, the result is
+pass 3's marks and flags up to that key followed by pass 2's tail: every
+planned node's cursor is past its planned wait, so no plan acts again, and
+from equal states the two passes go on alike. Otherwise pass 3 runs on to
+its end, as a slowed node that posts later than in pass 2 makes it.
+
 A message's send side is entry ``2·msg`` of its pass's side columns and its
 receive side entry ``2·msg + 1``: an op of ``kind`` reads entry
 ``2·msg + (kind & KIND_RECV)``, and its peer the other one, ``side ^ 1``.
@@ -135,11 +155,13 @@ the node waits, so a delayed wait's ``begin`` is its ``resume_wall``.
 from __future__ import annotations
 
 import heapq
+import marshal
 from array import array
 from bisect import bisect_left
 from collections import deque
 from copy import copy
 from dataclasses import dataclass, field
+from hashlib import sha256
 from itertools import chain, islice, pairwise
 from math import inf, isnan, nan
 from typing import Iterable, Iterator, NamedTuple
@@ -185,6 +207,8 @@ _new_record = tuple.__new__  # skips the NamedTuples' generated Python __new__
 # queued; every other event is in band 0
 _FAILURE = -2
 _FIRST = -1
+# the band of pass 2's rejoin record: after every event at its instant
+_REJOIN = inf
 
 
 class _Programs(NamedTuple):
@@ -263,6 +287,20 @@ class _DelayedWait(NamedTuple):
     end: float
 
 
+class _Tail(NamedTuple):
+    """What pass 2 hands pass 3 at its rejoin key ``(at, _REJOIN)``: the
+    digest of its state there (:meth:`_Engine._state_digest`), each node's
+    marks from its last one at the key on, each node's ``done_at``, and its
+    final post and transfer columns."""
+
+    at: float
+    digest: bytes
+    mark_times: list[array]
+    mark_labels: list[bytearray]
+    done_at: list[float | None]
+    messages: _Messages
+
+
 @dataclass(slots=True)
 class _Proc:
     node: int
@@ -331,6 +369,10 @@ class _Engine:
         self.baseline: _Messages | None = None
         self.plans: dict[int, tuple[NodePlan, _DelayedWait]] = {}
         self.delayed: dict[int, _DelayedWait] = {}  # filled only in a pass with a baseline
+        # pass 2's processes whose first delayed waits set its rejoin instant,
+        # and its record there: (instant, state digest, each node's last mark)
+        self.watch: frozenset[int] = frozenset()
+        self.rejoin: tuple[float, bytes, list[int]] | None = None
         self.q = EventQueue()
         # (node, message, transfer) of each node to resume in place once the
         # handler returns, in order; empty between events
@@ -362,14 +404,18 @@ class _Engine:
         self,
         baseline: _Messages | None = None,
         plans: dict[int, tuple[NodePlan, _DelayedWait]] | None = None,
+        watch: frozenset[int] = frozenset(),
     ) -> None:
         """Schedule the failure at its place in the tie order, to be followed
         by anticipation against ``baseline`` and by the strategies in ``plans``;
         with a baseline, each node's first wait that ends after its
-        completion there is recorded in this pass's own ``delayed``."""
+        completion there is recorded in this pass's own ``delayed``. Once
+        every node of ``watch`` has one, the pass records its state at the
+        latest of their ends (:meth:`_on_rejoin`)."""
         self.baseline = baseline
         self.delayed = {}
         self.plans = plans or {}
+        self.watch = watch
         time, band = self.failure_at
         self.q.schedule(time, _Engine._on_failure, self.s.failure.node, band=band)
 
@@ -598,9 +644,15 @@ class _Engine:
     def _resume_from_wait(self, proc: _Proc, now: float) -> None:
         if self.baseline is not None and proc.node not in self.delayed:
             if not now <= self._failure_free_end(proc):  # NaN: it never went on
-                self.delayed[proc.node] = _new_record(
+                delayed = self.delayed
+                delayed[proc.node] = _new_record(
                     _DelayedWait, (proc.node, proc.order[proc.cursor], proc.resume_wall, now)
                 )
+                if proc.node in self.watch and delayed.keys() >= self.watch:
+                    # the latest end, not now: a resume made in place may
+                    # have set an end ahead of the clock
+                    at = max(delayed[node].end for node in self.watch)
+                    self.q.schedule(at, _Engine._on_rejoin, proc.node, band=_REJOIN)
         proc.blocked_msg = None
         proc.resume_wall = now
         proc.mark(now, _M_COMPUTE)
@@ -778,6 +830,72 @@ class _Engine:
             return
         # a completion event resumes the process at the transfer
         proc.mark(now, self.wait_label)
+
+    # -- rejoin ------------------------------------------------------------------
+
+    def _on_rejoin(self, ev) -> None:
+        """Pass 2 after every event at its rejoin instant: record its state's
+        digest and each node's last mark, from which on its marks may change."""
+        firsts = [len(proc.mark_times) - 1 for proc in self.procs]
+        self.rejoin = (ev.time, self._state_digest(ev.time), firsts)
+
+    def _state_digest(self, at: float) -> bytes:
+        """sha256 of all that the pass reads after the key ``(at, _REJOIN)``.
+        Per node: its fields, whether its milestone is pending, its last mark
+        and, when that lies after ``at``, the label before it (a later mark at
+        the last one's time replaces it, and may merge into that label; every
+        later mark is at or after the clock, so after ``at``). The pending
+        events in key order, as (time, band, handler, node, payload). And the
+        post and transfer columns as bytes: NaN is unequal to itself."""
+        # one flat list, 15 entries per node and then 5 per event (freed
+        # tuples would stay on CPython's free lists, in the memory peak),
+        # marshalled in format 2: floats in binary, and no back-references,
+        # which would depend on object identity
+        state = []
+        for p in self.procs:
+            times, labels = p.mark_times, p.mark_labels
+            state += [
+                p.cursor, p.position, p.resume_wall, p.done_at, p.blocked_msg, p.trigger,
+                p.min_freq, p.freq.ghz, p.last_ckpt, p.pos_at_ckpt, p.ckpt_end,
+                p.milestone_id is not None, times[-1], labels[-1],
+                labels[-2] if times[-1] > at else None,
+            ]
+        for ev in self.q.pending():
+            state += [ev.time, ev.band, ev.kind.__name__, ev.node, ev.payload]
+        digest = sha256(marshal.dumps(state, 2))
+        digest.update(self.messages.post)
+        digest.update(self.messages.transfer)
+        return digest.digest()
+
+    def handover(self) -> _Tail | None:
+        """Pass 2, run to its end, as the tail pass 3 takes at the rejoin
+        key, or None when it recorded none."""
+        if self.rejoin is None:
+            return None
+        at, digest, firsts = self.rejoin
+        procs = self.procs
+        times = [p.mark_times[i:] for p, i in zip(procs, firsts)]
+        labels = [p.mark_labels[i:] for p, i in zip(procs, firsts)]
+        done_at = [p.done_at for p in procs]
+        return _new_record(_Tail, (at, digest, times, labels, done_at, self.messages))
+
+    def run_to_rejoin(self, tail: _Tail | None) -> None:
+        """Run pass 3 to its end; or, with pass 2's tail, to the rejoin key,
+        and from there take pass 2's tail when the two states are equal.
+        Every plan acts by then and a plan never moves a release, so the
+        states are equal unless a plan changed what a later event reads."""
+        if tail is not None:
+            self.run(until=(tail.at, _REJOIN))
+            if self._state_digest(tail.at) == tail.digest:
+                columns = zip(self.procs, tail.mark_times, tail.mark_labels, tail.done_at)
+                for proc, times, labels, done_at in columns:
+                    del proc.mark_times[-1], proc.mark_labels[-1]  # the tail starts at it
+                    proc.mark_times.extend(times)
+                    proc.mark_labels.extend(labels)
+                    proc.done_at = done_at
+                self.messages = tail.messages
+                return
+        self.run()
 
     # -- results ----------------------------------------------------------------
 
@@ -957,17 +1075,23 @@ def simulate_detailed(s: Scenario) -> SimulationResult:
     baseline = base.messages  # read-only from here on
     del base  # the later passes and the analysis need only its messages
 
-    # without strategies no pass 3 resumes from the snapshot, so pass 2 runs
-    # on the snapshot itself rather than on a copy
-    ref = snapshot.fork() if s.strategies_enabled else snapshot
-    ref.inject(baseline)
-    ref.run()
-    ref_makespan = ref.makespan()
-
+    # the analysis reads only the baseline, so pass 2 can watch the processes
+    # it estimates: pass 3 plans only those
     estimates = estimate_block_times(
         s.pattern, s.failure.node, s.failure.time, s.depth,
         _failure_free_times(s.pattern, programs.msgs, baseline),
     )
+
+    # without strategies no pass 3 resumes from the snapshot, so pass 2 runs
+    # on the snapshot itself rather than on a copy
+    if s.strategies_enabled:
+        ref = snapshot.fork()
+        ref.inject(baseline, watch=frozenset(est.process for est in estimates))
+    else:
+        ref = snapshot
+        ref.inject(baseline)
+    ref.run()
+    ref_makespan = ref.makespan()
 
     plans: list[NodePlan] = []
     plan_map: dict[int, tuple[NodePlan, _DelayedWait]] = {}
@@ -984,10 +1108,12 @@ def simulate_detailed(s: Scenario) -> SimulationResult:
         plan_map[est.process] = (plan, wait)
 
     if s.strategies_enabled and plan_map:
-        del ref  # pass 3 reads only pass 2's makespan and delayed waits
+        tail = ref.handover()
+        del ref  # pass 3 reads only pass 2's makespan, delayed waits and tail
         final = snapshot
         final.inject(baseline, plan_map)
-        final.run()
+        final.run_to_rejoin(tail)
+        del tail
     else:
         final = ref
         del snapshot  # no pass 3; without strategies, this is ``ref``

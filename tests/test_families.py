@@ -21,11 +21,13 @@ from ftsim.scenario import load_scenario, loads_scenario
 from ftsim.simulate import _Engine, _programs, simulate_detailed
 
 from families import family_scenario
+from scengen import random_scenario
 from test_output_pins import FIXTURES, SHAPED, output_digest
 from test_simulate import (
     SAME_INSTANT_POST,
     SAME_INSTANT_RESUME,
     SAME_INSTANT_RESUME_DIGESTS,
+    no_rejoin,
     queue_every_completion,
     queue_every_milestone,
 )
@@ -298,6 +300,32 @@ def test_handling_milestones_in_place_changes_no_output(tmp_path, monkeypatch):
     shipped = [output_digest(s, tmp_path) for s in runs]
     monkeypatch.setattr(_Engine, "_run_ahead", queue_every_milestone)
     monkeypatch.setattr(_Engine, "_release", queue_every_completion)
+    assert [output_digest(s, tmp_path) for s in runs] == shipped
+
+
+def test_rejoining_pass_2_changes_no_output(tmp_path, monkeypatch):
+    """Pass 3 stops at the rejoin key and takes pass 2's tail where the two
+    states are equal there: the same bytes as pass 3 run to its end, on the
+    fixtures, ``scengen`` 0-199, every 8th family and every failure instant
+    of every 32nd family. Both branches are taken in this set."""
+    runs = [load_scenario(path) for path in sorted(FIXTURES.glob("*.scn"))]
+    runs += [random_scenario(seed) for seed in range(200)]
+    runs += [family_scenario(seed) for seed in SWEEP_SEEDS]
+    for s in [family_scenario(seed) for seed in SWEEP_SEEDS[::4]]:
+        runs += [replace(s, failure=replace(s.failure, time=t)) for _, _, t in failure_instants(s)]
+    taken = []
+    run_to_rejoin = _Engine.run_to_rejoin
+
+    def spied(engine, tail):
+        run_to_rejoin(engine, tail)
+        if tail is not None:
+            taken.append(engine.messages is tail.messages)
+
+    monkeypatch.setattr(_Engine, "run_to_rejoin", spied)
+    shipped = [output_digest(s, tmp_path) for s in runs]
+    # of the runs whose pass 2 hands over a tail, 375 rejoin and 108 run on
+    assert (taken.count(True), taken.count(False)) == (375, 108)
+    monkeypatch.setattr(_Engine, "handover", no_rejoin)
     assert [output_digest(s, tmp_path) for s in runs] == shipped
 
 

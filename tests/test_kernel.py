@@ -170,3 +170,18 @@ def test_copy_runs_on_independently():
     assert twin.clock == 1.0 and len(twin) == 3
     assert [twin.advance().node for _ in range(3)] == [0, 2, 1]  # the copy keeps node 2's event
     assert len(q) == 1 and q.clock == 2.0
+
+
+def test_pending_lists_the_events_in_key_order():
+    q = EventQueue()
+    q.schedule(2.0, MILESTONE, 0)
+    cancelled = q.schedule(1.0, MILESTONE, 1)
+    q.schedule(2.0, CKPT_BEGIN, 2, band=-1)
+    q.schedule(2.0, MILESTONE, 3)
+    q.schedule(0.5, MILESTONE, 4)
+    q.cancel(cancelled)
+    q.advance()
+    assert [(ev.time, ev.band, ev.node) for ev in q.pending()] == [
+        (2.0, -1, 2), (2.0, 0, 0), (2.0, 0, 3),
+    ]
+    assert len(q) == 3  # listing them pops nothing

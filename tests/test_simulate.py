@@ -185,14 +185,18 @@ def test_report_row_consistency(name):
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_survivors_never_roll_back(name, monkeypatch):
+    """Every survivor ends pass 3 at the cursor it ends pass 2 at. Pass 3
+    runs to its end here: one that rejoins pass 2 stops at the rejoin key
+    and builds its result from pass 2's tail, not from its own cursors."""
     resumed = []  # the passes that resume from pass 1 at the failure
     inject = _Engine.inject
 
-    def spy(engine, *args):
+    def spy(engine, *args, **kwargs):
         resumed.append(engine)
-        inject(engine, *args)
+        inject(engine, *args, **kwargs)
 
     monkeypatch.setattr(_Engine, "inject", spy)
+    monkeypatch.setattr(_Engine, "handover", no_rejoin)
     r = detailed(name)
     ref, final = resumed[0], resumed[-1]  # pass 3 is skipped when nothing is planned
     assert len(resumed) in (1, 2)
@@ -1363,8 +1367,9 @@ def test_a_transfer_during_an_anticipated_checkpoint_queues_no_completion(monkey
         (1, 0, 80.0)
     ]
     # (scheduled, processed, cancelled) per pass; in pass 1, node 0's post
-    # resumes node 1, suspended at its send, in place
-    assert pass_counts(s, monkeypatch) == [(2, 2, 0), (7, 6, 1), (7, 6, 1)]
+    # resumes node 1, suspended at its send, in place; pass 2 also handles
+    # its rejoin record at 90 s, where node 0's wait ends
+    assert pass_counts(s, monkeypatch) == [(2, 2, 0), (8, 7, 1), (7, 6, 1)]
 
 
 def test_programs_share_message_keys_and_sort_by_offset():
@@ -1718,6 +1723,11 @@ def queue_every_completion(engine, proc, msg, at):
     engine.q.schedule(at, _Engine._on_complete, proc.node, payload=msg)
 
 
+def no_rejoin(engine):
+    """``_Engine.handover`` handing pass 3 no tail: pass 3 runs to its end."""
+    return None
+
+
 def blocking_pipeline_scenario(nodes):
     """Node i receives from node i - 1 and sends to node i + 1, twice, all
     blocking. Each node after the first is suspended at its receive when its
@@ -1789,3 +1799,166 @@ depth = 1
     r = simulate_detailed(s)
     comms = [(t.src, t.dst, t.t_post, t.t_complete) for t in r.trace if isinstance(t, CommRecord)]
     assert comms == [(0, 1, 35.0, 35.0), (1, 0, 50.0, 65.0)]
+
+
+# -- pass 3 rejoins pass 2 after the last planned release ---------------------
+
+
+def rejoins(scenario) -> tuple[list[bool], list[array]]:
+    """Whether pass 3 took pass 2's tail, once per tail pass 2 handed over,
+    and the post column at each state digest taken: pass 2's at its record,
+    then pass 3's at the rejoin key."""
+    taken, posts = [], []
+    run_to_rejoin, state_digest = _Engine.run_to_rejoin, _Engine._state_digest
+
+    def spied_run(engine, tail):
+        run_to_rejoin(engine, tail)
+        if tail is not None:
+            taken.append(engine.messages is tail.messages)
+
+    def spied_digest(engine, at):
+        posts.append(engine.messages.post[:])
+        return state_digest(engine, at)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Engine, "run_to_rejoin", spied_run)
+        patch.setattr(_Engine, "_state_digest", spied_digest)
+        simulate_detailed(scenario)
+    return taken, posts
+
+
+@pytest.mark.parametrize("name", ["master_worker_6", "scenario7_long"])
+def test_pass_3_rejoins_pass_2_from_an_equal_state(name):
+    s = SHAPED[name]() if name in SHAPED else load_scenario(FIXTURES / f"{name}.scn")
+    taken, (ref, final) = rejoins(s)
+    assert taken == [True]
+    assert ref.tobytes() == final.tobytes()
+
+
+def test_pass_3_runs_on_where_a_slowed_node_posts_later():
+    """On scenario3_active nodes 1-3 run slowed until their receives from
+    the failed node 0 at 630.0, 630.2 and 630.4 s, and post them 6.4-6.5 s
+    later than pass 2 did: the post columns differ at the rejoin key, 790.4
+    s, so pass 3 runs on to its end."""
+    taken, (ref, final) = rejoins(load_scenario(FIXTURES / "scenario3_active.scn"))
+    assert taken == [False]
+    differ = [
+        (side & 1, ref[side], round(final[side], 6)) for side in range(len(ref))
+        if ref[side:side + 1].tobytes() != final[side:side + 1].tobytes()
+    ]
+    assert differ == [(1, 630.0, 636.4), (1, 630.2, 636.64), (1, 630.4, 636.88)]  # receive sides
+
+
+def test_the_rejoin_instant_is_the_latest_watched_end(monkeypatch):
+    """The rejoin key is at the latest end of the estimated processes' first
+    delayed waits, not at the instant the last of them is recorded: a resume
+    made in place can run ahead of the clock. On master_worker_6 the last
+    one is recorded at 921.0 s, and the latest end is 1002.5 s."""
+    recorded = []
+    schedule = EventQueue.schedule
+
+    def spy(queue, time, kind, node, payload=None, band=0):
+        if kind is _Engine._on_rejoin:
+            recorded.append((queue.clock, time))
+        return schedule(queue, time, kind, node, payload, band)
+
+    monkeypatch.setattr(EventQueue, "schedule", spy)
+    r = simulate_detailed(SHAPED["master_worker_6"]())
+    estimated = {est.process for est in r.estimates}
+    assert set(r.reference_waits) == estimated
+    assert recorded == [(921.0, max(w.end for w in r.reference_waits.values()))]
+    assert recorded[0][1] == 1002.5
+
+
+# -- the two band-0 ties at one instant where the output differs from an event
+# per milestone and per completion (ROADMAP item 7): pinned as shipped, so
+# that a fix shows as a pin failure
+
+TIE_SETTINGS = """
+[checkpoint]
+interval = 1000 s
+duration = 10 s
+anticipation = on
+alpha = 0.001
+offset = 900 s
+
+[failure]
+node = 3
+time = 4 s
+restart = 20 s
+
+[run]
+horizon = 500 s
+depth = auto
+"""
+
+# Node 0 passes its wait at 5 s in place and at once posts its send of 5 s,
+# ahead of node 1's receive at 5 s, queued at 0 s: the receive does not
+# block. With an event per milestone the post waits for the wait's event,
+# and node 1 blocks and takes an anticipated checkpoint at 5-15 s.
+TIE_AFTER_A_WAIT = _SYSTEM + """
+[pattern]
+nodes = 4
+wait_mode = active
+mpi_mode = blocking
+buffered = off
+op = 0 send 2 @ 1 s wait @ 5 s
+op = 0 send 1 @ 5 s wait @ 6 s
+op = 1 recv 0 @ 5 s
+op = 2 recv 0 @ 0.5 s
+op = 2 recv 3 @ 4 s
+op = 3 send 2 @ 3 s
+""" + TIE_SETTINGS.replace("time = 4 s", "time = 0.5 s")
+
+# Node 0's receive at 5 s is queued at 0 s and node 1's send at 5 s at 1 s,
+# where an event per milestone queues them the other way round: node 0
+# blocks first and takes the anticipated checkpoint at 5-15 s, not node 1.
+TIE_BY_QUEUED_ORDER = _SYSTEM + """
+[pattern]
+nodes = 4
+wait_mode = active
+mpi_mode = blocking
+buffered = off
+op = 0 send 2 @ 3 s wait @ 30 s
+op = 0 recv 1 @ 5 s
+op = 1 send 2 @ 1 s
+op = 1 send 0 @ 5 s
+op = 2 recv 1 @ 0.5 s
+op = 2 recv 0 @ 0.6 s wait @ 40 s
+""" + TIE_SETTINGS
+
+# (scenario, shipped output digest, anticipated checkpoints as shipped,
+# anticipated checkpoints with an event per milestone and per completion)
+TIES = {
+    "after_a_wait": (
+        TIE_AFTER_A_WAIT,
+        "7932e1bf47958f7dbbcc053fe0fa4edfa022ce68c8c787406eabb6211f37e403",
+        [(2, 8.35, 22.35)],
+        [(1, 5.0, 15.0), (2, 8.35, 22.35)],
+    ),
+    "by_queued_order": (
+        TIE_BY_QUEUED_ORDER,
+        "88b3ced5f8f6386ca51bcdba0e29df0dab4357a54703e2ee588a6c9e90b47ee7",
+        [(0, 5.0, 15.0)],
+        [(1, 5.0, 15.0)],
+    ),
+}
+
+
+def checkpoints(s):
+    return [
+        (t.node, round(t.t0, 6), round(t.t1, 6)) for t in simulate_detailed(s).trace
+        if isinstance(t, StateRecord) and t.state == "CKPT"
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(TIES))
+def test_a_same_instant_tie_differs_from_the_all_events_run(name, tmp_path, monkeypatch):
+    text, digest, shipped, all_events = TIES[name]
+    s = loads_scenario(text, name)
+    assert output_digest(s, tmp_path) == digest
+    assert checkpoints(s) == shipped
+    monkeypatch.setattr(_Engine, "_run_ahead", queue_every_milestone)
+    monkeypatch.setattr(_Engine, "_release", queue_every_completion)
+    assert output_digest(s, tmp_path) != digest
+    assert checkpoints(s) == all_events
