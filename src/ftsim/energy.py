@@ -68,7 +68,7 @@ class FrequencyLevel:
 @dataclass(frozen=True)
 class SystemProfile:
     """Node-level energy constants and the frequency table (strictly
-    descending GHz)."""
+    descending GHz), checked as they are built."""
 
     freqs: tuple[FrequencyLevel, ...]
     t_go_sleep: float = 25.0
@@ -86,6 +86,14 @@ class SystemProfile:
         # strictly: a level is named by its GHz, so two rows of one GHz would share a name
         if any(a.ghz <= b.ghz for a, b in pairwise(self.freqs)):
             raise ValueError("frequency table must be ordered by strictly descending GHz")
+        if self.f_max.beta != 1.0 or self.f_max.gamma != 1.0:
+            raise ValueError("maximum-frequency row must have beta = gamma = 1")
+        if any(b.beta < a.beta or b.gamma < a.gamma for a, b in pairwise(self.freqs)):
+            raise ValueError("beta and gamma must not decrease as GHz decreases")
+        if not (self.mu1 >= 1.0):
+            raise ValueError("mu1 must be >= 1")
+        if not (0 < self.mu2 <= 1.0):
+            raise ValueError("mu2 must be in (0, 1]")
 
     @property
     def f_max(self) -> FrequencyLevel:

@@ -95,6 +95,3 @@ class EventQueue:
         """A queue that runs on independently from this one's state. The
         events' payloads are shared, not copied."""
         return EventQueue(self.clock, list(self._heap), self._counter, set(self._pending))
-
-    def __len__(self) -> int:
-        return len(self._pending)

@@ -10,16 +10,15 @@ position; there is no op object.
 
 The FIFO channel index holds, per process, one ``array('i')`` of op indices
 per directed stream, keyed ``2·peer + (kind & KIND_RECV)``.
-``matching_op(proc, index)`` is the one FIFO lookup, and validation checks
-FIFO matching per directed channel from its two streams' lengths, with no
-per-op lookup.
+``matching_op(proc, index)`` is the one FIFO lookup. A pattern checks each op
+as it indexes it, then FIFO matching per directed channel from its two
+streams' lengths, with no per-op lookup.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator
@@ -68,11 +67,13 @@ class CommPattern:
     """Per-process programs, ``processes[proc]`` holding ``proc``'s ops, plus
     the MPI semantics they run under.
 
-    Construction builds the FIFO channel index from the columns in one pass:
-    for each process, the indices of its ops on each of its directed
-    channels, in program order. :meth:`matching_op` is the one FIFO lookup
-    in it. The index is not refreshed, so the columns must not be mutated;
-    ``dataclasses.replace`` builds a new, indexed pattern.
+    Construction builds the FIFO channel index from the columns in one pass
+    that checks each op (strictly increasing posts, no wait before its post,
+    a peer that is another process), then FIFO matching, and raises
+    ``ValueError`` (:class:`UnmatchedOp` when unmatched) on a broken rule.
+    :meth:`matching_op` is the one FIFO lookup in it. The index is not
+    refreshed, so the columns must not be mutated; ``dataclasses.replace``
+    builds a new pattern, checked and indexed.
     """
 
     processes: list[OpColumns]
@@ -83,59 +84,9 @@ class CommPattern:
         # per process, its streams keyed 2·peer + (kind & KIND_RECV), each in
         # the order of its first op: the order ``messages`` numbers them in
         self._streams: list[dict[int, array]] = []
-        for ops in self.processes:
-            streams: dict[int, array] = {}
-            for index, (peer, kind) in enumerate(zip(ops.peers, ops.kinds)):
-                key = 2 * peer + (kind & KIND_RECV)
-                stream = streams.get(key)
-                if stream is None:
-                    stream = streams[key] = array("i")
-                stream.append(index)
-            self._streams.append(streams)
-
-    @property
-    def nodes(self) -> int:
-        return len(self.processes)
-
-    def _stream(self, proc: int, key: int) -> Sequence[int]:
-        """Stream ``key`` of ``proc``; empty when ``proc`` is no process."""
-        return self._streams[proc].get(key, ()) if 0 <= proc < len(self._streams) else ()
-
-    def peers(self, proc: int) -> list[int]:
-        """Processes ``proc`` communicates with, ascending."""
-        return sorted({key >> 1 for key in self._streams[proc]})
-
-    def ops_with(self, proc: int, peer: int) -> list[int]:
-        """The indices of ``proc``'s ops with ``peer``, in program order."""
-        return sorted(chain(self._stream(proc, 2 * peer), self._stream(proc, 2 * peer + KIND_RECV)))
-
-    def matching_op(self, proc: int, index: int) -> int:
-        """The index, in the peer's program, of the op paired with op
-        ``index`` of ``proc`` by FIFO order on their directed channel: the
-        k-th send on a channel pairs with its k-th receive."""
-        ops = self.processes[proc]
-        peer, recv = ops.peers[index], ops.kinds[index] & KIND_RECV
-        k = bisect_left(self._streams[proc][2 * peer + recv], index)
-        theirs = self._stream(peer, 2 * proc + (recv ^ KIND_RECV))
-        if k >= len(theirs):
-            raise UnmatchedOp.of(ops, index)
-        return theirs[k]
-
-    def messages(self) -> Iterator[tuple[int, int, int, int]]:
-        """Every message of a validated pattern as (sender, receiver, send op
-        index, receive op index), channel by channel, each directed channel's
-        in FIFO order: its k-th send pairs with its k-th receive."""
-        for sender, streams in enumerate(self._streams):
-            for key, sends in streams.items():
-                if not key & KIND_RECV:
-                    receiver = key >> 1
-                    recvs = self._streams[receiver][2 * sender + KIND_RECV]
-                    for send, recv in zip(sends, recvs, strict=True):
-                        yield sender, receiver, send, recv
-
-    def validate(self) -> None:
         nodes = self.nodes
         for proc, ops in enumerate(self.processes):
+            streams: dict[int, array] = {}
             last = -1.0
             for index, (peer, kind, post, wait) in enumerate(
                 zip(ops.peers, ops.kinds, ops.offsets[::2], ops.offsets[1::2])
@@ -149,6 +100,12 @@ class CommPattern:
                     raise ValueError(f"process {proc}: wait before post at op {index}")
                 if not (0 <= peer < nodes) or peer == proc:
                     raise ValueError(f"process {proc}: bad peer {peer}")
+                key = 2 * peer + (kind & KIND_RECV)
+                stream = streams.get(key)
+                if stream is None:
+                    stream = streams[key] = array("i")
+                stream.append(index)
+            self._streams.append(streams)
         # FIFO matching from the channel index: past the shorter of a
         # channel's send and receive streams, every op of the longer one is
         # unmatched, the first of them at position len(shorter)
@@ -161,3 +118,37 @@ class CommPattern:
         if unmatched:
             proc, index = min(unmatched)
             raise UnmatchedOp.of(self.processes[proc], index)
+
+    @property
+    def nodes(self) -> int:
+        return len(self.processes)
+
+    def peers(self, proc: int) -> list[int]:
+        """Processes ``proc`` communicates with, ascending."""
+        return sorted({key >> 1 for key in self._streams[proc]})
+
+    def ops_with(self, proc: int, peer: int) -> list[int]:
+        """The indices of ``proc``'s ops with ``peer``, in program order."""
+        streams = self._streams[proc]
+        return sorted(chain(streams.get(2 * peer, ()), streams.get(2 * peer + KIND_RECV, ())))
+
+    def matching_op(self, proc: int, index: int) -> int:
+        """The index, in the peer's program, of the op paired with op
+        ``index`` of ``proc`` by FIFO order on their directed channel: the
+        k-th send on a channel pairs with its k-th receive."""
+        ops = self.processes[proc]
+        peer, recv = ops.peers[index], ops.kinds[index] & KIND_RECV
+        k = bisect_left(self._streams[proc][2 * peer + recv], index)
+        return self._streams[peer][2 * proc + (recv ^ KIND_RECV)][k]
+
+    def messages(self) -> Iterator[tuple[int, int, int, int]]:
+        """Every message of the pattern as (sender, receiver, send op index,
+        receive op index), channel by channel, each directed channel's in
+        FIFO order: its k-th send pairs with its k-th receive."""
+        for sender, streams in enumerate(self._streams):
+            for key, sends in streams.items():
+                if not key & KIND_RECV:
+                    receiver = key >> 1
+                    recvs = self._streams[receiver][2 * sender + KIND_RECV]
+                    for send, recv in zip(sends, recvs, strict=True):
+                        yield sender, receiver, send, recv

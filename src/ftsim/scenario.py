@@ -21,10 +21,14 @@ are sorted by (post offset, file order) once the ``[pattern]`` section is
 read. An op's direction and mode become bits of its kind byte as its line is
 read; the choice keys map their text through one dict each.
 
-Every error names the line it is on, except a missing section; a missing key
-or ``freq`` row names its section's header. The structural checks of
-``Scenario.validate`` (failure node, horizon, checkpoint triggers, matched
-ops, frequency table) run after parsing and name no line.
+Every parse error names the line it is on, except a missing section; a
+missing key or ``freq`` row names its section's header. Each part checks its
+own rules when built (the pattern its ops and FIFO matching, the profile its
+frequency table, mu1 and mu2, the checkpoint policy and the failure their
+values), and the loader turns a broken one into a ``ValidationError`` that
+names no line. It builds the pattern and the profile once every key but
+``depth``, whose ``auto`` reads the pattern, is parsed. ``Scenario.validate``
+keeps the checks that relate parts: failure node, horizon and timer steps.
 """
 
 from __future__ import annotations
@@ -85,20 +89,6 @@ class Scenario:
             raise ValidationError(
                 f"the checkpoint triggers up to the horizon are past the limit of {SIZE_LIMIT}"
             )
-        try:
-            self.pattern.validate()
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-        fmax = self.profile.f_max
-        if fmax.beta != 1.0 or fmax.gamma != 1.0:
-            raise ValidationError("maximum-frequency row must have beta = gamma = 1")
-        for prev, cur in zip(self.profile.freqs, self.profile.freqs[1:]):
-            if cur.beta < prev.beta or cur.gamma < prev.gamma:
-                raise ValidationError("beta and gamma must not decrease as GHz decreases")
-        if not (self.profile.mu1 >= 1.0):
-            raise ValidationError("mu1 must be >= 1")
-        if not (0 < self.profile.mu2 <= 1.0):
-            raise ValidationError("mu2 must be in (0, 1]")
 
 
 # the most nodes, and the most ops once every ``every`` line is expanded, a
@@ -373,7 +363,7 @@ def _columns(per_proc: list, proc: int) -> OpColumns:
 _FREQ_KINDS = (_FREQUENCY, _POWER, _PLAIN, _POWER, _PLAIN, _POWER)
 
 
-def _parse_profile(sec: _Section) -> SystemProfile:
+def _parse_profile(sec: _Section) -> dict[str, object]:
     freqs = []
     rows: dict[float, int] = {}  # each row's GHz -> its line: a level is named by its GHz
     for lineno, value in sec.repeated("freq"):
@@ -391,7 +381,7 @@ def _parse_profile(sec: _Section) -> SystemProfile:
         raise ParseError(f"[{sec.name}] needs at least one freq row", sec.header)
     freqs.sort(key=lambda f: -f.ghz)
     numbers = {key: sec.number(key, kind) for key, kind in _PROFILE_KINDS.items() if key in sec.values}
-    return SystemProfile(freqs=tuple(freqs), **numbers)
+    return {"freqs": tuple(freqs), **numbers}
 
 
 def loads_scenario(text: str, name: str = "scenario") -> Scenario:
@@ -415,9 +405,9 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
     # program is the ops as written
     pat_sec.given(interval=("interval", _seconds), repetition=("repetition", _seconds),
                   message_size=("message_size", _integer))
-    pattern = CommPattern(processes, **pat_sec.given(
+    semantics = pat_sec.given(
         buffered=("buffered", _boolean), wait_mode=("wait_mode", _choice("wait_mode", _WAIT_MODES))
-    ))
+    )
 
     offsets: dict[int, float] = {}
     for lineno, value in ck_sec.repeated("offset"):
@@ -445,12 +435,16 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
             time=fail_sec.number("time", _TIME),
             restart_duration=fail_sec.number("restart", _TIME),
         )
+        profile_fields = _parse_profile(sections["system"])
+        horizon = run_sec.number("horizon", _TIME)
+        strategies = run_sec.given(strategies_enabled=("strategies", _boolean))
+        # built last, so that only a bad ``depth`` is reported after their errors
+        pattern = CommPattern(processes, **semantics)
+        profile = SystemProfile(**profile_fields)
     except ParseError:
         raise
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-
-    profile = _parse_profile(sections["system"])
 
     scenario = Scenario(
         name=name,
@@ -459,8 +453,8 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
         ckpt=ckpt,
         failure=failure,
         depth=run_sec.value("depth", "auto", lambda text, line: parse_depth(text, pattern, line)),
-        horizon=run_sec.number("horizon", _TIME),
-        **run_sec.given(strategies_enabled=("strategies", _boolean)),
+        horizon=horizon,
+        **strategies,
     )
     scenario.validate()
     return scenario

@@ -82,7 +82,6 @@ def test_converge_level_matches_all_pairs_reference(seed):
         processes[a].append((b, "send", t))
         processes[b].append((a, "recv", t))
     pattern = build(processes)
-    pattern.validate()
     siblings = rng.sample(range(nodes), rng.randint(2, nodes))
     level = {
         pid: BlockEstimate(pid, round(rng.uniform(0.0, t + 5.0), 1), 1, -1) for pid in siblings

@@ -12,7 +12,7 @@ MILESTONE, COMM_COMPLETE, CKPT_BEGIN = object(), object(), object()
 def test_schedule_keeps_clock():
     q = EventQueue()
     q.schedule(5.0, CKPT_BEGIN, 0)
-    assert len(q) == 1
+    assert len(q.pending()) == 1
     assert q.clock == 0.0
 
 
@@ -86,7 +86,7 @@ def test_cancel_semantics():
     q = EventQueue()
     eid = q.schedule(4.0, CKPT_BEGIN, 0)
     assert q.cancel(eid) is True
-    assert len(q) == 0
+    assert len(q.pending()) == 0
     assert q.cancel(eid) is False
     fired = q.schedule(1.0, CKPT_BEGIN, 0)
     q.advance()
@@ -107,7 +107,7 @@ def test_deterministic_pop_sequence_and_conservation():
         seq = []
         popped = set()
         last = -1.0
-        while len(q):
+        while q.pending():
             ev = q.advance()
             assert ev.time >= last
             last = ev.time
@@ -129,7 +129,7 @@ def test_advance_stops_before_a_key():
     assert q.advance((5.0, 0, second)).node == 2
     assert q.advance((5.0, 0, second)).seq == first
     assert q.advance((5.0, 0, second)) is None  # an equal key is not before it
-    assert (len(q), q.clock) == (1, 5.0)
+    assert (len(q.pending()), q.clock) == (1, 5.0)
     assert q.advance((5.0, 0, second + 0.5)).seq == second
 
 
@@ -153,7 +153,7 @@ def test_an_event_the_queue_numbered_is_cancellable_in_any_band():
     q.schedule(5.0, MILESTONE, 1)
     assert q.cancel(early) is True
     assert q.advance().node == 1
-    assert len(q) == 0
+    assert len(q.pending()) == 0
 
 
 def test_copy_runs_on_independently():
@@ -167,9 +167,9 @@ def test_copy_runs_on_independently():
     assert [q.advance().node for _ in range(2)] == [2, 1]
     twin.schedule(1.5, MILESTONE, 0, band=-2)
     q.schedule(3.0, MILESTONE, 3, band=-2)  # numbered alike in each queue
-    assert twin.clock == 1.0 and len(twin) == 3
+    assert twin.clock == 1.0 and len(twin.pending()) == 3
     assert [twin.advance().node for _ in range(3)] == [0, 2, 1]  # the copy keeps node 2's event
-    assert len(q) == 1 and q.clock == 2.0
+    assert len(q.pending()) == 1 and q.clock == 2.0
 
 
 def test_pending_lists_the_events_in_key_order():
@@ -184,4 +184,4 @@ def test_pending_lists_the_events_in_key_order():
     assert [(ev.time, ev.band, ev.node) for ev in q.pending()] == [
         (2.0, -1, 2), (2.0, 0, 0), (2.0, 0, 3),
     ]
-    assert len(q) == 3  # listing them pops nothing
+    assert len(q.pending()) == 3  # listing them pops nothing

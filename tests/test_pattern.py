@@ -6,8 +6,8 @@ import pytest
 
 from ftsim.cascade import DepthConfig, estimate_block_times
 from ftsim.fault import CheckpointPolicy, FailureSpec
-from ftsim.pattern import UnmatchedOp
-from ftsim.scenario import Scenario, ValidationError, load_scenario
+from ftsim.pattern import CommPattern, UnmatchedOp
+from ftsim.scenario import Scenario, ValidationError, load_scenario, loads_scenario
 from ftsim.simulate import _Engine, _programs
 
 from oprows import op_columns, op_pattern, op_rows
@@ -18,15 +18,16 @@ from test_energy import PROFILE
 FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def reference_matching_op(pattern, proc, index):
-    """FIFO matching by list scans over the rows: the k-th op of one
+def reference_matching_op(processes, proc, index):
+    """FIFO matching by list scans over the rows of ``processes``, a
+    pattern's columns, built into a pattern or not: the k-th op of one
     direction on a channel pairs with the k-th op of the other direction.
     O(ops) per call; kept as an oracle for the channel index."""
-    peer, direction = op_rows(pattern.processes[proc])[index][:2]
-    mine = [i for i, row in enumerate(op_rows(pattern.processes[proc])) if row[:2] == (peer, direction)]
+    peer, direction = op_rows(processes[proc])[index][:2]
+    mine = [i for i, row in enumerate(op_rows(processes[proc])) if row[:2] == (peer, direction)]
     k = mine.index(index)
     want = "recv" if direction == "send" else "send"
-    theirs = [i for i, row in enumerate(op_rows(pattern.processes[peer])) if row[:2] == (proc, want)]
+    theirs = [i for i, row in enumerate(op_rows(processes[peer])) if row[:2] == (proc, want)]
     if k >= len(theirs):
         raise UnmatchedOp(f"op {index} of process {proc} ({direction} peer {peer}) has no match")
     return theirs[k]
@@ -63,13 +64,14 @@ def mixed_mode_pattern():
     return op_pattern([p0, p1, p2])
 
 
-def unmatched_pattern():
-    """Process 0 sends three messages to 1, which receives two; process 2
-    receives from 1, which never sends to it."""
+def unmatched_processes():
+    """Columns no pattern can be built from: process 0 sends three messages
+    to 1, which receives two; process 2 receives from 1, which never sends
+    to it."""
     p0 = [(1, "send", 10.0 * (i + 1)) for i in range(3)]
     p1 = [(0, "recv", 10.0), (0, "recv", 20.0)]
     p2 = [(1, "recv", 5.0)]
-    return op_pattern([p0, p1, p2])
+    return [op_columns(proc, rows) for proc, rows in enumerate([p0, p1, p2])]
 
 
 def patterns_under_test():
@@ -78,62 +80,64 @@ def patterns_under_test():
     for seed in range(20):
         yield f"random-{seed}", random_scenario(seed).pattern
     yield "mixed", mixed_mode_pattern()
-    yield "unmatched", unmatched_pattern()
 
 
-def every_op(pattern):
-    return [(proc, index) for proc, ops in enumerate(pattern.processes) for index in range(len(ops))]
+def every_op(processes):
+    return [(proc, index) for proc, ops in enumerate(processes) for index in range(len(ops))]
 
 
 def test_matching_op_agrees_with_reference():
+    """On every op of a built pattern, which has no unmatched op."""
     for name, pattern in patterns_under_test():
-        for proc, index in every_op(pattern):
-            got = matched(pattern.matching_op, proc, index)
-            assert got == matched(reference_matching_op, pattern, proc, index), (name, proc, index)
+        for proc, index in every_op(pattern.processes):
+            got = pattern.matching_op(proc, index)
+            assert got == reference_matching_op(pattern.processes, proc, index), (name, proc, index)
 
 
-def without_op(pattern, proc, position):
-    """``pattern`` less the op at ``position`` of ``proc``, the indices after
-    it renumbered."""
-    processes = [op_rows(ops) for ops in pattern.processes]
-    del processes[proc][position]
-    return replace(pattern, processes=[op_columns(p, rows) for p, rows in enumerate(processes)])
+def without_op(processes, proc, position):
+    """``processes`` less the op at ``position`` of ``proc``, the indices
+    after it renumbered."""
+    rows = [op_rows(ops) for ops in processes]
+    del rows[proc][position]
+    return [op_columns(p, ops) for p, ops in enumerate(rows)]
 
 
-def first_reference_error(pattern):
+def first_reference_error(processes):
     """The text of the first unmatched op in (process, index) order by the
     list-scan oracle, or None."""
-    for proc, index in every_op(pattern):
-        got = matched(reference_matching_op, pattern, proc, index)
+    for proc, index in every_op(processes):
+        got = matched(reference_matching_op, processes, proc, index)
         if not isinstance(got, int):
             return got[1]
     return None
 
 
 def test_validate_reports_reference_error():
-    """Count-based validation raises exactly the oracle's first unmatched op,
-    and passes where the oracle finds none: each pattern as it is and with
-    one op removed at seeded positions."""
+    """Building a pattern checks FIFO matching from the stream counts: it
+    raises exactly the oracle's first unmatched op, and builds where the
+    oracle finds none. Each pattern's columns as they are and with one op
+    removed at seeded positions, and columns unmatched as they are."""
     checked = raised = 0
-    for name, pattern in patterns_under_test():
+    under_test = [(name, pattern.processes) for name, pattern in patterns_under_test()]
+    for name, processes in [*under_test, ("unmatched", unmatched_processes())]:
         rng = random.Random(name)
-        cases = [("as is", pattern)]
+        cases = [("as is", processes)]
         for _ in range(3):
-            proc = rng.choice([p for p, ops in enumerate(pattern.processes) if len(ops)])
-            position = rng.randrange(len(pattern.processes[proc]))
-            cases.append((f"less op {position} of {proc}", without_op(pattern, proc, position)))
+            proc = rng.choice([p for p, ops in enumerate(processes) if len(ops)])
+            position = rng.randrange(len(processes[proc]))
+            cases.append((f"less op {position} of {proc}", without_op(processes, proc, position)))
         for case, variant in cases:
             want = first_reference_error(variant)
             if want is None:
-                variant.validate()
+                CommPattern(variant)
             else:
                 with pytest.raises(UnmatchedOp) as caught:
-                    variant.validate()
+                    CommPattern(variant)
                 assert str(caught.value) == want, (name, case)
                 raised += 1
             checked += 1
     assert raised > checked // 2
-    assert first_reference_error(unmatched_pattern()) == "op 2 of process 0 (send peer 1) has no match"
+    assert first_reference_error(unmatched_processes()) == "op 2 of process 0 (send peer 1) has no match"
 
 
 def test_ops_with_and_peers_follow_program_order():
@@ -145,29 +149,44 @@ def test_ops_with_and_peers_follow_program_order():
 
 
 def test_replace_rebuilds_the_index():
-    pattern = unmatched_pattern()
-    p1 = op_columns(1, [*op_rows(pattern.processes[1]), (0, "recv", 30.0)])
-    fixed = replace(pattern, processes=[pattern.processes[0], p1, op_columns(2, [])])
-    fixed.validate()
+    """``dataclasses.replace`` builds a new pattern from the new columns,
+    indexed and checked: it keeps nothing of the old pattern's index."""
+    processes = unmatched_processes()
+    p1 = op_columns(1, [*op_rows(processes[1]), (0, "recv", 30.0)])
+    fixed = CommPattern([processes[0], p1, op_columns(2, [])])
     assert fixed.matching_op(0, 2) == 2
     assert fixed.matching_op(1, 2) == 2
-    with pytest.raises(UnmatchedOp):
-        pattern.matching_op(0, 2)
+    with pytest.raises(UnmatchedOp, match="^op 2 of process 0 \\(send peer 1\\) has no match$"):
+        replace(fixed, processes=processes)
 
 
 def test_scenario_validation_wraps_the_unmatched_error():
-    pattern = unmatched_pattern()
-    s = Scenario(
-        name="unmatched",
-        profile=PROFILE,
-        pattern=pattern,
-        ckpt=CheckpointPolicy(interval=1000.0, duration=10.0),
-        failure=FailureSpec(node=0, time=50.0, restart_duration=5.0),
-        depth=DepthConfig(1),
-        horizon=500.0,
-    )
-    with pytest.raises(ValidationError, match="op 2 of process 0 \\(send peer 1\\) has no match"):
-        s.validate()
+    """The loader reports a pattern's own error as a ``ValidationError``,
+    with the text the pattern raised."""
+    text = """
+[system]
+freq = 2.8 ghz, 166 w, 1.0, 150 w, 1.0
+[pattern]
+nodes = 3
+op = 0 send 1 @ 10 s every 10 s until 30 s
+op = 1 recv 0 @ 10 s every 10 s until 20 s
+op = 2 recv 1 @ 5 s
+[checkpoint]
+interval = 1000 s
+duration = 10 s
+[failure]
+node = 0
+time = 50 s
+restart = 5 s
+[run]
+horizon = 500 s
+depth = 1
+"""
+    with pytest.raises(UnmatchedOp) as built:
+        CommPattern(unmatched_processes())
+    with pytest.raises(ValidationError) as loaded:
+        loads_scenario(text)
+    assert str(loaded.value) == str(built.value) == "op 2 of process 0 (send peer 1) has no match"
 
 
 def exchange_times(send_at, recv_at, buffered):
@@ -204,9 +223,8 @@ def test_synchronized_case():
 
 
 def test_unmatched_op_raises():
-    lonely = op_pattern([[(1, "send", 5.0)], []])
     with pytest.raises(UnmatchedOp, match="op 0 of process 0 \\(send peer 1\\) has no match"):
-        lonely.matching_op(0, 0)
+        op_pattern([[(1, "send", 5.0)], []])
 
 
 def test_buffering_dominance():
@@ -248,10 +266,8 @@ def test_next_comm_is_strict():
 
 
 def test_fifo_validation_rejects_disorder():
-    bad = op_pattern([
-        [(1, "send", 10.0), (1, "send", 10.0)],
-        [(0, "recv", 10.0), (0, "recv", 20.0)],
-    ])
-    with pytest.raises(ValueError):
-        bad.validate()
-
+    with pytest.raises(ValueError, match="^process 0: post offsets not strictly increasing at op 1$"):
+        op_pattern([
+            [(1, "send", 10.0), (1, "send", 10.0)],
+            [(0, "recv", 10.0), (0, "recv", 20.0)],
+        ])

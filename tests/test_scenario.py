@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -5,10 +6,11 @@ from pathlib import Path
 import pytest
 
 from ftsim import scenario
-from ftsim.energy import WaitMode
+from ftsim.energy import FrequencyLevel, SystemProfile, WaitMode
+from ftsim.pattern import UnmatchedOp
 from ftsim.scenario import ParseError, ValidationError, load_scenario, loads_scenario
 
-from oprows import op_columns, op_rows
+from oprows import op_columns, op_pattern, op_rows
 from test_fault import trigger_times
 from test_output_pins import FIXTURE_DIGESTS, output_digest
 
@@ -224,6 +226,120 @@ def test_a_unit_of_another_kind_names_its_line(old, new, message):
     line = text.splitlines().index(new.splitlines()[-1]) + 1
     with pytest.raises(ParseError, match=f"^line {line}: {message}$"):
         loads_scenario(text)
+
+
+@pytest.mark.parametrize(
+    "old, new, bad, message",
+    [
+        ("time = 50 s", "time =", "time =", "expected a number"),
+        ("time = 50 s", "time = soon", "time = soon", "bad number 'soon'"),
+        ("[checkpoint]", "[checkpoint]\nanticipation = maybe", "anticipation = maybe",
+         "bad boolean 'maybe'"),
+        ("horizon = 200 s", "horizon = 200 s\n[run]", "[run]", "duplicate section [run]"),
+        ("[system]", "stray = 1\n[system]", "stray = 1", "content before any section header"),
+        ("horizon = 200 s", "horizon = 200 s\nstrategies", "strategies",
+         "expected 'key = value', got 'strategies'"),
+        ("op = 0 send 1 @ 10 s", "op = 0 shout 1 @ 10 s", "op = 0 shout 1 @ 10 s",
+         "bad op spec '0 shout 1 @ 10 s'"),
+        ("op = 0 send 1 @ 10 s", "op = 0 send 1 at 10 s", "op = 0 send 1 at 10 s",
+         "op needs '@ <time>' '0 send 1 at 10 s'"),
+        ("op = 0 send 1 @ 10 s", "op = 0 send 1 @ 10 s wait 12 s", "op = 0 send 1 @ 10 s wait 12 s",
+         "wait needs '@ <time>'"),
+        ("op = 0 send 1 @ 10 s", "op = 0 send 1 @ 10 s every 10 s", "op = 0 send 1 @ 10 s every 10 s",
+         "'every' needs 'until <time>'"),
+        ("op = 0 send 1 @ 10 s", "op = 0 send 1 @ 10 s later", "op = 0 send 1 @ 10 s later",
+         "unexpected token 'later'"),
+        ("freq = 1.2 ghz, 126 w, 2.1, 125 w, 1.4", "freq = 1.2 ghz, 126 w, 2.1, 125 w",
+         "freq = 1.2 ghz, 126 w, 2.1, 125 w",
+         "freq needs: ghz, p_comp, beta, p_ckpt, gamma [, p_active_wait]"),
+        ("offset = 0: 20 s", "offset = x: 20 s", "offset = x: 20 s", "bad offset process 'x'"),
+    ],
+)
+def test_a_malformed_line_is_named(old, new, bad, message):
+    """Each parse error of the reader's own grammar names the line it is on:
+    ``bad``, its last occurrence in the file."""
+    assert MINIMAL.count(old) == 1
+    lines = MINIMAL.replace(old, new).splitlines()
+    line = len(lines) - lines[::-1].index(bad)
+    with pytest.raises(ParseError, match=f"^line {line}: {re.escape(message)}$"):
+        loads_scenario("\n".join(lines))
+
+
+# the rules a part checks when it is built, each as a file edit of MINIMAL
+# and as the part built directly: the per-op and FIFO rules of a pattern
+# (its per-process rows) and the rules of a system profile (its arguments)
+F_MAX, F_MIN = FrequencyLevel(2.8, 166.0, 1.0, 150.0, 1.0), FrequencyLevel(1.2, 126.0, 2.1, 125.0, 1.4)
+PATTERN_RULES = [
+    ("op = 0 send 1 @ 10 s\nop = 1 recv 0 @ 10 s",
+     "op = 0 send 1 @ 10 s\nop = 0 send 1 @ 10 s\nop = 1 recv 0 @ 10 s\nop = 1 recv 0 @ 20 s",
+     [[(1, "send", 10.0), (1, "send", 10.0)], [(0, "recv", 10.0), (0, "recv", 20.0)]],
+     ValueError, "process 0: post offsets not strictly increasing at op 1"),
+    ("op = 0 send 1 @ 10 s", "op = 0 send 1 @ 10 s wait @ 5 s",
+     [[(1, "send", 10.0, 5.0)], [(0, "recv", 10.0)]],
+     ValueError, "process 0: wait before post at op 0"),
+    ("op = 0 send 1 @ 10 s", "op = 0 send 0 @ 10 s",
+     [[(0, "send", 10.0)], [(0, "recv", 10.0)]],
+     ValueError, "process 0: bad peer 0"),
+    ("op = 1 recv 0 @ 10 s", "op = 1 recv 0 @ 10 s every 10 s until 20 s",
+     [[(1, "send", 10.0)], [(0, "recv", 10.0), (0, "recv", 20.0)]],
+     UnmatchedOp, "op 1 of process 1 (recv peer 0) has no match"),
+]
+PROFILE_RULES = [
+    ("freq = 2.8 ghz, 166 w, 1.0, 150 w, 1.0", "freq = 2.8 ghz, 166 w, 1.1, 150 w, 1.0",
+     {"freqs": (replace(F_MAX, beta=1.1), F_MIN)}, "maximum-frequency row must have beta = gamma = 1"),
+    ("freq = 2.8 ghz, 166 w, 1.0, 150 w, 1.0", "freq = 2.8 ghz, 166 w, 1.0, 150 w, 0.9",
+     {"freqs": (replace(F_MAX, gamma=0.9), F_MIN)}, "maximum-frequency row must have beta = gamma = 1"),
+    ("freq = 1.2 ghz, 126 w, 2.1, 125 w, 1.4", "freq = 1.2 ghz, 126 w, 0.9, 125 w, 1.4",
+     {"freqs": (F_MAX, replace(F_MIN, beta=0.9))}, "beta and gamma must not decrease as GHz decreases"),
+    ("freq = 1.2 ghz, 126 w, 2.1, 125 w, 1.4", "freq = 1.2 ghz, 126 w, 2.1, 125 w, 0.9",
+     {"freqs": (F_MAX, replace(F_MIN, gamma=0.9))}, "beta and gamma must not decrease as GHz decreases"),
+    ("[system]", "[system]\nmu1 = 0.5", {"freqs": (F_MAX, F_MIN), "mu1": 0.5}, "mu1 must be >= 1"),
+    ("[system]", "[system]\nmu2 = 0", {"freqs": (F_MAX, F_MIN), "mu2": 0.0}, "mu2 must be in (0, 1]"),
+    ("[system]", "[system]\nmu2 = 1.5", {"freqs": (F_MAX, F_MIN), "mu2": 1.5}, "mu2 must be in (0, 1]"),
+]
+# the checkpoint policy's and the failure's own rules, which only a file reaches
+PART_RULES = [
+    ("duration = 10 s", "duration = 100 s", "need 0 < duration < interval"),
+    ("[checkpoint]", "[checkpoint]\nalpha = 0", "anticipation fraction must be in (0, 1]"),
+    ("[checkpoint]", "[checkpoint]\nalpha = 1.5", "anticipation fraction must be in (0, 1]"),
+    ("time = 50 s", "time = 0 s", "failure time must be positive"),
+    ("restart = 5 s", "restart = -1 s", "restart duration must be non-negative"),
+]
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [(old, new, message) for old, new, _, _, message in PATTERN_RULES]
+    + [(old, new, message) for old, new, _, message in PROFILE_RULES]
+    + PART_RULES,
+)
+def test_a_part_that_breaks_its_rule_is_a_validation_error(old, new, message):
+    """A file whose pattern, profile, checkpoint policy or failure breaks one
+    of its rules is refused with that rule's text, naming no line."""
+    assert MINIMAL.count(old) == 1
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        loads_scenario(MINIMAL.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [(rows, error, message) for _, _, rows, error, message in PATTERN_RULES]
+    + [([[(2, "send", 10.0)], [(0, "recv", 10.0)]], ValueError, "process 0: bad peer 2")],
+)
+def test_a_pattern_that_breaks_its_rule_is_refused_when_built(rows, error, message):
+    """Built directly, or as a copy of a valid pattern with other processes,
+    a pattern checks its ops: the loader's text, from the pattern itself."""
+    valid = op_pattern([[(1, "send", 10.0)], [(0, "recv", 10.0)]])
+    processes = [op_columns(proc, ops) for proc, ops in enumerate(rows)]
+    for build in (lambda: op_pattern(rows), lambda: replace(valid, processes=processes)):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
+
+
+@pytest.mark.parametrize("fields, message", [(fields, message) for *_, fields, message in PROFILE_RULES])
+def test_a_profile_that_breaks_its_rule_is_refused_when_built(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SystemProfile(**fields)
 
 
 @pytest.mark.parametrize(

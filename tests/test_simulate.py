@@ -27,6 +27,7 @@ from ftsim.scenario import load_scenario, loads_scenario
 from ftsim.simulate import (
     _FIRST,
     _LABELS,
+    _REJOIN,
     _Engine,
     _failure_free_pass,
     _failure_free_times,
@@ -1155,7 +1156,7 @@ def test_failure_free_times_equal_the_per_op_table(name, s, cut):
 
     for proc, ops in enumerate(s.pattern.processes):
         for index, peer in enumerate(ops.peers):
-            want = (*times(proc, index), post(peer, reference_matching_op(s.pattern, proc, index)))
+            want = (*times(proc, index), post(peer, reference_matching_op(s.pattern.processes, proc, index)))
             assert exchange(proc, index) == want, (name, proc, index)
 
 
@@ -1183,7 +1184,7 @@ def test_failure_free_times_look_up_a_peer_only_through_matching_op(monkeypatch)
             for index, peer in enumerate(ops.peers):
                 calls.clear()
                 exchange(proc, index)
-                posted = (peer, reference_matching_op(s.pattern, proc, index)) in posts
+                posted = (peer, reference_matching_op(s.pattern.processes, proc, index)) in posts
                 assert calls == ([] if posted else [(proc, index)]), (name, proc, index)
                 looked_up += not posted
     assert looked_up >= 100, looked_up
@@ -1868,6 +1869,43 @@ def test_the_rejoin_instant_is_the_latest_watched_end(monkeypatch):
     assert set(r.reference_waits) == estimated
     assert recorded == [(921.0, max(w.end for w in r.reference_waits.values()))]
     assert recorded[0][1] == 1002.5
+
+
+def test_the_rejoin_digest_reads_each_part_of_the_state():
+    """A planless failure pass run to pass 2's rejoin key is pass 2 there:
+    its digest is pass 2's record. On halo_chain_8 node 0's last mark there
+    lies after T* (561.45 s), so the label before it is read too. A fork
+    that differs from it in one per-node field, in one pending event, or in
+    that label has another digest."""
+    s = SHAPED["halo_chain_8"]()
+    programs = _programs(s.pattern)
+    base, snapshot = _failure_free_pass(s, programs)
+    estimates = cascade.estimate_block_times(
+        s.pattern, s.failure.node, s.failure.time, s.depth,
+        _failure_free_times(s.pattern, programs.msgs, base.messages),
+    )
+    ref = snapshot.fork()
+    ref.inject(base.messages, watch=frozenset(est.process for est in estimates))
+    ref.run()
+    at, record, _ = ref.rejoin
+    planless = snapshot.fork()
+    planless.inject(base.messages)
+    planless.run(until=(at, _REJOIN))
+    assert planless._state_digest(at) == record
+    assert at == pytest.approx(561.45)
+
+    field = planless.fork()
+    field.procs[1].last_ckpt += 1.0
+    event = planless.fork()
+    first = event.q.pending()[0]
+    assert event.q.cancel(first.seq)
+    event.q.schedule(first.time + 1.0, first.kind, first.node, first.payload, first.band)
+    label = planless.fork()
+    labels = label.procs[0].mark_labels
+    assert label.procs[0].mark_times[-1] > at
+    labels[-2] = next(i for i in range(len(_LABELS)) if i not in (labels[-2], labels[-1]))
+    for twin in (field, event, label):
+        assert twin._state_digest(at) != record
 
 
 # -- the two band-0 ties at one instant where the output differs from an event
