@@ -21,6 +21,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
+from math import ulp
 from typing import Iterator
 
 from .energy import WaitMode
@@ -68,12 +69,12 @@ class CommPattern:
     the MPI semantics they run under.
 
     Construction builds the FIFO channel index from the columns in one pass
-    that checks each op (strictly increasing posts, no wait before its post,
-    a peer that is another process), then FIFO matching, and raises
-    ``ValueError`` (:class:`UnmatchedOp` when unmatched) on a broken rule.
-    :meth:`matching_op` is the one FIFO lookup in it. The index is not
-    refreshed, so the columns must not be mutated; ``dataclasses.replace``
-    builds a new pattern, checked and indexed.
+    that checks each op (non-negative, strictly increasing posts, no wait
+    before its post, a peer that is another process), then FIFO matching,
+    and raises ``ValueError`` (:class:`UnmatchedOp` when unmatched) on a
+    broken rule. :meth:`matching_op` is the one FIFO lookup in it. The index
+    is not refreshed, so the columns must not be mutated;
+    ``dataclasses.replace`` builds a new pattern, checked and indexed.
     """
 
     processes: list[OpColumns]
@@ -87,11 +88,13 @@ class CommPattern:
         nodes = self.nodes
         for proc, ops in enumerate(self.processes):
             streams: dict[int, array] = {}
-            last = -1.0
+            last = -ulp(0.0)  # the greatest float below 0: a negative first post fails
             for index, (peer, kind, post, wait) in enumerate(
                 zip(ops.peers, ops.kinds, ops.offsets[::2], ops.offsets[1::2])
             ):
                 if post <= last:
+                    if post < 0:
+                        raise ValueError(f"process {proc}: negative post offset at op {index}")
                     raise ValueError(
                         f"process {proc}: post offsets not strictly increasing at op {index}"
                     )

@@ -47,22 +47,21 @@ suspended peer. And every test of a message during a pass asks whether it
 was transferred by now (``not transfer <= now``, as a NaN transfer, "not
 yet", compares false), so a post registered ahead is seen by no event
 before its instant: a later post of the peer transfers the message at the
-later instant, and a node that blocks on a message whose transfer lies
-ahead queues its own completion, as no post event will come to wake it.
+later instant, and a node that blocks at the wait label on a message whose
+transfer lies ahead queues its own completion, as no post event will come.
 
-A post that transfers a message its peer is suspended on at the wait label
-resumes that peer in place at the transfer, with no ``_on_complete`` event,
-when nothing can interrupt the peer first, the transfer lying strictly
-before its pending trigger, and the peer is due at no milestone at the
-transfer itself (``_Proc.next_due_at``): such a milestone goes at the
-completion event's turn among the events at that instant, so a blocking
-post to such a peer is not made in place either. Otherwise, and for a peer
-that checkpoints (the checkpoint's end resumes it) or sleeps, the post
-queues the event (``_release``). A resume runs the peer's own lookahead,
-whose posts may release further peers, so resumes do not nest: they go on a
-FIFO worklist that ``run`` drains after each handler, and an entry whose
-node is no longer suspended on that message at the wait label gets the
-event instead. A fork starts with an empty worklist.
+A suspended node goes on at its message's transfer by one rule,
+``_release``: a node at the wait label resumes in place at the transfer,
+with no ``_on_complete`` event, when nothing can interrupt it first, the
+transfer lying strictly before its pending trigger, and it is due at no
+milestone at the transfer itself (``_Proc.next_due_at``): such a milestone
+goes at the completion event's turn among the events at that instant, so a
+blocking post to such a peer is not made in place either. Otherwise it gets
+the event. A node in a checkpoint anticipated at its wait, or asleep, is
+left alone: that state's end reads the transfer. A resume runs the node's
+own lookahead, whose posts may release further nodes, so resumes do not
+nest: they go on a FIFO worklist that ``run`` drains after each handler. A
+fork starts with an empty worklist.
 
 The output equals that of an event per milestone and per completion but
 for the order of band-0 events at one instant, which is queued order. The
@@ -512,19 +511,16 @@ class _Engine:
         event's kind is its handler, a plain function of the class: a queued
         event holds no engine, so a fork's copied queue stays valid. After
         each handler, the nodes it let go on in place resume, in order (so no
-        resume recurses into another); one no longer suspended on its message
-        at the wait label gets an ``_on_complete`` event instead."""
+        resume recurses into another), each still at the wait label: only the
+        failure's handler moves other nodes, and a node it puts to sleep waits
+        on a message the failure delays, which no node posts at that instant."""
         q, resumes, procs = self.q, self.resumes, self.procs
         before = min(until, (self.s.horizon, inf))
         while (ev := q.advance(before)) is not None:
             ev.kind(self, ev)
             while resumes:
-                node, msg, at = resumes.popleft()
-                proc = procs[node]
-                if proc.blocked_msg == msg and proc.mark_labels[-1] == self.wait_label:
-                    self._resume_from_wait(proc, at)
-                else:
-                    q.schedule(at, _Engine._on_complete, node, payload=msg)
+                node, at = resumes.popleft()
+                self._resume_from_wait(procs[node], at)
 
     # -- op handling -----------------------------------------------------------
 
@@ -538,25 +534,24 @@ class _Engine:
             # at the later post: the peer's is later only when it was
             # handled in place, ahead of the clock
             transfer[msg] = at = theirs if theirs > now else now
-            # Only the side that posted first can be suspended on the message:
-            # the side posting now is computing up to it or re-executing. A
-            # wait anticipated with a checkpoint resumes at the checkpoint's end.
+            # only the side that posted first can be suspended on the message:
+            # the side posting now is computing up to it or re-executing
             other = self.procs[proc.peers[index]]
-            if other.blocked_msg == msg and other.mark_labels[-1] != _M_CKPT:
+            if other.blocked_msg == msg:
                 self._release(other, msg, at)
 
     def _release(self, proc: _Proc, msg: int, at: float) -> None:
-        """``proc``, suspended on ``msg``, goes on at ``at``, the transfer:
-        in place, through the worklist :meth:`run` drains, when nothing can
-        interrupt it first (it waits at the wait label, and ``at`` is
-        strictly before its pending trigger) and it is due at no milestone
-        at ``at`` itself; else at an ``_on_complete`` event, which a sleeping
-        node ignores, and whose turn among the events at ``at`` is where
-        such a milestone goes."""
-        # ``at`` is the post's own instant, which the queue and _run_ahead
+        """``proc``, suspended on ``msg``, goes on at the transfer ``at`` if
+        it waits at the wait label: in place, through the worklist :meth:`run`
+        drains, when nothing can interrupt it first (``at`` < its pending
+        trigger) and it is due at no milestone at ``at``; else at an
+        ``_on_complete`` event, whose turn at ``at`` is such a milestone's."""
+        if proc.mark_labels[-1] != self.wait_label:
+            return  # in a checkpoint or asleep: that state's end reads the transfer
+        # ``at`` is a post's own instant, which the queue and _run_ahead
         # keep at or before the horizon and before the failure ahead
-        if proc.mark_labels[-1] == self.wait_label and at < proc.trigger and not proc.next_due_at(at):
-            self.resumes.append((proc.node, msg, at))
+        if at < proc.trigger and not proc.next_due_at(at):
+            self.resumes.append((proc.node, at))
         else:
             self.q.schedule(at, _Engine._on_complete, proc.node, payload=msg)
 
@@ -613,7 +608,7 @@ class _Engine:
         if self.plans and self._strategy_here(proc) is not None:
             self._apply_wait_action(proc, now)
         transfer = self.messages.transfer[msg]
-        if transfer > now:  # its peer posted in place, ahead of the clock: no post event wakes it
+        if transfer > now and proc.mark_labels[-1] == self.wait_label:  # no post event to come
             self.q.schedule(transfer, _Engine._on_complete, proc.node, payload=msg)
 
     def _failure_free_end(self, proc: _Proc) -> float:
@@ -635,9 +630,9 @@ class _Engine:
         return self._failure_free_end(proc) <= now
 
     def _on_complete(self, ev) -> None:
+        """Resume a node queued at the wait label, unless it failed since; a
+        finished node is WAIT_IDLE too, but suspended on nothing."""
         proc = self.procs[ev.node]
-        # a sleeping process is resumed by its wakeup event instead, and a
-        # finished one is also labelled WAIT_IDLE but is suspended on nothing
         if proc.blocked_msg == ev.payload and proc.mark_labels[-1] == self.wait_label:
             self._resume_from_wait(proc, ev.time)
 
@@ -828,8 +823,9 @@ class _Engine:
         if transfer <= now:
             self._resume_from_wait(proc, now)
             return
-        # a completion event resumes the process at the transfer
         proc.mark(now, self.wait_label)
+        if transfer > now:  # posted in place while it slept: no post event comes
+            self._release(proc, proc.blocked_msg, transfer)
 
     # -- rejoin ------------------------------------------------------------------
 

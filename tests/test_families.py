@@ -8,6 +8,7 @@ the simulated results off stars.
 
 import hashlib
 from array import array
+from collections import deque
 from dataclasses import replace
 from math import inf, nextafter
 from operator import attrgetter
@@ -303,11 +304,48 @@ def test_handling_milestones_in_place_changes_no_output(tmp_path, monkeypatch):
     assert [output_digest(s, tmp_path) for s in runs] == shipped
 
 
+def check_every_wake(monkeypatch):
+    """Spy on the two ways a suspended node goes on at its transfer: each
+    ``_on_complete`` event must find its node suspended on the event's
+    message at the wait label, and each node the worklist hands out must be
+    suspended at the wait label on a message transferred at the entry's
+    instant. Return the count of each, filled in as the engines run."""
+    woken = {"completions": 0, "resumes": 0}
+    on_complete, run = _Engine._on_complete, _Engine.run
+
+    def checked_complete(engine, ev):
+        proc = engine.procs[ev.node]
+        assert proc.blocked_msg == ev.payload and proc.mark_labels[-1] == engine.wait_label
+        woken["completions"] += 1
+        on_complete(engine, ev)
+
+    class Worklist(deque):
+        def popleft(self):
+            node, at = super().popleft()
+            proc = self.engine.procs[node]
+            msg = proc.blocked_msg
+            assert msg is not None and proc.mark_labels[-1] == self.engine.wait_label
+            assert self.engine.messages.transfer[msg] == at
+            woken["resumes"] += 1
+            return node, at
+
+    def checked_run(engine, *args, **kwargs):
+        engine.resumes = Worklist(engine.resumes)
+        engine.resumes.engine = engine
+        run(engine, *args, **kwargs)
+
+    monkeypatch.setattr(_Engine, "_on_complete", checked_complete)
+    monkeypatch.setattr(_Engine, "run", checked_run)
+    return woken
+
+
 def test_rejoining_pass_2_changes_no_output(tmp_path, monkeypatch):
     """Pass 3 stops at the rejoin key and takes pass 2's tail where the two
     states are equal there: the same bytes as pass 3 run to its end, on the
     fixtures, ``scengen`` 0-199, every 8th family and every failure instant
-    of every 32nd family. Both branches are taken in this set."""
+    of every 32nd family. Both branches are taken in this set. On the
+    shipped runs, every completion and every resume from the worklist finds
+    its node suspended at the wait label (``check_every_wake``)."""
     runs = [load_scenario(path) for path in sorted(FIXTURES.glob("*.scn"))]
     runs += [random_scenario(seed) for seed in range(200)]
     runs += [family_scenario(seed) for seed in SWEEP_SEEDS]
@@ -322,7 +360,9 @@ def test_rejoining_pass_2_changes_no_output(tmp_path, monkeypatch):
             taken.append(engine.messages is tail.messages)
 
     monkeypatch.setattr(_Engine, "run_to_rejoin", spied)
+    woken = check_every_wake(monkeypatch)
     shipped = [output_digest(s, tmp_path) for s in runs]
+    assert woken["completions"] and woken["resumes"]
     # of the runs whose pass 2 hands over a tail, 375 rejoin and 108 run on
     assert (taken.count(True), taken.count(False)) == (375, 108)
     monkeypatch.setattr(_Engine, "handover", no_rejoin)

@@ -295,30 +295,30 @@ def pass_counts(scenario, monkeypatch, physical=False) -> list[tuple[int, int, i
 # estimated process has had its first delayed wait, and a pass 3 that
 # rejoins pass 2 counts only its events before the rejoin key.
 EVENT_COUNTS = {
-    "scenario1_long": [(43, 42, 1), (53, 47, 6), (42, 32, 2)],
+    "scenario1_long": [(43, 42, 1), (53, 47, 6), (39, 29, 2)],
     "scenario1_short": [(42, 38, 4), (45, 40, 5), (47, 39, 8)],
-    "scenario2_blocking": [(39, 38, 1), (42, 40, 2), (30, 24, 2)],
+    "scenario2_blocking": [(39, 38, 1), (42, 40, 2), (29, 23, 2)],
     "scenario2_nonblocking": [(14, 13, 1), (17, 15, 2), (16, 13, 3)],
     "scenario3_active": [(180, 179, 1), (182, 180, 2), (184, 179, 5)],
     "scenario3_idle": [(180, 179, 1), (182, 180, 2), (184, 179, 5)],
     "scenario4_buffered": [(14, 13, 1), (17, 15, 2)],
-    "scenario4_unbuffered": [(21, 20, 1), (25, 23, 2), (29, 20, 2)],
-    "scenario5": [(78, 77, 1), (82, 80, 2), (83, 76, 2)],
-    "scenario6_anticipated": [(43, 42, 1), (56, 50, 6), (45, 35, 2)],
-    "scenario6_plain": [(43, 42, 1), (53, 47, 6), (42, 32, 2)],
-    "scenario7_long": [(54, 53, 1), (56, 54, 2), (41, 32, 2)],
+    "scenario4_unbuffered": [(21, 20, 1), (25, 23, 2), (26, 17, 2)],
+    "scenario5": [(78, 77, 1), (82, 80, 2), (81, 74, 2)],
+    "scenario6_anticipated": [(43, 42, 1), (56, 50, 6), (42, 32, 2)],
+    "scenario6_plain": [(43, 42, 1), (53, 47, 6), (39, 29, 2)],
+    "scenario7_long": [(54, 53, 1), (56, 54, 2), (38, 29, 2)],
     "scenario7_short_blocking": [(54, 53, 1), (56, 54, 2), (58, 53, 5)],
     "scenario7_short_nonblocking": [(19, 18, 1), (23, 21, 2), (24, 12, 5)],
-    "seed0": [(16, 15, 1), (20, 18, 2), (24, 18, 2)],
+    "seed0": [(16, 15, 1), (20, 18, 2), (21, 15, 2)],
     "seed1": [(14, 13, 1), (22, 20, 2), (16, 11, 2)],
     "seed2": [(19, 18, 1), (23, 21, 2), (21, 16, 2)],
-    "seed3": [(27, 26, 1), (30, 28, 2), (35, 31, 4)],
-    "seed4": [(19, 18, 1), (22, 20, 2), (24, 19, 2)],
+    "seed3": [(27, 26, 1), (30, 28, 2), (33, 29, 4)],
+    "seed4": [(19, 18, 1), (22, 20, 2), (22, 17, 2)],
     "seed5": [(51, 50, 1), (52, 50, 2), (55, 49, 6)],
     "seed6": [(59, 58, 1), (60, 58, 2), (40, 33, 2)],
     "seed7": [(45, 44, 1), (47, 45, 2), (50, 45, 5)],
     "halo_chain_8": [(113, 107, 6), (137, 132, 5), (70, 51, 3)],
-    "master_worker_6": [(84, 83, 1), (91, 90, 1), (76, 66, 1)],
+    "master_worker_6": [(84, 83, 1), (91, 90, 1), (70, 60, 1)],
     "horizon_cut": [(16, 15, 1), (19, 13, 2), (21, 12, 5)],
 }
 

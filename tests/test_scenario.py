@@ -297,6 +297,14 @@ PROFILE_RULES = [
     ("[system]", "[system]\nmu2 = 0", {"freqs": (F_MAX, F_MIN), "mu2": 0.0}, "mu2 must be in (0, 1]"),
     ("[system]", "[system]\nmu2 = 1.5", {"freqs": (F_MAX, F_MIN), "mu2": 1.5}, "mu2 must be in (0, 1]"),
 ]
+# a negative post, refused for its sign before the increasing check: well
+# below 0, and just below it for both ops
+NEGATIVE_POSTS = [
+    ("op = 0 send 1 @ 10 s\nop = 1 recv 0 @ 10 s",
+     f"op = 0 send 1 @ {send} s\nop = 1 recv 0 @ {recv} s",
+     "process 0: negative post offset at op 0")
+    for send, recv in (("-5", "10"), ("-0.5", "-0.5"))
+]
 # the checkpoint policy's and the failure's own rules, which only a file reaches
 PART_RULES = [
     ("duration = 10 s", "duration = 100 s", "need 0 < duration < interval"),
@@ -311,7 +319,8 @@ PART_RULES = [
     "old, new, message",
     [(old, new, message) for old, new, _, _, message in PATTERN_RULES]
     + [(old, new, message) for old, new, _, message in PROFILE_RULES]
-    + PART_RULES,
+    + PART_RULES
+    + NEGATIVE_POSTS,
 )
 def test_a_part_that_breaks_its_rule_is_a_validation_error(old, new, message):
     """A file whose pattern, profile, checkpoint policy or failure breaks one
@@ -324,7 +333,9 @@ def test_a_part_that_breaks_its_rule_is_a_validation_error(old, new, message):
 @pytest.mark.parametrize(
     "rows, error, message",
     [(rows, error, message) for _, _, rows, error, message in PATTERN_RULES]
-    + [([[(2, "send", 10.0)], [(0, "recv", 10.0)]], ValueError, "process 0: bad peer 2")],
+    + [([[(2, "send", 10.0)], [(0, "recv", 10.0)]], ValueError, "process 0: bad peer 2")]
+    + [([[(1, "send", -5.0)], [(0, "recv", 10.0)]], ValueError,
+        "process 0: negative post offset at op 0")],
 )
 def test_a_pattern_that_breaks_its_rule_is_refused_when_built(rows, error, message):
     """Built directly, or as a copy of a valid pattern with other processes,

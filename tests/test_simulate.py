@@ -12,7 +12,7 @@ import pytest
 
 from ftsim import cascade, cli, simulate
 from ftsim.cascade import DepthConfig
-from ftsim.energy import WaitMode, ghz_name
+from ftsim.energy import NodePlan, WaitAction, WaitMode, ghz_name
 from ftsim.kernel import EventQueue
 from ftsim.pattern import KIND_NONBLOCKING, KIND_RECV, CommPattern, can_suspend
 from ftsim.report import (
@@ -28,6 +28,7 @@ from ftsim.simulate import (
     _FIRST,
     _LABELS,
     _REJOIN,
+    _DelayedWait,
     _Engine,
     _failure_free_pass,
     _failure_free_times,
@@ -1764,6 +1765,86 @@ def test_a_chain_of_releases_does_not_recurse(tmp_path, monkeypatch):
     monkeypatch.setattr(_Engine, "_run_ahead", queue_every_milestone)
     monkeypatch.setattr(_Engine, "_release", queue_every_completion)
     assert output_digest(s, tmp_path) == shipped
+
+
+# Node 0 waits from 2 s for node 1's send of 50 s. Node 1 fails at 10 s and
+# re-executes until 21 s, where it posts that send in place, ahead of the
+# clock, at 61 s. A plan made by hand puts node 0 to sleep at the failure
+# until 50 s: it wakes with the transfer known and still ahead.
+SLEEP_BEFORE_A_KNOWN_TRANSFER = _SYSTEM + """
+[pattern]
+nodes = 2
+wait_mode = idle
+mpi_mode = nonblocking
+buffered = off
+op = 0 recv 1 @ 1 s wait @ 2 s
+op = 0 send 1 @ 5 s wait @ 6 s
+op = 1 send 0 @ 50 s wait @ 51 s
+op = 1 recv 0 @ 52 s wait @ 53 s
+
+[checkpoint]
+interval = 1000 s
+duration = 10 s
+anticipation = off
+offset = 900 s
+
+[failure]
+node = 1
+time = 10 s
+restart = 1 s
+
+[run]
+horizon = 200 s
+depth = 1
+"""
+
+
+def sleep_before_a_known_transfer(tmp_path):
+    """The trace of the pass with node 0's hand-made sleep, a fork of pass
+    1's snapshot, and the times its ``_on_complete`` events fired at."""
+    s = loads_scenario(SLEEP_BEFORE_A_KNOWN_TRANSFER)
+    base, snapshot = _failure_free_pass(s, _programs(s.pattern))
+    plan = NodePlan(0, s.profile.f_max, WaitAction.SLEEP, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    final = snapshot.fork()
+    final.inject(base.messages, {0: (plan, _DelayedWait(0, 1, 2.0, 50.0))})
+    completions = []
+    on_complete = _Engine._on_complete
+
+    def spied(engine, ev):
+        completions.append(ev.time)
+        on_complete(engine, ev)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Engine, "_on_complete", spied)
+        final.run()
+    path = tmp_path / "sleep.trace"
+    write_trace(final.trace(final.makespan()), path)
+    return path.read_bytes(), completions
+
+
+def test_a_sleeper_woken_before_its_known_transfer_resumes_at_it(tmp_path, monkeypatch):
+    """Node 0 sleeps through the instant node 1 posts in place, so that post
+    leaves it alone; waking at 50 s, it hands the transfer of 61 s to
+    ``_Engine._release``, which resumes it there in place, with no
+    completion event. The bytes are those of the run with every milestone
+    and every completion an event."""
+    shipped, completions = sleep_before_a_known_transfer(tmp_path)
+    node_0 = [line for line in shipped.splitlines() if line.startswith((b"S 0 ", b"F 0 "))]
+    assert node_0 == [
+        b"S 0 0.000 2.000 COMPUTE",
+        b"S 0 2.000 10.000 WAIT_IDLE",
+        b"F 0 10.000 BEGIN SLEEP",
+        b"S 0 10.000 35.000 GO_SLEEP",
+        b"S 0 35.000 45.000 SLEEP",
+        b"S 0 45.000 50.000 WAKEUP",
+        b"F 0 50.000 END SLEEP",
+        b"S 0 50.000 61.000 WAIT_IDLE",
+        b"S 0 61.000 65.000 COMPUTE",
+    ]
+    assert completions == []
+    monkeypatch.setattr(_Engine, "_run_ahead", queue_every_milestone)
+    monkeypatch.setattr(_Engine, "_release", queue_every_completion)
+    assert sleep_before_a_known_transfer(tmp_path) == (shipped, [61.0])
 
 
 def test_a_blocking_post_runs_ahead_only_to_a_suspended_peer():
